@@ -2,13 +2,16 @@
 
 Usage: ``eigennet <experiment> --config <path> [--out <dir>] [--seed <u64>]
 [--trials <n>]``. Exit code 0 on success, 1 on configuration errors, 2 on
-runtime errors.
+runtime errors. A standard output closed by its reader before the summary is
+printed (``eigennet ... | head -0``) also exits with 2, without a traceback;
+the output files are complete by then.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -63,9 +66,17 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # unexpected failures also map to exit 2
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    print(f"{cfg.experiment}: {len(report.rows)} rows in {report.duration_s:.2f}s")
-    for path in paths:
-        print(f"wrote {path}")
+    try:
+        print(f"{cfg.experiment}: {len(report.rows)} rows in {report.duration_s:.2f}s")
+        for path in paths:
+            print(f"wrote {path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     return 0
 
 

@@ -4,9 +4,13 @@ A consensus run takes a K x m initial matrix whose row k is node k's local
 vector and drives every row toward the network-wide mean. Three engines are
 provided: ``ideal`` (the exact mean), ``standard`` (repeated multiplication
 by the mixing matrix), and ``chebyshev`` (semi-iterative acceleration of the
-same mixing). Every result carries the realized error matrix, the deviation
-of the output from the exact mean; that matrix is a simulation observable
-only and is never read by the algorithms under test.
+same mixing). On fixed weights an I-step run of either mixing engine is one
+matrix polynomial p_I(W); it is built once per (weights, engine, I) and then
+applied as a single product. Under link failures the recurrence runs step by
+step on the input, redrawing the surviving links each step. Every result
+carries the realized error matrix, the deviation of the output from the exact
+mean; that matrix is a simulation observable only and is never read by the
+algorithms under test.
 
 Two synthetic engines support instrumentation: :class:`ErrorInjectingEngine`
 returns exact means plus caller-chosen error terms (for verifying the
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConsensusError
-from .topology import ChebyshevParams, Graph, WeightMatrix
+from .topology import ChebyshevParams, Graph, WeightMatrix, metropolis_entries
 
 __all__ = [
     "AcConfig",
@@ -93,21 +97,14 @@ class AcConfig:
 
 
 def _failure_weights(graph: Graph, rng: np.random.Generator, p: float) -> np.ndarray:
-    """Metropolis weights on the subgraph of links that survive this iteration."""
-    k = graph.node_count
-    edges = graph.edges
-    surviving = [e for e in edges if rng.random() >= p]
-    deg = np.zeros(k, dtype=np.int64)
-    for u, v in surviving:
-        deg[u] += 1
-        deg[v] += 1
-    w = np.zeros((k, k))
-    for u, v in surviving:
-        wij = 1.0 / (1.0 + max(deg[u], deg[v]))
-        w[u, v] = wij
-        w[v, u] = wij
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
+    """Metropolis weights on the subgraph of links that survive this iteration.
+
+    One uniform draw per edge, in edge order; a single vector draw consumes
+    the generator exactly as the same number of scalar draws would.
+    """
+    u, v = graph.edge_index
+    alive = rng.random(u.size) >= p
+    return metropolis_entries(graph.node_count, u[alive], v[alive])
 
 
 def _iteration_weights(cfg: AcConfig) -> np.ndarray:
@@ -116,6 +113,33 @@ def _iteration_weights(cfg: AcConfig) -> np.ndarray:
         return _failure_weights(cfg.weights.graph, cfg._failure_rng, cfg.link_failure_prob)
     assert cfg.weights is not None
     return cfg.weights.entries
+
+
+def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
+    """Run the engine's recurrence on x0, fetching the mixing matrix per step."""
+    if cfg.engine == "chebyshev":
+        return _chebyshev_iterate(x0, cfg)
+    x = x0.copy()
+    for _ in range(cfg.iterations):
+        x = _iteration_weights(cfg) @ x
+    return x
+
+
+def _mixing_operator(cfg: AcConfig) -> np.ndarray:
+    """The K x K matrix p_I(W) that an I-step run on fixed weights applies.
+
+    Without link failures every engine step is linear in its input with the
+    same weights, so the whole run equals one matrix product. The operator is
+    built once, by running the recurrence on the identity, and cached on the
+    weight matrix that owns it.
+    """
+    assert cfg.weights is not None and cfg.link_failure_prob == 0.0
+    key = (cfg.engine, cfg.iterations, cfg.cheb)
+    operators = cfg.weights._operators
+    op = operators.get(key)
+    if op is None:
+        op = operators[key] = _iterate(np.eye(cfg.weights.node_count), cfg)
+    return op
 
 
 def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
@@ -137,14 +161,11 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     if cfg.engine == "ideal":
         z = np.tile(mean_row, (k, 1))
         error = np.zeros_like(z)
-    elif cfg.engine == "standard":
-        x = x0.astype(x0.dtype, copy=True)
-        for _ in range(cfg.iterations):
-            x = _iteration_weights(cfg) @ x
-        z = x
-        error = z - target
     else:
-        z = _chebyshev_iterate(x0, cfg)
+        if cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
+            z = _iterate(x0, cfg)
+        else:
+            z = _mixing_operator(cfg) @ x0
         error = z - target
 
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)

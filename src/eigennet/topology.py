@@ -35,11 +35,15 @@ class Graph:
 
     ``positions`` is only populated by the geometric generator, for
     reproducibility and plot emission; no algorithm reads it.
+    ``edge_index`` holds the edge endpoints as a read-only 2 x E integer
+    array (row 0 the smaller endpoint), for vectorized weight construction.
     """
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
     positions: np.ndarray | None = field(default=None, compare=False)
+    edge_index: np.ndarray = field(init=False, repr=False, compare=False)
+    _degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -55,13 +59,16 @@ class Graph:
             if (u, v) in seen:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
+        edge_index = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        edge_index.setflags(write=False)
+        deg = np.bincount(edge_index.ravel(), minlength=self.node_count)
+        deg.setflags(write=False)
+        object.__setattr__(self, "edge_index", edge_index)
+        object.__setattr__(self, "_degrees", deg)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Node degrees, computed once at construction (read-only)."""
+        return self._degrees
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -94,10 +101,16 @@ class Graph:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric row-stochastic consensus weights on a graph."""
+    """Symmetric row-stochastic consensus weights on a graph.
+
+    ``_operators`` caches fixed-weight consensus operators built from these
+    entries (see :mod:`eigennet.consensus`); it lives and dies with this
+    object, so no two weight matrices share one.
+    """
 
     entries: np.ndarray = field(compare=False)
     graph: Graph = field(compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -215,20 +228,31 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+def metropolis_entries(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense K x K Metropolis weights on the edges (u[e], v[e]).
+
+    Degrees are counted over the given edges only, so passing a subset of a
+    graph's ``edge_index`` columns yields the weights of that subgraph.
+    """
+    deg = np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
+    wij = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
+    w = np.zeros((k, k))
+    w[u, v] = wij
+    w[v, u] = wij
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
-    Diagonal entries absorb the remaining mass so that rows sum to 1.
+    Diagonal entries absorb the remaining mass so that rows sum to 1. The
+    entries are read-only, because consensus operators cached on the
+    returned object are built from them.
     """
     g.require_connected()
-    k = g.node_count
-    deg = g.degrees()
-    w = np.zeros((k, k))
-    for u, v in g.edges:
-        wij = 1.0 / (1.0 + max(deg[u], deg[v]))
-        w[u, v] = wij
-        w[v, u] = wij
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    w = metropolis_entries(g.node_count, *g.edge_index)
+    w.setflags(write=False)
     return WeightMatrix(w, g)
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,18 +8,24 @@ from eigennet.consensus import (
     AcConfig,
     ErrorInjectingEngine,
     ReplayEngine,
+    _failure_weights,
+    _iterate,
+    _mixing_operator,
     node_view,
     run_consensus,
 )
 from eigennet.errors import ConsensusError
-from eigennet.topology import metropolis_weights, spectral_bounds
+from eigennet.topology import (
+    Graph,
+    generate_random_geometric,
+    metropolis_weights,
+    spectral_bounds,
+)
 
 from conftest import random_connected_graph
 
 
 def complete_weights(k):
-    from eigennet.topology import Graph
-
     g = Graph(k, tuple((i, j) for i in range(k) for j in range(i + 1, k)))
     return metropolis_weights(g)
 
@@ -187,3 +196,128 @@ class TestSyntheticEngines:
         out = np.array([[1.0, 2.0], [3.0, 4.0]])
         res = ReplayEngine([out]).run(np.zeros((2, 2)))
         assert np.array_equal(res.z, out)
+
+
+def loop_failure_weights(graph, rng, p):
+    """Per-edge reference for the link-failure redraw: one scalar draw per edge."""
+    k = graph.node_count
+    surviving = [e for e in graph.edges if rng.random() >= p]
+    deg = np.zeros(k, dtype=np.int64)
+    for u, v in surviving:
+        deg[u] += 1
+        deg[v] += 1
+    w = np.zeros((k, k))
+    for u, v in surviving:
+        wij = 1.0 / (1.0 + max(deg[u], deg[v]))
+        w[u, v] = wij
+        w[v, u] = wij
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def max_rel_diff(got, ref):
+    return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+class TestFailureRedraw:
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.999])
+    def test_matches_per_edge_loop(self, p, path3):
+        graphs = [path3, generate_random_geometric(40, 0.4, 3), Graph(1, ())]
+        for g in graphs:
+            fast_rng = np.random.default_rng(11)
+            loop_rng = np.random.default_rng(11)
+            for _ in range(60):
+                fast = _failure_weights(g, fast_rng, p)
+                assert np.array_equal(fast, loop_failure_weights(g, loop_rng, p))
+
+    def test_edgeless_single_node(self):
+        w = _failure_weights(Graph(1, ()), np.random.default_rng(0), 0.5)
+        assert np.array_equal(w, [[1.0]])
+
+    def test_no_failures_reproduce_metropolis_weights(self):
+        g = generate_random_geometric(40, 0.4, 3)
+        w = loop_failure_weights(g, np.random.default_rng(0), 0.0)
+        assert np.array_equal(metropolis_weights(g).entries, w)
+
+
+class TestMixingOperator:
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(4)
+        real_1d = rng.standard_normal(12)
+        complex_2d = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        return real_1d, complex_2d
+
+    def check_against_recurrence(self, cfg):
+        for z0 in self.inputs():
+            x0 = z0.reshape(z0.shape[0], -1)
+            ref = _iterate(x0, cfg)
+            assert max_rel_diff(_mixing_operator(cfg) @ x0, ref) <= 1e-13
+            z = run_consensus(z0, cfg).z
+            assert z.shape == z0.shape
+            assert max_rel_diff(z.reshape(x0.shape), ref) <= 1e-13
+
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    @pytest.mark.parametrize("iters", [0, 1, 2, 30])
+    def test_matches_recurrence(self, engine, iters):
+        w = metropolis_weights(generate_random_geometric(12, 0.5, 2))
+        cp = spectral_bounds(w)
+        assert not cp.is_degenerate
+        self.check_against_recurrence(AcConfig(engine, iters, weights=w, cheb=cp))
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 30])
+    def test_degenerate_chebyshev_matches_recurrence(self, iters):
+        w = complete_weights(12)
+        cp = spectral_bounds(w)
+        assert cp.is_degenerate
+        self.check_against_recurrence(AcConfig("chebyshev", iters, weights=w, cheb=cp))
+
+    def test_built_once_per_engine_and_iterations(self, path3_weights, path3_cheb):
+        z0 = np.arange(6.0).reshape(3, 2)
+        for _ in range(3):
+            for engine in ("standard", "chebyshev"):
+                run_consensus(z0, AcConfig(engine, 4, weights=path3_weights, cheb=path3_cheb))
+        assert len(path3_weights._operators) == 2
+        cfg = AcConfig("chebyshev", 4, weights=path3_weights, cheb=path3_cheb)
+        assert _mixing_operator(cfg) is _mixing_operator(cfg)
+
+    def test_operator_dies_with_its_weights(self):
+        w = metropolis_weights(generate_random_geometric(12, 0.5, 2))
+        cfg = AcConfig("standard", 5, weights=w)
+        run_consensus(np.ones((12, 2)), cfg)
+        (op,) = w._operators.values()
+        refs = [weakref.ref(w), weakref.ref(op)]
+        del w, cfg, op
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_weight_matrices_never_share_an_operator(self):
+        g1 = generate_random_geometric(12, 0.5, 2)
+        g2 = generate_random_geometric(12, 0.5, 5)
+        w1, w1_again, w2 = metropolis_weights(g1), metropolis_weights(g1), metropolis_weights(g2)
+        z0 = np.random.default_rng(0).standard_normal((12, 3))
+        ops = []
+        for w in (w1, w1_again, w2):
+            cfg = AcConfig("chebyshev", 6, weights=w, cheb=spectral_bounds(w))
+            assert max_rel_diff(run_consensus(z0, cfg).z, _iterate(z0, cfg)) <= 1e-13
+            (op,) = w._operators.values()
+            ops.append(op)
+        assert ops[0] is not ops[1] and ops[0] is not ops[2]
+        assert not np.allclose(ops[0], ops[2])
+
+
+class TestDegrees:
+    def test_read_only_and_matches_edge_count(self):
+        g = generate_random_geometric(40, 0.4, 3)
+        deg = g.degrees()
+        expected = np.zeros(40, dtype=np.int64)
+        for u, v in g.edges:
+            expected[u] += 1
+            expected[v] += 1
+        assert np.array_equal(deg, expected)
+        assert deg is g.degrees()
+        with pytest.raises(ValueError):
+            deg[0] = 0
+
+    def test_edgeless_graph(self):
+        assert Graph(1, ()).degrees().tolist() == [0]
