@@ -582,8 +582,15 @@ def predict_dla_w_error(
 
 
 def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel, use_cw):
-    """Per-node Ritz values at the requested iterations, raw and filtered."""
+    """Per-node Ritz values at the requested iterations, raw and filtered.
+
+    ``alpha_hist`` and ``beta_hist`` are (M, nodes) coefficient histories
+    and ``sizes`` the per-node tridiagonal sizes; ``k`` and ``n`` are the
+    sample dimensions that drive the spurious-value filter. A centralized
+    run is the one-node case.
+    """
     limit = min(k, n)
+    node_count = alpha_hist.shape[1]
     needed = set(wanted)
     for j in wanted:
         if j > limit and j >= 2:
@@ -591,7 +598,7 @@ def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel, use_cw):
     raw: dict[int, list[np.ndarray]] = {}
     for j in sorted(needed):
         eff = np.minimum(sizes, j)
-        values: list[np.ndarray | None] = [None] * k
+        values: list[np.ndarray | None] = [None] * node_count
         for s in np.unique(eff):
             nodes = np.nonzero(eff == s)[0]
             al = alpha_hist[:s, nodes].T
@@ -604,7 +611,7 @@ def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel, use_cw):
     for j in sorted(wanted):
         prev = raw.get(j - 1) if j > limit else None
         out = []
-        for node in range(k):
+        for node in range(node_count):
             cur = raw[j][node]
             tol = tol_rel * max(float(np.max(np.abs(cur))) if len(cur) else 0.0, 1e-12)
             if use_cw:

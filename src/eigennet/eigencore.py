@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments: sample covariance,
 unnormalized power iteration, Lanczos tridiagonalization without
-reorthogonalization, symmetric-tridiagonal eigenvalues by Sturm-count
-bisection, a cyclic Jacobi solver used as the dense Hermitian oracle, and
-post-processing of Ritz lists (spurious-value filtering).
+reorthogonalization, symmetric-tridiagonal eigenvalues from LAPACK
+(``numpy.linalg.eigvalsh``), a cyclic Jacobi solver kept as the independent
+dense Hermitian oracle for tests, and post-processing of Ritz lists
+(spurious-value filtering).
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ __all__ = [
     "filter_spurious",
     "cullum_willoughby_spurious",
 ]
-
-# Pivot guard for Sturm sequences: near-zero pivots are replaced by a tiny
-# value of the same sign (exact zeros count as positive).
-_PIVOT_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class EigenSolution:
@@ -185,73 +181,26 @@ def lanczos(
     return TridiagonalMatrix(np.array(alphas), np.array(betas))
 
 
-def _sturm_counts(alpha: np.ndarray, beta_sq: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift in ``x``.
-
-    ``alpha`` is (S, m), ``beta_sq`` is (S, m-1), ``x`` is (S, T); the count
-    is computed for every (matrix, shift) pair at once.
-    """
-    m = alpha.shape[1]
-    q = alpha[:, 0:1] - x
-    q = np.where(np.abs(q) < _PIVOT_FLOOR, np.where(q < 0, -_PIVOT_FLOOR, _PIVOT_FLOOR), q)
-    count = (q < 0).astype(np.int64)
-    for i in range(1, m):
-        q = (alpha[:, i : i + 1] - x) - beta_sq[:, i - 1 : i] / q
-        q = np.where(
-            np.abs(q) < _PIVOT_FLOOR, np.where(q < 0, -_PIVOT_FLOOR, _PIVOT_FLOOR), q
-        )
-        count += q < 0
-    return count
-
-
-def tridiagonal_eigenvalues_batch(
-    alpha: np.ndarray, beta: np.ndarray, *, tol: np.ndarray | float | None = None
-) -> np.ndarray:
+def tridiagonal_eigenvalues_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a stack of symmetric tridiagonal matrices.
 
-    Sturm-count bisection inside per-matrix Gershgorin brackets. ``alpha`` is
-    (S, m) and ``beta`` (S, m-1); the default absolute tolerance is
-    1e-10 (1 + ||T||_inf) per matrix.
+    ``alpha`` is (S, m) and ``beta`` (S, m-1); the stack is written into a
+    dense (S, m, m) array and solved by one batched LAPACK call.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     s, m = alpha.shape
     beta = np.asarray(beta, dtype=float).reshape(s, max(m - 1, 0))
-    pad = np.zeros((s, 1))
-    babs = np.abs(beta)
-    radius = np.hstack([babs, pad]) + np.hstack([pad, babs])
-    lo0 = (alpha - radius).min(axis=1)
-    hi0 = (alpha + radius).max(axis=1)
-    if tol is None:
-        inf_norm = (np.abs(alpha) + radius).max(axis=1)
-        tol = 1e-10 * (1.0 + inf_norm)
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), (s,))
-    # Inflate brackets so the Sturm counts at the endpoints are 0 and m.
-    lo0 = lo0 - tol
-    hi0 = hi0 + tol
-    span = float(np.max((hi0 - lo0) / tol))
-    steps = min(max(int(math.ceil(math.log2(max(span, 2.0)))) + 1, 2), 128)
-    lo = np.repeat(lo0[:, None], m, axis=1)
-    hi = np.repeat(hi0[:, None], m, axis=1)
-    want = np.arange(1, m + 1)[None, :]
-    beta_sq = beta**2
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        enough = _sturm_counts(alpha, beta_sq, mid) >= want
-        hi = np.where(enough, mid, hi)
-        lo = np.where(enough, lo, mid)
-    vals = 0.5 * (lo + hi)
-    return vals[:, ::-1]
+    t = np.zeros((s, m, m))
+    i = np.arange(m)
+    t[:, i, i] = alpha
+    # eigvalsh reads the lower triangle only
+    t[:, i[1:], i[:-1]] = beta
+    return np.linalg.eigvalsh(t)[:, ::-1]
 
 
-def tridiagonal_eigenvalues(t: TridiagonalMatrix, *, tol: float | None = None) -> np.ndarray:
+def tridiagonal_eigenvalues(t: TridiagonalMatrix) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, sorted descending."""
-    if t.size == 0:
-        return np.zeros(0)
-    if tol is None:
-        tol = 1e-10 * (1.0 + t.inf_norm())
-    return tridiagonal_eigenvalues_batch(
-        t.alpha[None, :], t.beta[None, :], tol=np.array([tol])
-    )[0]
+    return tridiagonal_eigenvalues_batch(t.alpha[None, :], t.beta[None, :])[0]
 
 
 def _hermitian_deviation(a: np.ndarray) -> float:

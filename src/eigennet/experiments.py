@@ -13,6 +13,7 @@ import numpy as np
 from .consensus import AcConfig, ErrorInjectingEngine
 from .detection import compute_statistic, threshold_from_h0, trace_consensus
 from .distributed import (
+    _extract_ritz,
     audit_messages,
     check_dpm_convergence_condition,
     default_dla_start,
@@ -24,15 +25,12 @@ from .distributed import (
     predict_dpm_vector_error,
     predict_lambda1_error,
 )
-from .eigencore import (
-    EigenSolution,
-    TridiagonalMatrix,
-    filter_spurious,
-    lanczos,
-    power_method,
-    sample_covariance,
-    tridiagonal_eigenvalues,
-)
+from .eigencore import EigenSolution, lanczos, power_method, sample_covariance
+
+# Not called here: roc's centralized Ritz lists go through _extract_ritz like
+# the decentralized ones. Kept importable from this module, where the
+# per-layer tracer in perfbench/tracing.py looks them up.
+from .eigencore import filter_spurious, tridiagonal_eigenvalues  # noqa: F401
 from .errors import ConfigError
 from .harness import ExperimentConfig, ExperimentReport, _splitmix64, trial_seed
 from .signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
@@ -304,28 +302,6 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def _ritz_prefix_lists(t: TridiagonalMatrix, js, k, n, tol_rel):
-    """Filtered Ritz lists of the leading principal submatrices of T."""
-    limit = min(k, n)
-    needed = set(js)
-    for j in js:
-        if j > limit and j >= 2:
-            needed.add(j - 1)
-    raw = {}
-    for j in sorted(needed):
-        s = min(j, t.size)
-        raw[j] = tridiagonal_eigenvalues(
-            TridiagonalMatrix(t.alpha[:s], t.beta[: s - 1])
-        )
-    out = {}
-    for j in js:
-        cur = raw[j]
-        tol = tol_rel * max(float(np.max(np.abs(cur))), 1e-12)
-        prev = raw.get(j - 1) if j > limit else None
-        out[j] = filter_spurious(cur, prev, k, n, tol, iteration=j)
-    return out
-
-
 def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     """ROC curves for each detector across eigenvalue pipelines.
 
@@ -375,8 +351,15 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
             v0 = default_dpm_start(cfg.k, seed=_sub_seed(s, 0xA5))
             v1 = default_dla_start(cfg.k)
             t_central = lanczos(r, v1, m_max)
-            la_lists = _ritz_prefix_lists(
-                t_central, m_grid, cfg.k, cfg.n, cfg.spurious_tol
+            _, la_lists = _extract_ritz(
+                t_central.alpha[:, None],
+                t_central.beta[:, None],
+                np.array([t_central.size]),
+                m_grid,
+                cfg.k,
+                cfg.n,
+                cfg.spurious_tol,
+                use_cw=False,
             )
             ac = _make_ac(
                 cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xD0)
@@ -394,7 +377,7 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
             traces: dict[str, float] = {}
             for m in m_grid:
                 lists[f"pm-m{m}"] = np.array([power_method(r, v0, m).value])
-                lists[f"la-m{m}"] = la_lists[m]
+                lists[f"la-m{m}"] = la_lists[m][0]
                 lists[f"dpm-m{m}"] = np.array([dpm_res.checkpoints[m][node]])
                 lists[f"dla-m{m}"] = dla_res.eigenvalues[m][node]
             if ratio_kinds:
@@ -404,7 +387,7 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
                 )
                 dec_trace = float(trace_consensus(y, ac)[node])
                 for m in m_grid:
-                    lists[f"la-m{m}-tr"] = la_lists[m]
+                    lists[f"la-m{m}-tr"] = la_lists[m][0]
                     traces[f"la-m{m}-tr"] = exact_trace
                     lists[f"dla-m{m}-tr"] = dla_res.eigenvalues[m][node]
                     traces[f"dla-m{m}-tr"] = dec_trace

@@ -330,7 +330,8 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
 
     The JSON report echoes the validated config, the per-trial seeds and any
     experiment-specific summary values; it deliberately omits wall-clock
-    duration so reruns produce byte-identical files.
+    duration and the output directory so reruns of one config and seed
+    produce byte-identical files wherever they are written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -338,9 +339,11 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     csv_path = emit_csv(report, out_dir)
     if csv_path is not None:
         paths.append(csv_path)
+    config = dataclasses.asdict(report.config)
+    del config["out"]
     payload = {
         "experiment": report.config.experiment,
-        "config": dataclasses.asdict(report.config),
+        "config": config,
         "trial_seeds": report.trial_seeds,
         "rows": len(report.rows),
         "extra": report.extra,

@@ -99,18 +99,20 @@ class Graph:
             raise TopologyError("graph is not connected")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Symmetric row-stochastic consensus weights on a graph.
 
-    ``_operators`` caches fixed-weight consensus operators built from these
-    entries (see :mod:`eigennet.consensus`); it lives and dies with this
-    object, so no two weight matrices share one.
+    Equality and hashing are by identity, so weight matrices of different
+    networks never compare equal. ``_operators`` caches fixed-weight
+    consensus operators built from these entries (see
+    :mod:`eigennet.consensus`); it lives and dies with this object, so no two
+    weight matrices share one.
     """
 
-    entries: np.ndarray = field(compare=False)
-    graph: Graph = field(compare=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    entries: np.ndarray
+    graph: Graph
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def node_count(self) -> int:
@@ -260,14 +262,12 @@ def spectral_bounds(w: WeightMatrix) -> ChebyshevParams:
     """Bounds on the disagreement spectrum of W, for Chebyshev acceleration.
 
     lambda_max is the second-largest and lambda_min the smallest eigenvalue
-    of W, computed with the dense Hermitian solver. When the disagreement
+    of W, computed by LAPACK (``numpy.linalg.eigvalsh``). When the disagreement
     spectrum collapses to a point (complete-graph-like W), the returned
     params carry b1 = inf, which downgrades the accelerated engine to plain
     averaging.
     """
-    from .eigencore import dense_hermitian_eig
-
-    values = dense_hermitian_eig(w.entries).values
+    values = np.linalg.eigvalsh(w.entries)[::-1]
     if abs(values[0] - 1.0) > 1e-9:
         raise TopologyError("weight matrix lacks the consensus eigenvalue 1")
     lam_max = float(values[1]) if len(values) > 1 else 0.0

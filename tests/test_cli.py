@@ -1,5 +1,4 @@
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,15 +16,13 @@ CONFIGS = ROOT / "configs"
 )
 def test_rerun_is_byte_identical(experiment, tmp_path, capsys):
     # roc is left out: its threshold calibration needs at least 200 trials
-    # both runs write to the same directory, because the report echoes it
+    # the two runs write to different directories, which must not show
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
-    out = tmp_path / "out"
-    argv = [experiment, "--config", str(config), "--out", str(out), "--trials", "1"]
     outputs = []
-    for _ in range(2):
+    for out in (tmp_path / "first", tmp_path / "second" / "nested"):
+        argv = [experiment, "--config", str(config), "--out", str(out), "--trials", "1"]
         assert cli_main(argv) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        shutil.rmtree(out)
     assert f"{experiment}_report.json" in outputs[0]
     if experiment != "prop-check":
         assert f"{experiment}.csv" in outputs[0]

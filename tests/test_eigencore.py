@@ -153,6 +153,31 @@ class TestTridiagonalEigenvalues:
         t = TridiagonalMatrix(np.array([4.2]), np.zeros(0))
         assert np.allclose(tridiagonal_eigenvalues(t), [4.2], atol=1e-10)
 
+    @staticmethod
+    def toeplitz_values(a, b, m):
+        """Closed form: a + 2b cos(j pi / (m + 1)), j = 1..m, descending for b >= 0."""
+        j = np.arange(1, m + 1)
+        return a + 2.0 * b * np.cos(j * np.pi / (m + 1))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 20])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (2.5, 0.3), (-1.0, 4.0)])
+    def test_toeplitz_closed_form(self, m, a, b):
+        t = TridiagonalMatrix(np.full(m, a), np.full(m - 1, b))
+        mine = tridiagonal_eigenvalues(t)
+        assert mine.shape == (m,)
+        assert np.max(np.abs(mine - self.toeplitz_values(a, b, m))) <= 1e-12 * (1 + t.inf_norm())
+
+    def test_toeplitz_closed_form_mixed_stack(self):
+        m = 9
+        rows = [(0.0, 1.0), (3.0, 0.0), (-2.0, 0.5), (1e3, 7.0), (0.1, 1e-8)]
+        alphas = np.array([np.full(m, a) for a, _ in rows])
+        betas = np.array([np.full(m - 1, b) for _, b in rows])
+        batch = tridiagonal_eigenvalues_batch(alphas, betas)
+        assert batch.shape == (len(rows), m)
+        for i, (a, b) in enumerate(rows):
+            scale = 1 + abs(a) + 2 * b
+            assert np.max(np.abs(batch[i] - self.toeplitz_values(a, b, m))) <= 1e-12 * scale
+
 
 class TestDenseHermitianEig:
     def test_diagonal_input(self):

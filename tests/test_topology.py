@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from eigennet.consensus import AcConfig
+from eigennet.eigencore import dense_hermitian_eig
 from eigennet.errors import TopologyError
 from eigennet.topology import (
     Graph,
@@ -124,6 +126,18 @@ class TestMetropolis:
         w = metropolis_weights(Graph(2, ((0, 1),))).entries
         assert np.allclose(w, np.full((2, 2), 0.5), atol=1e-15)
 
+    def test_equality_is_identity(self):
+        a = metropolis_weights(generate_random_geometric(10, 0.5, 1))
+        b = metropolis_weights(generate_random_geometric(12, 0.5, 1))
+        assert a == a
+        assert a != b
+        assert hash(a) != hash(b)
+        assert len({a, b}) == 2
+        # same graph, separately built: still two weight matrices
+        assert metropolis_weights(a.graph) != a
+        assert AcConfig("standard", 5, weights=a) == AcConfig("standard", 5, weights=a)
+        assert AcConfig("standard", 5, weights=a) != AcConfig("standard", 5, weights=b)
+
     def test_rejects_disconnected(self):
         with pytest.raises(TopologyError):
             metropolis_weights(Graph(3, ((0, 1),)))
@@ -157,6 +171,17 @@ class TestSpectralBounds:
         cp = spectral_bounds(metropolis_weights(Graph(2, ((0, 1),))))
         assert cp.is_degenerate
         assert cp.lambda_min == pytest.approx(cp.lambda_max)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_jacobi_oracle_on_geometric_graphs(self, seed):
+        wm = metropolis_weights(generate_random_geometric(20 + 5 * seed, 0.4, seed))
+        cp = spectral_bounds(wm)
+        values = dense_hermitian_eig(wm.entries).values
+        assert abs(values[0] - 1.0) <= 1e-12
+        assert cp.lambda_max == pytest.approx(values[1], abs=1e-12)
+        assert cp.lambda_min == pytest.approx(values[-1], abs=1e-12)
+        b1 = (2.0 - values[1] - values[-1]) / (values[1] - values[-1])
+        assert cp.b1 == pytest.approx(b1, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bounds_bracket_disagreement_spectrum(self, seed):
