@@ -51,6 +51,7 @@ from .eigencore import (
     cullum_willoughby_spurious,
     dense_hermitian_eig,
     filter_spurious,
+    filter_spurious_batch,
     lanczos,
     power_method,
     sample_covariance,

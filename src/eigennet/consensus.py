@@ -156,17 +156,16 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
             f"{cfg.weights.node_count} nodes"
         )
     mean_row = x0.mean(axis=0)
-    target = np.broadcast_to(mean_row, x0.shape)
 
     if cfg.engine == "ideal":
-        z = np.tile(mean_row, (k, 1))
+        z = np.broadcast_to(mean_row, x0.shape).copy()
         error = np.zeros_like(z)
     else:
         if cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
             z = _iterate(x0, cfg)
         else:
             z = _mixing_operator(cfg) @ x0
-        error = z - target
+        error = z - mean_row
 
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)
     counters = cfg.iterations * m * deg
@@ -262,8 +261,8 @@ class ErrorInjectingEngine:
         if z0.dtype.kind != "c" and err.dtype.kind == "c":
             raise ConsensusError("real-valued consensus cannot carry complex error")
         mean_row = z0.mean(axis=0)
-        z = mean_row[None, ...] + err if z0.ndim > 1 else mean_row + err
-        error = z - np.broadcast_to(mean_row, z0.shape)
+        z = mean_row + err
+        error = z - mean_row
         k = z0.shape[0]
         return ConsensusResult(
             z=z,
@@ -292,8 +291,7 @@ class ReplayEngine:
         self.calls += 1
         if z.shape != z0.shape:
             raise ConsensusError("replayed output shape does not match input")
-        mean_row = z0.mean(axis=0)
-        error = z - np.broadcast_to(mean_row, z0.shape)
+        error = z - z0.mean(axis=0)
         k = z0.shape[0]
         return ConsensusResult(
             z=z,

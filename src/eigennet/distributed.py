@@ -10,7 +10,12 @@ recorded.
 
 Implementation note: node-local scalars are stored in length-K arrays and
 updated with row-wise numpy operations, which preserves locality (entry k
-never reads entry j) while keeping runs vectorized.
+never reads entry j) while keeping runs vectorized. The same holds past the
+iteration loop: at each Ritz checkpoint all nodes' Ritz values sit in one
+(nodes, j) stack, NaN-padded for nodes whose matrix stopped growing, which is
+solved by one batched LAPACK call per distinct size and filtered in one
+batched pass; the error instrumentation is derived once per run from the
+stacked per-iteration consensus errors and vectors, not inside the loop.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from .consensus import AcConfig, ConsensusResult, run_consensus
 from .eigencore import (
     EigenSolution,
     TridiagonalMatrix,
-    cullum_willoughby_spurious,
-    filter_spurious,
+    filter_spurious_batch,
     sample_covariance,
     tridiagonal_eigenvalues_batch,
 )
@@ -302,7 +306,6 @@ def run_dpm(
     v_hist = np.empty((m_iterations + 1, k), dtype=complex)
     v_hist[0] = v
     iteration_errors: list[np.ndarray] = []
-    drift = np.empty((m_iterations, k), dtype=complex)
     snapshots: dict[int, np.ndarray] = {}
     wanted = set(int(j) for j in checkpoints)
     if not all(1 <= j <= m_iterations for j in wanted):
@@ -312,7 +315,6 @@ def run_dpm(
         res = _run_ac(ac, z0)
         counter.record(res, n)
         iteration_errors.append(res.error)
-        drift[j - 1] = scale * np.einsum("kn,kn->k", res.error.conj(), y)
         v = scale * np.einsum("kn,kn->k", res.z.conj(), y)
         v_hist[j] = v
         if j in wanted and j != m_iterations:
@@ -321,6 +323,7 @@ def run_dpm(
     lam, e_mat, e_scalar = _dpm_final_stage(y, v, ac, counter, scale)
     snapshots[m_iterations] = lam
     e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
+    drift = scale * np.einsum("mkn,kn->mk", np.conj(iteration_errors), y)
     trace = DpmErrorTrace(
         iteration_errors=iteration_errors,
         iteration_drift=drift,
@@ -395,7 +398,6 @@ def run_dla(
     ritz_iters=None,
     spurious_tol_rel: float = 1e-3,
     breakdown_tol: float | None = None,
-    cullum_willoughby: bool = False,
 ) -> DlaResult:
     """Decentralized Lanczos algorithm.
 
@@ -445,9 +447,6 @@ def run_dla(
 
     matrix_errors: list[np.ndarray] = []
     normalization_errors = np.zeros((m_iterations, k))
-    w_err_measured = np.zeros((m_iterations, k), dtype=complex)
-    w_err_predicted = np.zeros((m_iterations, k), dtype=complex)
-    taylor_flags = np.zeros((m_iterations, k), dtype=bool)
 
     v_hist[0] = v
     v_prev = np.zeros(k, dtype=complex)
@@ -463,27 +462,6 @@ def run_dla(
         alpha_hist[j - 1] = alpha_j
         w_hist[j - 1] = w
         w_norms[j - 1] = float(np.linalg.norm(w))
-
-        # Instrumentation: deviation from an exact iteration on the same
-        # current vectors, and its first-order prediction.
-        rv = (y @ (y.conj().T @ v)) / n
-        alpha_ideal = float(np.real(np.vdot(v, rv)))
-        beta_ideal = w_norms[j - 2] if j >= 2 else 0.0
-        w_ideal = rv - alpha_ideal * v - beta_ideal * v_prev
-        w_err_measured[j - 1] = w - w_ideal
-        w_err_predicted[j - 1] = _dla_w_error_terms(
-            y,
-            res.error,
-            normalization_errors[j - 1],
-            v,
-            v_prev,
-            w_norms[j - 2] if j >= 2 else None,
-        )
-        if j >= 2 and w_norms[j - 2] > 0:
-            taylor_flags[j - 1] = (
-                np.abs(normalization_errors[j - 1]) > 0.1 * w_norms[j - 2] ** 2 / k
-            )
-
         res_1 = _run_ac(ac, np.abs(w) ** 2)
         counter.record(res_1, 1)
         b = np.real(res_1.z)
@@ -504,22 +482,11 @@ def run_dla(
         v_hist[j] = v
         beta_cur = beta_next
 
-    trace = DlaErrorTrace(
-        iteration_matrix_errors=matrix_errors,
-        normalization_errors=normalization_errors,
-        w_error_measured=w_err_measured,
-        w_error_predicted=w_err_predicted,
-        taylor_flags=taylor_flags,
+    trace = _dla_error_trace(
+        y, matrix_errors, normalization_errors, v_hist[:m_iterations], w_hist, w_norms
     )
     raw, filtered = _extract_ritz(
-        alpha_hist,
-        beta_hist,
-        sizes,
-        wanted,
-        k,
-        n,
-        spurious_tol_rel,
-        cullum_willoughby,
+        alpha_hist, beta_hist, sizes, wanted, k, n, spurious_tol_rel
     )
     return DlaResult(
         alpha_hist=alpha_hist,
@@ -540,22 +507,65 @@ def run_dla(
     )
 
 
+def _previous(hist: np.ndarray) -> np.ndarray:
+    """A per-iteration history shifted down one row, zeros for iteration 1."""
+    return np.concatenate((np.zeros_like(hist[:1]), hist[:-1]))
+
+
+def _dla_error_trace(y, matrix_errors, normalization_errors, v, w, w_norms):
+    """Instrumentation of a finished DLA run, over all iterations at once.
+
+    ``v`` holds the (M, K) current vectors of iterations 1..M, ``w`` the
+    computed directions and ``w_norms`` their global norms. The measured
+    deviation compares w with the one an exact iteration would produce from
+    the same current vectors.
+    """
+    k, n = y.shape
+    e_mat = np.stack(matrix_errors)
+    v_prev = _previous(v)
+    w_norm_prev = _previous(w_norms)
+    rv = ((v @ y.conj()) @ y.T) / n
+    alpha_ideal = np.real(np.sum(v.conj() * rv, axis=1))
+    w_ideal = rv - alpha_ideal[:, None] * v - w_norm_prev[:, None] * v_prev
+    predicted = _dla_w_error_terms(
+        y, e_mat, normalization_errors, v, v_prev, w_norm_prev
+    )
+    # the first-order expansion of the square root needs a small scalar error
+    taylor_flags = (w_norm_prev[:, None] > 0) & (
+        np.abs(normalization_errors) > 0.1 * w_norm_prev[:, None] ** 2 / k
+    )
+    return DlaErrorTrace(
+        iteration_matrix_errors=matrix_errors,
+        normalization_errors=normalization_errors,
+        w_error_measured=w - w_ideal,
+        w_error_predicted=predicted,
+        taylor_flags=taylor_flags,
+    )
+
+
 def _dla_w_error_terms(y, e_mat, e_scalar, v, v_prev, w_norm_prev):
     """First-order prediction of the per-node deviation of w.
 
-    The matrix-error terms are exact; the scalar-error term is the Taylor
-    linearization of the square root in the normalization step.
+    Every argument but ``y`` carries a leading iteration axis: (M, K, N)
+    matrix errors, (M, K) scalar errors and vectors, and the (M,) previous
+    norms (zero where there is no previous iteration). The matrix-error
+    terms are exact; the scalar-error term is the Taylor linearization of
+    the square root in the normalization step.
     """
     k, n = y.shape
-    term1 = (k / n) * np.einsum("kn,kn->k", e_mat.conj(), y)
-    yhv = y.conj().T @ v
-    cross = np.einsum("kn,n->k", e_mat, yhv)
+    term1 = (k / n) * np.einsum("mkn,kn->mk", e_mat.conj(), y)
+    yhv = v @ y.conj()
+    cross = np.einsum("mkn,mn->mk", e_mat, yhv)
     e_alpha = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
-        np.abs(e_mat) ** 2, axis=1
+        np.abs(e_mat) ** 2, axis=2
     )
     pred = term1 - e_alpha * v
-    if w_norm_prev is not None and w_norm_prev > 0:
-        pred = pred - (k / (2.0 * w_norm_prev)) * e_scalar * v_prev
+    has_prev = w_norm_prev > 0
+    pred[has_prev] -= (
+        (k / (2.0 * w_norm_prev[has_prev]))[:, None]
+        * e_scalar[has_prev]
+        * v_prev[has_prev]
+    )
     return pred
 
 
@@ -571,61 +581,54 @@ def predict_dla_w_error(
     """
     if not (1 <= j <= result.m_iterations):
         raise ValueError("iteration out of range")
+    at = slice(j - 1, j)
+    v = result.v_hist[: result.m_iterations]
     return _dla_w_error_terms(
         y,
-        trace.iteration_matrix_errors[j - 1],
-        trace.normalization_errors[j - 1],
-        result.v_hist[j - 1],
-        result.v_hist[j - 2] if j >= 2 else np.zeros(y.shape[0], dtype=complex),
-        result.w_norms[j - 2] if j >= 2 else None,
-    )
+        trace.iteration_matrix_errors[j - 1][None],
+        trace.normalization_errors[at],
+        v[at],
+        _previous(v)[at],
+        _previous(result.w_norms)[at],
+    )[0]
 
 
-def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel, use_cw):
+def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel):
     """Per-node Ritz values at the requested iterations, raw and filtered.
 
     ``alpha_hist`` and ``beta_hist`` are (M, nodes) coefficient histories
     and ``sizes`` the per-node tridiagonal sizes; ``k`` and ``n`` are the
     sample dimensions that drive the spurious-value filter. A centralized
-    run is the one-node case.
+    run is the one-node case. At iteration j every node's values sit in one
+    (nodes, j) stack, NaN-padded past the node's size, which is solved with
+    one batched call per distinct size and filtered in one batched pass.
     """
     limit = min(k, n)
     node_count = alpha_hist.shape[1]
-    needed = set(wanted)
-    for j in wanted:
-        if j > limit and j >= 2:
-            needed.add(j - 1)
+    needed = set(wanted) | {j - 1 for j in wanted if j > limit}
     raw: dict[int, list[np.ndarray]] = {}
+    stacks: dict[int, np.ndarray] = {}
     for j in sorted(needed):
         eff = np.minimum(sizes, j)
-        values: list[np.ndarray | None] = [None] * node_count
+        values = np.full((node_count, j), np.nan)
         for s in np.unique(eff):
             nodes = np.nonzero(eff == s)[0]
-            al = alpha_hist[:s, nodes].T
-            be = beta_hist[: s - 1, nodes].T if s > 1 else np.zeros((len(nodes), 0))
-            vals = tridiagonal_eigenvalues_batch(al, be)
-            for row, node in enumerate(nodes):
-                values[node] = vals[row]
-        raw[j] = [np.asarray(vv) for vv in values]
+            values[nodes, :s] = tridiagonal_eigenvalues_batch(
+                alpha_hist[:s, nodes].T, beta_hist[: s - 1, nodes].T
+            )
+        stacks[j] = values
+        raw[j] = [row[:e] for row, e in zip(values, eff.tolist())]
     filtered: dict[int, list[np.ndarray]] = {}
     for j in sorted(wanted):
-        prev = raw.get(j - 1) if j > limit else None
-        out = []
-        for node in range(node_count):
-            cur = raw[j][node]
-            tol = tol_rel * max(float(np.max(np.abs(cur))) if len(cur) else 0.0, 1e-12)
-            if use_cw:
-                t = TridiagonalMatrix(
-                    alpha_hist[: min(int(sizes[node]), j), node].copy(),
-                    beta_hist[: min(int(sizes[node]), j) - 1, node].copy(),
-                )
-                flags = cullum_willoughby_spurious(t, tol)
-                cur = cur[~flags]
-            prev_node = prev[node] if prev is not None else None
-            out.append(
-                filter_spurious(cur, prev_node, k, n, tol, iteration=j)
-            )
-        filtered[j] = out
+        cur = stacks[j]
+        peak = np.max(np.abs(cur), axis=1, where=~np.isnan(cur), initial=0.0)
+        filtered[j] = filter_spurious_batch(
+            cur,
+            stacks[j - 1] if j > limit else None,
+            k,
+            n,
+            tol_rel * np.maximum(peak, 1e-12),
+        )
     return raw, filtered
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "tridiagonal_eigenvalues_batch",
     "dense_hermitian_eig",
     "filter_spurious",
+    "filter_spurious_batch",
     "cullum_willoughby_spurious",
 ]
 
@@ -282,6 +283,51 @@ def dense_hermitian_eig(
     return EigenSolution(values[order], vecs[:, order])
 
 
+def filter_spurious_batch(
+    current: np.ndarray,
+    previous: np.ndarray | None,
+    k: int,
+    n: int,
+    tol: float | np.ndarray,
+    *,
+    iteration: int | None = None,
+) -> list[np.ndarray]:
+    """Drop spurious Ritz values from a stack of iteration-j lists.
+
+    ``current`` is (S, j), one list per row; NaN entries are padding, so
+    rows may hold fewer values. ``previous`` is the NaN-padded (S, p) stack
+    of the previous iteration's lists, or None. ``tol`` is a scalar or one
+    tolerance per row. Two criteria, applied in order:
+
+    1. Rank criterion: the covariance matrix has exactly min(K, N) nonzero
+       eigenvalues, so past iteration min(K, N) a value absent (within
+       ``tol``) from the previous iteration's list is spurious.
+    2. Duplicate collapse: values within ``tol`` of the last kept value are
+       merged into it (the largest of each cluster survives).
+
+    ``iteration`` defaults to the column count of ``current``. Returns one
+    descending array of kept values per row.
+    """
+    # descending, with the NaN padding moved to the end of each row
+    cur = -np.sort(-np.atleast_2d(np.asarray(current, dtype=float)), axis=1)
+    s, width = cur.shape
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (s,))
+    keep = ~np.isnan(cur)
+    j = iteration if iteration is not None else width
+    if j > min(k, n) and previous is not None:
+        prev = np.asarray(previous, dtype=float)
+        near = np.abs(cur[:, :, None] - prev[:, None, :]) <= tol[:, None, None]
+        keep &= np.any(near, axis=2)
+    last = np.full(s, np.nan)  # last kept value per row; NaN until one is kept
+    for c in range(width):
+        value = cur[:, c]
+        keep[:, c] &= np.isnan(last) | (last - value > tol)
+        last = np.where(keep[:, c], value, last)
+    kept = cur[keep]
+    ends = np.cumsum(np.sum(keep, axis=1)).tolist()
+    return [kept[a:b] for a, b in zip([0, *ends], ends)]
+
+
 def filter_spurious(
     current: np.ndarray,
     previous: np.ndarray | None,
@@ -291,32 +337,15 @@ def filter_spurious(
     *,
     iteration: int | None = None,
 ) -> np.ndarray:
-    """Drop spurious Ritz values from an iteration-j list.
+    """Drop spurious Ritz values from one iteration-j list.
 
-    Two criteria, applied in order:
-
-    1. Rank criterion: the covariance matrix has exactly min(K, N) nonzero
-       eigenvalues, so past iteration min(K, N) a value absent (within
-       ``tol``) from the previous iteration's list is spurious.
-    2. Duplicate collapse: values within ``tol`` of the last kept value are
-       merged into it (the largest of each cluster survives).
-
-    ``iteration`` defaults to the length of ``current``.
+    The one-row case of :func:`filter_spurious_batch`; ``iteration``
+    defaults to the length of ``current``.
     """
-    cur = np.sort(np.asarray(current, dtype=float))[::-1]
-    j = iteration if iteration is not None else len(cur)
-    if j > min(k, n) and previous is not None and len(cur):
-        prev = np.asarray(previous, dtype=float)
-        if len(prev):
-            seen = np.min(np.abs(cur[:, None] - prev[None, :]), axis=1) <= tol
-        else:
-            seen = np.zeros(len(cur), dtype=bool)
-        cur = cur[seen]
-    kept: list[float] = []
-    for value in cur:
-        if not kept or kept[-1] - value > tol:
-            kept.append(float(value))
-    return np.array(kept)
+    prev = None if previous is None else np.asarray(previous, dtype=float)[None, :]
+    return filter_spurious_batch(
+        np.asarray(current, dtype=float)[None, :], prev, k, n, tol, iteration=iteration
+    )[0]
 
 
 def cullum_willoughby_spurious(t: TridiagonalMatrix, tol: float) -> np.ndarray:
@@ -324,8 +353,8 @@ def cullum_willoughby_spurious(t: TridiagonalMatrix, tol: float) -> np.ndarray:
 
     Compares the spectrum of T against the spectrum of T with its first row
     and column removed; a simple Ritz value that reappears in the reduced
-    spectrum (within ``tol``) is flagged. Disabled by default in the
-    decentralized pipeline; exposed for experimentation.
+    spectrum (within ``tol``) is flagged. Not used by the decentralized
+    pipeline; exposed for experimentation.
     """
     values = tridiagonal_eigenvalues(t)
     if t.size < 2:

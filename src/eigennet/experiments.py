@@ -359,7 +359,6 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
                 cfg.k,
                 cfg.n,
                 cfg.spurious_tol,
-                use_cw=False,
             )
             ac = _make_ac(
                 cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xD0)

@@ -198,6 +198,68 @@ class TestSyntheticEngines:
         assert np.array_equal(res.z, out)
 
 
+def broadcast_inputs():
+    rng = np.random.default_rng(17)
+    k = 40
+    yield rng.standard_normal(k)
+    yield rng.standard_normal((k, 3))
+    yield rng.standard_normal((k, 10)) + 1j * rng.standard_normal((k, 10))
+    yield 1e-300 * rng.standard_normal((k, 2)) - 1e300j * rng.standard_normal((k, 2))
+
+
+class TestBroadcastFormulation:
+    """The engines' mean and error terms, bit for bit against the np.tile and
+    np.broadcast_to formulation they replaced (kept here as the reference)."""
+
+    @staticmethod
+    def two_d(z0):
+        return z0[:, None] if z0.ndim == 1 else z0
+
+    def test_run_consensus_matches_tile_and_broadcast_to(self):
+        g = generate_random_geometric(40, 0.4, 3)
+        w = metropolis_weights(g)
+        cheb = spectral_bounds(w)
+        configs = [
+            lambda: AcConfig("ideal", 0),
+            lambda: AcConfig("standard", 7, weights=w),
+            lambda: AcConfig("standard", 0, weights=w),
+            lambda: AcConfig("chebyshev", 12, weights=w, cheb=cheb),
+            lambda: AcConfig(
+                "chebyshev", 5, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=4
+            ),
+        ]
+        for make in configs:
+            for z0 in broadcast_inputs():
+                cfg = make()
+                res = run_consensus(z0, cfg)
+                x0 = self.two_d(z0)
+                mean_row = x0.mean(axis=0)
+                if cfg.engine == "ideal":
+                    z_old = np.tile(mean_row, (x0.shape[0], 1))
+                    err_old = np.zeros_like(z_old)
+                else:
+                    z_old = self.two_d(res.z)
+                    err_old = z_old - np.broadcast_to(mean_row, x0.shape)
+                if z0.ndim == 1:
+                    z_old, err_old = z_old[:, 0], err_old[:, 0]
+                assert res.z.dtype == z_old.dtype and res.error.dtype == err_old.dtype
+                assert np.array_equal(res.z, z_old)
+                assert np.array_equal(res.error, err_old)
+
+    def test_synthetic_engines_match_broadcast_to(self):
+        rng = np.random.default_rng(3)
+        for z0 in broadcast_inputs():
+            err = rng.standard_normal(z0.shape)
+            mean_row = z0.mean(axis=0)
+            z_old = mean_row[None, ...] + err if z0.ndim > 1 else mean_row + err
+            res = ErrorInjectingEngine([err]).run(z0)
+            assert np.array_equal(res.z, z_old)
+            assert np.array_equal(res.error, z_old - np.broadcast_to(mean_row, z0.shape))
+            out = rng.standard_normal(z0.shape)
+            res = ReplayEngine([out]).run(z0)
+            assert np.array_equal(res.error, out - np.broadcast_to(mean_row, z0.shape))
+
+
 def loop_failure_weights(graph, rng, p):
     """Per-edge reference for the link-failure redraw: one scalar draw per edge."""
     k = graph.node_count

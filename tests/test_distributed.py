@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eigennet import distributed, eigencore
 from eigennet.consensus import AcConfig, ErrorInjectingEngine, ReplayEngine, run_consensus
 from eigennet.distributed import (
     audit_messages,
@@ -17,6 +18,7 @@ from eigennet.distributed import (
 )
 from eigennet.eigencore import (
     EigenSolution,
+    filter_spurious,
     lanczos,
     power_method,
     sample_covariance,
@@ -215,6 +217,150 @@ class TestErrorPredictions:
         for j in range(1, m + 1):
             pred = predict_dla_w_error(res.trace, y, res, j)
             assert np.allclose(pred, res.trace.w_error_predicted[j - 1], atol=1e-14)
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestInstrumentationAfterTheLoop:
+    """The run's instrumentation against the per-iteration formulas."""
+
+    @pytest.mark.parametrize("scalar_scale", [0.0, 1e-3, 50.0])
+    def test_dla_trace_matches_per_iteration_loop(self, scalar_scale):
+        k, n, m = 7, 5, 6
+        y = random_samples(k, n, 22)
+        res = run_dla(y, dla_injection(k, n, m, 1e-2, scalar_scale, 5), m)
+        tr = res.trace
+        measured = np.zeros((m, k), dtype=complex)
+        predicted = np.zeros((m, k), dtype=complex)
+        flags = np.zeros((m, k), dtype=bool)
+        for j in range(1, m + 1):
+            v = res.v_hist[j - 1]
+            v_prev = res.v_hist[j - 2] if j >= 2 else np.zeros(k, dtype=complex)
+            w_prev = res.w_norms[j - 2] if j >= 2 else 0.0
+            rv = (y @ (y.conj().T @ v)) / n
+            alpha_ideal = float(np.real(np.vdot(v, rv)))
+            measured[j - 1] = res.w_hist[j - 1] - (rv - alpha_ideal * v - w_prev * v_prev)
+            e = tr.iteration_matrix_errors[j - 1]
+            e_alpha = (k / n) * 2.0 * np.real(e @ (y.conj().T @ v)) + (k * k / n) * np.sum(
+                np.abs(e) ** 2, axis=1
+            )
+            pred = (k / n) * np.einsum("kn,kn->k", e.conj(), y) - e_alpha * v
+            if w_prev > 0:
+                pred = pred - (k / (2.0 * w_prev)) * tr.normalization_errors[j - 1] * v_prev
+                flags[j - 1] = np.abs(tr.normalization_errors[j - 1]) > 0.1 * w_prev**2 / k
+            predicted[j - 1] = pred
+        assert max_rel(tr.w_error_measured, measured) <= 1e-12
+        assert max_rel(tr.w_error_predicted, predicted) <= 1e-12
+        assert np.array_equal(tr.taylor_flags, flags)
+        assert tr.taylor_flags.any() == (scalar_scale == 50.0)
+        for j in range(1, m + 1):
+            assert max_rel(predict_dla_w_error(tr, y, res, j), predicted[j - 1]) <= 1e-12
+
+    def test_dpm_drift_matches_per_iteration_loop(self):
+        k, n, m = 6, 4, 5
+        y = random_samples(k, n, 23)
+        res = run_dpm(y, dpm_injection(k, n, m, 0.02, 6), m, default_dpm_start(k, 6))
+        drift = np.array([
+            (k / n) * np.einsum("kn,kn->k", e.conj(), y) for e in res.trace.iteration_errors
+        ])
+        assert res.trace.iteration_drift.shape == (m, k)
+        assert max_rel(res.trace.iteration_drift, drift) <= 1e-12
+
+
+class TestBatchedRitzExtraction:
+    @staticmethod
+    def staggered_breakdowns():
+        """Scalar errors that zero the off-diagonal coefficient of nodes 0 and
+        1 at iteration 2 and of node 2 at iteration 4, so sizes are 2, 2, 4,
+        M, ..."""
+        stop = {2: [0, 1], 4: [2]}
+
+        def errors(idx, z0):
+            err = np.zeros_like(z0)
+            if z0.ndim == 1:
+                nodes = stop.get(idx // 2 + 1, [])
+                err[nodes] = -z0.mean() - 1.0
+            return err
+
+        return ErrorInjectingEngine(errors)
+
+    @staticmethod
+    def per_node_reference(res, k, n, tol_rel):
+        """Ritz lists built node by node from the one-matrix routines."""
+        raw, filtered = {}, {}
+        m = res.m_iterations
+        for j in range(1, m + 1):
+            raw[j] = [tridiagonal_eigenvalues(res.tridiagonal(node, j)) for node in range(k)]
+        for j in range(1, m + 1):
+            filtered[j] = []
+            for node in range(k):
+                cur = raw[j][node]
+                tol = tol_rel * max(float(np.max(np.abs(cur))), 1e-12)
+                prev = raw[j - 1][node] if j > min(k, n) else None
+                filtered[j].append(filter_spurious(cur, prev, k, n, tol, iteration=j))
+        return raw, filtered
+
+    @pytest.mark.parametrize("case", ["ideal", "staggered"])
+    def test_lists_match_per_node_reference(self, case):
+        k, n, m = 8, 3, 7
+        y = random_samples(k, n, 24)
+        ac = IDEAL if case == "ideal" else self.staggered_breakdowns()
+        if case == "ideal":
+            y = y[:, :2]  # rank 2 < M: every node breaks down early
+            n = 2
+        res = run_dla(y, ac, m, ritz_iters="all", spurious_tol_rel=1e-3)
+        if case == "ideal":
+            assert np.all(res.sizes < m)
+        else:
+            assert res.sizes.tolist() == [2, 2, 4] + [m] * (k - 3)
+        raw, filtered = self.per_node_reference(res, k, n, 1e-3)
+        assert res.ritz_raw.keys() == raw.keys()
+        assert res.eigenvalues.keys() == filtered.keys()
+        for j in raw:
+            assert len(res.ritz_raw[j]) == len(res.eigenvalues[j]) == k
+            for node in range(k):
+                assert np.array_equal(res.ritz_raw[j][node], raw[j][node])
+                assert np.array_equal(res.eigenvalues[j][node], filtered[j][node])
+
+    def test_one_solver_call_per_size_and_no_per_node_filter(self, monkeypatch):
+        k, n, m = 8, 3, 7
+        calls = {"tridiag": [], "batch": 0, "single": 0}
+        solve = distributed.tridiagonal_eigenvalues_batch
+        batch = distributed.filter_spurious_batch
+        single = eigencore.filter_spurious
+
+        def counted_solve(alpha, beta):
+            calls["tridiag"].append(alpha.shape)
+            return solve(alpha, beta)
+
+        def counted_batch(*args, **kwargs):
+            calls["batch"] += 1
+            return batch(*args, **kwargs)
+
+        def counted_single(*args, **kwargs):
+            calls["single"] += 1
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(distributed, "tridiagonal_eigenvalues_batch", counted_solve)
+        monkeypatch.setattr(distributed, "filter_spurious_batch", counted_batch)
+        monkeypatch.setattr(eigencore, "filter_spurious", counted_single)
+        wanted = (2, 3, 5, 7)
+        res = run_dla(
+            random_samples(k, n, 25), self.staggered_breakdowns(), m, ritz_iters=wanted
+        )
+        # past min(K, N) = 3 the filter also needs the previous iteration
+        needed = sorted(set(wanted) | {4, 6})
+        assert sorted(res.ritz_raw) == needed
+        expected = [
+            (int(np.sum(np.minimum(res.sizes, j) == s)), int(s))
+            for j in needed
+            for s in np.unique(np.minimum(res.sizes, j))
+        ]
+        assert calls["tridiag"] == expected
+        assert calls["batch"] == len(wanted)
+        assert calls["single"] == 0
 
 
 class TestDlaRobustness:

@@ -23,6 +23,7 @@ from eigennet.eigencore import (
     TridiagonalMatrix,
     dense_hermitian_eig,
     filter_spurious,
+    filter_spurious_batch,
     lanczos,
     power_method,
     sample_covariance,
@@ -210,6 +211,90 @@ class TestEigencoreProperties:
             mine = tridiagonal_eigenvalues(t)
             oracle = dense_hermitian_eig(t.dense()).values
             assert np.max(np.abs(mine - oracle)) <= 1e-8 * (1.0 + t.inf_norm())
+
+
+def scalar_filter_oracle(current, previous, k, n, tol, *, iteration=None):
+    """The one-list spurious filter as it stood before the batched version."""
+    cur = np.sort(np.asarray(current, dtype=float))[::-1]
+    j = iteration if iteration is not None else len(cur)
+    if j > min(k, n) and previous is not None and len(cur):
+        prev = np.asarray(previous, dtype=float)
+        if len(prev):
+            seen = np.min(np.abs(cur[:, None] - prev[None, :]), axis=1) <= tol
+        else:
+            seen = np.zeros(len(cur), dtype=bool)
+        cur = cur[seen]
+    kept: list[float] = []
+    for value in cur:
+        if not kept or kept[-1] - value > tol:
+            kept.append(float(value))
+    return np.array(kept)
+
+
+@st.composite
+def ritz_row(draw, length, tol):
+    """An unsorted Ritz list: free values, a chain of values spaced closer
+    than ``tol``, or one repeated value."""
+    kind = draw(st.sampled_from(["free", "chain", "equal"]))
+    if kind == "free":
+        return draw(st.lists(st.floats(-50, 50), min_size=length, max_size=length))
+    base = draw(st.floats(-50, 50))
+    if kind == "equal":
+        return [base] * length
+    steps = st.integers(-6, 6).map(lambda i: base + i * 0.4 * tol)
+    return draw(st.lists(steps, min_size=length, max_size=length))
+
+
+@st.composite
+def ritz_stacks(draw):
+    """A NaN-padded (S, j) stack, an optional previous stack and tolerances."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 5))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.5, 4.0]))
+    current, previous = [], []
+    for _ in range(rows):
+        row = draw(ritz_row(draw(st.integers(0, width)), tol))
+        current.append(row)
+        # the previous list: exact and near copies of current values plus strays
+        offsets = st.sampled_from([0.0, 0.9, 1.0, 1.1])
+        near = st.tuples(st.sampled_from(row or [0.0]), offsets).map(
+            lambda pair: pair[0] + pair[1] * tol
+        )
+        previous.append(draw(st.lists(st.one_of(near, st.floats(-50, 50)), max_size=width)))
+
+    def stack(lists, cols):
+        out = np.full((rows, cols), np.nan)
+        for r, vals in enumerate(lists):
+            out[r, : len(vals)] = vals
+            out[r] = out[r, draw(st.permutations(range(cols)))]
+        return out
+
+    prev_width = max([len(p) for p in previous] + [draw(st.integers(0, width))])
+    prev = draw(st.sampled_from([None, stack(previous, prev_width)]))
+    tols = draw(st.sampled_from([tol, tol * np.array(draw(
+        st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=rows, max_size=rows)
+    ))]))
+    k, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    iteration = draw(st.one_of(st.none(), st.integers(1, 10)))
+    return stack(current, width), prev, k, n, tols, iteration
+
+
+class TestFilterBatch:
+    @HYP
+    @given(ritz_stacks())
+    def test_batch_matches_scalar_oracle_row_by_row(self, case):
+        cur, prev, k, n, tols, iteration = case
+        got = filter_spurious_batch(cur, prev, k, n, tols, iteration=iteration)
+        j = iteration if iteration is not None else cur.shape[1]
+        assert len(got) == cur.shape[0]
+        for r, row in enumerate(cur):
+            tol = float(np.broadcast_to(tols, (cur.shape[0],))[r])
+            prev_row = None if prev is None else prev[r][~np.isnan(prev[r])]
+            want = scalar_filter_oracle(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
+            assert got[r].dtype == want.dtype
+            assert np.array_equal(got[r], want)
+            one = filter_spurious(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
+            assert np.array_equal(one, want)
 
 
 class TestDistributedProperties:
