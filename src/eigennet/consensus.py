@@ -1,16 +1,18 @@
 """Average-consensus engines.
 
 A consensus run takes a K x m initial matrix whose row k is node k's local
-vector and drives every row toward the network-wide mean. Three engines are
-provided: ``ideal`` (the exact mean), ``standard`` (repeated multiplication
-by the mixing matrix), and ``chebyshev`` (semi-iterative acceleration of the
-same mixing). On fixed weights an I-step run of either mixing engine is one
-matrix polynomial p_I(W); it is built once per (weights, engine, I) and then
-applied as a single product. Under link failures the recurrence runs step by
-step on the input, redrawing the surviving links each step. Every result
-carries the realized error matrix, the deviation of the output from the exact
-mean; that matrix is a simulation observable only and is never read by the
-algorithms under test.
+vector and drives every row toward the network-wide mean. A leading trial
+axis, (trials, K, m), stacks independent problems on the same network: each
+trial is averaged on its own, with one product per step for the whole
+stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
+(repeated multiplication by the mixing matrix), and ``chebyshev``
+(semi-iterative acceleration of the same mixing). On fixed weights an I-step
+run of either mixing engine is one matrix polynomial p_I(W); it is built
+once per (weights, engine, I) and then applied as a single product. Under
+link failures the recurrence runs step by step on the input, redrawing the
+surviving links each step. Every result carries the realized error matrix,
+the deviation of the output from the exact mean; that matrix is a
+simulation observable only and is never read by the algorithms under test.
 
 Two synthetic engines support instrumentation: :class:`ErrorInjectingEngine`
 returns exact means plus caller-chosen error terms (for verifying the
@@ -47,7 +49,8 @@ class ConsensusResult:
     ``error`` is z_t minus the exact per-column mean of the input, recomputed
     from the output so the defining identity holds by construction.
     ``scalars_exchanged_per_node`` counts t * m * degree(k) information units
-    for node k (one scalar per neighbor per iteration per input column).
+    for node k (one scalar per neighbor per iteration per input column), per
+    trial when the input is stacked.
     """
 
     z: np.ndarray
@@ -143,19 +146,25 @@ def _mixing_operator(cfg: AcConfig) -> np.ndarray:
 
 
 def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
-    """Run one consensus instance on a K x m (or length-K) initial matrix."""
+    """Run one consensus instance on a K x m (or length-K) initial matrix.
+
+    A (trials, K, m) input runs every trial on the same weights (and, under
+    link failures, the same surviving links); the output, error and per-node
+    counters then carry the leading trial axis, and each trial's slice equals
+    the run of that slice alone.
+    """
     z0 = np.asarray(z0)
     squeeze = z0.ndim == 1
     x0 = z0[:, None] if squeeze else z0
-    if x0.ndim != 2:
-        raise ConsensusError("consensus input must be 1- or 2-dimensional")
-    k, m = x0.shape
+    if x0.ndim not in (2, 3):
+        raise ConsensusError("consensus input must be 1-, 2- or 3-dimensional")
+    k, m = x0.shape[-2:]
     if cfg.weights is not None and cfg.weights.node_count != k:
         raise ConsensusError(
             f"input has {k} rows but the weight matrix covers "
             f"{cfg.weights.node_count} nodes"
         )
-    mean_row = x0.mean(axis=0)
+    mean_row = x0.mean(axis=-2, keepdims=True)
 
     if cfg.engine == "ideal":
         z = np.broadcast_to(mean_row, x0.shape).copy()
@@ -168,7 +177,8 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
         error = z - mean_row
 
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)
-    counters = cfg.iterations * m * deg
+    counters = np.empty(x0.shape[:-2] + (k,), dtype=np.int64)
+    counters[...] = cfg.iterations * m * deg
     if squeeze:
         z = z[:, 0]
         error = error[:, 0]

@@ -51,9 +51,11 @@ class Hypothesis(enum.Enum):
 
 @dataclass(frozen=True)
 class Statistic:
+    """A statistic value; per-row arrays when computed on a stack of lists."""
+
     kind: str
-    value: float
-    clamped: bool = False
+    value: float | np.ndarray
+    clamped: bool | np.ndarray = False
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def compute_statistic(
     eigenvalues: np.ndarray,
     sigma2: float | None = None,
     *,
-    trace: float | None = None,
+    trace: float | np.ndarray | None = None,
 ) -> Statistic:
     """Evaluate one detection statistic on a descending eigenvalue list.
 
@@ -99,44 +101,71 @@ def compute_statistic(
     On a partial (Ritz) list the eigenvalue sum undercounts the true trace;
     passing ``trace`` substitutes it for the sum in GT/ST/JT (the exact-trace
     mode, with :func:`trace_consensus` supplying the decentralized value).
+
+    A 2-D ``eigenvalues`` is a stack of lists, one per row, NaN-padded to a
+    common width, and ``trace`` may give one value per row. The statistic's
+    ``value`` and ``clamped`` are then per-row arrays, and each row's entries
+    equal the call on that row's list alone, which is the one-row case.
     """
     if kind not in STATISTIC_KINDS:
         raise DetectionError(f"unknown statistic kind {kind!r}")
-    lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
+    rows = np.asarray(eigenvalues, dtype=float)
+    single = rows.ndim == 1
+    if single:
+        rows = rows[None]
+    if rows.ndim != 2:
+        raise DetectionError("expected an eigenvalue list or a stack of lists")
+    clamped = np.any(rows < 0, axis=1)
+    # descending, with the NaN padding moved to the end of each row
+    lam = -np.sort(-np.maximum(rows, 0.0), axis=1)
+    counts = np.sum(~np.isnan(lam), axis=1)
+    if np.any(counts == 0):
         raise DetectionError("empty eigenvalue list")
-    clamped = bool(np.any(lam < 0))
-    lam = np.maximum(lam, 0.0)
-    lam = np.sort(lam)[::-1]
     if kind == "RT":
         if sigma2 is None or sigma2 <= 0:
             raise DetectionError("RT needs a positive noise variance")
-        return Statistic("RT", float(lam[0]) / sigma2, clamped)
-    total = float(lam.sum()) if trace is None else float(trace)
-    if total == 0.0:
-        raise DetectionError(f"{kind} undefined on an all-zero eigenvalue list")
-    if kind == "GT":
-        return Statistic("GT", float(lam[0]) / total, clamped)
-    if kind == "JT":
-        # normalize before squaring so tiny spectra do not underflow
-        return Statistic("JT", float(np.sum((lam / total) ** 2)), clamped)
-    mean = total / len(lam)
-    return Statistic("ST", float(np.prod(lam / mean)), clamped)
+        values = lam[:, 0] / sigma2
+    else:
+        if trace is not None:
+            trace = np.broadcast_to(np.asarray(trace, dtype=float), counts.shape)
+        values = np.empty(len(lam))
+        # rows of one length at a time, so each sum runs over that row's values alone
+        for c in np.unique(counts).tolist():
+            sel = counts == c
+            part = lam[sel, :c]
+            total = part.sum(axis=1) if trace is None else trace[sel]
+            if np.any(total == 0.0):
+                raise DetectionError(f"{kind} undefined on an all-zero eigenvalue list")
+            if kind == "GT":
+                values[sel] = part[:, 0] / total
+            elif kind == "JT":
+                # normalize before squaring so tiny spectra do not underflow
+                values[sel] = np.sum((part / total[:, None]) ** 2, axis=1)
+            else:
+                values[sel] = np.prod(part / (total / c)[:, None], axis=1)
+    if single:
+        return Statistic(kind, float(values[0]), bool(clamped[0]))
+    return Statistic(kind, values, clamped)
 
 
 def trace_consensus(y: np.ndarray, ac) -> np.ndarray:
     """Per-node covariance-trace estimates via one scalar consensus round.
 
     Node k contributes its sample energy; K/N times the consensus output
-    equals trace((1/N) Y Y^H) exactly under ideal averaging.
+    equals trace((1/N) Y Y^H) exactly under ideal averaging. A (B, K, N)
+    stack, with one engine or one per trial as in
+    :func:`~eigennet.distributed.run_dpm`, gives (B, K) estimates.
     """
-    from .consensus import AcConfig, run_consensus
+    from .distributed import _consensus, _trial_engines
 
     y = np.asarray(y)
-    k, n = y.shape
-    energies = np.sum(np.abs(y) ** 2, axis=1)
-    res = run_consensus(energies, ac) if isinstance(ac, AcConfig) else ac.run(energies)
-    return (k / n) * np.real(res.z)
+    single = y.ndim == 2
+    stack = y[None] if single else y
+    k, n = stack.shape[1:]
+    energies = np.sum(np.abs(stack) ** 2, axis=2)
+    z, _, _ = _consensus(_trial_engines(ac, len(stack)), energies)
+    estimates = (k / n) * np.real(z)
+    return estimates[0] if single else estimates
 
 
 def threshold_from_h0(values: Sequence[float], alpha: float) -> float:

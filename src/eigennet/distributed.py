@@ -10,18 +10,30 @@ recorded.
 
 Implementation note: node-local scalars are stored in length-K arrays and
 updated with row-wise numpy operations, which preserves locality (entry k
-never reads entry j) while keeping runs vectorized. The same holds past the
-iteration loop: at each Ritz checkpoint all nodes' Ritz values sit in one
-(nodes, j) stack, NaN-padded for nodes whose matrix stopped growing, which is
-solved by one batched LAPACK call per distinct size and filtered in one
-batched pass; the error instrumentation is derived once per run from the
-stacked per-iteration consensus errors and vectors, not inside the loop.
+never reads entry j) while keeping runs vectorized. Both algorithms also
+take a leading trial axis: a (B, K, N) sample stack runs B independent
+sensing periods in one loop, and a plain (K, N) call is the B = 1 case,
+returned without the trial axis. Every consensus round of a block is one
+stacked product on fixed weights and the per-column mean under ideal
+averaging; a link-failure config or a synthetic engine serves one trial, so
+each trial keeps its own generator, consumed in the order a lone run
+consumes it. Results carry the trial axis on every array and one
+:class:`MessageAudit` per trial, and ``trial(b)`` gives the result trial b
+would have had alone, to the bit. Past the iteration loop, at each Ritz
+checkpoint the Ritz values of every node of every trial sit in one
+(rows, j) stack, NaN-padded for nodes whose matrix stopped growing, which is
+solved by batched LAPACK calls per distinct size and filtered in one
+batched pass. The error instrumentation reads the consensus errors one
+iteration at a time (DPM drift inside the loop, DLA w-error terms after
+it), because a stack of every iteration's errors for a whole block would
+set the peak memory of a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +42,7 @@ from .eigencore import (
     EigenSolution,
     TridiagonalMatrix,
     filter_spurious_batch,
+    row_norms,
     sample_covariance,
     tridiagonal_eigenvalues_batch,
 )
@@ -101,6 +114,16 @@ class DpmErrorTrace:
     numerator_error: np.ndarray
     denominator_error: np.ndarray
 
+    def trial(self, t: int) -> DpmErrorTrace:
+        return DpmErrorTrace(
+            iteration_errors=[e[t] for e in self.iteration_errors],
+            iteration_drift=self.iteration_drift[t],
+            final_matrix_error=self.final_matrix_error[t],
+            final_scalar_error=self.final_scalar_error[t],
+            numerator_error=self.numerator_error[t],
+            denominator_error=self.denominator_error[t],
+        )
+
 
 @dataclass
 class DlaErrorTrace:
@@ -120,6 +143,15 @@ class DlaErrorTrace:
     w_error_measured: np.ndarray
     w_error_predicted: np.ndarray
     taylor_flags: np.ndarray
+
+    def trial(self, t: int) -> DlaErrorTrace:
+        return DlaErrorTrace(
+            iteration_matrix_errors=[e[t] for e in self.iteration_matrix_errors],
+            normalization_errors=self.normalization_errors[t],
+            w_error_measured=self.w_error_measured[t],
+            w_error_predicted=self.w_error_predicted[t],
+            taylor_flags=self.taylor_flags[t],
+        )
 
 
 @dataclass(frozen=True)
@@ -143,16 +175,30 @@ class ConvergenceVerdict:
 
 @dataclass
 class DpmResult:
+    """A DPM run; a stacked run has a leading trial axis and one audit per trial."""
+
     lambda1: np.ndarray
     v_hist: np.ndarray
     trace: DpmErrorTrace
-    audit: MessageAudit
+    audit: MessageAudit | list[MessageAudit]
     checkpoints: dict[int, np.ndarray]
     m_iterations: int
     ac_iterations: int | None
     graph: Graph | None
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dpm"
+
+    def trial(self, t: int) -> DpmResult:
+        """Trial t of a stacked run, as the run of that trial alone returns it."""
+        return replace(
+            self,
+            lambda1=self.lambda1[t],
+            v_hist=self.v_hist[t],
+            trace=self.trace.trial(t),
+            audit=self.audit[t],
+            checkpoints={j: lam[t] for j, lam in self.checkpoints.items()},
+            samples=self.samples[t],
+        )
 
     def node_state(self, k: int) -> NodeState:
         m = self.m_iterations
@@ -170,22 +216,56 @@ class DpmResult:
 
 @dataclass
 class DlaResult:
+    """A DLA run; a stacked run has a leading trial axis and one audit per trial.
+
+    ``ritz_stacks`` and ``eigenvalue_stacks`` map each extracted iteration j
+    to the NaN-padded (..., K, j) raw and filtered Ritz values; filtered rows
+    hold their kept values first. ``ritz_raw`` and ``eigenvalues`` give the
+    same values as one array per node (nested per trial for a stacked run).
+    """
+
     alpha_hist: np.ndarray
     beta_hist: np.ndarray
     v_hist: np.ndarray
     w_hist: np.ndarray
     w_norms: np.ndarray
     sizes: np.ndarray
-    ritz_raw: dict[int, list[np.ndarray]]
-    eigenvalues: dict[int, list[np.ndarray]]
+    ritz_stacks: dict[int, np.ndarray]
+    eigenvalue_stacks: dict[int, np.ndarray]
     clamped: np.ndarray
     trace: DlaErrorTrace
-    audit: MessageAudit
+    audit: MessageAudit | list[MessageAudit]
     m_iterations: int
     ac_iterations: int | None
     graph: Graph | None
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dla"
+
+    @cached_property
+    def ritz_raw(self) -> dict[int, list]:
+        return {j: _unpad(s) for j, s in self.ritz_stacks.items()}
+
+    @cached_property
+    def eigenvalues(self) -> dict[int, list]:
+        return {j: _unpad(s) for j, s in self.eigenvalue_stacks.items()}
+
+    def trial(self, t: int) -> DlaResult:
+        """Trial t of a stacked run, as the run of that trial alone returns it."""
+        return replace(
+            self,
+            alpha_hist=self.alpha_hist[t],
+            beta_hist=self.beta_hist[t],
+            v_hist=self.v_hist[t],
+            w_hist=self.w_hist[t],
+            w_norms=self.w_norms[t],
+            sizes=self.sizes[t],
+            ritz_stacks={j: s[t] for j, s in self.ritz_stacks.items()},
+            eigenvalue_stacks={j: s[t] for j, s in self.eigenvalue_stacks.items()},
+            clamped=self.clamped[t],
+            trace=self.trace.trial(t),
+            audit=self.audit[t],
+            samples=self.samples[t],
+        )
 
     def tridiagonal(self, k: int, size: int | None = None) -> TridiagonalMatrix:
         s = int(self.sizes[k]) if size is None else min(size, int(self.sizes[k]))
@@ -222,55 +302,144 @@ def default_dla_start(k: int) -> np.ndarray:
     return np.full(k, 1.0 / math.sqrt(k), dtype=complex)
 
 
+def _unpad(stack: np.ndarray):
+    """The values of each row of a NaN-padded stack, nested over leading axes."""
+    if stack.ndim == 1:
+        return stack[~np.isnan(stack)]
+    return [_unpad(row) for row in stack]
+
+
+def _trials(y: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Samples as a (B, K, N) stack, and whether they came as one (K, N) trial."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim not in (2, 3):
+        raise ValueError("samples must be (K, N) or a (trials, K, N) stack")
+    return y.ndim == 2, (y[None] if y.ndim == 2 else y)
+
+
+def _start_values(v: np.ndarray, trials: int, k: int) -> np.ndarray:
+    """Starting scalars as a writable (B, K) stack; a (K,) vector serves every trial."""
+    v = np.asarray(v, dtype=complex)
+    if v.shape not in ((k,), (trials, k)):
+        raise ValueError("starting values must be one scalar per node")
+    return np.array(np.broadcast_to(v, (trials, k)), order="C")
+
+
+def _trial_engines(ac, trials: int):
+    """The consensus of a block: one shared config, or one engine per trial.
+
+    ``ac`` is one engine or a sequence of one engine per trial. Equal configs
+    without link failures act identically, so they collapse into one shared
+    config whose stacked run serves the whole block. A link-failure config
+    or a synthetic engine keeps its own state, so it serves one trial.
+    """
+    if isinstance(ac, (list, tuple)):
+        engines = list(ac)
+        if len(engines) != trials:
+            raise ValueError(
+                f"need one consensus engine per trial, got {len(engines)} for {trials}"
+            )
+    elif isinstance(ac, AcConfig) and ac.link_failure_prob == 0.0:
+        return ac
+    elif trials == 1:
+        engines = [ac]
+    else:
+        raise ValueError(
+            "a link-failure config or a synthetic engine serves one trial; "
+            "pass one engine per trial"
+        )
+    first = engines[0]
+    if (
+        isinstance(first, AcConfig)
+        and first.link_failure_prob == 0.0
+        and all(e == first for e in engines)
+    ):
+        return first
+    return engines
+
+
 def _run_ac(ac, z0: np.ndarray) -> ConsensusResult:
     if isinstance(ac, AcConfig):
         return run_consensus(z0, ac)
     return ac.run(z0)
 
 
-def _ac_iterations(ac) -> int | None:
-    return ac.iterations if isinstance(ac, AcConfig) else None
+def _consensus(engines, z0: np.ndarray):
+    """One consensus round for every trial of a block.
+
+    ``z0`` is (B, K, m), or (B, K) for a scalar round. A shared config runs
+    the whole stack in one call; otherwise trial b runs alone on engine b.
+    A trial that runs alone, as does a one-trial block, passes the (K, m)
+    or (K,) input a lone run passes. Returns the outputs and errors in the
+    shape of ``z0`` and the (B, K) information units.
+    """
+    if len(z0) == 1:
+        res = _run_ac(engines if isinstance(engines, AcConfig) else engines[0], z0[0])
+        return res.z[None], res.error[None], res.scalars_exchanged_per_node[None]
+    if isinstance(engines, AcConfig):
+        scalar = z0.ndim == 2
+        res = run_consensus(z0[:, :, None] if scalar else z0, engines)
+        if scalar:
+            return res.z[:, :, 0], res.error[:, :, 0], res.scalars_exchanged_per_node
+        return res.z, res.error, res.scalars_exchanged_per_node
+    results = [_run_ac(e, x) for e, x in zip(engines, z0)]
+    return (
+        np.stack([r.z for r in results]),
+        np.stack([r.error for r in results]),
+        np.stack([r.scalars_exchanged_per_node for r in results]),
+    )
 
 
-def _ac_graph(ac) -> Graph | None:
-    return ac.graph if isinstance(ac, AcConfig) else None
+def _engine_info(engines) -> tuple[int | None, Graph | None]:
+    """Averaging iterations and graph shared by every trial's engine, else None."""
+    configs = [engines] if isinstance(engines, AcConfig) else engines
+    if not all(isinstance(c, AcConfig) for c in configs):
+        return None, None
+    iterations = {c.iterations for c in configs}
+    graphs = {id(c.graph) for c in configs}
+    return (
+        configs[0].iterations if len(iterations) == 1 else None,
+        configs[0].graph if len(graphs) == 1 else None,
+    )
 
 
 class _CallCounter:
-    """Accumulates consensus call counts and per-node information units."""
+    """Accumulates consensus call counts and per-node information units per trial."""
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, trials: int, k: int) -> None:
         self.ac_n = 0
         self.ac_1 = 0
-        self.units = np.zeros(k, dtype=np.int64)
+        self.units = np.zeros((trials, k), dtype=np.int64)
 
-    def record(self, res: ConsensusResult, width: int) -> None:
+    def record(self, units: np.ndarray, width: int) -> None:
         if width == 1:
             self.ac_1 += 1
         else:
             self.ac_n += 1
-        self.units += res.scalars_exchanged_per_node
+        self.units += units
 
-    def audit(self) -> MessageAudit:
-        return MessageAudit(
-            ac_n_calls=self.ac_n,
-            ac_1_calls=self.ac_1,
-            units_per_node={k: int(u) for k, u in enumerate(self.units)},
-            time_periods=self.ac_n + self.ac_1,
-        )
+    def audits(self) -> list[MessageAudit]:
+        return [
+            MessageAudit(
+                ac_n_calls=self.ac_n,
+                ac_1_calls=self.ac_1,
+                units_per_node={k: int(u) for k, u in enumerate(row)},
+                time_periods=self.ac_n + self.ac_1,
+            )
+            for row in self.units.tolist()
+        ]
 
 
-def _dpm_final_stage(y, v, ac, counter, scale):
-    z0 = v.conj()[:, None] * y
-    res_n = _run_ac(ac, z0)
-    counter.record(res_n, y.shape[1])
-    res_1 = _run_ac(ac, np.abs(v) ** 2)
-    counter.record(res_1, 1)
-    denom = np.real(res_1.z)
+def _dpm_final_stage(y, v, engines, counter, scale):
+    z_n, e_n, units = _consensus(engines, v.conj()[:, :, None] * y)
+    counter.record(units, y.shape[2])
+    z_1, e_1, units = _consensus(engines, np.abs(v) ** 2)
+    counter.record(units, 1)
+    denom = np.real(z_1)
     if np.any(denom == 0.0):
         raise DegenerateRunError("zero denominator in the eigenvalue stage")
-    numer = scale * np.sum(np.abs(res_n.z) ** 2, axis=1)
-    return numer / denom, res_n.error, np.real(res_1.error)
+    numer = scale * np.sum(np.abs(z_n) ** 2, axis=2)
+    return numer / denom, e_n, np.real(e_1)
 
 
 def run_dpm(
@@ -289,41 +458,45 @@ def run_dpm(
     one scalar consensus. ``checkpoints`` requests additional eigenvalue
     stages after the listed iterations (each costs two extra consensus
     calls); the final iteration always gets one.
+
+    ``y`` is one (K, N) trial or a (B, K, N) stack of trials; ``ac`` is one
+    consensus engine or one per trial, and ``v0`` one (K,) start shared by
+    every trial or a (B, K) stack. A stack returns a stacked result whose
+    ``trial(b)`` equals the run of trial b alone.
     """
-    y = np.asarray(y, dtype=complex)
-    k, n = y.shape
+    single, y = _trials(y)
+    trials, k, n = y.shape
     if m_iterations < 1:
         raise ValueError("need at least one iteration")
     if v0 is None:
         v0 = default_dpm_start(k, v0_seed)
-    v = np.asarray(v0, dtype=complex).copy()
-    if v.shape != (k,):
-        raise ValueError("starting values must be one scalar per node")
-    if not np.any(v != 0):
+    v = _start_values(v0, trials, k)
+    if not np.all(np.any(v != 0, axis=1)):
         raise ValueError("starting values must not all be zero")
-    scale = k / n
-    counter = _CallCounter(k)
-    v_hist = np.empty((m_iterations + 1, k), dtype=complex)
-    v_hist[0] = v
-    iteration_errors: list[np.ndarray] = []
-    snapshots: dict[int, np.ndarray] = {}
     wanted = set(int(j) for j in checkpoints)
     if not all(1 <= j <= m_iterations for j in wanted):
         raise ValueError("checkpoints must lie in 1..m_iterations")
+    engines = _trial_engines(ac, trials)
+    scale = k / n
+    counter = _CallCounter(trials, k)
+    v_hist = np.empty((trials, m_iterations + 1, k), dtype=complex)
+    v_hist[:, 0] = v
+    iteration_errors: list[np.ndarray] = []
+    drift = np.empty((trials, m_iterations, k), dtype=complex)
+    snapshots: dict[int, np.ndarray] = {}
     for j in range(1, m_iterations + 1):
-        z0 = v.conj()[:, None] * y
-        res = _run_ac(ac, z0)
-        counter.record(res, n)
-        iteration_errors.append(res.error)
-        v = scale * np.einsum("kn,kn->k", res.z.conj(), y)
-        v_hist[j] = v
+        z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
+        counter.record(units, n)
+        iteration_errors.append(error)
+        drift[:, j - 1] = scale * np.einsum("bkn,bkn->bk", error.conj(), y)
+        v = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
+        v_hist[:, j] = v
         if j in wanted and j != m_iterations:
-            lam_j, _, _ = _dpm_final_stage(y, v, ac, counter, scale)
+            lam_j, _, _ = _dpm_final_stage(y, v, engines, counter, scale)
             snapshots[j] = lam_j
-    lam, e_mat, e_scalar = _dpm_final_stage(y, v, ac, counter, scale)
+    lam, e_mat, e_scalar = _dpm_final_stage(y, v, engines, counter, scale)
     snapshots[m_iterations] = lam
     e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
-    drift = scale * np.einsum("mkn,kn->mk", np.conj(iteration_errors), y)
     trace = DpmErrorTrace(
         iteration_errors=iteration_errors,
         iteration_drift=drift,
@@ -332,26 +505,31 @@ def run_dpm(
         numerator_error=e_num,
         denominator_error=e_den,
     )
-    return DpmResult(
+    ac_iterations, graph = _engine_info(engines)
+    result = DpmResult(
         lambda1=lam,
         v_hist=v_hist,
         trace=trace,
-        audit=counter.audit(),
+        audit=counter.audits(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
-        ac_iterations=_ac_iterations(ac),
-        graph=_ac_graph(ac),
+        ac_iterations=ac_iterations,
+        graph=graph,
         samples=y,
     )
+    return result.trial(0) if single else result
 
 
 def _lambda1_error_terms(y, v, e_mat, e_scalar):
-    """Exact perturbations of the Rayleigh-quotient numerator and denominator."""
-    k, n = y.shape
-    yhv = y.conj().T @ v
-    cross = np.einsum("kn,n->k", e_mat, yhv)
+    """Exact perturbations of the Rayleigh-quotient numerator and denominator.
+
+    Takes one trial, or stacks with a leading trial axis on every argument.
+    """
+    k, n = y.shape[-2:]
+    yhv = (np.swapaxes(y.conj(), -1, -2) @ v[..., None])[..., 0]
+    cross = np.einsum("...kn,...n->...k", e_mat, yhv)
     e_num = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
-        np.abs(e_mat) ** 2, axis=1
+        np.abs(e_mat) ** 2, axis=-1
     )
     e_den = k * np.real(e_scalar)
     return e_num, e_den
@@ -411,15 +589,18 @@ def run_dla(
     Negative scalar-consensus outputs are clamped to zero and flagged. An
     off-diagonal coefficient below the breakdown guard freezes that node's
     tridiagonal matrix at its current size, mirroring centralized truncation.
+
+    ``y``, ``ac`` and ``v1`` take a trial axis as in :func:`run_dpm`; each
+    trial has its own breakdown guard.
     """
-    y = np.asarray(y, dtype=complex)
-    k, n = y.shape
+    single, y = _trials(y)
+    trials, k, n = y.shape
     if not (1 <= m_iterations <= k):
         raise ValueError("iteration count must be between 1 and K")
     if v1 is None:
         v1 = default_dla_start(k)
-    v = np.asarray(v1, dtype=complex).copy()
-    if abs(np.sum(np.abs(v) ** 2) - 1.0) > 1e-10:
+    v = _start_values(v1, trials, k)
+    if np.any(np.abs(np.sum(np.abs(v) ** 2, axis=1) - 1.0) > 1e-10):
         raise ValueError("starting values must have unit global norm")
     if ritz_iters is None:
         wanted = {m_iterations}
@@ -429,110 +610,121 @@ def run_dla(
         wanted = set(int(j) for j in ritz_iters)
         if not all(1 <= j <= m_iterations for j in wanted):
             raise ValueError("ritz iterations must lie in 1..m_iterations")
+    engines = _trial_engines(ac, trials)
 
-    r = sample_covariance(y)
-    r_scale = float(np.linalg.norm(r))
-    eps_break = breakdown_tol if breakdown_tol is not None else 1e-12 * r_scale
+    if breakdown_tol is not None:
+        eps_break = np.full(trials, breakdown_tol)
+    else:
+        eps_break = 1e-12 * row_norms(sample_covariance(y))
     scale = k / n
-    counter = _CallCounter(k)
+    counter = _CallCounter(trials, k)
 
-    alpha_hist = np.zeros((m_iterations, k))
-    beta_hist = np.zeros((m_iterations, k))
-    v_hist = np.zeros((m_iterations + 1, k), dtype=complex)
-    w_hist = np.zeros((m_iterations, k), dtype=complex)
-    w_norms = np.zeros(m_iterations)
-    clamped = np.zeros((m_iterations, k), dtype=bool)
-    sizes = np.full(k, m_iterations, dtype=np.int64)
-    active = np.ones(k, dtype=bool)
+    m = m_iterations
+    alpha_hist = np.zeros((trials, m, k))
+    beta_hist = np.zeros((trials, m, k))
+    v_hist = np.zeros((trials, m + 1, k), dtype=complex)
+    w_hist = np.zeros((trials, m, k), dtype=complex)
+    w_norms = np.zeros((trials, m))
+    clamped = np.zeros((trials, m, k), dtype=bool)
+    sizes = np.full((trials, k), m, dtype=np.int64)
+    active = np.ones((trials, k), dtype=bool)
 
     matrix_errors: list[np.ndarray] = []
-    normalization_errors = np.zeros((m_iterations, k))
+    normalization_errors = np.zeros((trials, m, k))
 
-    v_hist[0] = v
-    v_prev = np.zeros(k, dtype=complex)
-    beta_cur = np.zeros(k)
-    for j in range(1, m_iterations + 1):
-        z0 = v.conj()[:, None] * y
-        res = _run_ac(ac, z0)
-        counter.record(res, n)
-        matrix_errors.append(res.error)
-        alpha_j = (k * k / n) * np.sum(np.abs(res.z) ** 2, axis=1)
-        local = scale * np.einsum("kn,kn->k", res.z.conj(), y)
+    v_hist[:, 0] = v
+    v_prev = np.zeros((trials, k), dtype=complex)
+    beta_cur = np.zeros((trials, k))
+    for j in range(1, m + 1):
+        z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
+        counter.record(units, n)
+        matrix_errors.append(error)
+        alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
+        local = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
         w = local - alpha_j * v - beta_cur * v_prev
-        alpha_hist[j - 1] = alpha_j
-        w_hist[j - 1] = w
-        w_norms[j - 1] = float(np.linalg.norm(w))
-        res_1 = _run_ac(ac, np.abs(w) ** 2)
-        counter.record(res_1, 1)
-        b = np.real(res_1.z)
+        alpha_hist[:, j - 1] = alpha_j
+        w_hist[:, j - 1] = w
+        w_norms[:, j - 1] = row_norms(w)
+        z_1, error_1, units = _consensus(engines, np.abs(w) ** 2)
+        counter.record(units, 1)
+        b = np.real(z_1)
         neg = b < 0
-        clamped[j - 1] = neg
+        clamped[:, j - 1] = neg
         b = np.where(neg, 0.0, b)
         beta_next = np.sqrt(k * b)
-        if j < m_iterations:
-            normalization_errors[j] = np.real(res_1.error)
-        broke = active & (beta_next < eps_break)
+        if j < m:
+            normalization_errors[:, j] = np.real(error_1)
+        broke = active & (beta_next < eps_break[:, None])
         sizes[broke] = j
         active &= ~broke
-        beta_hist[j - 1] = beta_next
+        beta_hist[:, j - 1] = beta_next
         v_prev = v
         v = np.divide(
             w, beta_next, out=np.zeros_like(w), where=beta_next > 0
         )
-        v_hist[j] = v
+        v_hist[:, j] = v
         beta_cur = beta_next
 
     trace = _dla_error_trace(
-        y, matrix_errors, normalization_errors, v_hist[:m_iterations], w_hist, w_norms
+        y, matrix_errors, normalization_errors, v_hist[:, :m], w_hist, w_norms
     )
+    # every node of every trial is one row of the Ritz extraction
     raw, filtered = _extract_ritz(
-        alpha_hist, beta_hist, sizes, wanted, k, n, spurious_tol_rel
+        alpha_hist.transpose(0, 2, 1).reshape(trials * k, m),
+        beta_hist.transpose(0, 2, 1).reshape(trials * k, m),
+        sizes.reshape(trials * k),
+        wanted,
+        k,
+        n,
+        spurious_tol_rel,
     )
-    return DlaResult(
+    ac_iterations, graph = _engine_info(engines)
+    result = DlaResult(
         alpha_hist=alpha_hist,
         beta_hist=beta_hist,
         v_hist=v_hist,
         w_hist=w_hist,
         w_norms=w_norms,
         sizes=sizes,
-        ritz_raw=raw,
-        eigenvalues=filtered,
+        ritz_stacks={j: s.reshape(trials, k, j) for j, s in raw.items()},
+        eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
         clamped=clamped,
         trace=trace,
-        audit=counter.audit(),
-        m_iterations=m_iterations,
-        ac_iterations=_ac_iterations(ac),
-        graph=_ac_graph(ac),
+        audit=counter.audits(),
+        m_iterations=m,
+        ac_iterations=ac_iterations,
+        graph=graph,
         samples=y,
     )
+    return result.trial(0) if single else result
 
 
 def _previous(hist: np.ndarray) -> np.ndarray:
-    """A per-iteration history shifted down one row, zeros for iteration 1."""
-    return np.concatenate((np.zeros_like(hist[:1]), hist[:-1]))
+    """(B, M, ...) histories shifted down one iteration, zeros for iteration 1."""
+    return np.concatenate((np.zeros_like(hist[:, :1]), hist[:, :-1]), axis=1)
 
 
 def _dla_error_trace(y, matrix_errors, normalization_errors, v, w, w_norms):
     """Instrumentation of a finished DLA run, over all iterations at once.
 
-    ``v`` holds the (M, K) current vectors of iterations 1..M, ``w`` the
-    computed directions and ``w_norms`` their global norms. The measured
-    deviation compares w with the one an exact iteration would produce from
-    the same current vectors.
+    Every argument carries a leading trial axis. ``v`` holds the (B, M, K)
+    current vectors of iterations 1..M, ``w`` the computed directions and
+    ``w_norms`` their (B, M) global norms. The measured deviation compares w
+    with the one an exact iteration would produce from the same current
+    vectors.
     """
-    k, n = y.shape
-    e_mat = np.stack(matrix_errors)
+    k, n = y.shape[1:]
     v_prev = _previous(v)
     w_norm_prev = _previous(w_norms)
-    rv = ((v @ y.conj()) @ y.T) / n
-    alpha_ideal = np.real(np.sum(v.conj() * rv, axis=1))
-    w_ideal = rv - alpha_ideal[:, None] * v - w_norm_prev[:, None] * v_prev
+    rv = ((v @ y.conj()) @ np.swapaxes(y, 1, 2)) / n
+    alpha_ideal = np.real(np.sum(v.conj() * rv, axis=2))
+    w_ideal = rv - alpha_ideal[:, :, None] * v - w_norm_prev[:, :, None] * v_prev
     predicted = _dla_w_error_terms(
-        y, e_mat, normalization_errors, v, v_prev, w_norm_prev
+        y, matrix_errors, normalization_errors, v, v_prev, w_norm_prev
     )
     # the first-order expansion of the square root needs a small scalar error
-    taylor_flags = (w_norm_prev[:, None] > 0) & (
-        np.abs(normalization_errors) > 0.1 * w_norm_prev[:, None] ** 2 / k
+    taylor_flags = (w_norm_prev[:, :, None] > 0) & (
+        np.abs(normalization_errors) > 0.1 * w_norm_prev[:, :, None] ** 2 / k
     )
     return DlaErrorTrace(
         iteration_matrix_errors=matrix_errors,
@@ -546,20 +738,25 @@ def _dla_error_trace(y, matrix_errors, normalization_errors, v, w, w_norms):
 def _dla_w_error_terms(y, e_mat, e_scalar, v, v_prev, w_norm_prev):
     """First-order prediction of the per-node deviation of w.
 
-    Every argument but ``y`` carries a leading iteration axis: (M, K, N)
-    matrix errors, (M, K) scalar errors and vectors, and the (M,) previous
-    norms (zero where there is no previous iteration). The matrix-error
-    terms are exact; the scalar-error term is the Taylor linearization of
-    the square root in the normalization step.
+    Every argument carries a leading trial axis, and all but ``y`` and
+    ``e_mat`` an iteration axis after it: (B, M, K) scalar errors and
+    vectors, and the (B, M) previous norms (zero where there is no previous
+    iteration). ``e_mat`` lists the (B, K, N) matrix errors of each
+    iteration; they are read one iteration at a time, because a stack of
+    them would set the peak memory of a run. The matrix-error terms are
+    exact; the scalar-error term is the Taylor linearization of the square
+    root in the normalization step.
     """
-    k, n = y.shape
-    term1 = (k / n) * np.einsum("mkn,kn->mk", e_mat.conj(), y)
+    k, n = y.shape[1:]
     yhv = v @ y.conj()
-    cross = np.einsum("mkn,mn->mk", e_mat, yhv)
-    e_alpha = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
-        np.abs(e_mat) ** 2, axis=2
-    )
-    pred = term1 - e_alpha * v
+    pred = np.empty_like(v)
+    for j, e in enumerate(e_mat):
+        term1 = (k / n) * np.einsum("bkn,bkn->bk", e.conj(), y)
+        cross = np.einsum("bkn,bn->bk", e, yhv[:, j])
+        e_alpha = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
+            np.abs(e) ** 2, axis=2
+        )
+        pred[:, j] = term1 - e_alpha * v[:, j]
     has_prev = w_norm_prev > 0
     pred[has_prev] -= (
         (k / (2.0 * w_norm_prev[has_prev]))[:, None]
@@ -576,58 +773,61 @@ def predict_dla_w_error(
 
     Uses iteration j's width-N consensus error, the scalar-consensus error
     behind the off-diagonal coefficient applied at iteration j, and the
-    simulated vectors. The residual against the measured deviation is second
-    order in the scalar error.
+    simulated vectors of one trial's run. The residual against the measured
+    deviation is second order in the scalar error.
     """
     if not (1 <= j <= result.m_iterations):
         raise ValueError("iteration out of range")
     at = slice(j - 1, j)
-    v = result.v_hist[: result.m_iterations]
+    v = result.v_hist[None, : result.m_iterations]
     return _dla_w_error_terms(
-        y,
-        trace.iteration_matrix_errors[j - 1][None],
-        trace.normalization_errors[at],
-        v[at],
-        _previous(v)[at],
-        _previous(result.w_norms)[at],
-    )[0]
+        np.asarray(y, dtype=complex)[None],
+        [trace.iteration_matrix_errors[j - 1][None]],
+        trace.normalization_errors[None, at],
+        v[:, at],
+        _previous(v)[:, at],
+        _previous(result.w_norms[None])[:, at],
+    )[0, 0]
 
 
-def _extract_ritz(alpha_hist, beta_hist, sizes, wanted, k, n, tol_rel):
-    """Per-node Ritz values at the requested iterations, raw and filtered.
+def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
+    """Ritz values of a stack of tridiagonal matrices, raw and filtered.
 
-    ``alpha_hist`` and ``beta_hist`` are (M, nodes) coefficient histories
-    and ``sizes`` the per-node tridiagonal sizes; ``k`` and ``n`` are the
-    sample dimensions that drive the spurious-value filter. A centralized
-    run is the one-node case. At iteration j every node's values sit in one
-    (nodes, j) stack, NaN-padded past the node's size, which is solved with
-    one batched call per distinct size and filtered in one batched pass.
+    Row s of the (rows, M) ``alpha`` and ``beta`` holds one matrix's
+    diagonal and off-diagonal coefficient history, and ``sizes`` the size
+    at which each matrix stopped growing; ``k`` and ``n`` are the sample
+    dimensions that drive the spurious-value filter. Rows are the nodes of
+    every trial of a decentralized run, or the trials of a centralized one.
+    At iteration j every row's values sit in one (rows, j) stack, NaN-padded
+    past the row's size, which is solved with one batched call per distinct
+    size and filtered in one batched pass. Returns two dicts of NaN-padded
+    (rows, j) stacks: raw values at every iteration the filter needs, and
+    the filtered values, kept values first, at the wanted ones.
     """
     limit = min(k, n)
-    node_count = alpha_hist.shape[1]
+    rows = alpha.shape[0]
     needed = set(wanted) | {j - 1 for j in wanted if j > limit}
-    raw: dict[int, list[np.ndarray]] = {}
-    stacks: dict[int, np.ndarray] = {}
+    raw: dict[int, np.ndarray] = {}
     for j in sorted(needed):
         eff = np.minimum(sizes, j)
-        values = np.full((node_count, j), np.nan)
+        values = np.full((rows, j), np.nan)
         for s in np.unique(eff):
-            nodes = np.nonzero(eff == s)[0]
-            values[nodes, :s] = tridiagonal_eigenvalues_batch(
-                alpha_hist[:s, nodes].T, beta_hist[: s - 1, nodes].T
+            sel = np.nonzero(eff == s)[0]
+            values[sel, :s] = tridiagonal_eigenvalues_batch(
+                alpha[sel, :s], beta[sel, : s - 1]
             )
-        stacks[j] = values
-        raw[j] = [row[:e] for row, e in zip(values, eff.tolist())]
-    filtered: dict[int, list[np.ndarray]] = {}
+        raw[j] = values
+    filtered: dict[int, np.ndarray] = {}
     for j in sorted(wanted):
-        cur = stacks[j]
+        cur = raw[j]
         peak = np.max(np.abs(cur), axis=1, where=~np.isnan(cur), initial=0.0)
         filtered[j] = filter_spurious_batch(
             cur,
-            stacks[j - 1] if j > limit else None,
+            raw[j - 1] if j > limit else None,
             k,
             n,
             tol_rel * np.maximum(peak, 1e-12),
+            padded=True,
         )
     return raw, filtered
 

@@ -20,6 +20,7 @@ __all__ = [
     "TridiagonalMatrix",
     "PowerIterationResult",
     "sample_covariance",
+    "row_norms",
     "power_method",
     "lanczos",
     "tridiagonal_eigenvalues",
@@ -91,14 +92,49 @@ class PowerIterationResult:
 
 
 def sample_covariance(y: np.ndarray) -> np.ndarray:
-    """Sample covariance (1/N) Y Y^H of a K x N sample matrix."""
+    """Sample covariance (1/N) Y Y^H of a K x N sample matrix.
+
+    A (trials, K, N) stack gives the (trials, K, K) stack of covariances.
+    """
     y = np.asarray(y)
-    if y.ndim != 2:
+    if y.ndim not in (2, 3):
         raise ValueError("sample matrix must be two-dimensional")
     if not np.all(np.isfinite(y.view(float) if y.dtype.kind == "c" else y)):
         raise ValueError("sample matrix has non-finite entries")
-    n = y.shape[1]
-    return (y @ y.conj().T) / n
+    n = y.shape[-1]
+    return (y @ np.swapaxes(y.conj(), -1, -2)) / n
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a stack, flattening trailing axes.
+
+    Each row is rounded exactly as ``np.linalg.norm`` rounds it alone: the
+    per-row dot products go through the same BLAS dot as the 1-D call.
+    """
+    x = np.asarray(x)
+    flat = x.reshape(x.shape[0], -1)
+    parts = (flat.real, flat.imag) if x.dtype.kind == "c" else (flat,)
+    total = sum(p[:, None, :] @ p[:, :, None] for p in parts)
+    return np.sqrt(total[:, 0, 0])
+
+
+def _row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of matching rows of two (S, K) stacks, with the same rounding."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _stack(r: np.ndarray, start: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """A matrix or (trials, K, K) stack and its start vectors, as stacks.
+
+    Returns whether the input was a single matrix, the matrix stack and a
+    writable complex copy of the start vectors, one row per trial (a single
+    vector is shared by every trial).
+    """
+    r = np.asarray(r)
+    single = r.ndim == 2
+    stack = r[None] if single else r
+    start = np.asarray(start, dtype=complex)
+    return single, stack, np.array(np.broadcast_to(start, stack.shape[:-1]), order="C")
 
 
 def power_method(
@@ -107,32 +143,39 @@ def power_method(
     m_iterations: int,
     *,
     overflow_limit: float = 1e150,
-) -> PowerIterationResult:
+) -> PowerIterationResult | list[PowerIterationResult]:
     """Unnormalized power iteration v <- R v with a tracked overflow guard.
 
     Returns the final iterate and the Rayleigh quotient estimate of the
     largest eigenvalue. If the iterate norm passes ``overflow_limit`` it is
     renormalized internally and the accumulated positive factor is reported
     through ``log_scale``.
+
+    A (trials, K, K) stack, with one start vector per trial or one shared
+    (K,) vector, returns one result per trial; each trial has its own
+    overflow guard, and its result equals the run of that trial alone.
     """
-    r = np.asarray(r)
-    v = np.asarray(v0, dtype=complex).copy()
+    single, r, v = _stack(r, v0)
     if m_iterations < 1:
         raise ValueError("power method needs at least one iteration")
-    if not np.any(v != 0):
+    if not np.all(np.any(v != 0, axis=1)):
         raise ValueError("starting vector must be nonzero")
-    log_scale = 0.0
+    log_scale = np.zeros(len(v))
     for _ in range(m_iterations):
-        v = r @ v
-        nv = float(np.linalg.norm(v))
-        if nv > overflow_limit:
-            v /= nv
-            log_scale += math.log(nv)
-    denom = float(np.real(np.vdot(v, v)))
-    if denom == 0.0:
+        v = (r @ v[:, :, None])[:, :, 0]
+        nv = row_norms(v)
+        for t in np.nonzero(nv > overflow_limit)[0]:
+            v[t] /= nv[t]
+            log_scale[t] += math.log(nv[t])
+    denom = np.real(_row_vdot(v, v))
+    if np.any(denom == 0.0):
         raise ValueError("power iterate collapsed to zero")
-    value = float(np.real(np.vdot(v, r @ v)) / denom)
-    return PowerIterationResult(vector=v, value=value, log_scale=log_scale)
+    values = np.real(_row_vdot(v, (r @ v[:, :, None])[:, :, 0])) / denom
+    results = [
+        PowerIterationResult(vector=v[t], value=float(values[t]), log_scale=float(log_scale[t]))
+        for t in range(len(v))
+    ]
+    return results[0] if single else results
 
 
 def lanczos(
@@ -141,7 +184,7 @@ def lanczos(
     m_iterations: int,
     *,
     breakdown_tol: float | None = None,
-) -> TridiagonalMatrix:
+) -> TridiagonalMatrix | list[TridiagonalMatrix]:
     """Lanczos tridiagonalization of a Hermitian matrix, no reorthogonalization.
 
     Iterates alpha_j = v_j^H R v_j, w_j = R v_j - alpha_j v_j - beta_j v_{j-1},
@@ -149,54 +192,78 @@ def lanczos(
     vector with beta_1 = 0. A beta below the breakdown guard (default
     1e-12 ||R||_F) truncates the output at the current size and flags an
     exact invariant subspace.
+
+    A (trials, K, K) stack, with one start vector per trial or one shared
+    (K,) vector, returns one matrix per trial; each trial breaks down on its
+    own guard, and its matrix equals the run of that trial alone.
     """
-    r = np.asarray(r)
-    k = r.shape[0]
-    v = np.asarray(v1, dtype=complex).copy()
+    single, r, v = _stack(r, v1)
+    trials, k = v.shape
     if not (1 <= m_iterations <= k):
         raise ValueError("iteration count must be between 1 and K")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if np.any(np.abs(row_norms(v) - 1.0) > 1e-10):
         raise ValueError("starting vector must have unit norm")
-    scale = float(np.linalg.norm(r))
-    eps_break = breakdown_tol if breakdown_tol is not None else 1e-12 * scale
-    alphas: list[float] = []
-    betas: list[float] = []
-    v_prev = np.zeros(k, dtype=complex)
-    beta = 0.0
+    eps_break = (
+        np.full(trials, breakdown_tol) if breakdown_tol is not None else 1e-12 * row_norms(r)
+    )
+    alphas = np.zeros((trials, m_iterations))
+    betas = np.zeros((trials, m_iterations))
+    sizes = np.full(trials, m_iterations)
+    active = np.ones(trials, dtype=bool)
+    v_prev = np.zeros_like(v)
+    beta = np.zeros(trials)
     for j in range(1, m_iterations + 1):
-        u = r @ v
-        alpha = float(np.real(np.vdot(v, u)))
-        alphas.append(alpha)
-        if j == m_iterations:
+        u = (r @ v[:, :, None])[:, :, 0]
+        alpha = np.real(_row_vdot(v, u))
+        alphas[:, j - 1] = alpha
+        if j == m_iterations or not active.any():
             break
-        w = u - alpha * v - beta * v_prev
-        beta_next = float(np.linalg.norm(w))
-        if beta_next < eps_break:
-            return TridiagonalMatrix(
-                np.array(alphas), np.array(betas), invariant_subspace=True
-            )
-        betas.append(beta_next)
+        w = u - alpha[:, None] * v - beta[:, None] * v_prev
+        beta_next = row_norms(w)
+        broke = active & (beta_next < eps_break)
+        sizes[broke] = j
+        active &= ~broke
+        betas[:, j - 1] = beta_next
         v_prev = v
-        v = w / beta_next
+        # a trial that broke down keeps a zero vector from here on
+        v = np.divide(w, beta_next[:, None], out=np.zeros_like(w), where=active[:, None])
         beta = beta_next
-    return TridiagonalMatrix(np.array(alphas), np.array(betas))
+    results = [
+        TridiagonalMatrix(
+            alphas[t, :s].copy(), betas[t, : s - 1].copy(), invariant_subspace=s < m_iterations
+        )
+        for t, s in enumerate(sizes.tolist())
+    ]
+    return results[0] if single else results
+
+
+_DENSE_CHUNK = 1 << 15  # entries, 256 KB of float64
 
 
 def tridiagonal_eigenvalues_batch(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Eigenvalues (descending) of a stack of symmetric tridiagonal matrices.
 
-    ``alpha`` is (S, m) and ``beta`` (S, m-1); the stack is written into a
-    dense (S, m, m) array and solved by one batched LAPACK call.
+    ``alpha`` is (S, m) and ``beta`` (S, m-1); the stack is written into
+    dense (m, m) matrices and solved by batched LAPACK calls. The dense
+    copies are written and solved in chunks of at most ``_DENSE_CHUNK``
+    entries, so a tall stack (every node of a block of trials) does not set
+    the peak memory; each matrix's values do not depend on the chunking.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     s, m = alpha.shape
     beta = np.asarray(beta, dtype=float).reshape(s, max(m - 1, 0))
-    t = np.zeros((s, m, m))
     i = np.arange(m)
-    t[:, i, i] = alpha
-    # eigvalsh reads the lower triangle only
-    t[:, i[1:], i[:-1]] = beta
-    return np.linalg.eigvalsh(t)[:, ::-1]
+    values = np.empty((s, m))
+    step = max(1, _DENSE_CHUNK // max(m * m, 1))
+    for start in range(0, s, step):
+        rows = slice(start, start + step)
+        diag = alpha[rows]
+        t = np.zeros((len(diag), m, m))
+        t[:, i, i] = diag
+        # eigvalsh reads the lower triangle only
+        t[:, i[1:], i[:-1]] = beta[rows]
+        values[rows] = np.linalg.eigvalsh(t)[:, ::-1]
+    return values
 
 
 def tridiagonal_eigenvalues(t: TridiagonalMatrix) -> np.ndarray:
@@ -291,7 +358,8 @@ def filter_spurious_batch(
     tol: float | np.ndarray,
     *,
     iteration: int | None = None,
-) -> list[np.ndarray]:
+    padded: bool = False,
+) -> list[np.ndarray] | np.ndarray:
     """Drop spurious Ritz values from a stack of iteration-j lists.
 
     ``current`` is (S, j), one list per row; NaN entries are padding, so
@@ -306,7 +374,8 @@ def filter_spurious_batch(
        merged into it (the largest of each cluster survives).
 
     ``iteration`` defaults to the column count of ``current``. Returns one
-    descending array of kept values per row.
+    descending array of kept values per row, or with ``padded`` the (S, j)
+    stack holding each row's kept values first and NaN after them.
     """
     # descending, with the NaN padding moved to the end of each row
     cur = -np.sort(-np.atleast_2d(np.asarray(current, dtype=float)), axis=1)
@@ -316,15 +385,24 @@ def filter_spurious_batch(
     j = iteration if iteration is not None else width
     if j > min(k, n) and previous is not None:
         prev = np.asarray(previous, dtype=float)
-        near = np.abs(cur[:, :, None] - prev[:, None, :]) <= tol[:, None, None]
-        keep &= np.any(near, axis=2)
+        # one previous column at a time: an (S, j, p) difference stack would
+        # set the peak memory of a run over many trials' nodes
+        near = np.zeros_like(keep)
+        for c in range(prev.shape[1]):
+            near |= np.abs(cur - prev[:, c, None]) <= tol[:, None]
+        keep &= near
     last = np.full(s, np.nan)  # last kept value per row; NaN until one is kept
     for c in range(width):
         value = cur[:, c]
         keep[:, c] &= np.isnan(last) | (last - value > tol)
         last = np.where(keep[:, c], value, last)
     kept = cur[keep]
-    ends = np.cumsum(np.sum(keep, axis=1)).tolist()
+    counts = np.sum(keep, axis=1)
+    if padded:
+        out = np.full_like(cur, np.nan)
+        out[np.arange(width) < counts[:, None]] = kept
+        return out
+    ends = np.cumsum(counts).tolist()
     return [kept[a:b] for a, b in zip([0, *ends], ends)]
 
 

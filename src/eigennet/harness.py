@@ -254,8 +254,9 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("I entries must be nonnegative")
     if cfg.sigma2 <= 0:
         problems.append("sigma2 must be positive")
-    if cfg.p < 0:
-        problems.append("P must be nonnegative")
+    if cfg.p < 1:
+        # every experiment draws signal-present samples, which need a source
+        problems.append("P must be at least 1")
     if cfg.p > 0 and len(cfg.snr_db) not in (1, cfg.p):
         problems.append("snr_db must have one entry or one per source")
     if cfg.engine not in ("ideal",) + _ENGINE_TOKENS:

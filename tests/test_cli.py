@@ -12,21 +12,36 @@ CONFIGS = ROOT / "configs"
 
 
 @pytest.mark.parametrize(
-    "experiment", ["ac-compare", "eig-converge", "multi-eig", "audit-messages", "prop-check"]
+    "experiment",
+    ["ac-compare", "eig-converge", "multi-eig", "roc", "audit-messages", "prop-check"],
 )
 def test_rerun_is_byte_identical(experiment, tmp_path, capsys):
-    # roc is left out: its threshold calibration needs at least 200 trials
+    # roc's threshold calibration needs 10/alpha = 200 noise-only trials, and
+    # its 400 trials span many trial blocks
+    trials = "200" if experiment == "roc" else "1"
     # the two runs write to different directories, which must not show
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     outputs = []
     for out in (tmp_path / "first", tmp_path / "second" / "nested"):
-        argv = [experiment, "--config", str(config), "--out", str(out), "--trials", "1"]
+        argv = [experiment, "--config", str(config), "--out", str(out), "--trials", trials]
         assert cli_main(argv) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert f"{experiment}_report.json" in outputs[0]
     if experiment != "prop-check":
         assert f"{experiment}.csv" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+def test_no_sources_is_a_config_error(tmp_path, capsys):
+    # every experiment draws signal-present samples, so P = 0 cannot run
+    config = tmp_path / "no_sources.cfg"
+    config.write_text("K = 6\nN = 4\nM = 2\nI = 3\nP = 0\ntrials = 1\n")
+    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "P must be at least 1" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_closed_stdout_exits_two_without_traceback(tmp_path):

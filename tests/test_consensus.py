@@ -281,6 +281,41 @@ def max_rel_diff(got, ref):
     return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
 
+class TestTrialStack:
+    @pytest.mark.parametrize("engine", ["ideal", "standard", "chebyshev"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_each_trial_equals_its_lone_run(self, engine, width):
+        w = metropolis_weights(random_connected_graph(7, 2))
+        cfg = AcConfig(engine, 5, weights=w, cheb=spectral_bounds(w))
+        rng = np.random.default_rng(4)
+        z0 = rng.standard_normal((4, 7, width)) + 1j * rng.standard_normal((4, 7, width))
+        res = run_consensus(z0, cfg)
+        assert res.z.shape == res.error.shape == z0.shape
+        assert res.scalars_exchanged_per_node.shape == (4, 7)
+        for t in range(4):
+            alone = run_consensus(z0[t], cfg)
+            assert np.array_equal(res.z[t], alone.z)
+            assert np.array_equal(res.error[t], alone.error)
+            assert np.array_equal(
+                res.scalars_exchanged_per_node[t], alone.scalars_exchanged_per_node
+            )
+            # a scalar round gives the same values as a one-column one
+            if width == 1:
+                assert np.array_equal(res.z[t, :, 0], run_consensus(z0[t, :, 0], cfg).z)
+
+    def test_failures_share_links_across_the_stack(self):
+        w = metropolis_weights(random_connected_graph(6, 5))
+        make = lambda: AcConfig(  # noqa: E731
+            "standard", 4, weights=w, link_failure_prob=0.4, failure_seed=11
+        )
+        rng = np.random.default_rng(6)
+        z0 = rng.standard_normal((3, 6, 2))
+        stacked = run_consensus(z0, make())
+        # the same links act on every column of the side-by-side matrix
+        wide = run_consensus(np.concatenate(list(z0), axis=1), make())
+        assert np.allclose(np.concatenate(list(stacked.z), axis=1), wide.z, rtol=1e-13)
+
+
 class TestFailureRedraw:
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.999])
     def test_matches_per_edge_loop(self, p, path3):

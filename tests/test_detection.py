@@ -79,6 +79,41 @@ class TestComputeStatistic:
         # RT ignores the trace entirely
         assert compute_statistic("RT", lam, 1.0, trace=trace).value == pytest.approx(5.0)
 
+    def test_stack_rows_equal_lone_lists(self):
+        rng = np.random.default_rng(5)
+        lists = [rng.random(c) * 3 + 0.1 for c in (1, 4, 4, 7, 2, 8)]
+        lists.append(np.array([2.0, -1e-12, 0.5]))
+        stack = np.full((len(lists), 8), np.nan)
+        for row, lam in zip(stack, lists):
+            row[: len(lam)] = lam  # unsorted, as the statistic sorts
+        traces = rng.random(len(lists)) + 20.0
+        for kind in ("RT", "GT", "ST", "JT"):
+            for trace in (None, traces):
+                batch = compute_statistic(kind, stack, 1.5, trace=trace)
+                assert batch.value.shape == batch.clamped.shape == (len(lists),)
+                for i, lam in enumerate(lists):
+                    alone = compute_statistic(
+                        kind, lam, 1.5, trace=None if trace is None else trace[i]
+                    )
+                    assert batch.value[i] == alone.value
+                    assert batch.clamped[i] == alone.clamped
+        assert compute_statistic("GT", stack).clamped.tolist() == [False] * 6 + [True]
+
+    def test_stack_with_an_empty_row_rejected(self):
+        stack = np.array([[1.0, 0.5], [np.nan, np.nan]])
+        with pytest.raises(DetectionError, match="empty"):
+            compute_statistic("GT", stack)
+        with pytest.raises(DetectionError, match="all-zero"):
+            compute_statistic("ST", np.array([[1.0, 0.5], [0.0, np.nan]]))
+
+    def test_trace_consensus_stack(self):
+        ys = np.stack([random_samples(5, 7, seed) for seed in range(3)])
+        ac = AcConfig("ideal", 0)
+        out = trace_consensus(ys, ac)
+        assert out.shape == (3, 5)
+        for t in range(3):
+            assert np.array_equal(out[t], trace_consensus(ys[t], ac))
+
     def test_trace_consensus_exact_under_ideal(self):
         y = random_samples(5, 7, 4)
         expected = np.real(np.trace((y @ y.conj().T) / 7))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,10 @@ from eigennet.eigencore import (
     tridiagonal_eigenvalues,
 )
 from eigennet.errors import AuditMismatch, DegenerateRunError
-from eigennet.signals import samples_with_spectrum
+from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 
-from conftest import random_connected_graph, random_samples
+from conftest import random_connected_graph, random_hermitian_psd, random_samples
 
 IDEAL = AcConfig("ideal", 0)
 
@@ -542,3 +544,184 @@ class TestDeterminismAndState:
         st = res.node_state(1)
         assert st.v_cur == res.v_hist[2, 1]
         assert st.lambda_est[0] == res.lambda1[1]
+
+
+def assert_same_arrays(a, b):
+    """Equal to the bit: arrays, lists of arrays and dicts of either."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same_arrays(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_arrays(x, y)
+    else:
+        assert np.shape(a) == np.shape(b)
+        assert np.array_equal(a, b)
+
+
+def assert_same_trace(a, b):
+    for f in dataclasses.fields(a):
+        assert_same_arrays(getattr(a, f.name), getattr(b, f.name))
+
+
+class TestTrialStack:
+    """A stacked run's trial slices equal the lone runs of those trials."""
+
+    K, N, M = 8, 5, 6
+
+    def block(self):
+        """Noise-only and signal-present trials mixed in one block."""
+        ys = []
+        for t in range(5):
+            if t % 2:
+                ys.append(gen_h0(SignalConfig(k=self.K, n=self.N, sigma2=1.0, seed=t)))
+            else:
+                sig = SignalConfig(k=self.K, n=self.N, sigma2=1.0, p=1, snr_db=(5.0,), seed=t)
+                ys.append(gen_h1(sig)[0])
+        return np.stack(ys)
+
+    def engine_factory(self, kind):
+        """Trial t's engine; called twice for one t it gives equal fresh engines."""
+        graph = random_connected_graph(self.K, 3)
+        w = metropolis_weights(graph)
+        cheb = spectral_bounds(w)
+        if kind == "ideal":
+            return lambda t: AcConfig("ideal", 0, weights=w)
+        if kind == "chebyshev":
+            return lambda t: AcConfig("chebyshev", 4, weights=w, cheb=cheb)
+        if kind == "failures":
+            return lambda t: AcConfig(
+                "chebyshev", 4, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=100 + t
+            )
+        if kind == "injected":
+            return lambda t: self.noisy_engine(40 + t)
+        raise ValueError(kind)
+
+    @staticmethod
+    def noisy_engine(seed):
+        """Exact means plus seeded random errors, complex for complex inputs."""
+        rng = np.random.default_rng(seed)
+
+        def errors(idx, z0):
+            err = 0.01 * rng.standard_normal(z0.shape)
+            if np.iscomplexobj(z0):
+                err = err + 0.01j * rng.standard_normal(z0.shape)
+            return err
+
+        return ErrorInjectingEngine(errors)
+
+    @staticmethod
+    def breaking_engine(stop):
+        """Zero scalar-consensus outputs: nodes stop[j] break down at iteration j."""
+
+        def errors(idx, z0):
+            err = np.zeros_like(z0)
+            if z0.ndim == 1:
+                err[stop.get(idx // 2 + 1, [])] = -z0.mean() - 1.0
+            return err
+
+        return ErrorInjectingEngine(errors)
+
+    def assert_same_dpm(self, part, alone):
+        assert_same_arrays(part.lambda1, alone.lambda1)
+        assert_same_arrays(part.v_hist, alone.v_hist)
+        assert_same_arrays(part.checkpoints, alone.checkpoints)
+        assert_same_trace(part.trace, alone.trace)
+        assert part.audit == alone.audit
+        assert (part.ac_iterations, part.graph) == (alone.ac_iterations, alone.graph)
+        assert_same_arrays(part.samples, alone.samples)
+
+    def assert_same_dla(self, part, alone):
+        for name in ("alpha_hist", "beta_hist", "v_hist", "w_hist", "w_norms", "sizes", "clamped"):
+            assert_same_arrays(getattr(part, name), getattr(alone, name))
+        assert_same_arrays(part.ritz_raw, alone.ritz_raw)
+        assert_same_arrays(part.eigenvalues, alone.eigenvalues)
+        assert_same_trace(part.trace, alone.trace)
+        assert part.audit == alone.audit
+        assert (part.ac_iterations, part.graph) == (alone.ac_iterations, alone.graph)
+
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    def test_dpm(self, kind):
+        y = self.block()
+        trials = len(y)
+        make = self.engine_factory(kind)
+        v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(trials)])
+        stacked = run_dpm(y, [make(t) for t in range(trials)], self.M, v0, checkpoints=(2, 4))
+        assert stacked.lambda1.shape == (trials, self.K)
+        assert len(stacked.audit) == trials
+        for t in range(trials):
+            alone = run_dpm(y[t], make(t), self.M, v0[t], checkpoints=(2, 4))
+            self.assert_same_dpm(stacked.trial(t), alone)
+
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    def test_dla(self, kind):
+        y = self.block()
+        trials = len(y)
+        make = self.engine_factory(kind)
+        stacked = run_dla(y, [make(t) for t in range(trials)], self.M, ritz_iters="all")
+        assert stacked.sizes.shape == (trials, self.K)
+        for t in range(trials):
+            alone = run_dla(y[t], make(t), self.M, ritz_iters="all")
+            self.assert_same_dla(stacked.trial(t), alone)
+
+    def test_dla_breakdowns_at_different_sizes(self):
+        y = self.block()[:4]
+        stops = [{2: [0]}, {3: [1, 2]}, {}, {5: [7], 2: [3]}]
+        stacked = run_dla(
+            y, [self.breaking_engine(s) for s in stops], self.M, ritz_iters=(2, 3, 6)
+        )
+        assert stacked.sizes[:, :4].tolist() == [
+            [2, 6, 6, 6], [6, 3, 3, 6], [6, 6, 6, 6], [6, 6, 6, 2]
+        ]
+        assert stacked.sizes[3, 7] == 5
+        for t, stop in enumerate(stops):
+            alone = run_dla(y[t], self.breaking_engine(stop), self.M, ritz_iters=(2, 3, 6))
+            self.assert_same_dla(stacked.trial(t), alone)
+
+    def test_shared_start_and_engine(self):
+        y = self.block()
+        ac = self.engine_factory("chebyshev")(0)
+        v0 = default_dpm_start(self.K, seed=9)
+        stacked = run_dpm(y, ac, self.M, v0)
+        for t in range(len(y)):
+            self.assert_same_dpm(stacked.trial(t), run_dpm(y[t], ac, self.M, v0))
+
+    def test_engine_count_must_match(self):
+        y = self.block()
+        make = self.engine_factory("failures")
+        with pytest.raises(ValueError, match="one consensus engine per trial"):
+            run_dpm(y, [make(t) for t in range(3)], self.M)
+        # one generator cannot serve several trials
+        with pytest.raises(ValueError, match="serves one trial"):
+            run_dla(y, make(0), self.M)
+
+    def test_lanczos_breakdown_in_one_trial(self):
+        k = 6
+        r = np.stack(
+            [random_hermitian_psd(k, 1), 2.5 * np.eye(k) + 0j, random_hermitian_psd(k, 2)]
+        )
+        v1 = default_dla_start(k)
+        stacked = lanczos(r, v1, 5)
+        assert [t.size for t in stacked] == [5, 1, 5]
+        assert [t.invariant_subspace for t in stacked] == [False, True, False]
+        for t in range(len(r)):
+            alone = lanczos(r[t], v1, 5)
+            assert_same_arrays(stacked[t].alpha, alone.alpha)
+            assert_same_arrays(stacked[t].beta, alone.beta)
+            assert stacked[t].invariant_subspace == alone.invariant_subspace
+
+    def test_power_method_overflow_in_one_trial(self):
+        k = 4
+        r = np.stack([np.diag([1e60, 1.0, 1.0, 0.5]) + 0j, random_hermitian_psd(k, 3)])
+        rng = np.random.default_rng(8)
+        v0 = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+        stacked = power_method(r, v0, 5, overflow_limit=1e50)
+        assert stacked[0].log_scale > 0.0
+        assert stacked[1].log_scale == 0.0
+        for t in range(len(r)):
+            alone = power_method(r[t], v0[t], 5, overflow_limit=1e50)
+            assert_same_arrays(stacked[t].vector, alone.vector)
+            assert stacked[t].value == alone.value
+            assert stacked[t].log_scale == alone.log_scale
