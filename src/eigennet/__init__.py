@@ -9,7 +9,7 @@ Gaussian signal model, eigenvalue-based detection statistics, and a
 Monte-Carlo experiment harness with a CLI (``eigennet``).
 """
 
-from .consensus import AcConfig, ConsensusResult, ErrorInjectingEngine, ReplayEngine, node_view, run_consensus
+from .consensus import AcConfig, ConsensusResult, ErrorInjectingEngine, ReplayEngine, run_consensus
 from .detection import (
     DetectorConfig,
     Hypothesis,

@@ -9,10 +9,15 @@ stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
 (semi-iterative acceleration of the same mixing). On fixed weights an I-step
 run of either mixing engine is one matrix polynomial p_I(W); it is built
 once per (weights, engine, I) and then applied as a single product. Under
-link failures the recurrence runs step by step on the input, redrawing the
-surviving links each step. Every result carries the realized error matrix,
-the deviation of the output from the exact mean; that matrix is a
-simulation observable only and is never read by the algorithms under test.
+link failures the recurrence runs step by step on the input with fresh
+surviving links each step. A call draws the links of all its I steps at once,
+as one (I, E) uniform draw, and builds its I Metropolis matrices in one pass
+before the first step. That draw consumes the failure generator exactly as I
+per-step draws of E values would, so the failure stream, and every output
+computed from it, is the same as with a redraw at each step. Every result
+carries the realized error matrix, the deviation of the output from the exact
+mean; that matrix is a simulation observable only and is never read by the
+algorithms under test.
 
 Two synthetic engines support instrumentation: :class:`ErrorInjectingEngine`
 returns exact means plus caller-chosen error terms (for verifying the
@@ -28,13 +33,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConsensusError
-from .topology import ChebyshevParams, Graph, WeightMatrix, metropolis_entries
+from .topology import ChebyshevParams, Graph, WeightMatrix, metropolis_stack
 
 __all__ = [
     "AcConfig",
     "ConsensusResult",
     "run_consensus",
-    "node_view",
     "ErrorInjectingEngine",
     "ReplayEngine",
 ]
@@ -99,32 +103,44 @@ class AcConfig:
         return self.weights.graph if self.weights is not None else None
 
 
-def _failure_weights(graph: Graph, rng: np.random.Generator, p: float) -> np.ndarray:
-    """Metropolis weights on the subgraph of links that survive this iteration.
+def _failure_stack(
+    graph: Graph, rng: np.random.Generator, p: float, steps: int
+) -> np.ndarray:
+    """Metropolis weights on each step's surviving links, as an (S, K, K) stack.
 
-    One uniform draw per edge, in edge order; a single vector draw consumes
-    the generator exactly as the same number of scalar draws would.
+    One (S, E) uniform draw decides every step's links, edge by edge in edge
+    order; it consumes the generator exactly as S successive per-step draws of
+    E values (or S * E scalar draws) would.
     """
-    u, v = graph.edge_index
-    alive = rng.random(u.size) >= p
-    return metropolis_entries(graph.node_count, u[alive], v[alive])
+    alive = rng.random((steps, graph.edge_index.shape[1])) >= p
+    return metropolis_stack(graph, alive)
 
 
-def _iteration_weights(cfg: AcConfig) -> np.ndarray:
-    if cfg.link_failure_prob > 0.0:
-        assert cfg._failure_rng is not None and cfg.weights is not None
-        return _failure_weights(cfg.weights.graph, cfg._failure_rng, cfg.link_failure_prob)
+def _step_weights(cfg: AcConfig) -> np.ndarray:
+    """The (I, K, K) mixing matrices of one run, step s's at index s."""
     assert cfg.weights is not None
-    return cfg.weights.entries
+    if cfg.link_failure_prob > 0.0:
+        assert cfg._failure_rng is not None
+        return _failure_stack(
+            cfg.weights.graph, cfg._failure_rng, cfg.link_failure_prob, cfg.iterations
+        )
+    w = cfg.weights.entries
+    return np.broadcast_to(w, (cfg.iterations,) + w.shape)
 
 
 def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
-    """Run the engine's recurrence on x0, fetching the mixing matrix per step."""
-    if cfg.engine == "chebyshev":
-        return _chebyshev_iterate(x0, cfg)
+    """Run the engine's recurrence on x0, one mixing matrix per step.
+
+    A degenerate Chebyshev spectrum runs the plain averaging loop: plain
+    averaging already contracts as fast as any polynomial in W of the same
+    degree.
+    """
+    weights = _step_weights(cfg)
+    if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
+        return _chebyshev_iterate(x0, weights, cfg.cheb)
     x = x0.copy()
-    for _ in range(cfg.iterations):
-        x = _iteration_weights(cfg) @ x
+    for w in weights:
+        x = w @ x
     return x
 
 
@@ -190,52 +206,34 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     )
 
 
-def _chebyshev_iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
-    """Chebyshev semi-iteration on the rescaled mixing matrix.
+def _chebyshev_iterate(
+    x0: np.ndarray, weights: np.ndarray, cheb: ChebyshevParams
+) -> np.ndarray:
+    """Chebyshev semi-iteration on the rescaled mixing matrices.
 
     With B = (2 W - (l_max + l_min) I) / (l_max - l_min) and the scalar
     recurrence tau_0 = 1, tau_1 = b1, tau_{t+1} = 2 b1 tau_t - tau_{t-1}, the
     iterates realize p_t(W) = T_t(B)/T_t(b1): the consensus component is
     preserved exactly and disagreement is damped by at least 1/tau_t. Under
-    link failures the per-iteration mixing matrix changes but the nominal
+    link failures step s mixes with its own ``weights[s]`` but the nominal
     scalar sequence is kept.
     """
-    cheb = cfg.cheb
-    assert cheb is not None
-    t = cfg.iterations
-    if t == 0:
-        return x0.copy()
-    if cheb.is_degenerate:
-        # Degenerate disagreement spectrum: plain averaging already contracts
-        # as fast as any polynomial in W of the same degree.
-        x = x0.copy()
-        for _ in range(t):
-            x = _iteration_weights(cfg) @ x
-        return x
     lam_sum = cheb.lambda_max + cheb.lambda_min
     lam_diff = cheb.lambda_max - cheb.lambda_min
     b1 = cheb.b1
 
-    def apply_b(x: np.ndarray) -> np.ndarray:
-        w = _iteration_weights(cfg)
+    def apply_b(w: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (2.0 * (w @ x) - lam_sum * x) / lam_diff
 
     x_prev = x0.copy()
-    x = apply_b(x0) / b1
+    x = apply_b(weights[0], x0) / b1
     tau_prev, tau = 1.0, b1
-    for _ in range(2, t + 1):
+    for w in weights[1:]:
         tau_next = 2.0 * b1 * tau - tau_prev
-        x_next = (2.0 * tau / tau_next) * apply_b(x) - (tau_prev / tau_next) * x_prev
+        x_next = (2.0 * tau / tau_next) * apply_b(w, x) - (tau_prev / tau_next) * x_prev
         x_prev, x = x, x_next
         tau_prev, tau = tau, tau_next
     return x
-
-
-def node_view(result: ConsensusResult, k: int) -> np.ndarray:
-    """Row k of the consensus output: the single-node view of the run."""
-    if not (0 <= k < result.z.shape[0]):
-        raise IndexError(f"node index {k} out of range")
-    return result.z[k]
 
 
 class ErrorInjectingEngine:

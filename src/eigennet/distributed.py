@@ -615,7 +615,11 @@ def run_dla(
     if breakdown_tol is not None:
         eps_break = np.full(trials, breakdown_tol)
     else:
-        eps_break = 1e-12 * row_norms(sample_covariance(y))
+        # ||Y Y^H / N||_F, read off the N x N Gram matrix Y^H Y / N, whose
+        # Frobenius norm is the same and which is the smaller one when N < K
+        if not np.all(np.isfinite(y.view(float))):
+            raise ValueError("sample matrix has non-finite entries")
+        eps_break = 1e-12 * row_norms((np.swapaxes(y.conj(), -1, -2) @ y) / n)
     scale = k / n
     counter = _CallCounter(trials, k)
 

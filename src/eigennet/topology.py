@@ -24,6 +24,7 @@ __all__ = [
     "generate_random_geometric",
     "load_edge_list",
     "dump_edge_list",
+    "metropolis_stack",
     "metropolis_weights",
     "spectral_bounds",
 ]
@@ -230,30 +231,44 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def metropolis_entries(k: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense K x K Metropolis weights on the edges (u[e], v[e]).
+def metropolis_stack(g: Graph, alive: np.ndarray) -> np.ndarray:
+    """Dense (S, K, K) Metropolis weights, one matrix per row of ``alive``.
 
-    Degrees are counted over the given edges only, so passing a subset of a
-    graph's ``edge_index`` columns yields the weights of that subgraph.
+    ``alive`` is an (S, E) boolean mask over the graph's ``edge_index``
+    columns; matrix s carries the Metropolis weights of the subgraph of the
+    edges alive in row s, with degrees counted over those edges only. All S
+    matrices are built at once: one product for the degrees, one scatter of
+    the edge weights and one row sum for the diagonals.
     """
-    deg = np.bincount(u, minlength=k) + np.bincount(v, minlength=k)
-    wij = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
-    w = np.zeros((k, k))
-    w[u, v] = wij
-    w[v, u] = wij
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    k = g.node_count
+    u, v = g.edge_index
+    steps = alive.shape[0]
+    incidence = np.zeros((u.size, k))
+    edges = np.arange(u.size)
+    incidence[edges, u] = 1.0
+    incidence[edges, v] = 1.0
+    up = alive.astype(float)
+    # each row sums 0/1 terms, so the degrees are exact integer-valued floats
+    deg = up @ incidence
+    # dead edges get 0 / (1 + ...) = 0, which the zero fill holds anyway
+    wij = up / (1.0 + np.maximum(deg[:, u], deg[:, v]))
+    w = np.zeros((steps, k, k))
+    flat = w.reshape(steps, k * k)
+    flat[:, np.concatenate((u * k + v, v * k + u))] = np.tile(wij, 2)
+    flat[:, :: k + 1] = 1.0 - w.sum(axis=-1)
     return w
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
-    Diagonal entries absorb the remaining mass so that rows sum to 1. The
+    Diagonal entries absorb the remaining mass so that rows sum to 1. This is
+    the one-step, all-links-alive case of :func:`metropolis_stack`. The
     entries are read-only, because consensus operators cached on the
     returned object are built from them.
     """
     g.require_connected()
-    w = metropolis_entries(g.node_count, *g.edge_index)
+    w = metropolis_stack(g, np.ones((1, len(g.edges)), dtype=bool))[0]
     w.setflags(write=False)
     return WeightMatrix(w, g)
 

@@ -32,6 +32,18 @@ def test_rerun_is_byte_identical(experiment, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_ac_compare_matches_recorded_output(tmp_path, capsys):
+    # recorded with one link-failure redraw per consensus step; it pins every
+    # trial's failure stream and the chebyshev+failures rows built on it
+    argv = [
+        "ac-compare", "--config", str(CONFIGS / "ac_compare.cfg"),
+        "--out", str(tmp_path), "--trials", "3",
+    ]
+    assert cli_main(argv) == 0
+    recorded = ROOT / "tests" / "data" / "ac-compare-trials3.csv"
+    assert (tmp_path / "ac-compare.csv").read_bytes() == recorded.read_bytes()
+
+
 def test_no_sources_is_a_config_error(tmp_path, capsys):
     # every experiment draws signal-present samples, so P = 0 cannot run
     config = tmp_path / "no_sources.cfg"

@@ -8,10 +8,9 @@ from eigennet.consensus import (
     AcConfig,
     ErrorInjectingEngine,
     ReplayEngine,
-    _failure_weights,
+    _failure_stack,
     _iterate,
     _mixing_operator,
-    node_view,
     run_consensus,
 )
 from eigennet.errors import ConsensusError
@@ -77,12 +76,7 @@ class TestNodeView:
     def test_ideal_view_is_mean(self, path3_weights):
         z0 = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
         res = run_consensus(z0, AcConfig("ideal", 1, weights=path3_weights))
-        assert np.allclose(node_view(res, 1), [1.0, 1.0], atol=1e-15)
-
-    def test_out_of_range(self, path3_weights):
-        res = run_consensus(np.zeros((3, 2)), AcConfig("ideal", 1, weights=path3_weights))
-        with pytest.raises(IndexError):
-            node_view(res, 3)
+        assert np.allclose(res.z[1], [1.0, 1.0], atol=1e-15)
 
     @pytest.mark.parametrize("t", [1, 3, 7])
     def test_standard_row_matches_dense_product_oracle(self, t, path3_weights):
@@ -91,7 +85,7 @@ class TestNodeView:
         res = run_consensus(z0, AcConfig("standard", t, weights=path3_weights))
         oracle = np.linalg.matrix_power(path3_weights.entries, t) @ z0
         for k in range(3):
-            assert np.allclose(node_view(res, k), oracle[k], atol=1e-13)
+            assert np.allclose(res.z[k], oracle[k], atol=1e-13)
 
 
 class TestInvariantsAndCounters:
@@ -323,18 +317,87 @@ class TestFailureRedraw:
         for g in graphs:
             fast_rng = np.random.default_rng(11)
             loop_rng = np.random.default_rng(11)
-            for _ in range(60):
-                fast = _failure_weights(g, fast_rng, p)
-                assert np.array_equal(fast, loop_failure_weights(g, loop_rng, p))
+            for steps in (0, 1, 30, 1, 0, 29):
+                stack = _failure_stack(g, fast_rng, p, steps)
+                assert stack.shape == (steps, g.node_count, g.node_count)
+                for fast in stack:
+                    assert np.array_equal(fast, loop_failure_weights(g, loop_rng, p))
+                # the one (steps, E) draw left the generator where steps * E
+                # scalar draws leave it
+                assert fast_rng.random() == loop_rng.random()
 
     def test_edgeless_single_node(self):
-        w = _failure_weights(Graph(1, ()), np.random.default_rng(0), 0.5)
-        assert np.array_equal(w, [[1.0]])
+        w = _failure_stack(Graph(1, ()), np.random.default_rng(0), 0.5, 3)
+        assert np.array_equal(w, np.ones((3, 1, 1)))
 
     def test_no_failures_reproduce_metropolis_weights(self):
         g = generate_random_geometric(40, 0.4, 3)
         w = loop_failure_weights(g, np.random.default_rng(0), 0.0)
         assert np.array_equal(metropolis_weights(g).entries, w)
+
+
+def loop_failure_run(z0, cfg, rng):
+    """Reference link-failure run: the recurrence step by step, each step's
+    weights redrawn by the per-edge loop from ``rng``."""
+    graph, p = cfg.weights.graph, cfg.link_failure_prob
+
+    def weights():
+        return loop_failure_weights(graph, rng, p)
+
+    x = z0[..., None] if z0.ndim == 1 else z0.copy()
+    cheb = cfg.cheb
+    if cfg.engine == "standard" or cheb.is_degenerate or cfg.iterations == 0:
+        for _ in range(cfg.iterations):
+            x = weights() @ x
+    else:
+        lam_sum = cheb.lambda_max + cheb.lambda_min
+        lam_diff = cheb.lambda_max - cheb.lambda_min
+
+        def apply_b(x):
+            return (2.0 * (weights() @ x) - lam_sum * x) / lam_diff
+
+        x_prev = x.copy()
+        x = apply_b(x) / cheb.b1
+        tau_prev, tau = 1.0, cheb.b1
+        for _ in range(2, cfg.iterations + 1):
+            tau_next = 2.0 * cheb.b1 * tau - tau_prev
+            x_next = (2.0 * tau / tau_next) * apply_b(x) - (tau_prev / tau_next) * x_prev
+            x_prev, x = x, x_next
+            tau_prev, tau = tau, tau_next
+    return x[..., 0] if z0.ndim == 1 else x
+
+
+class TestFailureStackRecurrence:
+    @staticmethod
+    def inputs(k):
+        rng = np.random.default_rng(8)
+        yield rng.standard_normal(k)
+        yield rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+        yield rng.standard_normal((3, k, 2)) + 1j * rng.standard_normal((3, k, 2))
+
+    @pytest.mark.parametrize("iters", [0, 1, 2, 30])
+    @pytest.mark.parametrize(
+        "engine,network",
+        [("standard", "geometric"), ("chebyshev", "geometric"), ("chebyshev", "complete")],
+    )
+    def test_matches_per_step_loop(self, engine, network, iters):
+        if network == "complete":
+            w = complete_weights(12)
+        else:
+            w = metropolis_weights(generate_random_geometric(12, 0.5, 2))
+        cp = spectral_bounds(w)
+        assert cp.is_degenerate == (network == "complete")
+        for z0 in self.inputs(12):
+            cfg = AcConfig(
+                engine, iters, weights=w, cheb=cp, link_failure_prob=0.2, failure_seed=5
+            )
+            loop_rng = np.random.default_rng(5)
+            # the second call continues the config's failure stream
+            for _ in range(2):
+                ref = loop_failure_run(z0, cfg, loop_rng)
+                z = run_consensus(z0, cfg).z
+                assert z.shape == z0.shape and z.dtype == ref.dtype
+                assert np.array_equal(z, ref)
 
 
 class TestMixingOperator:
