@@ -65,6 +65,7 @@ from .errors import (
     DegenerateRunError,
     DetectionError,
     EigennetError,
+    MissingTraceError,
     TopologyError,
 )
 from .harness import ExperimentConfig, ExperimentReport, emit_csv, emit_report, run, trial_seed, validate_config

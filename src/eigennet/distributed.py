@@ -3,10 +3,12 @@
 Per-node state machines for the decentralized power method (DPM) and the
 decentralized Lanczos algorithm (DLA). Cross-node interaction happens only
 through consensus calls; every local update reads a node's own sample row,
-its own scalars, and its own row of the consensus output. Runs are
-instrumented: realized consensus errors, their closed-form impact on the
-iterates, measured-vs-predicted Lanczos drift, and message counters are all
-recorded.
+its own scalars, and its own row of the consensus output. Message counters
+are always recorded. Error instrumentation is on request: a run with
+``trace=True`` also keeps the realized consensus errors, their closed-form
+impact on the iterates and the measured-vs-predicted Lanczos drift. The
+Monte-Carlo experiments read only the estimates, so they leave it off, and
+their runs keep no per-iteration consensus errors.
 
 Implementation note: node-local scalars are stored in length-K arrays and
 updated with row-wise numpy operations, which preserves locality (entry k
@@ -23,10 +25,10 @@ would have had alone, to the bit. Past the iteration loop, at each Ritz
 checkpoint the Ritz values of every node of every trial sit in one
 (rows, j) stack, NaN-padded for nodes whose matrix stopped growing, which is
 solved by batched LAPACK calls per distinct size and filtered in one
-batched pass. The error instrumentation reads the consensus errors one
-iteration at a time (DPM drift inside the loop, DLA w-error terms after
-it), because a stack of every iteration's errors for a whole block would
-set the peak memory of a run.
+batched pass. A traced run reads the consensus errors one iteration at a
+time (DPM drift inside the loop, DLA w-error terms after it), because a
+stack of every iteration's errors for a whole block would set the peak
+memory of a run.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .eigencore import (
     sample_covariance,
     tridiagonal_eigenvalues_batch,
 )
-from .errors import AuditMismatch, DegenerateRunError
+from .errors import AuditMismatch, DegenerateRunError, MissingTraceError
 from .topology import Graph
 
 __all__ = [
@@ -179,7 +181,7 @@ class DpmResult:
 
     lambda1: np.ndarray
     v_hist: np.ndarray
-    trace: DpmErrorTrace
+    trace: DpmErrorTrace | None
     audit: MessageAudit | list[MessageAudit]
     checkpoints: dict[int, np.ndarray]
     m_iterations: int
@@ -194,7 +196,7 @@ class DpmResult:
             self,
             lambda1=self.lambda1[t],
             v_hist=self.v_hist[t],
-            trace=self.trace.trial(t),
+            trace=None if self.trace is None else self.trace.trial(t),
             audit=self.audit[t],
             checkpoints={j: lam[t] for j, lam in self.checkpoints.items()},
             samples=self.samples[t],
@@ -233,7 +235,7 @@ class DlaResult:
     ritz_stacks: dict[int, np.ndarray]
     eigenvalue_stacks: dict[int, np.ndarray]
     clamped: np.ndarray
-    trace: DlaErrorTrace
+    trace: DlaErrorTrace | None
     audit: MessageAudit | list[MessageAudit]
     m_iterations: int
     ac_iterations: int | None
@@ -262,7 +264,7 @@ class DlaResult:
             ritz_stacks={j: s[t] for j, s in self.ritz_stacks.items()},
             eigenvalue_stacks={j: s[t] for j, s in self.eigenvalue_stacks.items()},
             clamped=self.clamped[t],
-            trace=self.trace.trial(t),
+            trace=None if self.trace is None else self.trace.trial(t),
             audit=self.audit[t],
             samples=self.samples[t],
         )
@@ -300,6 +302,15 @@ def default_dpm_start(k: int, seed: int = 0) -> np.ndarray:
 def default_dla_start(k: int) -> np.ndarray:
     """Uniform starting scalars meeting the global unit-norm constraint."""
     return np.full(k, 1.0 / math.sqrt(k), dtype=complex)
+
+
+def _require_trace(trace):
+    """The error trace of a run, or a typed error for a run made without one."""
+    if trace is None:
+        raise MissingTraceError(
+            "the run kept no error trace; rerun it with trace=True"
+        )
+    return trace
 
 
 def _unpad(stack: np.ndarray):
@@ -439,6 +450,12 @@ def _dpm_final_stage(y, v, engines, counter, scale):
     if np.any(denom == 0.0):
         raise DegenerateRunError("zero denominator in the eigenvalue stage")
     numer = scale * np.sum(np.abs(z_n) ** 2, axis=2)
+    # a non-finite iterate of any earlier iteration reaches every node here
+    if not (np.all(np.isfinite(numer)) and np.all(np.isfinite(denom))):
+        raise DegenerateRunError(
+            "DPM eigenvalue stage overflowed: the unnormalized power iterate "
+            "outgrew floating point"
+        )
     return numer / denom, e_n, np.real(e_1)
 
 
@@ -450,6 +467,7 @@ def run_dpm(
     *,
     v0_seed: int = 0,
     checkpoints: tuple[int, ...] = (),
+    trace: bool = False,
 ) -> DpmResult:
     """Decentralized power method.
 
@@ -463,6 +481,10 @@ def run_dpm(
     consensus engine or one per trial, and ``v0`` one (K,) start shared by
     every trial or a (B, K) stack. A stack returns a stacked result whose
     ``trial(b)`` equals the run of trial b alone.
+
+    ``trace=True`` keeps the error trace (:class:`DpmErrorTrace`) that the
+    ``predict_*`` helpers read; otherwise ``.trace`` is None. Every other
+    field is the same to the bit either way.
     """
     single, y = _trials(y)
     trials, k, n = y.shape
@@ -482,13 +504,14 @@ def run_dpm(
     v_hist = np.empty((trials, m_iterations + 1, k), dtype=complex)
     v_hist[:, 0] = v
     iteration_errors: list[np.ndarray] = []
-    drift = np.empty((trials, m_iterations, k), dtype=complex)
+    drift = np.empty((trials, m_iterations, k), dtype=complex) if trace else None
     snapshots: dict[int, np.ndarray] = {}
     for j in range(1, m_iterations + 1):
         z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
         counter.record(units, n)
-        iteration_errors.append(error)
-        drift[:, j - 1] = scale * np.einsum("bkn,bkn->bk", error.conj(), y)
+        if trace:
+            iteration_errors.append(error)
+            drift[:, j - 1] = scale * np.einsum("bkn,bkn->bk", error.conj(), y)
         v = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
         v_hist[:, j] = v
         if j in wanted and j != m_iterations:
@@ -496,20 +519,22 @@ def run_dpm(
             snapshots[j] = lam_j
     lam, e_mat, e_scalar = _dpm_final_stage(y, v, engines, counter, scale)
     snapshots[m_iterations] = lam
-    e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
-    trace = DpmErrorTrace(
-        iteration_errors=iteration_errors,
-        iteration_drift=drift,
-        final_matrix_error=e_mat,
-        final_scalar_error=e_scalar,
-        numerator_error=e_num,
-        denominator_error=e_den,
-    )
+    error_trace = None
+    if trace:
+        e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
+        error_trace = DpmErrorTrace(
+            iteration_errors=iteration_errors,
+            iteration_drift=drift,
+            final_matrix_error=e_mat,
+            final_scalar_error=e_scalar,
+            numerator_error=e_num,
+            denominator_error=e_den,
+        )
     ac_iterations, graph = _engine_info(engines)
     result = DpmResult(
         lambda1=lam,
         v_hist=v_hist,
-        trace=trace,
+        trace=error_trace,
         audit=counter.audits(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
@@ -544,9 +569,10 @@ def predict_dpm_vector_error(
     remaining R powers; the identity is exact, so the result matches the
     simulated iterate to rounding.
     """
+    drift = _require_trace(trace).iteration_drift
     x = np.asarray(v0, dtype=complex).copy()
     for j in range(1, m_iterations + 1):
-        x = r @ x + trace.iteration_drift[j - 1]
+        x = r @ x + drift[j - 1]
     return x
 
 
@@ -557,6 +583,7 @@ def predict_lambda1_error(trace: DpmErrorTrace, y: np.ndarray, v_m: np.ndarray):
     reconstruction equals the simulated per-node estimates exactly because no
     approximation enters the derivation.
     """
+    trace = _require_trace(trace)
     e_num, e_den = _lambda1_error_terms(
         y, v_m, trace.final_matrix_error, trace.final_scalar_error
     )
@@ -576,6 +603,7 @@ def run_dla(
     ritz_iters=None,
     spurious_tol_rel: float = 1e-3,
     breakdown_tol: float | None = None,
+    trace: bool = False,
 ) -> DlaResult:
     """Decentralized Lanczos algorithm.
 
@@ -591,7 +619,8 @@ def run_dla(
     tridiagonal matrix at its current size, mirroring centralized truncation.
 
     ``y``, ``ac`` and ``v1`` take a trial axis as in :func:`run_dpm`; each
-    trial has its own breakdown guard.
+    trial has its own breakdown guard. ``trace=True`` keeps the error trace
+    (:class:`DlaErrorTrace`), as in :func:`run_dpm`.
     """
     single, y = _trials(y)
     trials, k, n = y.shape
@@ -634,7 +663,7 @@ def run_dla(
     active = np.ones((trials, k), dtype=bool)
 
     matrix_errors: list[np.ndarray] = []
-    normalization_errors = np.zeros((trials, m, k))
+    normalization_errors = np.zeros((trials, m, k)) if trace else None
 
     v_hist[:, 0] = v
     v_prev = np.zeros((trials, k), dtype=complex)
@@ -642,7 +671,8 @@ def run_dla(
     for j in range(1, m + 1):
         z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
         counter.record(units, n)
-        matrix_errors.append(error)
+        if trace:
+            matrix_errors.append(error)
         alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
         local = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
         w = local - alpha_j * v - beta_cur * v_prev
@@ -656,7 +686,7 @@ def run_dla(
         clamped[:, j - 1] = neg
         b = np.where(neg, 0.0, b)
         beta_next = np.sqrt(k * b)
-        if j < m:
+        if trace and j < m:
             normalization_errors[:, j] = np.real(error_1)
         broke = active & (beta_next < eps_break[:, None])
         sizes[broke] = j
@@ -668,10 +698,15 @@ def run_dla(
         )
         v_hist[:, j] = v
         beta_cur = beta_next
+    # the last round's (B, K, N) output and error would stay alive through
+    # the Ritz extraction, which sets the peak memory of an untraced run
+    del z, error
 
-    trace = _dla_error_trace(
-        y, matrix_errors, normalization_errors, v_hist[:, :m], w_hist, w_norms
-    )
+    error_trace = None
+    if trace:
+        error_trace = _dla_error_trace(
+            y, matrix_errors, normalization_errors, v_hist[:, :m], w_hist, w_norms
+        )
     # every node of every trial is one row of the Ritz extraction
     raw, filtered = _extract_ritz(
         alpha_hist.transpose(0, 2, 1).reshape(trials * k, m),
@@ -693,7 +728,7 @@ def run_dla(
         ritz_stacks={j: s.reshape(trials, k, j) for j, s in raw.items()},
         eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
         clamped=clamped,
-        trace=trace,
+        trace=error_trace,
         audit=counter.audits(),
         m_iterations=m,
         ac_iterations=ac_iterations,
@@ -780,6 +815,7 @@ def predict_dla_w_error(
     simulated vectors of one trial's run. The residual against the measured
     deviation is second order in the scalar error.
     """
+    trace = _require_trace(trace)
     if not (1 <= j <= result.m_iterations):
         raise ValueError("iteration out of range")
     at = slice(j - 1, j)
@@ -806,8 +842,17 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     past the row's size, which is solved with one batched call per distinct
     size and filtered in one batched pass. Returns two dicts of NaN-padded
     (rows, j) stacks: raw values at every iteration the filter needs, and
-    the filtered values, kept values first, at the wanted ones.
+    the filtered values, kept values first, at the wanted ones. Non-finite
+    coefficients raise :class:`DegenerateRunError` before any solve.
     """
+    # entries past a row's size are never read, so only the others count
+    read = np.arange(alpha.shape[1]) < sizes[:, None]
+    coefficients = np.concatenate((alpha[read], beta[:, :-1][read[:, 1:]]))
+    if not np.all(np.isfinite(coefficients)):
+        raise DegenerateRunError(
+            "Lanczos coefficients are not finite: the samples are too large "
+            "for floating point"
+        )
     limit = min(k, n)
     rows = alpha.shape[0]
     needed = set(wanted) | {j - 1 for j in wanted if j > limit}
@@ -854,6 +899,7 @@ def matrix_error_for_drift(y: np.ndarray, drift: np.ndarray) -> np.ndarray:
 
 def make_convergence_trace(result: DpmResult, oracle: EigenSolution) -> ConvergenceTrace:
     """Angle of each power iterate to the oracle dominant eigenvector."""
+    drift = _require_trace(result.trace).iteration_drift
     if oracle.vectors is None:
         raise ValueError("oracle must carry eigenvectors")
     u1 = oracle.vectors[:, 0]
@@ -862,7 +908,7 @@ def make_convergence_trace(result: DpmResult, oracle: EigenSolution) -> Converge
         nv = float(np.linalg.norm(v))
         c = abs(np.vdot(u1, v)) / nv if nv > 0 else 0.0
         sins[i] = math.sqrt(max(0.0, 1.0 - min(c, 1.0) ** 2))
-    drift_inf = np.max(np.abs(result.trace.iteration_drift), axis=1)
+    drift_inf = np.max(np.abs(drift), axis=1)
     return ConvergenceTrace(sin_theta=sins, drift_inf=drift_inf)
 
 

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateRunError
+
 __all__ = [
     "EigenSolution",
     "TridiagonalMatrix",
@@ -147,9 +149,12 @@ def power_method(
     """Unnormalized power iteration v <- R v with a tracked overflow guard.
 
     Returns the final iterate and the Rayleigh quotient estimate of the
-    largest eigenvalue. If the iterate norm passes ``overflow_limit`` it is
+    largest eigenvalue. If the iterate norm passes ``overflow_limit``, or
+    cannot be formed because its square overflows, the iterate is
     renormalized internally and the accumulated positive factor is reported
-    through ``log_scale``.
+    through ``log_scale``. A quotient that overflows on the final iterate is
+    taken on the unit iterate instead. An iterate that overflows or vanishes
+    raises :class:`DegenerateRunError`.
 
     A (trials, K, K) stack, with one start vector per trial or one shared
     (K,) vector, returns one result per trial; each trial has its own
@@ -161,16 +166,30 @@ def power_method(
     if not np.all(np.any(v != 0, axis=1)):
         raise ValueError("starting vector must be nonzero")
     log_scale = np.zeros(len(v))
-    for _ in range(m_iterations):
+    for j in range(1, m_iterations + 1):
         v = (r @ v[:, :, None])[:, :, 0]
-        nv = row_norms(v)
-        for t in np.nonzero(nv > overflow_limit)[0]:
-            v[t] /= nv[t]
-            log_scale[t] += math.log(nv[t])
+        # the squared norm is inf past ~1e154: scale by the largest entry first
+        with np.errstate(over="ignore"):
+            nv = row_norms(v)
+        for t in np.nonzero(~(nv <= overflow_limit))[0]:
+            peak = np.max(np.abs(v[t]))
+            if not math.isfinite(peak):
+                raise DegenerateRunError(f"power iterate overflowed at iteration {j}")
+            v[t] /= peak
+            unit = np.linalg.norm(v[t])
+            v[t] /= unit
+            log_scale[t] += math.log(peak) + math.log(unit)
     denom = np.real(_row_vdot(v, v))
     if np.any(denom == 0.0):
-        raise ValueError("power iterate collapsed to zero")
-    values = np.real(_row_vdot(v, (r @ v[:, :, None])[:, :, 0])) / denom
+        raise DegenerateRunError("power iterate collapsed to zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.real(_row_vdot(v, (r @ v[:, :, None])[:, :, 0])) / denom
+    for t in np.nonzero(~np.isfinite(values))[0]:
+        u = v[t] / np.max(np.abs(v[t]))
+        u /= np.linalg.norm(u)
+        values[t] = np.real(np.vdot(u, r[t] @ u))
+        if not math.isfinite(values[t]):
+            raise DegenerateRunError("power method's Rayleigh quotient overflowed")
     results = [
         PowerIterationResult(vector=v[t], value=float(values[t]), log_scale=float(log_scale[t]))
         for t in range(len(v))

@@ -17,6 +17,10 @@ class DegenerateRunError(EigennetError):
     """A decentralized run hit a degenerate quantity (e.g. zero denominator)."""
 
 
+class MissingTraceError(EigennetError):
+    """An error-analysis helper was given a run made without ``trace=True``."""
+
+
 class DetectionError(EigennetError):
     """Undefined statistic or miscalibrated detector."""
 

@@ -10,11 +10,22 @@ values and consensus engines are still drawn per trial from the trial's
 seed, then the block's DPM/DLA runs, centralized baselines and detection
 statistics each run once on the stacked trials, and every result is read
 back per trial in trial order, so the block size changes no output. The
-block is bounded because a block's working set grows with it, mostly the
-consensus errors that the DPM/DLA instrumentation keeps: on roc at 200
-trials, blocks of 16 run 2.8 times faster than one trial at a time and add
-about 2.7 MB of peak RSS, while blocks of 200 gain another 22% and add
-30 MB.
+runners read only estimates, so their DPM/DLA runs keep no error trace.
+The block is bounded because a block's working set (samples, covariances,
+consensus outputs, Lanczos histories and the Ritz stacks of every node)
+grows with it and shows in the peak RSS. Measured on roc at 200 trials
+(2-core Xeon, medians of three processes); the first row keeps the error
+traces, as every run did before they became opt-in:
+
+    block           in-process loop     perfbench/run.py --workload roc
+                    run      RSS        run_s    peak_rss_mb
+    16, traced      0.80 s   43.0 MB    0.84 s   45.05 MB
+    16              0.66 s   41.5 MB    0.72 s   43.71 MB
+    32              0.64 s   42.6 MB    0.62 s   44.77 MB
+    64              0.60 s   45.0 MB    0.59 s   47.02 MB
+
+32 is the largest block whose peak RSS stays at or below that of traced
+blocks of 16.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ __all__ = [
 ]
 
 
-TRIAL_BLOCK = 16  # trials per block; the module docstring says why it is bounded
+TRIAL_BLOCK = 32  # trials per block; the module docstring says why it is bounded
 
 
 def _sub_seed(seed: int, tag: int) -> int:
@@ -241,8 +252,6 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
             acc[key] = _add_mse(acc.get(key, 0.0), estimates, lam1)
 
         def dpm(algorithm, i_iters, ac):
-            # only the estimates are kept, so no two runs' error traces
-            # are alive at once
             lams = run_dpm(y, ac, m, v0, checkpoints=checkpoints).checkpoints
             for j, lam in lams.items():
                 add((algorithm, i_iters, j), lam)
@@ -431,8 +440,6 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         v0 = _dpm_starts(cfg.k, block)
         v1 = default_dla_start(cfg.k)
         lists, exact_trace = central_lists(y, v0, v1)
-        # only the estimates are read, so each run's error trace is dropped
-        # before the next run builds its own
         dpm_lam = run_dpm(
             y, engines(block, 0xD0), m_max, v0, checkpoints=tuple(m_grid)
         ).checkpoints
@@ -544,7 +551,7 @@ def _injected_dpm(y, m, v0, scale, seed):
         for _ in range(m + 1)
     ]
     errors.append(scale * rng.standard_normal(k))
-    return run_dpm(y, ErrorInjectingEngine(errors), m, v0)
+    return run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
 
 
 def _injected_dla(y, m, v1, scale, seed):
@@ -556,7 +563,7 @@ def _injected_dla(y, m, v1, scale, seed):
             scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
         )
         errors.append(scale * rng.standard_normal(k))
-    return run_dla(y, ErrorInjectingEngine(errors), m, v1)
+    return run_dla(y, ErrorInjectingEngine(errors), m, v1, trace=True)
 
 
 def _drift_driven_dpm(y, eig, m, drift_of_j, v0):
@@ -574,7 +581,7 @@ def _drift_driven_dpm(y, eig, m, drift_of_j, v0):
             return np.zeros_like(z0)
         return matrix_error_for_drift(y, drift_of_j(j) * direction)
 
-    return run_dpm(y, ErrorInjectingEngine(errors), m, v0)
+    return run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
 
 
 def run_prop_check(cfg: ExperimentConfig) -> ExperimentReport:

@@ -158,7 +158,7 @@ def test_criterion_3_error_formula_verification():
             for _ in range(m + 1)
         ]
         errors.append(0.02 * rng.standard_normal(k))
-        res = run_dpm(y, ErrorInjectingEngine(errors), m, v0)
+        res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
         pred = predict_dpm_vector_error(res.trace, r, v0, m)
         vec_resid = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
         assert vec_resid <= 1e-10
@@ -174,7 +174,7 @@ def test_criterion_3_error_formula_verification():
                     eps * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
                 )
                 errs.append(eps * gen.standard_normal(k))
-            run = run_dla(y, ErrorInjectingEngine(errs), m)
+            run = run_dla(y, ErrorInjectingEngine(errs), m, trace=True)
             return np.max(np.abs(run.trace.w_error_measured - run.trace.w_error_predicted))
 
         ratio = dla_residual(1e-3) / dla_residual(5e-4)
@@ -200,7 +200,7 @@ def _drift_driven_run(y, vectors, m, drift_of_j):
             return np.zeros_like(z0)
         return matrix_error_for_drift(y, drift_of_j(j) * direction)
 
-    return run_dpm(y, ErrorInjectingEngine(errors), m, vectors[:, 0].copy())
+    return run_dpm(y, ErrorInjectingEngine(errors), m, vectors[:, 0].copy(), trace=True)
 
 
 def test_criterion_4_convergence_condition():

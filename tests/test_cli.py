@@ -44,6 +44,60 @@ def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     assert (tmp_path / "ac-compare.csv").read_bytes() == recorded.read_bytes()
 
 
+@pytest.mark.parametrize("experiment, trials", [("roc", "200"), ("eig-converge", "8")])
+def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
+    # pins the Monte-Carlo runners' estimates to the bit, whatever the trial
+    # block size and whether their DPM/DLA runs keep error traces
+    config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
+    argv = [experiment, "--config", str(config), "--out", str(tmp_path), "--trials", trials]
+    assert cli_main(argv) == 0
+    recorded = ROOT / "tests" / "data" / f"{experiment}-trials{trials}.csv"
+    assert (tmp_path / f"{experiment}.csv").read_bytes() == recorded.read_bytes()
+
+
+def run_with(experiment, key, value, trials, tmp_path, capsys):
+    """Exit code and stderr of a shipped config run with one key replaced."""
+    name = experiment.replace("-", "_")
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    assert any(line.startswith(f"{key} = ") for line in lines)
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(
+        "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines)
+        + "\n"
+    )
+    out = tmp_path / "out"
+    argv = [experiment, "--config", str(config), "--out", str(out), "--trials", trials]
+    code = cli_main(argv)
+    assert not (out / f"{experiment}.csv").exists()
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, trials", [("roc", "200"), ("eig-converge", "3")])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_power_iterate_overflow_is_a_typed_error(experiment, trials, tmp_path, capsys):
+    # at 400 dB the unnormalized DPM iterate outgrows floating point within a
+    # few iterations; the run must stop, not write NaN rows or collapse
+    code, err = run_with(experiment, "snr_db", "400", trials, tmp_path, capsys)
+    assert code == 2
+    assert "runtime error: DPM" in err
+    assert "overflowed" in err
+    assert "ValueError" not in err
+
+
+@pytest.mark.parametrize("experiment", ["eig-converge", "multi-eig"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
+    # eig-converge stops in its first (DPM) run; multi-eig runs only DLA, so
+    # its non-finite Lanczos coefficients reach the Ritz extraction
+    code, err = run_with(experiment, "sigma2", "1e300", "3", tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("runtime error: ")
+    assert "LinAlgError" not in err
+    assert "did not converge" not in err
+    if experiment == "multi-eig":
+        assert "Lanczos coefficients are not finite" in err
+
+
 def test_no_sources_is_a_config_error(tmp_path, capsys):
     # every experiment draws signal-present samples, so P = 0 cannot run
     config = tmp_path / "no_sources.cfg"

@@ -26,7 +26,7 @@ from eigennet.eigencore import (
     sample_covariance,
     tridiagonal_eigenvalues,
 )
-from eigennet.errors import AuditMismatch, DegenerateRunError
+from eigennet.errors import AuditMismatch, DegenerateRunError, EigennetError
 from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 
@@ -131,13 +131,27 @@ class TestRunValidation:
         with pytest.raises(DegenerateRunError):
             run_dpm(y, ErrorInjectingEngine(make), 2)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_dpm_iterate(self):
+        # the unnormalized iterate grows like (1e200)^j and leaves floating point
+        y = 1e100 * random_samples(4, 3, 2)
+        with pytest.raises(DegenerateRunError, match="eigenvalue stage overflowed"):
+            run_dpm(np.stack([y, y / 1e100]), IDEAL, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_lanczos_coefficients(self):
+        # finite samples whose squared magnitudes overflow
+        y = 1e160 * random_samples(4, 3, 3)
+        with pytest.raises(DegenerateRunError, match="Lanczos coefficients are not finite"):
+            run_dla(y, IDEAL, 3)
+
 
 class TestErrorPredictions:
     def test_zero_errors_reduce_to_matrix_powers(self):
         y = random_samples(5, 4, 2)
         r = sample_covariance(y)
         v0 = default_dpm_start(5, 2)
-        res = run_dpm(y, IDEAL, 3, v0)
+        res = run_dpm(y, IDEAL, 3, v0, trace=True)
         pred = predict_dpm_vector_error(res.trace, r, v0, 3)
         want = np.linalg.matrix_power(r, 3) @ v0
         assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
@@ -153,7 +167,7 @@ class TestErrorPredictions:
         rng = np.random.default_rng(0)
         e1 = 0.05 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))
         eng = ErrorInjectingEngine([e1, np.zeros((4, 5)), np.zeros(4)])
-        res = run_dpm(y, eng, 1, v0)
+        res = run_dpm(y, eng, 1, v0, trace=True)
         drift = (4 / 5) * np.einsum("kn,kn->k", res.trace.iteration_errors[0].conj(), y)
         want = r @ v0 + drift
         assert np.max(np.abs(res.v_hist[1] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -164,7 +178,7 @@ class TestErrorPredictions:
         y = random_samples(k, n, seed)
         r = sample_covariance(y)
         v0 = default_dpm_start(k, seed)
-        res = run_dpm(y, dpm_injection(k, n, m, 0.02, seed), m, v0)
+        res = run_dpm(y, dpm_injection(k, n, m, 0.02, seed), m, v0, trace=True)
         pred = predict_dpm_vector_error(res.trace, r, v0, m)
         rel = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
         assert rel <= 1e-10
@@ -183,21 +197,23 @@ class TestErrorPredictions:
             else:
                 errors.append(np.zeros((k, n), dtype=complex))
                 errors.append(0.1 * rng.standard_normal(k))
-            res = run_dpm(y, ErrorInjectingEngine(errors), m, default_dpm_start(k, 4))
+            res = run_dpm(
+                y, ErrorInjectingEngine(errors), m, default_dpm_start(k, 4), trace=True
+            )
             _, _, lam = predict_lambda1_error(res.trace, y, res.v_hist[m])
             rel = np.max(np.abs(lam - res.lambda1)) / np.max(np.abs(res.lambda1))
             assert rel <= 1e-12
 
     def test_dla_w_prediction_zero_errors(self):
         y = random_samples(5, 5, 6)
-        res = run_dla(y, IDEAL, 4)
+        res = run_dla(y, IDEAL, 4, trace=True)
         assert np.max(np.abs(res.trace.w_error_measured)) < 1e-10
         assert np.max(np.abs(res.trace.w_error_predicted)) < 1e-30
 
     def test_dla_w_prediction_matrix_errors_exact(self):
         k, n, m = 6, 5, 4
         y = random_samples(k, n, 7)
-        res = run_dla(y, dla_injection(k, n, m, 1e-2, 0.0, 1), m)
+        res = run_dla(y, dla_injection(k, n, m, 1e-2, 0.0, 1), m, trace=True)
         resid = np.abs(res.trace.w_error_measured - res.trace.w_error_predicted)
         assert np.max(resid) <= 1e-10
 
@@ -206,7 +222,7 @@ class TestErrorPredictions:
         y = random_samples(k, n, 8)
 
         def residual(eps):
-            res = run_dla(y, dla_injection(k, n, m, eps, eps, 2), m)
+            res = run_dla(y, dla_injection(k, n, m, eps, eps, 2), m, trace=True)
             return np.max(np.abs(res.trace.w_error_measured - res.trace.w_error_predicted))
 
         ratio = residual(1e-3) / residual(5e-4)
@@ -215,7 +231,7 @@ class TestErrorPredictions:
     def test_predict_dla_w_error_matches_trace(self):
         k, n, m = 5, 4, 3
         y = random_samples(k, n, 9)
-        res = run_dla(y, dla_injection(k, n, m, 1e-3, 1e-3, 3), m)
+        res = run_dla(y, dla_injection(k, n, m, 1e-3, 1e-3, 3), m, trace=True)
         for j in range(1, m + 1):
             pred = predict_dla_w_error(res.trace, y, res, j)
             assert np.allclose(pred, res.trace.w_error_predicted[j - 1], atol=1e-14)
@@ -232,7 +248,7 @@ class TestInstrumentationAfterTheLoop:
     def test_dla_trace_matches_per_iteration_loop(self, scalar_scale):
         k, n, m = 7, 5, 6
         y = random_samples(k, n, 22)
-        res = run_dla(y, dla_injection(k, n, m, 1e-2, scalar_scale, 5), m)
+        res = run_dla(y, dla_injection(k, n, m, 1e-2, scalar_scale, 5), m, trace=True)
         tr = res.trace
         measured = np.zeros((m, k), dtype=complex)
         predicted = np.zeros((m, k), dtype=complex)
@@ -263,7 +279,9 @@ class TestInstrumentationAfterTheLoop:
     def test_dpm_drift_matches_per_iteration_loop(self):
         k, n, m = 6, 4, 5
         y = random_samples(k, n, 23)
-        res = run_dpm(y, dpm_injection(k, n, m, 0.02, 6), m, default_dpm_start(k, 6))
+        res = run_dpm(
+            y, dpm_injection(k, n, m, 0.02, 6), m, default_dpm_start(k, 6), trace=True
+        )
         drift = np.array([
             (k / n) * np.einsum("kn,kn->k", e.conj(), y) for e in res.trace.iteration_errors
         ])
@@ -383,7 +401,7 @@ class TestDlaRobustness:
     def test_taylor_flag_on_large_scalar_error(self):
         k, n, m = 4, 5, 3
         y = random_samples(k, n, 11)
-        res = run_dla(y, dla_injection(k, n, m, 0.0, 50.0, 4), m)
+        res = run_dla(y, dla_injection(k, n, m, 0.0, 50.0, 4), m, trace=True)
         assert res.trace.taylor_flags.any()
 
     def test_beta_nonnegative_under_ideal(self):
@@ -440,7 +458,7 @@ class TestConvergenceCondition:
         rng = np.random.default_rng(0)
         v0 = vectors[:, 0] + 0.3 * vectors[:, 1] + 0.1 * vectors[:, 2]
         m = 25
-        res = run_dpm(y, IDEAL, m, v0)
+        res = run_dpm(y, IDEAL, m, v0, trace=True)
         trace = make_convergence_trace(res, oracle)
         verdict = check_dpm_convergence_condition(trace, oracle, m)
         assert verdict.condition_satisfied
@@ -453,7 +471,7 @@ class TestConvergenceCondition:
         lam = np.array([0.9, 0.5, 0.1])
         y, (values, vectors) = samples_with_spectrum(lam, seed=6)
         oracle = EigenSolution(values, vectors)
-        res = run_dpm(y, IDEAL, 3, vectors[:, 0])
+        res = run_dpm(y, IDEAL, 3, vectors[:, 0], trace=True)
         trace = make_convergence_trace(res, oracle)
         with pytest.raises(ValueError):
             check_dpm_convergence_condition(trace, oracle, 3)
@@ -648,11 +666,13 @@ class TestTrialStack:
         trials = len(y)
         make = self.engine_factory(kind)
         v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(trials)])
-        stacked = run_dpm(y, [make(t) for t in range(trials)], self.M, v0, checkpoints=(2, 4))
+        stacked = run_dpm(
+            y, [make(t) for t in range(trials)], self.M, v0, checkpoints=(2, 4), trace=True
+        )
         assert stacked.lambda1.shape == (trials, self.K)
         assert len(stacked.audit) == trials
         for t in range(trials):
-            alone = run_dpm(y[t], make(t), self.M, v0[t], checkpoints=(2, 4))
+            alone = run_dpm(y[t], make(t), self.M, v0[t], checkpoints=(2, 4), trace=True)
             self.assert_same_dpm(stacked.trial(t), alone)
 
     @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
@@ -660,33 +680,37 @@ class TestTrialStack:
         y = self.block()
         trials = len(y)
         make = self.engine_factory(kind)
-        stacked = run_dla(y, [make(t) for t in range(trials)], self.M, ritz_iters="all")
+        stacked = run_dla(
+            y, [make(t) for t in range(trials)], self.M, ritz_iters="all", trace=True
+        )
         assert stacked.sizes.shape == (trials, self.K)
         for t in range(trials):
-            alone = run_dla(y[t], make(t), self.M, ritz_iters="all")
+            alone = run_dla(y[t], make(t), self.M, ritz_iters="all", trace=True)
             self.assert_same_dla(stacked.trial(t), alone)
 
     def test_dla_breakdowns_at_different_sizes(self):
         y = self.block()[:4]
         stops = [{2: [0]}, {3: [1, 2]}, {}, {5: [7], 2: [3]}]
         stacked = run_dla(
-            y, [self.breaking_engine(s) for s in stops], self.M, ritz_iters=(2, 3, 6)
+            y, [self.breaking_engine(s) for s in stops], self.M, ritz_iters=(2, 3, 6), trace=True
         )
         assert stacked.sizes[:, :4].tolist() == [
             [2, 6, 6, 6], [6, 3, 3, 6], [6, 6, 6, 6], [6, 6, 6, 2]
         ]
         assert stacked.sizes[3, 7] == 5
         for t, stop in enumerate(stops):
-            alone = run_dla(y[t], self.breaking_engine(stop), self.M, ritz_iters=(2, 3, 6))
+            alone = run_dla(
+                y[t], self.breaking_engine(stop), self.M, ritz_iters=(2, 3, 6), trace=True
+            )
             self.assert_same_dla(stacked.trial(t), alone)
 
     def test_shared_start_and_engine(self):
         y = self.block()
         ac = self.engine_factory("chebyshev")(0)
         v0 = default_dpm_start(self.K, seed=9)
-        stacked = run_dpm(y, ac, self.M, v0)
+        stacked = run_dpm(y, ac, self.M, v0, trace=True)
         for t in range(len(y)):
-            self.assert_same_dpm(stacked.trial(t), run_dpm(y[t], ac, self.M, v0))
+            self.assert_same_dpm(stacked.trial(t), run_dpm(y[t], ac, self.M, v0, trace=True))
 
     def test_engine_count_must_match(self):
         y = self.block()
@@ -725,3 +749,95 @@ class TestTrialStack:
             assert_same_arrays(stacked[t].vector, alone.vector)
             assert stacked[t].value == alone.value
             assert stacked[t].log_scale == alone.log_scale
+
+
+class TestTraceOption:
+    """``trace=False`` drops the error trace and changes nothing else."""
+
+    helper = TestTrialStack()
+    M = TestTrialStack.M
+    RUNS = {
+        "dpm": lambda y, ac, trace: run_dpm(
+            y, ac, TestTraceOption.M, checkpoints=(2, 4), trace=trace
+        ),
+        "dla": lambda y, ac, trace: run_dla(
+            y, ac, TestTraceOption.M, ritz_iters="all", trace=trace
+        ),
+    }
+
+    def assert_same_untraced(self, off, on):
+        assert off.trace is None
+        assert on.trace is not None
+        for f in dataclasses.fields(on):
+            a, b = getattr(off, f.name), getattr(on, f.name)
+            if f.name == "trace":
+                continue
+            if f.name in ("audit", "m_iterations", "ac_iterations", "algorithm"):
+                assert a == b
+            elif f.name == "graph":
+                assert a is b
+            elif f.name in ("ritz_stacks", "eigenvalue_stacks"):
+                # NaN-padded past each row's values
+                assert a.keys() == b.keys()
+                for j in a:
+                    assert np.array_equal(a[j], b[j], equal_nan=True)
+            else:
+                assert_same_arrays(a, b)
+
+    def pair(self, run, kind, stacked):
+        """Runs of one input with tracing off and on, and each engine's next draw."""
+        make = self.helper.engine_factory(kind)
+        y = self.helper.block()
+        out, draws = [], []
+        for trace in (False, True):
+            acs = [make(t) for t in range(len(y))]
+            if stacked:
+                out.append(run(y, acs, trace=trace))
+            else:
+                out.append(run(y[0], acs[0], trace=trace))
+                acs = acs[:1]
+            draws.append([ac._failure_rng.random() for ac in acs if kind == "failures"])
+        return out, draws
+
+    @pytest.mark.parametrize("stacked", [True, False])
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    @pytest.mark.parametrize("algorithm", ["dpm", "dla"])
+    def test_same_result(self, algorithm, kind, stacked):
+        (off, on), (draws_off, draws_on) = self.pair(self.RUNS[algorithm], kind, stacked)
+        self.assert_same_untraced(off, on)
+        assert draws_off == draws_on
+        if stacked:
+            assert off.trial(1).trace is None
+            self.assert_same_untraced(off.trial(1), on.trial(1))
+
+    def test_dla_with_breakdowns(self):
+        y = self.helper.block()[:4]
+        stops = [{2: [0]}, {3: [1, 2]}, {}, {5: [7], 2: [3]}]
+        off, on = (
+            run_dla(
+                y, [self.helper.breaking_engine(s) for s in stops], self.M,
+                ritz_iters=(2, 3, 6), trace=trace,
+            )
+            for trace in (False, True)
+        )
+        assert np.any(off.sizes < self.M)
+        self.assert_same_untraced(off, on)
+
+    def test_readers_name_the_option(self):
+        k, n, m = 5, 4, 3
+        y = random_samples(k, n, 40)
+        v0 = default_dpm_start(k, 1)
+        dpm = run_dpm(y, IDEAL, m, v0)
+        dla = run_dla(y, IDEAL, m)
+        values, vectors = np.linalg.eigh(sample_covariance(y))
+        oracle = EigenSolution(values[::-1], vectors[:, ::-1])
+        calls = [
+            lambda: make_convergence_trace(dpm, oracle),
+            lambda: predict_dpm_vector_error(dpm.trace, sample_covariance(y), v0, m),
+            lambda: predict_lambda1_error(dpm.trace, y, dpm.v_hist[m]),
+            lambda: predict_dla_w_error(dla.trace, y, dla, 1),
+        ]
+        for call in calls:
+            with pytest.raises(EigennetError, match="trace=True"):
+                call()
+

@@ -12,6 +12,7 @@ from eigennet.eigencore import (
     tridiagonal_eigenvalues,
     tridiagonal_eigenvalues_batch,
 )
+from eigennet.errors import DegenerateRunError
 
 from conftest import random_hermitian_psd, random_samples
 
@@ -78,6 +79,28 @@ class TestPowerMethod:
         raw = res.vector * np.exp(res.log_scale)
         assert raw[0].real == pytest.approx(1e300, rel=1e-9)
         assert raw[1].real == pytest.approx(1.0, rel=1e-9)
+
+    def test_guard_survives_a_squared_norm_overflow(self):
+        # the third product has norm 1e180, whose square is inf: the guard must
+        # rescale it rather than divide it by inf to zero
+        r = np.diag([1e60, 1.0])
+        res = power_method(r, np.array([1.0, 1.0]), 5)
+        assert res.value == pytest.approx(1e60, rel=1e-12)
+        raw = res.vector * np.exp(res.log_scale)
+        assert raw[0].real == pytest.approx(1e300, rel=1e-9)
+        assert raw[1].real == pytest.approx(1.0, rel=1e-9)
+
+    def test_quotient_overflow_uses_the_unit_iterate(self):
+        # iterate norm 1e140 sits under the guard, but v^H R v is 1e380
+        r = np.diag([1e100, 1.0])
+        res = power_method(r, np.array([1e40, 1.0]), 1)
+        assert res.log_scale == 0.0
+        assert res.value == pytest.approx(1e100, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_product_is_a_typed_error(self):
+        with pytest.raises(DegenerateRunError, match="overflowed at iteration 1"):
+            power_method(np.diag([1e300, 1.0]), np.array([1e10, 1.0]), 1)
 
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):

@@ -331,7 +331,7 @@ class TestDistributedProperties:
             ]
             errors.append(0.05 * rng.standard_normal(k))
             v0 = default_dpm_start(k, seed)
-            res = run_dpm(y, ErrorInjectingEngine(errors), m, v0)
+            res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
             pred = predict_dpm_vector_error(res.trace, r, v0, m)
             rel = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
             assert rel <= 1e-12
