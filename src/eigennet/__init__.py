@@ -9,20 +9,15 @@ Gaussian signal model, eigenvalue-based detection statistics, and a
 Monte-Carlo experiment harness with a CLI (``eigennet``).
 """
 
-from .consensus import AcConfig, ConsensusResult, ErrorInjectingEngine, ReplayEngine, run_consensus
-from .detection import (
-    DetectorConfig,
-    Hypothesis,
-    RocPoint,
-    Statistic,
-    calibrate_threshold,
-    compute_statistic,
-    local_decide,
-    roc_curve,
-    statistic_consensus,
-    threshold_from_h0,
-    trace_consensus,
+from .consensus import (
+    AcConfig,
+    ConsensusResult,
+    ErrorInjectingEngine,
+    ReplayEngine,
+    run_block,
+    run_consensus,
 )
+from .detection import Statistic, compute_statistic, threshold_from_h0, trace_consensus
 from .distributed import (
     ConvergenceTrace,
     ConvergenceVerdict,

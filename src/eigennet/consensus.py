@@ -14,20 +14,26 @@ surviving links each step. A call draws the links of all its I steps at once,
 as one (I, E) uniform draw, and builds its I Metropolis matrices in one pass
 before the first step. That draw consumes the failure generator exactly as I
 per-step draws of E values would, so the failure stream, and every output
-computed from it, is the same as with a redraw at each step. Every result
+computed from it, is the same as with a redraw at each step; a stacked call
+draws once, so every trial of the stack shares its links. Every result
 carries the realized error matrix, the deviation of the output from the exact
 mean; that matrix is a simulation observable only and is never read by the
 algorithms under test.
 
-Two synthetic engines support instrumentation: :class:`ErrorInjectingEngine`
-returns exact means plus caller-chosen error terms (for verifying the
-closed-form error expressions), and :class:`ReplayEngine` returns
-pre-recorded outputs regardless of input (for locality tests).
+Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
+(K,), (K, m) or (trials, K, m) input, averaging over the node axis.
+:class:`AcConfig` runs :func:`run_consensus`, and two synthetic engines
+support instrumentation: :class:`ErrorInjectingEngine` returns exact means
+plus caller-chosen error terms (for verifying the closed-form error
+expressions), and :class:`ReplayEngine` returns pre-recorded outputs
+regardless of input (for locality tests). :func:`run_block` runs one
+consensus round of a block of trials, on one engine for the whole stack or
+on one engine per trial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +45,7 @@ __all__ = [
     "AcConfig",
     "ConsensusResult",
     "run_consensus",
+    "run_block",
     "ErrorInjectingEngine",
     "ReplayEngine",
 ]
@@ -101,6 +108,10 @@ class AcConfig:
     @property
     def graph(self) -> Graph | None:
         return self.weights.graph if self.weights is not None else None
+
+    def run(self, z0: np.ndarray) -> ConsensusResult:
+        """Run this config on ``z0``; see :func:`run_consensus`."""
+        return run_consensus(z0, self)
 
 
 def _failure_stack(
@@ -236,6 +247,56 @@ def _chebyshev_iterate(
     return x
 
 
+def run_block(ac, z0: np.ndarray) -> ConsensusResult:
+    """One consensus round for every trial of a block.
+
+    ``z0`` is (B, K, m), or (B, K) for a scalar round. ``ac`` is one engine,
+    whose ``run`` takes the whole stack in one call (a scalar round as a
+    (B, K, 1) stack), or a list with one engine per trial, each running its
+    own trial. A one-trial block passes the lone (K, m) or (K,) input, as a
+    lone run does. The result's output and error have the shape of ``z0``
+    and its counters are (B, K); ``iterations_used`` is the most any trial's
+    engine ran.
+    """
+    per_trial = isinstance(ac, (list, tuple))
+    if per_trial and len(ac) != len(z0):
+        raise ValueError(
+            f"need one consensus engine per trial, got {len(ac)} for {len(z0)}"
+        )
+    if len(z0) == 1 or per_trial:
+        engines = ac if per_trial else [ac]
+        results = [e.run(x) for e, x in zip(engines, z0)]
+        return ConsensusResult(
+            z=np.stack([r.z for r in results]),
+            error=np.stack([r.error for r in results]),
+            iterations_used=max(r.iterations_used for r in results),
+            scalars_exchanged_per_node=np.stack(
+                [r.scalars_exchanged_per_node for r in results]
+            ),
+        )
+    if z0.ndim == 2:
+        res = ac.run(z0[:, :, None])
+        return replace(res, z=res.z[:, :, 0], error=res.error[:, :, 0])
+    return ac.run(z0)
+
+
+def _node_axis(z0: np.ndarray) -> int:
+    """The node axis of a (K,), (K, m) or (trials, K, m) consensus input."""
+    return 0 if z0.ndim == 1 else -2
+
+
+def _synthetic_result(z0: np.ndarray, z: np.ndarray) -> ConsensusResult:
+    """A synthetic engine's output ``z``, its error and zero (..., K) counters."""
+    axis = _node_axis(z0)
+    k = z0.shape[axis]
+    return ConsensusResult(
+        z=z,
+        error=z - z0.mean(axis=axis, keepdims=True),
+        iterations_used=0,
+        scalars_exchanged_per_node=np.zeros(z0.shape[:-2] + (k,), dtype=np.int64),
+    )
+
+
 class ErrorInjectingEngine:
     """Synthetic consensus returning the exact mean plus prescribed errors.
 
@@ -268,16 +329,7 @@ class ErrorInjectingEngine:
             )
         if z0.dtype.kind != "c" and err.dtype.kind == "c":
             raise ConsensusError("real-valued consensus cannot carry complex error")
-        mean_row = z0.mean(axis=0)
-        z = mean_row + err
-        error = z - mean_row
-        k = z0.shape[0]
-        return ConsensusResult(
-            z=z,
-            error=error,
-            iterations_used=0,
-            scalars_exchanged_per_node=np.zeros(k, dtype=np.int64),
-        )
+        return _synthetic_result(z0, z0.mean(axis=_node_axis(z0), keepdims=True) + err)
 
 
 class ReplayEngine:
@@ -299,11 +351,4 @@ class ReplayEngine:
         self.calls += 1
         if z.shape != z0.shape:
             raise ConsensusError("replayed output shape does not match input")
-        error = z - z0.mean(axis=0)
-        k = z0.shape[0]
-        return ConsensusResult(
-            z=z,
-            error=error,
-            iterations_used=0,
-            scalars_exchanged_per_node=np.zeros(k, dtype=np.int64),
-        )
+        return _synthetic_result(z0, z)

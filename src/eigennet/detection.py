@@ -1,4 +1,4 @@
-"""Eigenvalue-based detection statistics, thresholds and ROC estimation.
+"""Eigenvalue-based detection statistics and thresholds.
 
 Four statistics over a descending eigenvalue list:
 
@@ -16,37 +16,24 @@ evaluated detector.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .consensus import run_block
 from .errors import DetectionError
-from .signals import SignalConfig, gen_h0
 
 __all__ = [
-    "Hypothesis",
     "Statistic",
-    "DetectorConfig",
-    "RocPoint",
     "STATISTIC_KINDS",
     "compute_statistic",
     "trace_consensus",
     "threshold_from_h0",
-    "calibrate_threshold",
-    "local_decide",
-    "statistic_consensus",
-    "roc_curve",
 ]
 
 STATISTIC_KINDS = ("RT", "GT", "ST", "JT")
-
-
-class Hypothesis(enum.Enum):
-    H0 = 0
-    H1 = 1
 
 
 @dataclass(frozen=True)
@@ -56,34 +43,6 @@ class Statistic:
     kind: str
     value: float | np.ndarray
     clamped: bool | np.ndarray = False
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """A statistic kind with its target false-alarm rate and calibration size."""
-
-    kind: str
-    alpha: float
-    calibration_trials: int = 1000
-    sigma2: float | None = None
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in STATISTIC_KINDS:
-            raise DetectionError(f"unknown statistic kind {self.kind!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise DetectionError("false-alarm rate must lie in (0, 1)")
-        if self.calibration_trials < 1000:
-            raise DetectionError("calibration needs at least 1000 trials")
-        if self.kind == "RT" and self.sigma2 is None:
-            raise DetectionError("RT needs the noise variance")
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    pfa: float
-    pd: float
 
 
 def compute_statistic(
@@ -154,17 +113,14 @@ def trace_consensus(y: np.ndarray, ac) -> np.ndarray:
     Node k contributes its sample energy; K/N times the consensus output
     equals trace((1/N) Y Y^H) exactly under ideal averaging. A (B, K, N)
     stack, with one engine or one per trial as in
-    :func:`~eigennet.distributed.run_dpm`, gives (B, K) estimates.
+    :func:`~eigennet.consensus.run_block`, gives (B, K) estimates.
     """
-    from .distributed import _consensus, _trial_engines
-
     y = np.asarray(y)
     single = y.ndim == 2
     stack = y[None] if single else y
     k, n = stack.shape[1:]
     energies = np.sum(np.abs(stack) ** 2, axis=2)
-    z, _, _ = _consensus(_trial_engines(ac, len(stack)), energies)
-    estimates = (k / n) * np.real(z)
+    estimates = (k / n) * np.real(run_block(ac, energies).z)
     return estimates[0] if single else estimates
 
 
@@ -184,73 +140,3 @@ def threshold_from_h0(values: Sequence[float], alpha: float) -> float:
         )
     rank = math.ceil((1.0 - alpha) * n)
     return float(vals[min(max(rank, 1), n) - 1])
-
-
-def calibrate_threshold(
-    cfg: DetectorConfig,
-    h0_config: SignalConfig,
-    pipeline: Callable[[np.ndarray], np.ndarray],
-    *,
-    trial_seed: Callable[[int], int] | None = None,
-) -> float:
-    """Empirical threshold from seeded noise-only trials.
-
-    ``pipeline`` maps a sample matrix to the descending eigenvalue list the
-    detector will consume (exact, power-method or Lanczos based), so the
-    calibration sees the same estimator bias as the evaluation.
-    """
-    seeds = trial_seed or (lambda i: h0_config.seed + i)
-    values = []
-    for i in range(cfg.calibration_trials):
-        trial_cfg = SignalConfig(
-            k=h0_config.k,
-            n=h0_config.n,
-            sigma2=h0_config.sigma2,
-            seed=seeds(i),
-        )
-        lam = pipeline(gen_h0(trial_cfg))
-        values.append(compute_statistic(cfg.kind, lam, cfg.sigma2).value)
-    return threshold_from_h0(values, cfg.alpha)
-
-
-def local_decide(value: float, threshold: float) -> Hypothesis:
-    """Signal declared present only when the statistic strictly exceeds the threshold."""
-    return Hypothesis.H1 if value > threshold else Hypothesis.H0
-
-
-def statistic_consensus(values: np.ndarray, ac) -> np.ndarray:
-    """Smooth per-node statistics with one scalar consensus round."""
-    from .consensus import AcConfig, run_consensus
-
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise DetectionError("expected one statistic per node")
-    res = run_consensus(values, ac) if isinstance(ac, AcConfig) else ac.run(values)
-    return np.real(res.z)
-
-
-def roc_curve(
-    h0_values: Sequence[float],
-    h1_values: Sequence[float],
-    thresholds: Sequence[float] | None = None,
-) -> list[RocPoint]:
-    """Empirical ROC from disjoint noise-only and signal-present trial sets.
-
-    The default threshold grid is the sorted unique noise-only statistic
-    values, bracketed by -inf and +inf so the curve reaches (1, 1) and
-    (0, 0).
-    """
-    h0 = np.asarray(h0_values, dtype=float)
-    h1 = np.asarray(h1_values, dtype=float)
-    if h0.size == 0 or h1.size == 0:
-        raise DetectionError("need trials under both hypotheses")
-    if thresholds is None:
-        grid = np.concatenate(([-np.inf], np.unique(h0), [np.inf]))
-    else:
-        grid = np.sort(np.asarray(thresholds, dtype=float))
-    points = []
-    for th in grid:
-        pfa = float(np.mean(h0 > th))
-        pd = float(np.mean(h1 > th))
-        points.append(RocPoint(threshold=float(th), pfa=pfa, pd=pd))
-    return points

@@ -16,19 +16,21 @@ never reads entry j) while keeping runs vectorized. Both algorithms also
 take a leading trial axis: a (B, K, N) sample stack runs B independent
 sensing periods in one loop, and a plain (K, N) call is the B = 1 case,
 returned without the trial axis. Every consensus round of a block is one
-stacked product on fixed weights and the per-column mean under ideal
-averaging; a link-failure config or a synthetic engine serves one trial, so
-each trial keeps its own generator, consumed in the order a lone run
-consumes it. Results carry the trial axis on every array and one
-:class:`MessageAudit` per trial, and ``trial(b)`` gives the result trial b
-would have had alone, to the bit. Past the iteration loop, at each Ritz
-checkpoint the Ritz values of every node of every trial sit in one
-(rows, j) stack, NaN-padded for nodes whose matrix stopped growing, which is
-solved by batched LAPACK calls per distinct size and filtered in one
-batched pass. A traced run reads the consensus errors one iteration at a
-time (DPM drift inside the loop, DLA w-error terms after it), because a
-stack of every iteration's errors for a whole block would set the peak
-memory of a run.
+:func:`~eigennet.consensus.run_block` call. One engine runs the whole stack
+in one ``run`` call: one stacked product on fixed weights, the per-column
+mean under ideal averaging, and under link failures one draw of surviving
+links that every trial of the block shares. A list with one engine per trial
+runs each trial alone, so each trial's failure generator is consumed in the
+order a lone run consumes it. Results carry the trial axis on every array
+and one :class:`MessageAudit` per trial, and ``trial(b)`` gives the result
+trial b would have had alone (on a fresh equal engine), to the bit. Past the
+iteration loop, at each Ritz checkpoint the Ritz values of every node of
+every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
+stopped growing, which is solved by batched LAPACK calls per distinct size
+and filtered in one batched pass. A traced run reads the consensus errors
+one iteration at a time (DPM drift inside the loop, DLA w-error terms after
+it), because a stack of every iteration's errors for a whole block would set
+the peak memory of a run.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .consensus import AcConfig, ConsensusResult, run_consensus
+from .consensus import run_block
 from .eigencore import (
     EigenSolution,
     TridiagonalMatrix,
@@ -336,98 +338,42 @@ def _start_values(v: np.ndarray, trials: int, k: int) -> np.ndarray:
     return np.array(np.broadcast_to(v, (trials, k)), order="C")
 
 
-def _trial_engines(ac, trials: int):
-    """The consensus of a block: one shared config, or one engine per trial.
+def _engine_info(ac) -> tuple[int | None, Graph | None]:
+    """Averaging iterations and graph shared by every trial's engine, else None.
 
-    ``ac`` is one engine or a sequence of one engine per trial. Equal configs
-    without link failures act identically, so they collapse into one shared
-    config whose stacked run serves the whole block. A link-failure config
-    or a synthetic engine keeps its own state, so it serves one trial.
+    Both are optional engine attributes: an engine without them (a synthetic
+    one) shares neither.
     """
-    if isinstance(ac, (list, tuple)):
-        engines = list(ac)
-        if len(engines) != trials:
-            raise ValueError(
-                f"need one consensus engine per trial, got {len(engines)} for {trials}"
-            )
-    elif isinstance(ac, AcConfig) and ac.link_failure_prob == 0.0:
-        return ac
-    elif trials == 1:
-        engines = [ac]
-    else:
-        raise ValueError(
-            "a link-failure config or a synthetic engine serves one trial; "
-            "pass one engine per trial"
-        )
-    first = engines[0]
-    if (
-        isinstance(first, AcConfig)
-        and first.link_failure_prob == 0.0
-        and all(e == first for e in engines)
-    ):
-        return first
-    return engines
-
-
-def _run_ac(ac, z0: np.ndarray) -> ConsensusResult:
-    if isinstance(ac, AcConfig):
-        return run_consensus(z0, ac)
-    return ac.run(z0)
-
-
-def _consensus(engines, z0: np.ndarray):
-    """One consensus round for every trial of a block.
-
-    ``z0`` is (B, K, m), or (B, K) for a scalar round. A shared config runs
-    the whole stack in one call; otherwise trial b runs alone on engine b.
-    A trial that runs alone, as does a one-trial block, passes the (K, m)
-    or (K,) input a lone run passes. Returns the outputs and errors in the
-    shape of ``z0`` and the (B, K) information units.
-    """
-    if len(z0) == 1:
-        res = _run_ac(engines if isinstance(engines, AcConfig) else engines[0], z0[0])
-        return res.z[None], res.error[None], res.scalars_exchanged_per_node[None]
-    if isinstance(engines, AcConfig):
-        scalar = z0.ndim == 2
-        res = run_consensus(z0[:, :, None] if scalar else z0, engines)
-        if scalar:
-            return res.z[:, :, 0], res.error[:, :, 0], res.scalars_exchanged_per_node
-        return res.z, res.error, res.scalars_exchanged_per_node
-    results = [_run_ac(e, x) for e, x in zip(engines, z0)]
+    engines = ac if isinstance(ac, (list, tuple)) else [ac]
+    iterations = {getattr(e, "iterations", None) for e in engines}
+    graphs = {id(getattr(e, "graph", None)) for e in engines}
     return (
-        np.stack([r.z for r in results]),
-        np.stack([r.error for r in results]),
-        np.stack([r.scalars_exchanged_per_node for r in results]),
+        iterations.pop() if len(iterations) == 1 else None,
+        getattr(engines[0], "graph", None) if len(graphs) == 1 else None,
     )
 
 
-def _engine_info(engines) -> tuple[int | None, Graph | None]:
-    """Averaging iterations and graph shared by every trial's engine, else None."""
-    configs = [engines] if isinstance(engines, AcConfig) else engines
-    if not all(isinstance(c, AcConfig) for c in configs):
-        return None, None
-    iterations = {c.iterations for c in configs}
-    graphs = {id(c.graph) for c in configs}
-    return (
-        configs[0].iterations if len(iterations) == 1 else None,
-        configs[0].graph if len(graphs) == 1 else None,
-    )
+class _BlockConsensus:
+    """A block's consensus rounds, with call counts and per-node units per trial."""
 
-
-class _CallCounter:
-    """Accumulates consensus call counts and per-node information units per trial."""
-
-    def __init__(self, trials: int, k: int) -> None:
+    def __init__(self, ac, trials: int, k: int) -> None:
+        self.ac = ac
         self.ac_n = 0
         self.ac_1 = 0
         self.units = np.zeros((trials, k), dtype=np.int64)
 
-    def record(self, units: np.ndarray, width: int) -> None:
-        if width == 1:
+    def run(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One consensus round of the block on (B, K, m) or (B, K) ``z0``.
+
+        Returns the output and the error, each in the shape of ``z0``.
+        """
+        res = run_block(self.ac, z0)
+        if z0.ndim == 2 or z0.shape[2] == 1:
             self.ac_1 += 1
         else:
             self.ac_n += 1
-        self.units += units
+        self.units += res.scalars_exchanged_per_node
+        return res.z, res.error
 
     def audits(self) -> list[MessageAudit]:
         return [
@@ -441,11 +387,9 @@ class _CallCounter:
         ]
 
 
-def _dpm_final_stage(y, v, engines, counter, scale):
-    z_n, e_n, units = _consensus(engines, v.conj()[:, :, None] * y)
-    counter.record(units, y.shape[2])
-    z_1, e_1, units = _consensus(engines, np.abs(v) ** 2)
-    counter.record(units, 1)
+def _dpm_final_stage(y, v, rounds, scale):
+    z_n, e_n = rounds.run(v.conj()[:, :, None] * y)
+    z_1, e_1 = rounds.run(np.abs(v) ** 2)
     denom = np.real(z_1)
     if np.any(denom == 0.0):
         raise DegenerateRunError("zero denominator in the eigenvalue stage")
@@ -478,9 +422,10 @@ def run_dpm(
     calls); the final iteration always gets one.
 
     ``y`` is one (K, N) trial or a (B, K, N) stack of trials; ``ac`` is one
-    consensus engine or one per trial, and ``v0`` one (K,) start shared by
-    every trial or a (B, K) stack. A stack returns a stacked result whose
-    ``trial(b)`` equals the run of trial b alone.
+    consensus engine or a list of one per trial, as
+    :func:`~eigennet.consensus.run_block` takes it, and ``v0`` one (K,)
+    start shared by every trial or a (B, K) stack. A stack returns a
+    stacked result whose ``trial(b)`` equals the run of trial b alone.
 
     ``trace=True`` keeps the error trace (:class:`DpmErrorTrace`) that the
     ``predict_*`` helpers read; otherwise ``.trace`` is None. Every other
@@ -498,26 +443,27 @@ def run_dpm(
     wanted = set(int(j) for j in checkpoints)
     if not all(1 <= j <= m_iterations for j in wanted):
         raise ValueError("checkpoints must lie in 1..m_iterations")
-    engines = _trial_engines(ac, trials)
     scale = k / n
-    counter = _CallCounter(trials, k)
+    rounds = _BlockConsensus(ac, trials, k)
     v_hist = np.empty((trials, m_iterations + 1, k), dtype=complex)
     v_hist[:, 0] = v
     iteration_errors: list[np.ndarray] = []
     drift = np.empty((trials, m_iterations, k), dtype=complex) if trace else None
     snapshots: dict[int, np.ndarray] = {}
-    for j in range(1, m_iterations + 1):
-        z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
-        counter.record(units, n)
-        if trace:
-            iteration_errors.append(error)
-            drift[:, j - 1] = scale * np.einsum("bkn,bkn->bk", error.conj(), y)
-        v = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
-        v_hist[:, j] = v
-        if j in wanted and j != m_iterations:
-            lam_j, _, _ = _dpm_final_stage(y, v, engines, counter, scale)
-            snapshots[j] = lam_j
-    lam, e_mat, e_scalar = _dpm_final_stage(y, v, engines, counter, scale)
+    # an overflowing iterate turns inf and NaN on its way to the eigenvalue
+    # stage, which raises a typed error for it; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m_iterations + 1):
+            z, error = rounds.run(v.conj()[:, :, None] * y)
+            if trace:
+                iteration_errors.append(error)
+                drift[:, j - 1] = scale * np.einsum("bkn,bkn->bk", error.conj(), y)
+            v = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
+            v_hist[:, j] = v
+            if j in wanted and j != m_iterations:
+                lam_j, _, _ = _dpm_final_stage(y, v, rounds, scale)
+                snapshots[j] = lam_j
+        lam, e_mat, e_scalar = _dpm_final_stage(y, v, rounds, scale)
     snapshots[m_iterations] = lam
     error_trace = None
     if trace:
@@ -530,12 +476,12 @@ def run_dpm(
             numerator_error=e_num,
             denominator_error=e_den,
         )
-    ac_iterations, graph = _engine_info(engines)
+    ac_iterations, graph = _engine_info(ac)
     result = DpmResult(
         lambda1=lam,
         v_hist=v_hist,
         trace=error_trace,
-        audit=counter.audits(),
+        audit=rounds.audits(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
         ac_iterations=ac_iterations,
@@ -639,7 +585,6 @@ def run_dla(
         wanted = set(int(j) for j in ritz_iters)
         if not all(1 <= j <= m_iterations for j in wanted):
             raise ValueError("ritz iterations must lie in 1..m_iterations")
-    engines = _trial_engines(ac, trials)
 
     if breakdown_tol is not None:
         eps_break = np.full(trials, breakdown_tol)
@@ -650,7 +595,7 @@ def run_dla(
             raise ValueError("sample matrix has non-finite entries")
         eps_break = 1e-12 * row_norms((np.swapaxes(y.conj(), -1, -2) @ y) / n)
     scale = k / n
-    counter = _CallCounter(trials, k)
+    rounds = _BlockConsensus(ac, trials, k)
 
     m = m_iterations
     alpha_hist = np.zeros((trials, m, k))
@@ -669,8 +614,7 @@ def run_dla(
     v_prev = np.zeros((trials, k), dtype=complex)
     beta_cur = np.zeros((trials, k))
     for j in range(1, m + 1):
-        z, error, units = _consensus(engines, v.conj()[:, :, None] * y)
-        counter.record(units, n)
+        z, error = rounds.run(v.conj()[:, :, None] * y)
         if trace:
             matrix_errors.append(error)
         alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
@@ -679,8 +623,7 @@ def run_dla(
         alpha_hist[:, j - 1] = alpha_j
         w_hist[:, j - 1] = w
         w_norms[:, j - 1] = row_norms(w)
-        z_1, error_1, units = _consensus(engines, np.abs(w) ** 2)
-        counter.record(units, 1)
+        z_1, error_1 = rounds.run(np.abs(w) ** 2)
         b = np.real(z_1)
         neg = b < 0
         clamped[:, j - 1] = neg
@@ -717,7 +660,7 @@ def run_dla(
         n,
         spurious_tol_rel,
     )
-    ac_iterations, graph = _engine_info(engines)
+    ac_iterations, graph = _engine_info(ac)
     result = DlaResult(
         alpha_hist=alpha_hist,
         beta_hist=beta_hist,
@@ -729,7 +672,7 @@ def run_dla(
         eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
         clamped=clamped,
         trace=error_trace,
-        audit=counter.audits(),
+        audit=rounds.audits(),
         m_iterations=m,
         ac_iterations=ac_iterations,
         graph=graph,

@@ -5,12 +5,15 @@ and returns an :class:`~eigennet.harness.ExperimentReport`. Trials are
 seeded through :func:`~eigennet.harness.trial_seed`; every pipeline inside
 one trial sees the same sample matrix, so pipeline comparisons are paired.
 
-Trials run in consecutive blocks of ``TRIAL_BLOCK``: samples, starting
-values and consensus engines are still drawn per trial from the trial's
-seed, then the block's DPM/DLA runs, centralized baselines and detection
-statistics each run once on the stacked trials, and every result is read
-back per trial in trial order, so the block size changes no output. The
-runners read only estimates, so their DPM/DLA runs keep no error trace.
+Trials run in consecutive blocks of ``TRIAL_BLOCK``: samples and starting
+values are still drawn per trial from the trial's seed, then the block's
+DPM/DLA runs, centralized baselines and detection statistics each run once
+on the stacked trials, and every result is read back per trial in trial
+order, so the block size changes no output. A fixed-weight engine token
+gives one consensus config that the whole block shares; a ``+failures``
+token gives one config per trial, its failure generator seeded from the
+trial's seed, so each trial's link failures do not depend on the blocking.
+The runners read only estimates, so their DPM/DLA runs keep no error trace.
 The block is bounded because a block's working set (samples, covariances,
 consensus outputs, Lanczos histories and the Ritz stacks of every node)
 grows with it and shows in the peak RSS. Measured on roc at 200 trials
@@ -98,7 +101,13 @@ def _topology(cfg: ExperimentConfig):
     return graph, weights, cheb, dump_edge_list(graph)
 
 
-def _make_ac(token: str, i_iters: int, cfg, weights, cheb, failure_seed: int) -> AcConfig:
+def _make_ac(token: str, i_iters: int, cfg, weights, cheb, seeds: list[int], tag: int):
+    """The consensus of a block whose trials have seeds ``seeds``.
+
+    A fixed-weight token gives one config that the block shares. A
+    ``+failures`` token gives one config per trial, whose failure generator
+    is seeded from the trial's seed and ``tag``.
+    """
     base = token.split("+", 1)[0]
     failures = token.endswith("+failures")
     if failures and cfg.link_failure_prob <= 0:
@@ -107,14 +116,20 @@ def _make_ac(token: str, i_iters: int, cfg, weights, cheb, failure_seed: int) ->
         )
     if base == "ideal":
         return AcConfig("ideal", i_iters, weights=weights)
-    return AcConfig(
-        base,
-        i_iters,
-        weights=weights,
-        cheb=cheb if base == "chebyshev" else None,
-        link_failure_prob=cfg.link_failure_prob if failures else 0.0,
-        failure_seed=failure_seed if failures else None,
-    )
+    cheb = cheb if base == "chebyshev" else None
+    if not failures:
+        return AcConfig(base, i_iters, weights=weights, cheb=cheb)
+    return [
+        AcConfig(
+            base,
+            i_iters,
+            weights=weights,
+            cheb=cheb,
+            link_failure_prob=cfg.link_failure_prob,
+            failure_seed=_sub_seed(s, tag),
+        )
+        for s in seeds
+    ]
 
 
 def _signal_cfg(cfg: ExperimentConfig, seed: int, hypothesis: int) -> SignalConfig:
@@ -186,7 +201,7 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
     def dpm_mse(make_ac) -> float:
         total = 0.0
         for block, y, v0, lam1 in blocks:
-            res = run_dpm(y, [make_ac(s) for s in block], m, v0)
+            res = run_dpm(y, make_ac(block), m, v0)
             total = _add_mse(total, res.lambda1, lam1)
         return total / cfg.trials
 
@@ -196,14 +211,14 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
             engine="ideal",
             algorithm="dpm",
             I=0,
-            mse=dpm_mse(lambda s: AcConfig("ideal", 0, weights=weights)),
+            mse=dpm_mse(lambda block: AcConfig("ideal", 0, weights=weights)),
         )
     ]
     for token in cfg.engines:
         for i_iters in cfg.ac_iters:
             mse = dpm_mse(
-                lambda s, tok=token, ii=i_iters: _make_ac(
-                    tok, ii, cfg, weights, cheb, _sub_seed(s, 0xF0 + ii)
+                lambda block, tok=token, ii=i_iters: _make_ac(
+                    tok, ii, cfg, weights, cheb, block, 0xF0 + ii
                 )
             )
             rows.append(
@@ -263,18 +278,15 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
             for j in checkpoints:
                 add((algorithm, i_iters, j), _dla_lambda(stacks[j], 1))
 
+        def engines(i_iters, tag):
+            return _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, tag)
+
         ideal = AcConfig("ideal", 0, weights=weights)
         dpm("pm-ideal", 0, ideal)
         dla("la-ideal", 0, ideal)
         for i_iters in cfg.ac_iters:
-            dpm("dpm", i_iters, [
-                _make_ac(cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xD0 + i_iters))
-                for s in block
-            ])
-            dla("dla", i_iters, [
-                _make_ac(cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xE0 + i_iters))
-                for s in block
-            ])
+            dpm("dpm", i_iters, engines(i_iters, 0xD0 + i_iters))
+            dla("dla", i_iters, engines(i_iters, 0xE0 + i_iters))
     rows = []
     for (algorithm, i_iters, j), total in sorted(acc.items()):
         engine = "ideal" if algorithm.endswith("-ideal") else cfg.engine
@@ -315,12 +327,9 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
         lam_true = np.linalg.eigvalsh(sample_covariance(y))[:, ::-1]
         v1 = default_dla_start(cfg.k)
         for i_iters in cfg.ac_iters:
-            acs = [
-                _make_ac(cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xE0 + i_iters))
-                for s in block
-            ]
+            ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, 0xE0 + i_iters)
             stacks = run_dla(
-                y, acs, m, v1,
+                y, ac, m, v1,
                 ritz_iters=checkpoints,
                 spurious_tol_rel=cfg.spurious_tol,
             ).eigenvalue_stacks
@@ -385,11 +394,8 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
             return True
         return pipeline == "exact" or pipeline.startswith(("la-", "dla-"))
 
-    def engines(block: list[int], tag: int) -> list:
-        return [
-            _make_ac(cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, tag))
-            for s in block
-        ]
+    def engines(block: list[int], tag: int):
+        return _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, tag)
 
     values: dict[tuple[str, str, int], list[float]] = {
         (d, p, h): []
@@ -514,7 +520,7 @@ def run_audit_messages(cfg: ExperimentConfig) -> ExperimentReport:
     deg = graph.degrees()
     rows = []
     for algorithm in ("dpm", "dla"):
-        ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, _sub_seed(s, 0xF1))
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, [s], 0xF1)
         if algorithm == "dpm":
             result = run_dpm(y, ac, m, default_dpm_start(cfg.k, _sub_seed(s, 0xA5)))
         else:

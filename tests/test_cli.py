@@ -55,8 +55,17 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     assert (tmp_path / f"{experiment}.csv").read_bytes() == recorded.read_bytes()
 
 
-def run_with(experiment, key, value, trials, tmp_path, capsys):
-    """Exit code and stderr of a shipped config run with one key replaced."""
+def subprocess_env():
+    """The environment of a CLI subprocess that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def config_with(experiment, key, value, tmp_path):
+    """The shipped config of ``experiment`` with one key replaced."""
     name = experiment.replace("-", "_")
     lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
     assert any(line.startswith(f"{key} = ") for line in lines)
@@ -65,6 +74,12 @@ def run_with(experiment, key, value, trials, tmp_path, capsys):
         "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines)
         + "\n"
     )
+    return config
+
+
+def run_with(experiment, key, value, trials, tmp_path, capsys):
+    """Exit code and stderr of a shipped config run with one key replaced."""
+    config = config_with(experiment, key, value, tmp_path)
     out = tmp_path / "out"
     argv = [experiment, "--config", str(config), "--out", str(out), "--trials", trials]
     code = cli_main(argv)
@@ -73,7 +88,6 @@ def run_with(experiment, key, value, trials, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("experiment, trials", [("roc", "200"), ("eig-converge", "3")])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_power_iterate_overflow_is_a_typed_error(experiment, trials, tmp_path, capsys):
     # at 400 dB the unnormalized DPM iterate outgrows floating point within a
     # few iterations; the run must stop, not write NaN rows or collapse
@@ -98,6 +112,31 @@ def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
         assert "Lanczos coefficients are not finite" in err
 
 
+@pytest.mark.parametrize(
+    "experiment, key, value, trials",
+    [
+        ("roc", "snr_db", "400", "200"),
+        ("eig-converge", "snr_db", "400", "3"),
+        ("eig-converge", "sigma2", "1e300", "3"),
+    ],
+)
+def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tmp_path):
+    # a process of its own, where numpy's floating-point warnings would reach
+    # stderr ahead of the typed error
+    config = config_with(experiment, key, value, tmp_path)
+    argv = [
+        sys.executable, "-m", "eigennet.cli", experiment, "--config", str(config),
+        "--out", str(tmp_path / "out"), "--trials", trials,
+    ]
+    done = subprocess.run(
+        argv, capture_output=True, text=True, env=subprocess_env(), timeout=300
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("runtime error: ")
+
+
 def test_no_sources_is_a_config_error(tmp_path, capsys):
     # every experiment draws signal-present samples, so P = 0 cannot run
     config = tmp_path / "no_sources.cfg"
@@ -111,10 +150,7 @@ def test_no_sources_is_a_config_error(tmp_path, capsys):
 
 
 def test_closed_stdout_exits_two_without_traceback(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = subprocess_env()
     argv = [
         sys.executable, "-m", "eigennet.cli", "audit-messages",
         "--config", str(CONFIGS / "audit_messages.cfg"), "--out", str(tmp_path),

@@ -11,6 +11,7 @@ from eigennet.consensus import (
     _failure_stack,
     _iterate,
     _mixing_operator,
+    run_block,
     run_consensus,
 )
 from eigennet.errors import ConsensusError
@@ -308,6 +309,65 @@ class TestTrialStack:
         # the same links act on every column of the side-by-side matrix
         wide = run_consensus(np.concatenate(list(z0), axis=1), make())
         assert np.allclose(np.concatenate(list(stacked.z), axis=1), wide.z, rtol=1e-13)
+
+
+class TestRunBlock:
+    """One engine on a stack, or one engine per trial, through ``run_block``."""
+
+    K = 7
+
+    @staticmethod
+    def make(engine, w):
+        """A fresh config; two calls give equal configs with equal generators."""
+        base = engine.split("+")[0]
+        failures = engine.endswith("+failures")
+        return AcConfig(
+            base, 5, weights=w, cheb=spectral_bounds(w),
+            link_failure_prob=0.3 if failures else 0.0,
+            failure_seed=17 if failures else None,
+        )
+
+    @pytest.mark.parametrize("engine", ["ideal", "standard", "chebyshev", "chebyshev+failures"])
+    @pytest.mark.parametrize("shape", [(4, K, 3), (4, K), (1, K, 3), (1, K)])
+    def test_one_engine_equals_one_per_trial(self, engine, shape):
+        w = metropolis_weights(random_connected_graph(self.K, 2))
+        rng = np.random.default_rng(5)
+        z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        shared = run_block(self.make(engine, w), z0)
+        per_trial = run_block([self.make(engine, w) for _ in z0], z0)
+        for res in (shared, per_trial):
+            assert res.z.shape == res.error.shape == z0.shape
+            assert res.scalars_exchanged_per_node.shape == shape[:2]
+            assert res.iterations_used == 5
+        for name in ("z", "error", "scalars_exchanged_per_node"):
+            assert np.array_equal(getattr(shared, name), getattr(per_trial, name))
+        # trial b of either is the lone run of trial b
+        for t in range(len(z0)):
+            alone = self.make(engine, w).run(z0[t])
+            assert np.array_equal(shared.z[t], alone.z)
+            assert np.array_equal(shared.error[t], alone.error)
+
+    def test_synthetic_engines_average_over_nodes(self):
+        rng = np.random.default_rng(8)
+        z0 = rng.standard_normal((3, self.K, 2))
+        node_mean = z0.mean(axis=1, keepdims=True)
+        err = 0.01 * rng.standard_normal(z0.shape)
+        out = rng.standard_normal(z0.shape)
+        for engine, want in (
+            (ErrorInjectingEngine([err]), node_mean + err),
+            (ReplayEngine([out]), out),
+        ):
+            res = run_block(engine, z0)
+            assert np.array_equal(res.z, want)
+            assert np.array_equal(res.error, res.z - node_mean)
+            assert res.scalars_exchanged_per_node.shape == (3, self.K)
+            assert not np.any(res.scalars_exchanged_per_node)
+        assert np.allclose(run_block(ErrorInjectingEngine([err]), z0).error, err, atol=1e-15)
+
+    def test_engine_count_must_match(self, path3_weights):
+        engines = [AcConfig("standard", 2, weights=path3_weights)] * 2
+        with pytest.raises(ValueError, match="one consensus engine per trial, got 2 for 3"):
+            run_block(engines, np.zeros((3, 3, 1)))
 
 
 class TestFailureRedraw:

@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 
 from eigennet.consensus import AcConfig
-from eigennet.detection import (
-    DetectorConfig,
-    Hypothesis,
-    calibrate_threshold,
-    compute_statistic,
-    local_decide,
-    roc_curve,
-    statistic_consensus,
-    threshold_from_h0,
-    trace_consensus,
-)
-from eigennet.distributed import run_dpm, default_dpm_start
+from eigennet.detection import compute_statistic, threshold_from_h0, trace_consensus
 from eigennet.errors import DetectionError
-from eigennet.signals import SignalConfig, gen_h0
 
 from conftest import random_samples
 
@@ -143,94 +131,24 @@ class TestThresholds:
         pfa = np.mean(fresh > th)
         assert abs(pfa - 0.1) <= binomial_ci_halfwidth(0.1, 20_000) + 1.0 / 10_000
 
-    def test_detector_config_validation(self):
-        with pytest.raises(DetectionError):
-            DetectorConfig("RT", alpha=1.5, sigma2=1.0)
-        with pytest.raises(DetectionError):
-            DetectorConfig("GT", alpha=0.1, calibration_trials=50)
-        with pytest.raises(DetectionError):
-            DetectorConfig("RT", alpha=0.1)  # missing noise power
-        with pytest.raises(DetectionError):
-            DetectorConfig("XX", alpha=0.1)
-
-    def test_calibrate_threshold_pipeline(self):
-        n_cal, n_eval, alpha = 10_000, 10_000, 0.1
-        cfg = DetectorConfig("GT", alpha=alpha, calibration_trials=n_cal)
-        h0_cfg = SignalConfig(k=4, n=6, sigma2=1.0, seed=100)
-
-        def pipeline(y):
-            return np.sort(np.linalg.eigvalsh((y @ y.conj().T) / y.shape[1]))[::-1]
-
-        th = calibrate_threshold(cfg, h0_cfg, pipeline)
-        # re-measure on fresh seeds; both sides contribute binomial noise
-        fresh = []
-        for i in range(n_eval):
-            y = gen_h0(SignalConfig(k=4, n=6, sigma2=1.0, seed=50_000 + i))
-            fresh.append(compute_statistic("GT", pipeline(y)).value)
-        pfa = np.mean(np.asarray(fresh) > th)
-        halfwidth = 2.576 * np.sqrt(alpha * (1 - alpha) * (1 / n_cal + 1 / n_eval))
-        assert abs(pfa - alpha) <= halfwidth + 1.0 / n_cal
-
-
-class TestDecisions:
-    def test_tie_goes_to_noise(self):
-        assert local_decide(1.0, 1.0) is Hypothesis.H0
-
-    def test_above_threshold(self):
-        assert local_decide(1.0 + 1e-12, 1.0) is Hypothesis.H1
-
-    def test_ideal_consensus_unanimous_decisions(self):
-        y = random_samples(5, 6, 0)
-        res = run_dpm(y, AcConfig("ideal", 0), 6, default_dpm_start(5, 0))
-        stats = res.lambda1  # RT with sigma2 = 1
-        decisions = {local_decide(v, 2.0) for v in stats}
-        assert len(decisions) == 1
-
 
 class TestStatisticConsensus:
+    """Per-node statistics averaged by one scalar consensus ``run``."""
+
     def test_ideal_returns_mean(self):
         vals = np.array([1.0, 2.0, 6.0])
-        out = statistic_consensus(vals, AcConfig("ideal", 0))
+        out = np.real(AcConfig("ideal", 0).run(vals).z)
         assert np.allclose(out, 3.0, atol=1e-15)
 
     def test_identical_inputs_unchanged(self, path3_weights, path3_cheb):
         vals = np.full(3, 1.7)
         cfg = AcConfig("chebyshev", 2, weights=path3_weights, cheb=path3_cheb)
-        assert np.allclose(statistic_consensus(vals, cfg), vals, atol=1e-12)
+        assert np.allclose(cfg.run(vals).z, vals, atol=1e-12)
 
     def test_chebyshev_damps_spread(self, path3_weights, path3_cheb):
         vals = np.array([0.0, 1.0, 5.0])
         t = 3
         cfg = AcConfig("chebyshev", t, weights=path3_weights, cheb=path3_cheb)
-        out = statistic_consensus(vals, cfg)
+        out = cfg.run(vals).z
         # scalar sequence for b1=2 is 1, 2, 7, 26
         assert np.linalg.norm(out - vals.mean()) <= np.linalg.norm(vals - vals.mean()) / 26 + 1e-12
-
-
-class TestRoc:
-    def test_extreme_thresholds(self):
-        pts = roc_curve([1.0, 2.0], [3.0, 4.0], thresholds=[-np.inf, np.inf])
-        assert (pts[0].pfa, pts[0].pd) == (1.0, 1.0)
-        assert (pts[-1].pfa, pts[-1].pd) == (0.0, 0.0)
-
-    def test_default_grid_monotone_with_endpoints(self):
-        rng = np.random.default_rng(2)
-        pts = roc_curve(rng.standard_normal(500), rng.standard_normal(500) + 1.0)
-        pfa = [p.pfa for p in pts]
-        pd = [p.pd for p in pts]
-        assert pfa == sorted(pfa, reverse=True)
-        assert pd == sorted(pd, reverse=True)
-        assert pfa[0] == pd[0] == 1.0
-        assert pfa[-1] == pd[-1] == 0.0
-
-    def test_same_distribution_sits_on_diagonal(self):
-        rng = np.random.default_rng(3)
-        h0 = rng.standard_normal(4000)
-        h1 = rng.standard_normal(4000)
-        pts = roc_curve(h0, h1, thresholds=np.quantile(h0, [0.25, 0.5, 0.75]))
-        for p in pts:
-            assert abs(p.pd - p.pfa) <= 2 * binomial_ci_halfwidth(max(p.pfa, 0.05), 4000)
-
-    def test_needs_both_hypotheses(self):
-        with pytest.raises(DetectionError):
-            roc_curve([], [1.0])

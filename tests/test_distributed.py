@@ -717,9 +717,22 @@ class TestTrialStack:
         make = self.engine_factory("failures")
         with pytest.raises(ValueError, match="one consensus engine per trial"):
             run_dpm(y, [make(t) for t in range(3)], self.M)
-        # one generator cannot serve several trials
-        with pytest.raises(ValueError, match="serves one trial"):
-            run_dla(y, make(0), self.M)
+        with pytest.raises(ValueError, match="one consensus engine per trial"):
+            run_dla(y, [make(t) for t in range(6)], self.M)
+
+    def test_one_failure_config_serves_the_block(self):
+        # every trial of the block shares each call's surviving links, so
+        # trial b equals its lone run on a fresh equal config
+        y = self.block()
+        make = self.engine_factory("failures")
+        v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(len(y))])
+        dpm = run_dpm(y, make(0), self.M, v0, checkpoints=(2, 4), trace=True)
+        dla = run_dla(y, make(0), self.M, ritz_iters="all", trace=True)
+        for t in range(len(y)):
+            alone = run_dpm(y[t], make(0), self.M, v0[t], checkpoints=(2, 4), trace=True)
+            self.assert_same_dpm(dpm.trial(t), alone)
+            alone = run_dla(y[t], make(0), self.M, ritz_iters="all", trace=True)
+            self.assert_same_dla(dla.trial(t), alone)
 
     def test_lanczos_breakdown_in_one_trial(self):
         k = 6
