@@ -26,7 +26,6 @@ from .distributed import (
     DpmErrorTrace,
     DpmResult,
     MessageAudit,
-    NodeState,
     audit_messages,
     check_dpm_convergence_condition,
     default_dla_start,
@@ -44,7 +43,6 @@ from .eigencore import (
     PowerIterationResult,
     TridiagonalMatrix,
     cullum_willoughby_spurious,
-    dense_hermitian_eig,
     filter_spurious,
     filter_spurious_batch,
     lanczos,
@@ -64,7 +62,7 @@ from .errors import (
     TopologyError,
 )
 from .harness import ExperimentConfig, ExperimentReport, emit_csv, emit_report, run, trial_seed, validate_config
-from .signals import ChannelMatrix, SignalConfig, gen_h0, gen_h1, samples_with_spectrum, theoretical_snr
+from .signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum, theoretical_snr
 from .topology import (
     ChebyshevParams,
     Graph,

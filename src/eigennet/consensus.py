@@ -66,7 +66,6 @@ class ConsensusResult:
 
     z: np.ndarray
     error: np.ndarray
-    iterations_used: int
     scalars_exchanged_per_node: np.ndarray
 
 
@@ -212,7 +211,6 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     return ConsensusResult(
         z=z,
         error=error,
-        iterations_used=cfg.iterations,
         scalars_exchanged_per_node=counters,
     )
 
@@ -255,8 +253,7 @@ def run_block(ac, z0: np.ndarray) -> ConsensusResult:
     (B, K, 1) stack), or a list with one engine per trial, each running its
     own trial. A one-trial block passes the lone (K, m) or (K,) input, as a
     lone run does. The result's output and error have the shape of ``z0``
-    and its counters are (B, K); ``iterations_used`` is the most any trial's
-    engine ran.
+    and its counters are (B, K).
     """
     per_trial = isinstance(ac, (list, tuple))
     if per_trial and len(ac) != len(z0):
@@ -269,7 +266,6 @@ def run_block(ac, z0: np.ndarray) -> ConsensusResult:
         return ConsensusResult(
             z=np.stack([r.z for r in results]),
             error=np.stack([r.error for r in results]),
-            iterations_used=max(r.iterations_used for r in results),
             scalars_exchanged_per_node=np.stack(
                 [r.scalars_exchanged_per_node for r in results]
             ),
@@ -292,7 +288,6 @@ def _synthetic_result(z0: np.ndarray, z: np.ndarray) -> ConsensusResult:
     return ConsensusResult(
         z=z,
         error=z - z0.mean(axis=axis, keepdims=True),
-        iterations_used=0,
         scalars_exchanged_per_node=np.zeros(z0.shape[:-2] + (k,), dtype=np.int64),
     )
 

@@ -54,7 +54,6 @@ from .errors import AuditMismatch, DegenerateRunError, MissingTraceError
 from .topology import Graph
 
 __all__ = [
-    "NodeState",
     "MessageAudit",
     "DpmErrorTrace",
     "DlaErrorTrace",
@@ -74,20 +73,6 @@ __all__ = [
     "check_dpm_convergence_condition",
     "audit_messages",
 ]
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """Snapshot of one node's local scalars at the end of a run."""
-
-    node: int
-    samples: np.ndarray
-    v_cur: complex
-    v_prev: complex
-    w: complex
-    alpha_hist: np.ndarray
-    beta_hist: np.ndarray
-    lambda_est: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,19 +189,6 @@ class DpmResult:
             samples=self.samples[t],
         )
 
-    def node_state(self, k: int) -> NodeState:
-        m = self.m_iterations
-        return NodeState(
-            node=k,
-            samples=self.samples[k],
-            v_cur=complex(self.v_hist[m, k]),
-            v_prev=complex(self.v_hist[m - 1, k]),
-            w=0j,
-            alpha_hist=np.zeros(0),
-            beta_hist=np.zeros(0),
-            lambda_est=np.array([self.lambda1[k]]),
-        )
-
 
 @dataclass
 class DlaResult:
@@ -277,21 +249,6 @@ class DlaResult:
             self.alpha_hist[:s, k].copy(),
             self.beta_hist[: s - 1, k].copy() if s > 1 else np.zeros(0),
             invariant_subspace=int(self.sizes[k]) < self.m_iterations,
-        )
-
-    def node_state(self, k: int) -> NodeState:
-        s = int(self.sizes[k])
-        last = self.eigenvalues.get(self.m_iterations)
-        lam = last[k] if last is not None else np.zeros(0)
-        return NodeState(
-            node=k,
-            samples=self.samples[k],
-            v_cur=complex(self.v_hist[min(s, self.m_iterations), k]),
-            v_prev=complex(self.v_hist[max(min(s, self.m_iterations) - 1, 0), k]),
-            w=complex(self.w_hist[s - 1, k]),
-            alpha_hist=self.alpha_hist[:s, k].copy(),
-            beta_hist=np.concatenate(([0.0], self.beta_hist[: s - 1, k])),
-            lambda_est=np.asarray(lam),
         )
 
 
@@ -409,7 +366,6 @@ def run_dpm(
     m_iterations: int,
     v0: np.ndarray | None = None,
     *,
-    v0_seed: int = 0,
     checkpoints: tuple[int, ...] = (),
     trace: bool = False,
 ) -> DpmResult:
@@ -436,7 +392,7 @@ def run_dpm(
     if m_iterations < 1:
         raise ValueError("need at least one iteration")
     if v0 is None:
-        v0 = default_dpm_start(k, v0_seed)
+        v0 = default_dpm_start(k)
     v = _start_values(v0, trials, k)
     if not np.all(np.any(v != 0, axis=1)):
         raise ValueError("starting values must not all be zero")
@@ -548,7 +504,6 @@ def run_dla(
     *,
     ritz_iters=None,
     spurious_tol_rel: float = 1e-3,
-    breakdown_tol: float | None = None,
     trace: bool = False,
 ) -> DlaResult:
     """Decentralized Lanczos algorithm.
@@ -561,7 +516,8 @@ def run_dla(
     spurious values.
 
     Negative scalar-consensus outputs are clamped to zero and flagged. An
-    off-diagonal coefficient below the breakdown guard freezes that node's
+    off-diagonal coefficient below the breakdown guard, a fixed 1e-12
+    ||R||_F of the trial's sample covariance R, freezes that node's
     tridiagonal matrix at its current size, mirroring centralized truncation.
 
     ``y``, ``ac`` and ``v1`` take a trial axis as in :func:`run_dpm`; each
@@ -586,14 +542,8 @@ def run_dla(
         if not all(1 <= j <= m_iterations for j in wanted):
             raise ValueError("ritz iterations must lie in 1..m_iterations")
 
-    if breakdown_tol is not None:
-        eps_break = np.full(trials, breakdown_tol)
-    else:
-        # ||Y Y^H / N||_F, read off the N x N Gram matrix Y^H Y / N, whose
-        # Frobenius norm is the same and which is the smaller one when N < K
-        if not np.all(np.isfinite(y.view(float))):
-            raise ValueError("sample matrix has non-finite entries")
-        eps_break = 1e-12 * row_norms((np.swapaxes(y.conj(), -1, -2) @ y) / n)
+    if not np.all(np.isfinite(y.view(float))):
+        raise ValueError("sample matrix has non-finite entries")
     scale = k / n
     rounds = _BlockConsensus(ac, trials, k)
 
@@ -613,34 +563,41 @@ def run_dla(
     v_hist[:, 0] = v
     v_prev = np.zeros((trials, k), dtype=complex)
     beta_cur = np.zeros((trials, k))
-    for j in range(1, m + 1):
-        z, error = rounds.run(v.conj()[:, :, None] * y)
-        if trace:
-            matrix_errors.append(error)
-        alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
-        local = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
-        w = local - alpha_j * v - beta_cur * v_prev
-        alpha_hist[:, j - 1] = alpha_j
-        w_hist[:, j - 1] = w
-        w_norms[:, j - 1] = row_norms(w)
-        z_1, error_1 = rounds.run(np.abs(w) ** 2)
-        b = np.real(z_1)
-        neg = b < 0
-        clamped[:, j - 1] = neg
-        b = np.where(neg, 0.0, b)
-        beta_next = np.sqrt(k * b)
-        if trace and j < m:
-            normalization_errors[:, j] = np.real(error_1)
-        broke = active & (beta_next < eps_break[:, None])
-        sizes[broke] = j
-        active &= ~broke
-        beta_hist[:, j - 1] = beta_next
-        v_prev = v
-        v = np.divide(
-            w, beta_next, out=np.zeros_like(w), where=beta_next > 0
-        )
-        v_hist[:, j] = v
-        beta_cur = beta_next
+    # samples too large for floating point turn the coefficients inf and NaN,
+    # which the Ritz extraction raises a typed error for; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        # 1e-12 ||Y Y^H / N||_F, read off the N x N Gram matrix Y^H Y / N,
+        # whose Frobenius norm is the same and which is the smaller one when
+        # N < K
+        eps_break = 1e-12 * row_norms((np.swapaxes(y.conj(), -1, -2) @ y) / n)
+        for j in range(1, m + 1):
+            z, error = rounds.run(v.conj()[:, :, None] * y)
+            if trace:
+                matrix_errors.append(error)
+            alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
+            local = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
+            w = local - alpha_j * v - beta_cur * v_prev
+            alpha_hist[:, j - 1] = alpha_j
+            w_hist[:, j - 1] = w
+            w_norms[:, j - 1] = row_norms(w)
+            z_1, error_1 = rounds.run(np.abs(w) ** 2)
+            b = np.real(z_1)
+            neg = b < 0
+            clamped[:, j - 1] = neg
+            b = np.where(neg, 0.0, b)
+            beta_next = np.sqrt(k * b)
+            if trace and j < m:
+                normalization_errors[:, j] = np.real(error_1)
+            broke = active & (beta_next < eps_break[:, None])
+            sizes[broke] = j
+            active &= ~broke
+            beta_hist[:, j - 1] = beta_next
+            v_prev = v
+            v = np.divide(
+                w, beta_next, out=np.zeros_like(w), where=beta_next > 0
+            )
+            v_hist[:, j] = v
+            beta_cur = beta_next
     # the last round's (B, K, N) output and error would stay alive through
     # the Ritz extraction, which sets the peak memory of an untraced run
     del z, error
@@ -859,16 +816,14 @@ def check_dpm_convergence_condition(
     trace: ConvergenceTrace,
     spectrum: EigenSolution,
     m_iterations: int,
-    *,
-    decay_threshold: float = 0.1,
 ) -> ConvergenceVerdict:
     """Check whether the recorded drift decays fast enough for convergence.
 
     The sufficient condition compares the per-iteration drift magnitude
     against (1/(j+1)) * (lambda_1 / max(lambda_2, 1))^j. The returned ratios
     divide the recorded drift by that envelope; the condition is judged
-    satisfied when the final ratio has fallen below ``decay_threshold`` times
-    the initial one (all-zero drift trivially satisfies it).
+    satisfied when the final ratio has fallen below 0.1 times the initial
+    one (all-zero drift trivially satisfies it).
     """
     lam = spectrum.values
     lam1 = float(lam[0])
@@ -887,7 +842,7 @@ def check_dpm_convergence_condition(
         satisfied, margin = False, math.inf
     else:
         margin = float(ratios[-1] / ratios[0])
-        satisfied = margin < decay_threshold
+        satisfied = margin < 0.1
     return ConvergenceVerdict(
         condition_satisfied=satisfied,
         rate_margin=margin,

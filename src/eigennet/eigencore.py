@@ -3,8 +3,7 @@
 Everything here is a pure function of its arguments: sample covariance,
 unnormalized power iteration, Lanczos tridiagonalization without
 reorthogonalization, symmetric-tridiagonal eigenvalues from LAPACK
-(``numpy.linalg.eigvalsh``), a cyclic Jacobi solver kept as the independent
-dense Hermitian oracle for tests, and post-processing of Ritz lists
+(``numpy.linalg.eigvalsh``) and post-processing of Ritz lists
 (spurious-value filtering).
 """
 
@@ -27,7 +26,6 @@ __all__ = [
     "lanczos",
     "tridiagonal_eigenvalues",
     "tridiagonal_eigenvalues_batch",
-    "dense_hermitian_eig",
     "filter_spurious",
     "filter_spurious_batch",
     "cullum_willoughby_spurious",
@@ -201,15 +199,13 @@ def lanczos(
     r: np.ndarray,
     v1: np.ndarray,
     m_iterations: int,
-    *,
-    breakdown_tol: float | None = None,
 ) -> TridiagonalMatrix | list[TridiagonalMatrix]:
     """Lanczos tridiagonalization of a Hermitian matrix, no reorthogonalization.
 
     Iterates alpha_j = v_j^H R v_j, w_j = R v_j - alpha_j v_j - beta_j v_{j-1},
     beta_{j+1} = ||w_j||, v_{j+1} = w_j / beta_{j+1}, starting from a unit
-    vector with beta_1 = 0. A beta below the breakdown guard (default
-    1e-12 ||R||_F) truncates the output at the current size and flags an
+    vector with beta_1 = 0. A beta below the fixed breakdown guard
+    1e-12 ||R||_F truncates the output at the current size and flags an
     exact invariant subspace.
 
     A (trials, K, K) stack, with one start vector per trial or one shared
@@ -222,9 +218,7 @@ def lanczos(
         raise ValueError("iteration count must be between 1 and K")
     if np.any(np.abs(row_norms(v) - 1.0) > 1e-10):
         raise ValueError("starting vector must have unit norm")
-    eps_break = (
-        np.full(trials, breakdown_tol) if breakdown_tol is not None else 1e-12 * row_norms(r)
-    )
+    eps_break = 1e-12 * row_norms(r)
     alphas = np.zeros((trials, m_iterations))
     betas = np.zeros((trials, m_iterations))
     sizes = np.full(trials, m_iterations)
@@ -288,85 +282,6 @@ def tridiagonal_eigenvalues_batch(alpha: np.ndarray, beta: np.ndarray) -> np.nda
 def tridiagonal_eigenvalues(t: TridiagonalMatrix) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, sorted descending."""
     return tridiagonal_eigenvalues_batch(t.alpha[None, :], t.beta[None, :])[0]
-
-
-def _hermitian_deviation(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T))
-
-
-def dense_hermitian_eig(
-    r: np.ndarray, *, tol: float = 1e-12, max_sweeps: int = 100
-) -> EigenSolution:
-    """Full Hermitian eigendecomposition by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below ``tol * ||R||_F``. Returns descending eigenvalues (stable
-    order on ties) and orthonormal eigenvectors as columns.
-    """
-    a = np.asarray(r, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("input must be a square matrix")
-    n = a.shape[0]
-    scale = float(np.linalg.norm(a))
-    if _hermitian_deviation(a) > 1e-12 * max(scale, 1.0):
-        raise ValueError("input must be Hermitian")
-    a = (a + a.conj().T) / 2.0
-    vecs = np.eye(n, dtype=complex)
-    if n == 1 or scale == 0.0:
-        values = np.real(np.diag(a)).copy()
-        order = np.argsort(-values, kind="stable")
-        return EigenSolution(values[order], vecs[:, order])
-
-    def off_norm(mat: np.ndarray) -> float:
-        o = mat - np.diag(np.diag(mat))
-        return float(np.linalg.norm(o))
-
-    skip = tol * scale / (n * n)
-    for _ in range(max_sweeps):
-        if off_norm(a) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                # Factor out the phase so the 2x2 block becomes real symmetric,
-                # then apply the classic symmetric Schur rotation. The full
-                # unitary on the (p, q) plane is
-                #   U = [[c, sigma], [-sigma * e^{-i phi}, c * e^{-i phi}]]
-                # with phi = arg(a_pq).
-                phase = apq / abs(apq)
-                pconj = np.conj(phase)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * abs(apq))
-                if tau >= 0:
-                    tparam = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    tparam = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + tparam * tparam)
-                sigma = tparam * c
-                col_p = a[:, p] * c - a[:, q] * (sigma * pconj)
-                col_q = a[:, p] * sigma + a[:, q] * (c * pconj)
-                a[:, p] = col_p
-                a[:, q] = col_q
-                row_p = a[p, :] * c - a[q, :] * (sigma * phase)
-                row_q = a[p, :] * sigma + a[q, :] * (c * phase)
-                a[p, :] = row_p
-                a[q, :] = row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = vecs[:, p] * c - vecs[:, q] * (sigma * pconj)
-                vcol_q = vecs[:, p] * sigma + vecs[:, q] * (c * pconj)
-                vecs[:, p] = vcol_p
-                vecs[:, q] = vcol_q
-    else:
-        raise RuntimeError("Jacobi sweeps did not converge")
-    values = np.real(np.diag(a)).copy()
-    order = np.argsort(-values, kind="stable")
-    return EigenSolution(values[order], vecs[:, order])
 
 
 def filter_spurious_batch(

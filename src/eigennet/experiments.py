@@ -51,11 +51,6 @@ from .distributed import (
     predict_lambda1_error,
 )
 from .eigencore import EigenSolution, lanczos, power_method, sample_covariance
-
-# Not called here: roc's centralized Ritz lists go through _extract_ritz like
-# the decentralized ones. Kept importable from this module, where the
-# per-layer tracer in perfbench/tracing.py looks them up.
-from .eigencore import filter_spurious, tridiagonal_eigenvalues  # noqa: F401
 from .errors import ConfigError
 from .harness import ExperimentConfig, ExperimentReport, _splitmix64, trial_seed
 from .signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum

@@ -13,13 +13,12 @@ noise) so a seed pins the whole sample matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SignalConfig",
-    "ChannelMatrix",
     "gen_h0",
     "gen_h1",
     "theoretical_snr",
@@ -59,13 +58,6 @@ class SignalConfig:
         return np.ones(self.p)
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Channel columns rescaled so ||h_i||^2 var_i / sigma2 is the exact SNR."""
-
-    h: np.ndarray = field(compare=False)
-
-
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     std = math.sqrt(variance / 2.0)
     return std * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -77,11 +69,12 @@ def gen_h0(cfg: SignalConfig) -> np.ndarray:
     return _complex_gaussian(rng, (cfg.k, cfg.n), cfg.sigma2)
 
 
-def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, ChannelMatrix]:
-    """Signal-plus-noise sample matrix and the channel that produced it.
+def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Signal-plus-noise sample matrix and the (K, P) channel that produced it.
 
     The channel is drawn with unit-variance complex Gaussian entries, then
-    each column i is rescaled so its SNR equals 10^(snr_db_i / 10) exactly.
+    each column i is rescaled so its SNR, ||h_i||^2 var_i / sigma2, equals
+    10^(snr_db_i / 10) exactly.
     Source samples are mutually uncorrelated complex Gaussians with the
     configured per-source variances, redrawn at every time instant.
     """
@@ -96,7 +89,7 @@ def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, ChannelMatrix]:
         h[:, i] *= math.sqrt(target) / np.linalg.norm(h[:, i])
     s = _complex_gaussian(rng, (cfg.p, cfg.n), 1.0) * np.sqrt(variances)[:, None]
     noise = _complex_gaussian(rng, (cfg.k, cfg.n), cfg.sigma2)
-    return h @ s + noise, ChannelMatrix(h)
+    return h @ s + noise, h
 
 
 def theoretical_snr(h_i: np.ndarray, source_var: float, sigma2: float) -> float:

@@ -119,22 +119,6 @@ class WeightMatrix:
     def node_count(self) -> int:
         return self.graph.node_count
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Raise if symmetry, stochasticity or the sparsity pattern is violated."""
-        w = self.entries
-        k = self.node_count
-        if w.shape != (k, k):
-            raise TopologyError("weight matrix shape does not match graph")
-        if not np.allclose(w, w.T, rtol=0.0, atol=tol):
-            raise TopologyError("weight matrix is not symmetric")
-        if np.max(np.abs(w.sum(axis=1) - 1.0)) > tol:
-            raise TopologyError("weight matrix rows do not sum to 1")
-        allowed = np.eye(k, dtype=bool)
-        for u, v in self.graph.edges:
-            allowed[u, v] = allowed[v, u] = True
-        if np.any((np.abs(w) > tol) & ~allowed):
-            raise TopologyError("nonzero weight off the graph edge set")
-
 
 @dataclass(frozen=True)
 class ChebyshevParams:

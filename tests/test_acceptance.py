@@ -28,7 +28,6 @@ from eigennet.distributed import (
 from eigennet.eigencore import (
     EigenSolution,
     TridiagonalMatrix,
-    dense_hermitian_eig,
     lanczos,
     power_method,
     sample_covariance,
@@ -39,7 +38,7 @@ from eigennet.experiments import run_ac_compare, run_eig_converge, run_multi_eig
 from eigennet.signals import samples_with_spectrum
 from eigennet.topology import generate_random_geometric, metropolis_weights
 
-from conftest import random_connected_graph, random_samples
+from conftest import dense_hermitian_eig, random_connected_graph, random_samples
 
 IDEAL = AcConfig("ideal", 0)
 

@@ -99,7 +99,6 @@ def test_power_iterate_overflow_is_a_typed_error(experiment, trials, tmp_path, c
 
 
 @pytest.mark.parametrize("experiment", ["eig-converge", "multi-eig"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
     # eig-converge stops in its first (DPM) run; multi-eig runs only DLA, so
     # its non-finite Lanczos coefficients reach the Ritz extraction
@@ -118,6 +117,7 @@ def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
         ("roc", "snr_db", "400", "200"),
         ("eig-converge", "snr_db", "400", "3"),
         ("eig-converge", "sigma2", "1e300", "3"),
+        ("multi-eig", "sigma2", "1e300", "3"),
     ],
 )
 def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tmp_path):

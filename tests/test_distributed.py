@@ -131,14 +131,12 @@ class TestRunValidation:
         with pytest.raises(DegenerateRunError):
             run_dpm(y, ErrorInjectingEngine(make), 2)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_dpm_iterate(self):
         # the unnormalized iterate grows like (1e200)^j and leaves floating point
         y = 1e100 * random_samples(4, 3, 2)
         with pytest.raises(DegenerateRunError, match="eigenvalue stage overflowed"):
             run_dpm(np.stack([y, y / 1e100]), IDEAL, 3)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_lanczos_coefficients(self):
         # finite samples whose squared magnitudes overflow
         y = 1e160 * random_samples(4, 3, 3)
@@ -545,23 +543,6 @@ class TestDeterminismAndState:
         a, b = once(), once()
         assert np.array_equal(a.lambda1, b.lambda1)
         assert np.array_equal(a.v_hist, b.v_hist)
-
-    def test_node_state_contents(self):
-        y = random_samples(4, 5, 20)
-        res = run_dla(y, IDEAL, 3)
-        st = res.node_state(2)
-        assert st.node == 2
-        assert np.array_equal(st.samples, y[2])
-        assert st.beta_hist[0] == 0.0
-        assert len(st.alpha_hist) == 3
-        assert len(st.lambda_est) == len(res.eigenvalues[3][2])
-
-    def test_dpm_node_state(self):
-        y = random_samples(4, 5, 21)
-        res = run_dpm(y, IDEAL, 2)
-        st = res.node_state(1)
-        assert st.v_cur == res.v_hist[2, 1]
-        assert st.lambda_est[0] == res.lambda1[1]
 
 
 def assert_same_arrays(a, b):

@@ -4,7 +4,6 @@ import pytest
 from eigennet.eigencore import (
     TridiagonalMatrix,
     cullum_willoughby_spurious,
-    dense_hermitian_eig,
     filter_spurious,
     lanczos,
     power_method,
@@ -14,7 +13,7 @@ from eigennet.eigencore import (
 )
 from eigennet.errors import DegenerateRunError
 
-from conftest import random_hermitian_psd, random_samples
+from conftest import dense_hermitian_eig, random_hermitian_psd, random_samples
 
 
 class TestSampleCovariance:

@@ -44,22 +44,22 @@ class TestSignalPlusNoise:
         cfg = SignalConfig(
             k=6, n=8, sigma2=2.0, p=2, snr_db=(5.0, -3.0), source_var=(1.0, 4.0), seed=3
         )
-        _, chan = gen_h1(cfg)
+        _, h = gen_h1(cfg)
         for i, (rho_db, var) in enumerate(zip(cfg.snr_db, cfg.source_var)):
-            snr = theoretical_snr(chan.h[:, i], var, cfg.sigma2)
+            snr = theoretical_snr(h[:, i], var, cfg.sigma2)
             assert snr == pytest.approx(10 ** (rho_db / 10), rel=1e-12)
 
     def test_single_source_5db_channel_energy(self):
         cfg = SignalConfig(k=40, n=10, sigma2=1.0, p=1, snr_db=(5.0,), seed=1)
-        _, chan = gen_h1(cfg)
-        assert np.linalg.norm(chan.h[:, 0]) ** 2 == pytest.approx(10**0.5, rel=1e-12)
+        _, h = gen_h1(cfg)
+        assert np.linalg.norm(h[:, 0]) ** 2 == pytest.approx(10**0.5, rel=1e-12)
 
     def test_large_sample_covariance_matches_model(self):
         # law of large numbers: R -> H Sigma H^H + sigma2 I
         cfg = SignalConfig(k=4, n=10_000, sigma2=1.0, p=2, snr_db=(3.0, 0.0), seed=5)
-        y, chan = gen_h1(cfg)
+        y, h = gen_h1(cfg)
         r = sample_covariance(y)
-        model = chan.h @ chan.h.conj().T + np.eye(4)
+        model = h @ h.conj().T + np.eye(4)
         rel = np.linalg.norm(r - model) / np.linalg.norm(model)
         assert rel < 0.1
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from eigennet.consensus import AcConfig
-from eigennet.eigencore import dense_hermitian_eig
 from eigennet.errors import TopologyError
 from eigennet.topology import (
     Graph,
@@ -13,7 +12,7 @@ from eigennet.topology import (
     spectral_bounds,
 )
 
-from conftest import random_connected_graph
+from conftest import dense_hermitian_eig, random_connected_graph
 
 
 def bfs_reachable(edges, k):
@@ -145,9 +144,15 @@ class TestMetropolis:
     @pytest.mark.parametrize("seed", range(6))
     def test_invariants_on_random_graphs(self, seed):
         g = random_connected_graph(8, seed)
-        wm = metropolis_weights(g)
-        wm.validate()
-        w = wm.entries
+        w = metropolis_weights(g).entries
+        assert w.shape == (8, 8)
+        assert np.max(np.abs(w - w.T)) <= 1e-12
+        assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
+        # no weight off the edge set and the diagonal
+        allowed = np.eye(8, dtype=bool)
+        allowed[g.edge_index[0], g.edge_index[1]] = True
+        allowed[g.edge_index[1], g.edge_index[0]] = True
+        assert not np.any((np.abs(w) > 1e-12) & ~allowed)
         # direct formula oracle
         deg = g.degrees()
         for u, v in g.edges:
