@@ -42,6 +42,7 @@ from .eigencore import (
     EigenSolution,
     PowerIterationResult,
     TridiagonalMatrix,
+    covariance_eigenvalues,
     cullum_willoughby_spurious,
     filter_spurious,
     filter_spurious_batch,

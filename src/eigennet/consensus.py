@@ -15,10 +15,12 @@ as one (I, E) uniform draw, and builds its I Metropolis matrices in one pass
 before the first step. That draw consumes the failure generator exactly as I
 per-step draws of E values would, so the failure stream, and every output
 computed from it, is the same as with a redraw at each step; a stacked call
-draws once, so every trial of the stack shares its links. Every result
-carries the realized error matrix, the deviation of the output from the exact
-mean; that matrix is a simulation observable only and is never read by the
-algorithms under test.
+draws once, so every trial of the stack shares its links. The mixing
+weights are real and the iterates often complex; each such product runs as
+one real product on the iterate's interleaved real and imaginary parts. Every
+result carries the realized error matrix, the deviation of the output from
+the exact mean; that matrix is a simulation observable only, never read by
+the algorithms under test, so it is computed on its first read.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
 (K,), (K, m) or (trials, K, m) input, averaging over the node axis.
@@ -33,7 +35,8 @@ on one engine per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,16 +60,22 @@ _ENGINES = ("ideal", "standard", "chebyshev")
 class ConsensusResult:
     """Output of one consensus run.
 
-    ``error`` is z_t minus the exact per-column mean of the input, recomputed
-    from the output so the defining identity holds by construction.
-    ``scalars_exchanged_per_node`` counts t * m * degree(k) information units
-    for node k (one scalar per neighbor per iteration per input column), per
-    trial when the input is stacked.
+    ``error`` is z_t minus the exact per-column mean of the input (zero for
+    the ideal engine), recomputed from the output so the defining identity
+    holds by construction. It is computed on its first read, from the input
+    as it is then, and kept; a run whose error nobody reads never pays for
+    the mean. ``scalars_exchanged_per_node`` counts t * m * degree(k)
+    information units for node k (one scalar per neighbor per iteration per
+    input column), per trial when the input is stacked.
     """
 
     z: np.ndarray
-    error: np.ndarray
     scalars_exchanged_per_node: np.ndarray
+    _error: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def error(self) -> np.ndarray:
+        return self._error()
 
 
 @dataclass
@@ -150,8 +159,24 @@ def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
         return _chebyshev_iterate(x0, weights, cfg.cheb)
     x = x0.copy()
     for w in weights:
-        x = w @ x
+        x = _real_matmul(w, x)
     return x
+
+
+def _real_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for a real matrix ``w``, as one real product.
+
+    numpy would cast ``w`` to complex for a complex ``x``. Instead a
+    C-contiguous complex (..., K, m) ``x`` is read as the real (..., K, 2m)
+    array of its interleaved real and imaginary parts, whose product with
+    ``w`` is the result's. A real ``x`` takes the plain product.
+    """
+    if x.dtype.kind != "c":
+        return w @ x
+    if x.ndim == 1:
+        return _real_matmul(w, x[:, None])[:, 0]
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (w @ x.view(float)).view(complex)
 
 
 def _mixing_operator(cfg: AcConfig) -> np.ndarray:
@@ -190,29 +215,22 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
             f"input has {k} rows but the weight matrix covers "
             f"{cfg.weights.node_count} nodes"
         )
-    mean_row = x0.mean(axis=-2, keepdims=True)
-
-    if cfg.engine == "ideal":
-        z = np.broadcast_to(mean_row, x0.shape).copy()
-        error = np.zeros_like(z)
+    ideal = cfg.engine == "ideal"
+    if ideal:
+        z = np.broadcast_to(x0.mean(axis=-2, keepdims=True), x0.shape).copy()
+    elif cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
+        z = _iterate(x0, cfg)
     else:
-        if cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
-            z = _iterate(x0, cfg)
-        else:
-            z = _mixing_operator(cfg) @ x0
-        error = z - mean_row
+        z = _real_matmul(_mixing_operator(cfg), x0)
+
+    def error() -> np.ndarray:
+        e = np.zeros_like(z) if ideal else z - x0.mean(axis=-2, keepdims=True)
+        return e[:, 0] if squeeze else e
 
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)
     counters = np.empty(x0.shape[:-2] + (k,), dtype=np.int64)
     counters[...] = cfg.iterations * m * deg
-    if squeeze:
-        z = z[:, 0]
-        error = error[:, 0]
-    return ConsensusResult(
-        z=z,
-        error=error,
-        scalars_exchanged_per_node=counters,
-    )
+    return ConsensusResult(z[:, 0] if squeeze else z, counters, error)
 
 
 def _chebyshev_iterate(
@@ -232,7 +250,7 @@ def _chebyshev_iterate(
     b1 = cheb.b1
 
     def apply_b(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (2.0 * (w @ x) - lam_sum * x) / lam_diff
+        return (2.0 * _real_matmul(w, x) - lam_sum * x) / lam_diff
 
     x_prev = x0.copy()
     x = apply_b(weights[0], x0) / b1
@@ -253,7 +271,8 @@ def run_block(ac, z0: np.ndarray) -> ConsensusResult:
     (B, K, 1) stack), or a list with one engine per trial, each running its
     own trial. A one-trial block passes the lone (K, m) or (K,) input, as a
     lone run does. The result's output and error have the shape of ``z0``
-    and its counters are (B, K).
+    and its counters are (B, K); the error is computed on its first read,
+    as each run's is.
     """
     per_trial = isinstance(ac, (list, tuple))
     if per_trial and len(ac) != len(z0):
@@ -264,15 +283,17 @@ def run_block(ac, z0: np.ndarray) -> ConsensusResult:
         engines = ac if per_trial else [ac]
         results = [e.run(x) for e, x in zip(engines, z0)]
         return ConsensusResult(
-            z=np.stack([r.z for r in results]),
-            error=np.stack([r.error for r in results]),
-            scalars_exchanged_per_node=np.stack(
-                [r.scalars_exchanged_per_node for r in results]
-            ),
+            np.stack([r.z for r in results]),
+            np.stack([r.scalars_exchanged_per_node for r in results]),
+            lambda: np.stack([r.error for r in results]),
         )
     if z0.ndim == 2:
         res = ac.run(z0[:, :, None])
-        return replace(res, z=res.z[:, :, 0], error=res.error[:, :, 0])
+        return ConsensusResult(
+            res.z[:, :, 0],
+            res.scalars_exchanged_per_node,
+            lambda: res.error[:, :, 0],
+        )
     return ac.run(z0)
 
 
@@ -286,9 +307,9 @@ def _synthetic_result(z0: np.ndarray, z: np.ndarray) -> ConsensusResult:
     axis = _node_axis(z0)
     k = z0.shape[axis]
     return ConsensusResult(
-        z=z,
-        error=z - z0.mean(axis=axis, keepdims=True),
-        scalars_exchanged_per_node=np.zeros(z0.shape[:-2] + (k,), dtype=np.int64),
+        z,
+        np.zeros(z0.shape[:-2] + (k,), dtype=np.int64),
+        lambda: z - z0.mean(axis=axis, keepdims=True),
     )
 
 

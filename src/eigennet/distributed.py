@@ -8,7 +8,7 @@ are always recorded. Error instrumentation is on request: a run with
 ``trace=True`` also keeps the realized consensus errors, their closed-form
 impact on the iterates and the measured-vs-predicted Lanczos drift. The
 Monte-Carlo experiments read only the estimates, so they leave it off, and
-their runs keep no per-iteration consensus errors.
+their runs neither compute nor keep the consensus errors.
 
 Implementation note: node-local scalars are stored in length-K arrays and
 updated with row-wise numpy operations, which preserves locality (entry k
@@ -311,18 +311,24 @@ def _engine_info(ac) -> tuple[int | None, Graph | None]:
 
 
 class _BlockConsensus:
-    """A block's consensus rounds, with call counts and per-node units per trial."""
+    """A block's consensus rounds, with call counts and per-node units per trial.
 
-    def __init__(self, ac, trials: int, k: int) -> None:
+    Only a traced run reads the consensus errors; an untraced one never
+    computes them.
+    """
+
+    def __init__(self, ac, trials: int, k: int, trace: bool) -> None:
         self.ac = ac
+        self.trace = trace
         self.ac_n = 0
         self.ac_1 = 0
         self.units = np.zeros((trials, k), dtype=np.int64)
 
-    def run(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """One consensus round of the block on (B, K, m) or (B, K) ``z0``.
 
-        Returns the output and the error, each in the shape of ``z0``.
+        Returns the output and, for a traced run, the error, each in the
+        shape of ``z0``; an untraced run gets None for the error.
         """
         res = run_block(self.ac, z0)
         if z0.ndim == 2 or z0.shape[2] == 1:
@@ -330,7 +336,7 @@ class _BlockConsensus:
         else:
             self.ac_n += 1
         self.units += res.scalars_exchanged_per_node
-        return res.z, res.error
+        return res.z, (res.error if self.trace else None)
 
     def audits(self) -> list[MessageAudit]:
         return [
@@ -357,7 +363,7 @@ def _dpm_final_stage(y, v, rounds, scale):
             "DPM eigenvalue stage overflowed: the unnormalized power iterate "
             "outgrew floating point"
         )
-    return numer / denom, e_n, np.real(e_1)
+    return numer / denom, e_n, e_1
 
 
 def run_dpm(
@@ -400,7 +406,7 @@ def run_dpm(
     if not all(1 <= j <= m_iterations for j in wanted):
         raise ValueError("checkpoints must lie in 1..m_iterations")
     scale = k / n
-    rounds = _BlockConsensus(ac, trials, k)
+    rounds = _BlockConsensus(ac, trials, k, trace)
     v_hist = np.empty((trials, m_iterations + 1, k), dtype=complex)
     v_hist[:, 0] = v
     iteration_errors: list[np.ndarray] = []
@@ -423,6 +429,7 @@ def run_dpm(
     snapshots[m_iterations] = lam
     error_trace = None
     if trace:
+        e_scalar = np.real(e_scalar)
         e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
         error_trace = DpmErrorTrace(
             iteration_errors=iteration_errors,
@@ -545,7 +552,7 @@ def run_dla(
     if not np.all(np.isfinite(y.view(float))):
         raise ValueError("sample matrix has non-finite entries")
     scale = k / n
-    rounds = _BlockConsensus(ac, trials, k)
+    rounds = _BlockConsensus(ac, trials, k, trace)
 
     m = m_iterations
     alpha_hist = np.zeros((trials, m, k))

@@ -1,8 +1,8 @@
 """Centralized eigenvalue machinery.
 
-Everything here is a pure function of its arguments: sample covariance,
-unnormalized power iteration, Lanczos tridiagonalization without
-reorthogonalization, symmetric-tridiagonal eigenvalues from LAPACK
+Everything here is a pure function of its arguments: sample covariance and
+its exact spectrum, unnormalized power iteration, Lanczos tridiagonalization
+without reorthogonalization, symmetric-tridiagonal eigenvalues from LAPACK
 (``numpy.linalg.eigvalsh``) and post-processing of Ritz lists
 (spurious-value filtering).
 """
@@ -21,6 +21,7 @@ __all__ = [
     "TridiagonalMatrix",
     "PowerIterationResult",
     "sample_covariance",
+    "covariance_eigenvalues",
     "row_norms",
     "power_method",
     "lanczos",
@@ -96,13 +97,37 @@ def sample_covariance(y: np.ndarray) -> np.ndarray:
 
     A (trials, K, N) stack gives the (trials, K, K) stack of covariances.
     """
+    y = _checked_samples(y)
+    n = y.shape[-1]
+    return (y @ np.swapaxes(y.conj(), -1, -2)) / n
+
+
+def covariance_eigenvalues(y: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the sample covariance (1/N) Y Y^H, sorted descending.
+
+    A (K, N) sample matrix gives K values, a (trials, K, N) stack one row of
+    K per trial. R = (1/N) Y Y^H has rank at most min(K, N); when N < K its
+    nonzero eigenvalues are those of the N x N Gram matrix (1/N) Y^H Y, which
+    is solved instead, and the remaining K - N values are exact zeros.
+    """
+    y = _checked_samples(y)
+    k, n = y.shape[-2:]
+    if n >= k:
+        return np.linalg.eigvalsh(sample_covariance(y))[..., ::-1]
+    gram = (np.swapaxes(y.conj(), -1, -2) @ y) / n
+    values = np.zeros(y.shape[:-2] + (k,))
+    values[..., :n] = np.linalg.eigvalsh(gram)[..., ::-1]
+    return values
+
+
+def _checked_samples(y: np.ndarray) -> np.ndarray:
+    """A (K, N) sample matrix or (trials, K, N) stack with finite entries."""
     y = np.asarray(y)
     if y.ndim not in (2, 3):
         raise ValueError("sample matrix must be two-dimensional")
     if not np.all(np.isfinite(y.view(float) if y.dtype.kind == "c" else y)):
         raise ValueError("sample matrix has non-finite entries")
-    n = y.shape[-1]
-    return (y @ np.swapaxes(y.conj(), -1, -2)) / n
+    return y
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

@@ -50,7 +50,13 @@ from .distributed import (
     predict_dpm_vector_error,
     predict_lambda1_error,
 )
-from .eigencore import EigenSolution, lanczos, power_method, sample_covariance
+from .eigencore import (
+    EigenSolution,
+    covariance_eigenvalues,
+    lanczos,
+    power_method,
+    sample_covariance,
+)
 from .errors import ConfigError
 from .harness import ExperimentConfig, ExperimentReport, _splitmix64, trial_seed
 from .signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
@@ -190,7 +196,7 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
     blocks = []
     for block in _blocks(seeds):
         y = _h1_block(cfg, block)
-        lam1 = np.linalg.eigvalsh(sample_covariance(y))[:, -1]
+        lam1 = covariance_eigenvalues(y)[:, 0]
         blocks.append((block, y, _dpm_starts(cfg.k, block), lam1))
 
     def dpm_mse(make_ac) -> float:
@@ -254,7 +260,7 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
     acc: dict[tuple[str, int, int], float] = {}
     for block in _blocks(seeds):
         y = _h1_block(cfg, block)
-        lam1 = np.linalg.eigvalsh(sample_covariance(y))[:, -1]
+        lam1 = covariance_eigenvalues(y)[:, 0]
         v0 = _dpm_starts(cfg.k, block)
         v1 = default_dla_start(cfg.k)
 
@@ -319,7 +325,7 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
     acc: dict[tuple[int, int, int], float] = {}
     for block in _blocks(seeds):
         y = _h1_block(cfg, block)
-        lam_true = np.linalg.eigvalsh(sample_covariance(y))[:, ::-1]
+        lam_true = covariance_eigenvalues(y)
         v1 = default_dla_start(cfg.k)
         for i_iters in cfg.ac_iters:
             ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, 0xE0 + i_iters)
@@ -424,7 +430,7 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
             cfg.n,
             cfg.spurious_tol,
         )
-        lists = {"exact": np.linalg.eigvalsh(r)[:, ::-1]}
+        lists = {"exact": covariance_eigenvalues(y)}
         for m in m_grid:
             lists[f"pm-m{m}"] = np.array([[p.value] for p in power_method(r, v0, m)])
             lists[f"la-m{m}"] = la_stacks[m]

@@ -34,7 +34,10 @@ def test_rerun_is_byte_identical(experiment, tmp_path, capsys):
 
 def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     # recorded with one link-failure redraw per consensus step; it pins every
-    # trial's failure stream and the chebyshev+failures rows built on it
+    # trial's failure stream and the chebyshev+failures rows built on it.
+    # Re-recorded when the exact lambda_1 came to be solved from the N x N
+    # Gram matrix and real weights began to multiply complex iterates as one
+    # real product: rounding moved every MSE, by at most 8.2e-12 relative
     argv = [
         "ac-compare", "--config", str(CONFIGS / "ac_compare.cfg"),
         "--out", str(tmp_path), "--trials", "3",
@@ -44,10 +47,19 @@ def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     assert (tmp_path / "ac-compare.csv").read_bytes() == recorded.read_bytes()
 
 
-@pytest.mark.parametrize("experiment, trials", [("roc", "200"), ("eig-converge", "8")])
+@pytest.mark.parametrize(
+    "experiment, trials", [("roc", "200"), ("eig-converge", "8"), ("multi-eig", "8")]
+)
 def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     # pins the Monte-Carlo runners' estimates to the bit, whatever the trial
-    # block size and whether their DPM/DLA runs keep error traces
+    # block size and whether their DPM/DLA runs keep error traces. roc and
+    # eig-converge were re-recorded, and multi-eig first recorded, when the
+    # exact spectra came to be solved from the N x N Gram matrix and real
+    # weights began to multiply complex iterates as one real product. That
+    # moved only rounding: roc thresholds by at most 1.5e-15 relative (no
+    # pfa or pd), eig-converge MSEs by at most 6.8e-8 relative, on la-ideal
+    # at M = 10, whose 4.4e-15 MSE squares a Lanczos error that a few ulps
+    # of the exact lambda_1 move, and the ~1e-29 rows by ~1e-29
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     argv = [experiment, "--config", str(config), "--out", str(tmp_path), "--trials", trials]
     assert cli_main(argv) == 0

@@ -11,6 +11,7 @@ from eigennet.consensus import (
     _failure_stack,
     _iterate,
     _mixing_operator,
+    _real_matmul,
     run_block,
     run_consensus,
 )
@@ -252,6 +253,151 @@ class TestBroadcastFormulation:
             out = rng.standard_normal(z0.shape)
             res = ReplayEngine([out]).run(z0)
             assert np.array_equal(res.error, out - np.broadcast_to(mean_row, z0.shape))
+
+
+    ENGINES = {
+        "ideal": lambda w, cheb: AcConfig("ideal", 0),
+        "ideal-weighted": lambda w, cheb: AcConfig("ideal", 4, weights=w),
+        "standard": lambda w, cheb: AcConfig("standard", 7, weights=w),
+        "standard-0": lambda w, cheb: AcConfig("standard", 0, weights=w),
+        "chebyshev": lambda w, cheb: AcConfig("chebyshev", 12, weights=w, cheb=cheb),
+        "standard+failures": lambda w, cheb: AcConfig(
+            "standard", 5, weights=w, link_failure_prob=0.3, failure_seed=4
+        ),
+        "chebyshev+failures": lambda w, cheb: AcConfig(
+            "chebyshev", 5, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=4
+        ),
+    }
+
+    @staticmethod
+    def eager_error(z0, z, ideal):
+        """The error as run_consensus computed it before it was computed on read."""
+        squeeze = z0.ndim == 1
+        x0 = z0[:, None] if squeeze else z0
+        x = z[:, None] if squeeze else z
+        mean_row = x0.mean(axis=-2, keepdims=True)
+        error = np.zeros_like(x) if ideal else x - mean_row
+        return error[:, 0] if squeeze else error
+
+    @staticmethod
+    def stacked_inputs(k):
+        yield from broadcast_inputs()
+        rng = np.random.default_rng(23)
+        yield rng.standard_normal((4, k, 1))
+        yield rng.standard_normal((3, k, 5)) + 1j * rng.standard_normal((3, k, 5))
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_error_on_read_matches_eager_formula(self, engine):
+        w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
+        cheb = spectral_bounds(w)
+        for z0 in self.stacked_inputs(40):
+            cfg = self.ENGINES[engine](w, cheb)
+            res = run_consensus(z0, cfg)
+            want = self.eager_error(z0, res.z, cfg.engine == "ideal")
+            assert res.error.dtype == want.dtype and res.error.shape == z0.shape
+            assert np.array_equal(res.error, want)
+            # computed once and kept
+            assert res.error is res.error
+
+    def test_ideal_error_is_zero_even_for_infinite_input(self):
+        z0 = np.ones((3, 5, 2))
+        z0[1, 2, 0] = np.inf
+        res = run_consensus(z0, AcConfig("ideal", 0))
+        assert np.array_equal(res.error, self.eager_error(z0, res.z, True))
+        assert not np.any(res.error)
+
+    def test_synthetic_error_on_read_matches_eager_formula(self):
+        rng = np.random.default_rng(29)
+        for z0 in self.stacked_inputs(40):
+            axis = 0 if z0.ndim == 1 else -2
+            err = rng.standard_normal(z0.shape)
+            for engine in (ErrorInjectingEngine([err]), ReplayEngine([err])):
+                res = engine.run(z0)
+                want = res.z - z0.mean(axis=axis, keepdims=True)
+                assert np.array_equal(res.error, want)
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("shape", [(4, 40, 3), (4, 40), (1, 40, 3), (1, 40)])
+    def test_run_block_error_on_read_matches_eager_formula(self, engine, shape):
+        w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
+        cheb = spectral_bounds(w)
+        rng = np.random.default_rng(31)
+        z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        make = self.ENGINES[engine]
+        ideal = make(w, cheb).engine == "ideal"
+
+        # one engine for the block
+        res = run_block(make(w, cheb), z0)
+        if len(z0) == 1:
+            want = self.eager_error(z0[0], res.z[0], ideal)[None]
+        elif z0.ndim == 2:
+            want = self.eager_error(z0[:, :, None], res.z[:, :, None], ideal)[:, :, 0]
+        else:
+            want = self.eager_error(z0, res.z, ideal)
+        assert res.error.shape == z0.shape
+        assert np.array_equal(res.error, want)
+
+        # one engine per trial
+        res = run_block([make(w, cheb) for _ in z0], z0)
+        want = np.stack([self.eager_error(x, z, ideal) for x, z in zip(z0, res.z)])
+        assert res.error.shape == z0.shape
+        assert np.array_equal(res.error, want)
+
+
+class TestRealMatmul:
+    """Real weights times a complex iterate, as one real product."""
+
+    @staticmethod
+    def weights(k, seed=3):
+        return metropolis_weights(random_connected_graph(k, seed)).entries
+
+    @staticmethod
+    def complex_inputs(k, scale):
+        rng = np.random.default_rng(41)
+
+        def draw(*shape):
+            return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        yield draw(k)
+        yield draw(k, 1)
+        yield draw(k, 6)
+        yield draw(4, k, 3)
+        # a conjugated transpose: Fortran-ordered, not C-contiguous
+        yield draw(6, k).T.conj()
+        # a sliced stack: strided in every axis
+        yield draw(6, k, 8)[::2, :, 1::2]
+        if scale == 1.0:  # the range of complex64 holds only the unit scale
+            yield draw(k, 3).astype(np.complex64)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_matches_complex_product(self, scale):
+        w = self.weights(9)
+        for x in self.complex_inputs(9, scale):
+            got = _real_matmul(w, x)
+            want = w.astype(complex) @ x
+            assert got.shape == want.shape and got.dtype == want.dtype
+            bound = 1e-15 * np.linalg.norm(w) * np.linalg.norm(x)
+            assert np.max(np.abs(got - want)) <= bound
+
+    def test_real_input_is_the_plain_product(self):
+        w = self.weights(9)
+        rng = np.random.default_rng(43)
+        for shape in ((9,), (9, 1), (9, 5), (3, 9, 2)):
+            x = rng.standard_normal(shape)
+            got = _real_matmul(w, x)
+            assert got.dtype == x.dtype
+            assert np.array_equal(got, w @ x)
+        x = rng.standard_normal((9, 6))[:, ::2]
+        assert np.array_equal(_real_matmul(w, x), w @ x)
+
+    @pytest.mark.parametrize("trials", [2, 3, 32])
+    def test_each_trial_equals_its_lone_product(self, trials):
+        w = self.weights(40)
+        rng = np.random.default_rng(trials)
+        x = rng.standard_normal((trials, 40, 10)) + 1j * rng.standard_normal((trials, 40, 10))
+        stacked = _real_matmul(w, x)
+        for t in range(trials):
+            assert np.array_equal(stacked[t], _real_matmul(w, x[t]))
 
 
 def loop_failure_weights(graph, rng, p):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from eigennet import distributed, eigencore
-from eigennet.consensus import AcConfig, ErrorInjectingEngine, ReplayEngine, run_consensus
+from eigennet.consensus import (
+    AcConfig,
+    ConsensusResult,
+    ErrorInjectingEngine,
+    ReplayEngine,
+    run_consensus,
+)
 from eigennet.distributed import (
     audit_messages,
     check_dpm_convergence_condition,
@@ -835,3 +841,28 @@ class TestTraceOption:
             with pytest.raises(EigennetError, match="trace=True"):
                 call()
 
+
+class TestUntracedRunsSkipErrors:
+    """An untraced run never computes a consensus error."""
+
+    helper = TestTrialStack()
+
+    @pytest.fixture
+    def unreadable_errors(self, monkeypatch):
+        def refuse(res):
+            raise AssertionError("consensus error read")
+
+        monkeypatch.setattr(ConsensusResult, "error", property(refuse))
+
+    @pytest.mark.parametrize("per_trial", [False, True])
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures"])
+    def test_untraced_runs_never_read_the_error(self, kind, per_trial, unreadable_errors):
+        make = self.helper.engine_factory(kind)
+        y = self.helper.block()[:3]
+        for run in TestTraceOption.RUNS.values():
+            ac = [make(t) for t in range(len(y))] if per_trial else make(0)
+            assert run(y, ac, False).trace is None
+            # the patch is in force: a traced run reads the errors
+            ac = [make(t) for t in range(len(y))] if per_trial else make(0)
+            with pytest.raises(AssertionError, match="consensus error read"):
+                run(y, ac, True)

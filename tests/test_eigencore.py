@@ -3,6 +3,7 @@ import pytest
 
 from eigennet.eigencore import (
     TridiagonalMatrix,
+    covariance_eigenvalues,
     cullum_willoughby_spurious,
     filter_spurious,
     lanczos,
@@ -38,6 +39,54 @@ class TestSampleCovariance:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             sample_covariance(np.array([[np.nan, 1.0]]))
+
+
+class TestCovarianceEigenvalues:
+    K = 7
+
+    def samples(self, n, trials, seed, dtype=complex):
+        rng = np.random.default_rng(seed)
+        shape = (self.K, n) if trials is None else (trials, self.K, n)
+        y = rng.standard_normal(shape)
+        if dtype is complex:
+            y = y + 1j * rng.standard_normal(shape)
+        return y
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    @pytest.mark.parametrize("trials", [None, 1, 5])
+    @pytest.mark.parametrize("n", [1, K - 1, K, K + 4])
+    def test_matches_the_covariance_spectrum(self, n, trials, dtype):
+        y = self.samples(n, trials, seed=n, dtype=dtype)
+        got = covariance_eigenvalues(y)
+        want = np.linalg.eigvalsh(sample_covariance(y))[..., ::-1]
+        assert got.shape == want.shape == y.shape[:-1]
+        assert got.dtype == np.float64
+        lam1 = want[..., :1]
+        assert np.all(np.abs(got - want) <= 1e-13 * lam1)
+        # descending
+        assert np.all(np.diff(got, axis=-1) <= 0)
+
+    @pytest.mark.parametrize("trials", [None, 5])
+    @pytest.mark.parametrize("n", [1, 3, K - 1])
+    def test_pads_with_exact_zeros_past_the_rank(self, n, trials):
+        got = covariance_eigenvalues(self.samples(n, trials, seed=10 + n))
+        assert np.all(got[..., n:] == 0.0)
+        assert np.all(got[..., :n] > 0.0)
+
+    @pytest.mark.parametrize("n", [1, K - 1, K, K + 4])
+    def test_rejects_non_finite_samples_as_the_covariance_does(self, n):
+        for bad in (np.nan, np.inf, 1j * np.inf):
+            y = self.samples(n, 3, seed=20)
+            y[1, 2, 0] = bad
+            for call in (sample_covariance, covariance_eigenvalues):
+                with pytest.raises(ValueError, match="non-finite entries"):
+                    call(y)
+
+    def test_rejects_what_the_covariance_rejects(self):
+        for y in (np.ones(4), np.ones((2, 2, 2, 2))):
+            for call in (sample_covariance, covariance_eigenvalues):
+                with pytest.raises(ValueError, match="two-dimensional"):
+                    call(y)
 
 
 class TestPowerMethod:
