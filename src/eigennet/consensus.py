@@ -10,14 +10,18 @@ stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
 run of either mixing engine is one matrix polynomial p_I(W); it is built
 once per (weights, engine, I) and then applied as a single product. Under
 link failures the recurrence runs step by step on the input with fresh
-surviving links each step. A call draws the links of all its I steps at once,
-as one (I, E) uniform draw, and builds its I Metropolis matrices in one pass
-before the first step. That draw consumes the failure generator exactly as I
-per-step draws of E values would, so the failure stream, and every output
-computed from it, is the same as with a redraw at each step; a stacked call
-draws once, so every trial of the stack shares its links. The mixing
-weights are real and the iterates often complex; each such product runs as
-one real product on the iterate's interleaved real and imaginary parts. Every
+surviving links each step. Before the first step a call draws the links of
+all its I steps, as one (I, E) uniform draw per failure generator, which
+consumes the generator exactly as I per-step draws of E values would, so the
+failure stream, and every output computed from it, is the same as with a
+redraw at each step. A config holds one generator, whose links every trial
+of a stacked call shares, or one per trial: then each trial's links come
+from its own generator, drawn in trial order, and each step mixes the whole
+stack with one product. The Metropolis matrices are built in step-major
+chunks of at most 32, in one buffer per call. The mixing weights are real
+and the iterates often complex; the recurrence keeps the iterate, for the
+whole run, as one real array of its interleaved real and imaginary parts,
+updated in preallocated buffers, so each product is one real product. Every
 result carries the realized error matrix, the deviation of the output from
 the exact mean; that matrix is a simulation observable only, never read by
 the algorithms under test, so it is computed on its first read.
@@ -29,15 +33,15 @@ support instrumentation: :class:`ErrorInjectingEngine` returns exact means
 plus caller-chosen error terms (for verifying the closed-form error
 expressions), and :class:`ReplayEngine` returns pre-recorded outputs
 regardless of input (for locality tests). :func:`run_block` runs one
-consensus round of a block of trials, on one engine for the whole stack or
-on one engine per trial.
+consensus round of a block of trials on one engine for the whole stack.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -82,9 +86,13 @@ class ConsensusResult:
 class AcConfig:
     """Configuration of a consensus run.
 
-    ``failure_seed`` feeds the per-iteration link-failure draws; a fresh
-    generator is created at construction, so rebuilding the same config
-    reproduces the same failure pattern across a sequence of runs.
+    ``failure_seed`` seeds the link-failure draws: one int, or one seed per
+    trial of the (B, K, m) stacks the config runs. Fresh generators are
+    created at construction, so rebuilding the same config reproduces the
+    same failure pattern across a sequence of runs. Under one generator every
+    trial of a stacked call shares the call's surviving links; under one per
+    trial, trial b's links come from generator b, so each trial sees the links
+    its lone run would.
     """
 
     engine: str
@@ -92,9 +100,9 @@ class AcConfig:
     weights: WeightMatrix | None = None
     cheb: ChebyshevParams | None = None
     link_failure_prob: float = 0.0
-    failure_seed: int | None = None
-    _failure_rng: np.random.Generator | None = field(
-        default=None, repr=False, compare=False
+    failure_seed: int | Sequence[int] | None = None
+    _failure_rngs: list[np.random.Generator] = field(
+        default_factory=list, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -109,9 +117,12 @@ class AcConfig:
         if self.engine == "chebyshev" and self.cheb is None:
             raise ConsensusError("chebyshev engine needs spectral bounds")
         if self.link_failure_prob > 0.0:
-            if self.failure_seed is None:
+            seeds = self.failure_seed
+            if np.ndim(seeds) == 0:
+                seeds = [] if seeds is None else [seeds]
+            if len(seeds) == 0:
                 raise ConsensusError("link failures need a failure_seed")
-            self._failure_rng = np.random.default_rng(self.failure_seed)
+            self._failure_rngs = [np.random.default_rng(s) for s in seeds]
 
     @property
     def graph(self) -> Graph | None:
@@ -122,45 +133,71 @@ class AcConfig:
         return run_consensus(z0, self)
 
 
-def _failure_stack(
-    graph: Graph, rng: np.random.Generator, p: float, steps: int
+def _failure_masks(
+    rngs: Sequence[np.random.Generator], p: float, steps: int, edges: int
 ) -> np.ndarray:
-    """Metropolis weights on each step's surviving links, as an (S, K, K) stack.
+    """Each step's surviving links, as an (S, G, E) mask: column g from generator g.
 
-    One (S, E) uniform draw decides every step's links, edge by edge in edge
-    order; it consumes the generator exactly as S successive per-step draws of
-    E values (or S * E scalar draws) would.
+    Each generator makes one (S, E) uniform draw, in generator order, which
+    decides its steps' links edge by edge in edge order; that consumes it
+    exactly as S successive per-step draws of E values (or S * E scalar
+    draws) would.
     """
-    alive = rng.random((steps, graph.edge_index.shape[1])) >= p
-    return metropolis_stack(graph, alive)
+    alive = np.empty((steps, len(rngs), edges), dtype=bool)
+    for g, rng in enumerate(rngs):
+        np.greater_equal(rng.random((steps, edges)), p, out=alive[:, g])
+    return alive
 
 
-def _step_weights(cfg: AcConfig) -> np.ndarray:
-    """The (I, K, K) mixing matrices of one run, step s's at index s."""
+def _step_weights(cfg: AcConfig, trials: int) -> Iterator[np.ndarray]:
+    """The mixing matrices of a run on ``trials`` stacked trials, step by step.
+
+    Each step gives one (K, K) matrix that every trial shares, or under link
+    failures with one generator per trial a (trials, K, K) stack. A failure
+    step's matrices are overwritten by a later step's, and every link is
+    drawn before the first step.
+    """
     assert cfg.weights is not None
-    if cfg.link_failure_prob > 0.0:
-        assert cfg._failure_rng is not None
-        return _failure_stack(
-            cfg.weights.graph, cfg._failure_rng, cfg.link_failure_prob, cfg.iterations
+    if cfg.link_failure_prob == 0.0:
+        return itertools.repeat(cfg.weights.entries, cfg.iterations)
+    rngs = cfg._failure_rngs
+    if len(rngs) not in (1, trials):
+        raise ConsensusError(
+            f"{trials} stacked trials need one failure generator or one per "
+            f"trial, not {len(rngs)}"
         )
-    w = cfg.weights.entries
-    return np.broadcast_to(w, (cfg.iterations,) + w.shape)
+    graph = cfg.weights.graph
+    alive = _failure_masks(
+        rngs, cfg.link_failure_prob, cfg.iterations, graph.edge_index.shape[1]
+    )
+    steps = (w for chunk in metropolis_stack(graph, alive) for w in chunk)
+    return (w[0] for w in steps) if len(rngs) == 1 else steps
 
 
 def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
-    """Run the engine's recurrence on x0, one mixing matrix per step.
+    """Run the engine's recurrence on a (K, m) or (B, K, m) x0, step by step.
 
-    A degenerate Chebyshev spectrum runs the plain averaging loop: plain
-    averaging already contracts as fast as any polynomial in W of the same
-    degree.
+    The weights are real. For the whole run the iterate is one real
+    (..., K, c) array, updated in preallocated buffers: a real x0's float
+    copy, or the interleaved real and imaginary parts of a complex x0's
+    copy, c = 2m, so that each step's product with the weights is one real
+    product. A degenerate Chebyshev spectrum runs the plain averaging loop:
+    plain averaging already contracts as fast as any polynomial in W of the
+    same degree.
     """
-    weights = _step_weights(cfg)
-    if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
-        return _chebyshev_iterate(x0, weights, cfg.cheb)
-    x = x0.copy()
-    for w in weights:
-        x = _real_matmul(w, x)
-    return x
+    if cfg.iterations == 0:
+        return x0.copy()
+    as_complex = x0.dtype.kind == "c"
+    x = np.array(x0, dtype=complex if as_complex else float, order="C").view(float)
+    weights = _step_weights(cfg, len(x) if x.ndim == 3 else 1)
+    if cfg.engine == "chebyshev" and not cfg.cheb.is_degenerate:
+        x = _chebyshev_iterate(x, weights, cfg.cheb, as_complex)
+    else:
+        out = np.empty_like(x)
+        for w in weights:
+            np.matmul(w, x, out=out)
+            x, out = out, x
+    return x.view(complex) if as_complex else x
 
 
 def _real_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -199,10 +236,12 @@ def _mixing_operator(cfg: AcConfig) -> np.ndarray:
 def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     """Run one consensus instance on a K x m (or length-K) initial matrix.
 
-    A (trials, K, m) input runs every trial on the same weights (and, under
-    link failures, the same surviving links); the output, error and per-node
-    counters then carry the leading trial axis, and each trial's slice equals
-    the run of that slice alone.
+    A (trials, K, m) input runs every trial on the same weights; under link
+    failures each trial draws its links from its own generator when the
+    config holds one per trial, and all trials share one draw otherwise. The
+    output, error and per-node counters then carry the leading trial axis,
+    and each trial's slice equals the run of that slice alone (on a config
+    with that trial's generator).
     """
     z0 = np.asarray(z0)
     squeeze = z0.ndim == 1
@@ -234,7 +273,10 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
 
 
 def _chebyshev_iterate(
-    x0: np.ndarray, weights: np.ndarray, cheb: ChebyshevParams
+    x: np.ndarray,
+    weights: Iterator[np.ndarray],
+    cheb: ChebyshevParams,
+    as_complex: bool,
 ) -> np.ndarray:
     """Chebyshev semi-iteration on the rescaled mixing matrices.
 
@@ -242,23 +284,44 @@ def _chebyshev_iterate(
     recurrence tau_0 = 1, tau_1 = b1, tau_{t+1} = 2 b1 tau_t - tau_{t-1}, the
     iterates realize p_t(W) = T_t(B)/T_t(b1): the consensus component is
     preserved exactly and disagreement is damped by at least 1/tau_t. Under
-    link failures step s mixes with its own ``weights[s]`` but the nominal
-    scalar sequence is kept.
+    link failures step s mixes with its own weights but the nominal scalar
+    sequence is kept.
+
+    ``x`` is the real (..., K, c) view of the iterate, ``as_complex`` whether
+    it holds interleaved complex parts; it is overwritten, and the result is
+    one of three buffers of its shape that the steps rotate. numpy divides a complex array by a
+    real scalar as a product with the scalar's reciprocal, so complex parts
+    are scaled that way and real ones divided, as the complex and real
+    arithmetic would.
     """
     lam_sum = cheb.lambda_max + cheb.lambda_min
     lam_diff = cheb.lambda_max - cheb.lambda_min
     b1 = cheb.b1
+    if as_complex:
+        scale, by_diff, by_b1 = np.multiply, 1.0 / lam_diff, 1.0 / b1
+    else:
+        scale, by_diff, by_b1 = np.divide, lam_diff, b1
+    spare = np.empty_like(x)
 
-    def apply_b(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return (2.0 * _real_matmul(w, x) - lam_sum * x) / lam_diff
+    def apply_b(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(w, x, out=out)
+        np.multiply(out, 2.0, out=out)
+        np.multiply(x, lam_sum, out=spare)
+        np.subtract(out, spare, out=out)
+        scale(out, by_diff, out=out)
 
-    x_prev = x0.copy()
-    x = apply_b(weights[0], x0) / b1
+    weights = iter(weights)
+    x_prev, x, x_next = x, np.empty_like(x), np.empty_like(x)
+    apply_b(next(weights), x_prev, x)
+    scale(x, by_b1, out=x)
     tau_prev, tau = 1.0, b1
-    for w in weights[1:]:
+    for w in weights:
         tau_next = 2.0 * b1 * tau - tau_prev
-        x_next = (2.0 * tau / tau_next) * apply_b(w, x) - (tau_prev / tau_next) * x_prev
-        x_prev, x = x, x_next
+        apply_b(w, x, x_next)
+        np.multiply(x_next, 2.0 * tau / tau_next, out=x_next)
+        np.multiply(x_prev, tau_prev / tau_next, out=x_prev)
+        np.subtract(x_next, x_prev, out=x_next)
+        x_prev, x, x_next = x, x_next, x_prev
         tau_prev, tau = tau, tau_next
     return x
 
@@ -266,26 +329,17 @@ def _chebyshev_iterate(
 def run_block(ac, z0: np.ndarray) -> ConsensusResult:
     """One consensus round for every trial of a block.
 
-    ``z0`` is (B, K, m), or (B, K) for a scalar round. ``ac`` is one engine,
+    ``z0`` is (B, K, m), or (B, K) for a scalar round, and ``ac`` one engine
     whose ``run`` takes the whole stack in one call (a scalar round as a
-    (B, K, 1) stack), or a list with one engine per trial, each running its
-    own trial. A one-trial block passes the lone (K, m) or (K,) input, as a
-    lone run does. The result's output and error have the shape of ``z0``
-    and its counters are (B, K); the error is computed on its first read,
-    as each run's is.
+    (B, K, 1) stack). A one-trial block passes the lone (K, m) or (K,)
+    input, as a lone run does. The result's output and error have the shape
+    of ``z0`` and its counters are (B, K); the error is computed on its
+    first read, as each run's is.
     """
-    per_trial = isinstance(ac, (list, tuple))
-    if per_trial and len(ac) != len(z0):
-        raise ValueError(
-            f"need one consensus engine per trial, got {len(ac)} for {len(z0)}"
-        )
-    if len(z0) == 1 or per_trial:
-        engines = ac if per_trial else [ac]
-        results = [e.run(x) for e, x in zip(engines, z0)]
+    if len(z0) == 1:
+        res = ac.run(z0[0])
         return ConsensusResult(
-            np.stack([r.z for r in results]),
-            np.stack([r.scalars_exchanged_per_node for r in results]),
-            lambda: np.stack([r.error for r in results]),
+            res.z[None], res.scalars_exchanged_per_node[None], lambda: res.error[None]
         )
     if z0.ndim == 2:
         res = ac.run(z0[:, :, None])

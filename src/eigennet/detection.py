@@ -112,7 +112,7 @@ def trace_consensus(y: np.ndarray, ac) -> np.ndarray:
 
     Node k contributes its sample energy; K/N times the consensus output
     equals trace((1/N) Y Y^H) exactly under ideal averaging. A (B, K, N)
-    stack, with one engine or one per trial as in
+    stack, with one engine for the stack as in
     :func:`~eigennet.consensus.run_block`, gives (B, K) estimates.
     """
     y = np.asarray(y)

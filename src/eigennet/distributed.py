@@ -16,14 +16,14 @@ never reads entry j) while keeping runs vectorized. Both algorithms also
 take a leading trial axis: a (B, K, N) sample stack runs B independent
 sensing periods in one loop, and a plain (K, N) call is the B = 1 case,
 returned without the trial axis. Every consensus round of a block is one
-:func:`~eigennet.consensus.run_block` call. One engine runs the whole stack
-in one ``run`` call: one stacked product on fixed weights, the per-column
-mean under ideal averaging, and under link failures one draw of surviving
-links that every trial of the block shares. A list with one engine per trial
-runs each trial alone, so each trial's failure generator is consumed in the
-order a lone run consumes it. Results carry the trial axis on every array
-and one :class:`MessageAudit` per trial, and ``trial(b)`` gives the result
-trial b would have had alone (on a fresh equal engine), to the bit. Past the
+:func:`~eigennet.consensus.run_block` call, in which one engine runs the
+whole stack in one ``run`` call: one stacked product on fixed weights, the
+per-column mean under ideal averaging, and under link failures one product
+per step, with each trial's surviving links drawn from that trial's own
+generator when the engine holds one per trial. Results carry the trial axis
+on every array and one :class:`MessageAudit` per trial, built on its first
+read, and ``trial(b)`` gives the result trial b would have had alone (on a
+fresh engine with trial b's generator), to the bit. Past the
 iteration loop, at each Ritz checkpoint the Ritz values of every node of
 every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
 stopped growing, which is solved by batched LAPACK calls per distinct size
@@ -83,6 +83,40 @@ class MessageAudit:
     ac_1_calls: int
     units_per_node: dict[int, int]
     time_periods: int
+
+
+@dataclass(frozen=True, eq=False)
+class _MessageCounts:
+    """A run's consensus call counts and per-node units, (B, K) when stacked.
+
+    Results keep these counters and build their :class:`MessageAudit` from
+    them on first read: the Monte-Carlo runners never read the audit.
+    """
+
+    ac_n_calls: int
+    ac_1_calls: int
+    units: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _MessageCounts)
+            and (self.ac_n_calls, self.ac_1_calls) == (other.ac_n_calls, other.ac_1_calls)
+            and np.array_equal(self.units, other.units)
+        )
+
+    def trial(self, t: int) -> _MessageCounts:
+        return _MessageCounts(self.ac_n_calls, self.ac_1_calls, self.units[t])
+
+    def audit(self) -> MessageAudit | list[MessageAudit]:
+        """The audit of a lone run, or one audit per trial of a stacked run."""
+        if self.units.ndim > 1:
+            return [self.trial(t).audit() for t in range(len(self.units))]
+        return MessageAudit(
+            ac_n_calls=self.ac_n_calls,
+            ac_1_calls=self.ac_1_calls,
+            units_per_node={k: int(u) for k, u in enumerate(self.units.tolist())},
+            time_periods=self.ac_n_calls + self.ac_1_calls,
+        )
 
 
 @dataclass
@@ -164,18 +198,25 @@ class ConvergenceVerdict:
 
 @dataclass
 class DpmResult:
-    """A DPM run; a stacked run has a leading trial axis and one audit per trial."""
+    """A DPM run; a stacked run has a leading trial axis and one audit per trial.
+
+    ``audit`` is built from the run's message counters on its first read.
+    """
 
     lambda1: np.ndarray
     v_hist: np.ndarray
     trace: DpmErrorTrace | None
-    audit: MessageAudit | list[MessageAudit]
+    _messages: _MessageCounts = field(repr=False)
     checkpoints: dict[int, np.ndarray]
     m_iterations: int
     ac_iterations: int | None
     graph: Graph | None
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dpm"
+
+    @cached_property
+    def audit(self) -> MessageAudit | list[MessageAudit]:
+        return self._messages.audit()
 
     def trial(self, t: int) -> DpmResult:
         """Trial t of a stacked run, as the run of that trial alone returns it."""
@@ -184,7 +225,7 @@ class DpmResult:
             lambda1=self.lambda1[t],
             v_hist=self.v_hist[t],
             trace=None if self.trace is None else self.trace.trial(t),
-            audit=self.audit[t],
+            _messages=self._messages.trial(t),
             checkpoints={j: lam[t] for j, lam in self.checkpoints.items()},
             samples=self.samples[t],
         )
@@ -198,6 +239,7 @@ class DlaResult:
     to the NaN-padded (..., K, j) raw and filtered Ritz values; filtered rows
     hold their kept values first. ``ritz_raw`` and ``eigenvalues`` give the
     same values as one array per node (nested per trial for a stacked run).
+    ``audit`` is built from the run's message counters on its first read.
     """
 
     alpha_hist: np.ndarray
@@ -210,12 +252,16 @@ class DlaResult:
     eigenvalue_stacks: dict[int, np.ndarray]
     clamped: np.ndarray
     trace: DlaErrorTrace | None
-    audit: MessageAudit | list[MessageAudit]
+    _messages: _MessageCounts = field(repr=False)
     m_iterations: int
     ac_iterations: int | None
     graph: Graph | None
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dla"
+
+    @cached_property
+    def audit(self) -> MessageAudit | list[MessageAudit]:
+        return self._messages.audit()
 
     @cached_property
     def ritz_raw(self) -> dict[int, list]:
@@ -239,7 +285,7 @@ class DlaResult:
             eigenvalue_stacks={j: s[t] for j, s in self.eigenvalue_stacks.items()},
             clamped=self.clamped[t],
             trace=None if self.trace is None else self.trace.trial(t),
-            audit=self.audit[t],
+            _messages=self._messages.trial(t),
             samples=self.samples[t],
         )
 
@@ -295,21 +341,6 @@ def _start_values(v: np.ndarray, trials: int, k: int) -> np.ndarray:
     return np.array(np.broadcast_to(v, (trials, k)), order="C")
 
 
-def _engine_info(ac) -> tuple[int | None, Graph | None]:
-    """Averaging iterations and graph shared by every trial's engine, else None.
-
-    Both are optional engine attributes: an engine without them (a synthetic
-    one) shares neither.
-    """
-    engines = ac if isinstance(ac, (list, tuple)) else [ac]
-    iterations = {getattr(e, "iterations", None) for e in engines}
-    graphs = {id(getattr(e, "graph", None)) for e in engines}
-    return (
-        iterations.pop() if len(iterations) == 1 else None,
-        getattr(engines[0], "graph", None) if len(graphs) == 1 else None,
-    )
-
-
 class _BlockConsensus:
     """A block's consensus rounds, with call counts and per-node units per trial.
 
@@ -338,16 +369,8 @@ class _BlockConsensus:
         self.units += res.scalars_exchanged_per_node
         return res.z, (res.error if self.trace else None)
 
-    def audits(self) -> list[MessageAudit]:
-        return [
-            MessageAudit(
-                ac_n_calls=self.ac_n,
-                ac_1_calls=self.ac_1,
-                units_per_node={k: int(u) for k, u in enumerate(row)},
-                time_periods=self.ac_n + self.ac_1,
-            )
-            for row in self.units.tolist()
-        ]
+    def counts(self) -> _MessageCounts:
+        return _MessageCounts(self.ac_n, self.ac_1, self.units)
 
 
 def _dpm_final_stage(y, v, rounds, scale):
@@ -384,7 +407,7 @@ def run_dpm(
     calls); the final iteration always gets one.
 
     ``y`` is one (K, N) trial or a (B, K, N) stack of trials; ``ac`` is one
-    consensus engine or a list of one per trial, as
+    consensus engine that runs the whole stack, as
     :func:`~eigennet.consensus.run_block` takes it, and ``v0`` one (K,)
     start shared by every trial or a (B, K) stack. A stack returns a
     stacked result whose ``trial(b)`` equals the run of trial b alone.
@@ -439,16 +462,16 @@ def run_dpm(
             numerator_error=e_num,
             denominator_error=e_den,
         )
-    ac_iterations, graph = _engine_info(ac)
     result = DpmResult(
         lambda1=lam,
         v_hist=v_hist,
         trace=error_trace,
-        audit=rounds.audits(),
+        _messages=rounds.counts(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
-        ac_iterations=ac_iterations,
-        graph=graph,
+        # optional engine attributes, which a synthetic engine lacks
+        ac_iterations=getattr(ac, "iterations", None),
+        graph=getattr(ac, "graph", None),
         samples=y,
     )
     return result.trial(0) if single else result
@@ -624,7 +647,6 @@ def run_dla(
         n,
         spurious_tol_rel,
     )
-    ac_iterations, graph = _engine_info(ac)
     result = DlaResult(
         alpha_hist=alpha_hist,
         beta_hist=beta_hist,
@@ -636,10 +658,11 @@ def run_dla(
         eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
         clamped=clamped,
         trace=error_trace,
-        audit=rounds.audits(),
+        _messages=rounds.counts(),
         m_iterations=m,
-        ac_iterations=ac_iterations,
-        graph=graph,
+        # optional engine attributes, which a synthetic engine lacks
+        ac_iterations=getattr(ac, "iterations", None),
+        graph=getattr(ac, "graph", None),
         samples=y,
     )
     return result.trial(0) if single else result
@@ -760,7 +783,8 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
             "Lanczos coefficients are not finite: the samples are too large "
             "for floating point"
         )
-    limit = min(k, n)
+    # the rank test starts past the Krylov bound min(K, N + 1)
+    limit = min(k, n + 1)
     rows = alpha.shape[0]
     needed = set(wanted) | {j - 1 for j in wanted if j > limit}
     raw: dict[int, np.ndarray] = {}

@@ -326,9 +326,11 @@ def filter_spurious_batch(
     of the previous iteration's lists, or None. ``tol`` is a scalar or one
     tolerance per row. Two criteria, applied in order:
 
-    1. Rank criterion: the covariance matrix has exactly min(K, N) nonzero
-       eigenvalues, so past iteration min(K, N) a value absent (within
-       ``tol``) from the previous iteration's list is spurious.
+    1. Rank criterion: the Krylov space K_j(R, v1) lies in span{v1} plus
+       the range of R, so its dimension is at most min(K, N + 1), and exact
+       Lanczos has found the whole spectrum by iteration min(K, N + 1).
+       Past that iteration a value absent (within ``tol``) from the
+       previous iteration's list is spurious.
     2. Duplicate collapse: values within ``tol`` of the last kept value are
        merged into it (the largest of each cluster survives).
 
@@ -342,7 +344,7 @@ def filter_spurious_batch(
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (s,))
     keep = ~np.isnan(cur)
     j = iteration if iteration is not None else width
-    if j > min(k, n) and previous is not None:
+    if j > min(k, n + 1) and previous is not None:
         prev = np.asarray(previous, dtype=float)
         # one previous column at a time: an (S, j, p) difference stack would
         # set the peak memory of a run over many trials' nodes

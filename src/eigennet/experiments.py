@@ -9,10 +9,11 @@ Trials run in consecutive blocks of ``TRIAL_BLOCK``: samples and starting
 values are still drawn per trial from the trial's seed, then the block's
 DPM/DLA runs, centralized baselines and detection statistics each run once
 on the stacked trials, and every result is read back per trial in trial
-order, so the block size changes no output. A fixed-weight engine token
-gives one consensus config that the whole block shares; a ``+failures``
-token gives one config per trial, its failure generator seeded from the
-trial's seed, so each trial's link failures do not depend on the blocking.
+order, so the block size changes no output. An engine token gives one
+consensus config for the whole block. Under ``+failures`` that config holds
+one failure generator per trial, seeded from the trial's seed, and draws
+each trial's links from the trial's own generator, so each trial's link
+failures do not depend on the blocking.
 The runners read only estimates, so their DPM/DLA runs keep no error trace.
 The block is bounded because a block's working set (samples, covariances,
 consensus outputs, Lanczos histories and the Ritz stacks of every node)
@@ -103,11 +104,10 @@ def _topology(cfg: ExperimentConfig):
 
 
 def _make_ac(token: str, i_iters: int, cfg, weights, cheb, seeds: list[int], tag: int):
-    """The consensus of a block whose trials have seeds ``seeds``.
+    """The consensus config of a block whose trials have seeds ``seeds``.
 
-    A fixed-weight token gives one config that the block shares. A
-    ``+failures`` token gives one config per trial, whose failure generator
-    is seeded from the trial's seed and ``tag``.
+    Under a ``+failures`` token it holds one failure generator per trial,
+    seeded from the trial's seed and ``tag``.
     """
     base = token.split("+", 1)[0]
     failures = token.endswith("+failures")
@@ -120,17 +120,14 @@ def _make_ac(token: str, i_iters: int, cfg, weights, cheb, seeds: list[int], tag
     cheb = cheb if base == "chebyshev" else None
     if not failures:
         return AcConfig(base, i_iters, weights=weights, cheb=cheb)
-    return [
-        AcConfig(
-            base,
-            i_iters,
-            weights=weights,
-            cheb=cheb,
-            link_failure_prob=cfg.link_failure_prob,
-            failure_seed=_sub_seed(s, tag),
-        )
-        for s in seeds
-    ]
+    return AcConfig(
+        base,
+        i_iters,
+        weights=weights,
+        cheb=cheb,
+        link_failure_prob=cfg.link_failure_prob,
+        failure_seed=[_sub_seed(s, tag) for s in seeds],
+    )
 
 
 def _signal_cfg(cfg: ExperimentConfig, seed: int, hypothesis: int) -> SignalConfig:

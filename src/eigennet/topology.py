@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,8 @@ class Graph:
     reproducibility and plot emission; no algorithm reads it.
     ``edge_index`` holds the edge endpoints as a read-only 2 x E integer
     array (row 0 the smaller endpoint), for vectorized weight construction.
+    The layout that :func:`metropolis_stack` scatters weights with is built
+    on its first use and kept on the graph, so it lives and dies with it.
     """
 
     node_count: int
@@ -70,6 +74,23 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Node degrees, computed once at construction (read-only)."""
         return self._degrees
+
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        """The (E, K) edge-node incidence matrix: row e holds 1 at both ends of edge e."""
+        u, v = self.edge_index
+        incidence = np.zeros((u.size, self.node_count))
+        edges = np.arange(u.size)
+        incidence[edges, u] = 1.0
+        incidence[edges, v] = 1.0
+        return incidence
+
+    @cached_property
+    def _edge_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of entries (u, v) and (v, u) of each edge in a K x K matrix."""
+        u, v = self.edge_index
+        k = self.node_count
+        return u * k + v, v * k + u
 
     def adjacency_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -215,44 +236,57 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def metropolis_stack(g: Graph, alive: np.ndarray) -> np.ndarray:
-    """Dense (S, K, K) Metropolis weights, one matrix per row of ``alive``.
+_STACK_CHUNK = 32  # most matrices that one metropolis_stack buffer holds
 
-    ``alive`` is an (S, E) boolean mask over the graph's ``edge_index``
-    columns; matrix s carries the Metropolis weights of the subgraph of the
-    edges alive in row s, with degrees counted over those edges only. All S
-    matrices are built at once: one product for the degrees, one scatter of
-    the edge weights and one row sum for the diagonals.
+
+def metropolis_stack(g: Graph, alive: np.ndarray) -> Iterator[np.ndarray]:
+    """Dense Metropolis weights, one matrix per mask of ``alive``, in chunks.
+
+    ``alive`` is an (S, G, E) boolean mask over the graph's ``edge_index``
+    columns: step s has G masks. Matrix (s, g) carries the Metropolis weights
+    of the subgraph of the edges alive in ``alive[s, g]``, with degrees
+    counted over those edges only. The matrices come step by step, as
+    consecutive (c, G, K, K) chunks of at most 32 matrices (one step when G
+    exceeds that), and every chunk is a view of one buffer that the next
+    chunk overwrites. Each chunk is built at once: one product for the
+    degrees, one scatter of the edge weights and one row sum for the
+    diagonals. The buffer is zero-filled once; each scatter rewrites every
+    edge's entries, dead or alive, and the diagonal is cleared before the
+    row sum.
     """
+    steps, groups, edges = alive.shape
     k = g.node_count
     u, v = g.edge_index
-    steps = alive.shape[0]
-    incidence = np.zeros((u.size, k))
-    edges = np.arange(u.size)
-    incidence[edges, u] = 1.0
-    incidence[edges, v] = 1.0
-    up = alive.astype(float)
-    # each row sums 0/1 terms, so the degrees are exact integer-valued floats
-    deg = up @ incidence
-    # dead edges get 0 / (1 + ...) = 0, which the zero fill holds anyway
-    wij = up / (1.0 + np.maximum(deg[:, u], deg[:, v]))
-    w = np.zeros((steps, k, k))
-    flat = w.reshape(steps, k * k)
-    flat[:, np.concatenate((u * k + v, v * k + u))] = np.tile(wij, 2)
-    flat[:, :: k + 1] = 1.0 - w.sum(axis=-1)
-    return w
+    upper, lower = g._edge_slots
+    per = max(1, min(steps, _STACK_CHUNK // groups))  # steps per chunk
+    w = np.zeros((per, groups, k, k))
+    flat = w.reshape(per * groups, k * k)
+    for start in range(0, steps, per):
+        chunk = alive[start : start + per]
+        rows = len(chunk) * groups
+        up = chunk.reshape(rows, edges).astype(float)
+        # each row sums 0/1 terms, so the degrees are exact integer-valued floats
+        deg = up @ g._incidence
+        # dead edges get 0 / (1 + ...) = 0
+        wij = up / (1.0 + np.maximum(deg[:, u], deg[:, v]))
+        out = flat[:rows]
+        out[:, upper] = wij
+        out[:, lower] = wij
+        out[:, :: k + 1] = 0.0
+        out[:, :: k + 1] = 1.0 - out.reshape(rows, k, k).sum(axis=-1)
+        yield w[: len(chunk)]
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
     Diagonal entries absorb the remaining mass so that rows sum to 1. This is
-    the one-step, all-links-alive case of :func:`metropolis_stack`. The
-    entries are read-only, because consensus operators cached on the
-    returned object are built from them.
+    the one-step, all-links-alive case of :func:`metropolis_stack`, whose
+    buffer no later call writes. The entries are read-only, because
+    consensus operators cached on the returned object are built from them.
     """
     g.require_connected()
-    w = metropolis_stack(g, np.ones((1, len(g.edges)), dtype=bool))[0]
+    w = next(metropolis_stack(g, np.ones((1, 1, len(g.edges)), dtype=bool)))[0, 0]
     w.setflags(write=False)
     return WeightMatrix(w, g)
 

@@ -67,6 +67,37 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     assert (tmp_path / f"{experiment}.csv").read_bytes() == recorded.read_bytes()
 
 
+def test_one_sample_per_node_keeps_the_exact_lambda1(tmp_path, capsys):
+    # N = 1: Lanczos finds the whole spectrum by iteration N + 1 = 2, so the
+    # rank test must not run there; run at j > N it dropped the exact
+    # lambda_1 at M = 2 and the zero-filled estimate gave MSE 84.5
+    config = tmp_path / "eig_converge.cfg"
+    replaced = {"K": "6", "N": "1", "M": "2", "radius": "0.9", "trials": "20"}
+    lines = (CONFIGS / "eig_converge.cfg").read_text().splitlines()
+    config.write_text(
+        "\n".join(
+            f"{line.split(' = ')[0]} = {replaced[line.split(' = ')[0]]}"
+            if line.split(" = ")[0] in replaced else line
+            for line in lines
+        )
+        + "\n"
+    )
+    out = tmp_path / "out"
+    assert cli_main(["eig-converge", "--config", str(config), "--out", str(out)]) == 0
+    rows = (out / "eig-converge.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    mse = {}
+    for row in rows[1:]:
+        fields = dict(zip(header, row.split(",")))
+        assert (fields["K"], fields["N"], fields["M"], fields["trials"]) == ("6", "1", "2", "20")
+        mse[fields["algorithm"], fields["I"]] = float(fields["mse"])
+    assert set(mse) == {
+        ("dla", "10"), ("dla", "15"), ("dpm", "10"), ("dpm", "15"),
+        ("la-ideal", "0"), ("pm-ideal", "0"),
+    }
+    assert all(value < 1e-27 for value in mse.values()), mse
+
+
 def subprocess_env():
     """The environment of a CLI subprocess that imports this checkout."""
     env = dict(os.environ)

@@ -1,5 +1,8 @@
+import dataclasses
 import gc
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from eigennet.consensus import (
     AcConfig,
     ErrorInjectingEngine,
     ReplayEngine,
-    _failure_stack,
+    _failure_masks,
     _iterate,
     _mixing_operator,
     _real_matmul,
@@ -16,9 +19,12 @@ from eigennet.consensus import (
     run_consensus,
 )
 from eigennet.errors import ConsensusError
+from eigennet.experiments import run_ac_compare
+from eigennet.harness import validate_config
 from eigennet.topology import (
     Graph,
     generate_random_geometric,
+    metropolis_stack,
     metropolis_weights,
     spectral_bounds,
 )
@@ -337,12 +343,6 @@ class TestBroadcastFormulation:
         assert res.error.shape == z0.shape
         assert np.array_equal(res.error, want)
 
-        # one engine per trial
-        res = run_block([make(w, cheb) for _ in z0], z0)
-        want = np.stack([self.eager_error(x, z, ideal) for x, z in zip(z0, res.z)])
-        assert res.error.shape == z0.shape
-        assert np.array_equal(res.error, want)
-
 
 class TestRealMatmul:
     """Real weights times a complex iterate, as one real product."""
@@ -457,39 +457,9 @@ class TestTrialStack:
 
 
 class TestRunBlock:
-    """One engine on a stack, or one engine per trial, through ``run_block``."""
+    """One engine on a stack through ``run_block``."""
 
     K = 7
-
-    @staticmethod
-    def make(engine, w):
-        """A fresh config; two calls give equal configs with equal generators."""
-        base = engine.split("+")[0]
-        failures = engine.endswith("+failures")
-        return AcConfig(
-            base, 5, weights=w, cheb=spectral_bounds(w),
-            link_failure_prob=0.3 if failures else 0.0,
-            failure_seed=17 if failures else None,
-        )
-
-    @pytest.mark.parametrize("engine", ["ideal", "standard", "chebyshev", "chebyshev+failures"])
-    @pytest.mark.parametrize("shape", [(4, K, 3), (4, K), (1, K, 3), (1, K)])
-    def test_one_engine_equals_one_per_trial(self, engine, shape):
-        w = metropolis_weights(random_connected_graph(self.K, 2))
-        rng = np.random.default_rng(5)
-        z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        shared = run_block(self.make(engine, w), z0)
-        per_trial = run_block([self.make(engine, w) for _ in z0], z0)
-        for res in (shared, per_trial):
-            assert res.z.shape == res.error.shape == z0.shape
-            assert res.scalars_exchanged_per_node.shape == shape[:2]
-        for name in ("z", "error", "scalars_exchanged_per_node"):
-            assert np.array_equal(getattr(shared, name), getattr(per_trial, name))
-        # trial b of either is the lone run of trial b
-        for t in range(len(z0)):
-            alone = self.make(engine, w).run(z0[t])
-            assert np.array_equal(shared.z[t], alone.z)
-            assert np.array_equal(shared.error[t], alone.error)
 
     def test_synthetic_engines_average_over_nodes(self):
         rng = np.random.default_rng(8)
@@ -508,10 +478,16 @@ class TestRunBlock:
             assert not np.any(res.scalars_exchanged_per_node)
         assert np.allclose(run_block(ErrorInjectingEngine([err]), z0).error, err, atol=1e-15)
 
-    def test_engine_count_must_match(self, path3_weights):
-        engines = [AcConfig("standard", 2, weights=path3_weights)] * 2
-        with pytest.raises(ValueError, match="one consensus engine per trial, got 2 for 3"):
-            run_block(engines, np.zeros((3, 3, 1)))
+    def test_failure_generator_count_must_match(self, path3_weights):
+        cfg = AcConfig(
+            "standard", 2, weights=path3_weights, link_failure_prob=0.3, failure_seed=[1, 2]
+        )
+        for z0 in (np.zeros((3, 3, 1)), np.zeros((3, 3))):
+            with pytest.raises(ConsensusError, match="one per trial, not 2"):
+                run_block(cfg, z0)
+        # a lone input is one trial
+        with pytest.raises(ConsensusError, match="1 stacked trials"):
+            cfg.run(np.zeros((3, 2)))
 
 
 class TestFailureRedraw:
@@ -522,17 +498,20 @@ class TestFailureRedraw:
             fast_rng = np.random.default_rng(11)
             loop_rng = np.random.default_rng(11)
             for steps in (0, 1, 30, 1, 0, 29):
-                stack = _failure_stack(g, fast_rng, p, steps)
-                assert stack.shape == (steps, g.node_count, g.node_count)
+                alive = _failure_masks([fast_rng], p, steps, len(g.edges))
+                stack = [w[0].copy() for chunk in metropolis_stack(g, alive) for w in chunk]
+                assert len(stack) == steps
                 for fast in stack:
+                    assert fast.shape == (g.node_count, g.node_count)
                     assert np.array_equal(fast, loop_failure_weights(g, loop_rng, p))
                 # the one (steps, E) draw left the generator where steps * E
                 # scalar draws leave it
                 assert fast_rng.random() == loop_rng.random()
 
     def test_edgeless_single_node(self):
-        w = _failure_stack(Graph(1, ()), np.random.default_rng(0), 0.5, 3)
-        assert np.array_equal(w, np.ones((3, 1, 1)))
+        alive = _failure_masks([np.random.default_rng(0)], 0.5, 3, 0)
+        (w,) = metropolis_stack(Graph(1, ()), alive)
+        assert np.array_equal(w, np.ones((3, 1, 1, 1)))
 
     def test_no_failures_reproduce_metropolis_weights(self):
         g = generate_random_geometric(40, 0.4, 3)
@@ -685,3 +664,223 @@ class TestDegrees:
 
     def test_edgeless_graph(self):
         assert Graph(1, ()).degrees().tolist() == [0]
+
+
+# The complex-typed recurrences as they stood before the iterate was kept as
+# one real view in preallocated buffers, with the weight build of that time:
+# the reference that the buffered kernel must reproduce to the bit.
+
+
+def reference_metropolis_stack(g, alive):
+    """(S, K, K) Metropolis weights of an (S, E) mask, built in one pass."""
+    k = g.node_count
+    u, v = g.edge_index
+    steps = alive.shape[0]
+    incidence = np.zeros((u.size, k))
+    edges = np.arange(u.size)
+    incidence[edges, u] = 1.0
+    incidence[edges, v] = 1.0
+    up = alive.astype(float)
+    deg = up @ incidence
+    wij = up / (1.0 + np.maximum(deg[:, u], deg[:, v]))
+    w = np.zeros((steps, k, k))
+    flat = w.reshape(steps, k * k)
+    flat[:, np.concatenate((u * k + v, v * k + u))] = np.tile(wij, 2)
+    flat[:, :: k + 1] = 1.0 - w.sum(axis=-1)
+    return w
+
+
+def reference_real_matmul(w, x):
+    if x.dtype.kind != "c":
+        return w @ x
+    if x.ndim == 1:
+        return reference_real_matmul(w, x[:, None])[:, 0]
+    x = np.ascontiguousarray(x, dtype=complex)
+    return (w @ x.view(float)).view(complex)
+
+
+def reference_chebyshev(x0, weights, cheb):
+    lam_sum = cheb.lambda_max + cheb.lambda_min
+    lam_diff = cheb.lambda_max - cheb.lambda_min
+    b1 = cheb.b1
+
+    def apply_b(w, x):
+        return (2.0 * reference_real_matmul(w, x) - lam_sum * x) / lam_diff
+
+    x_prev = x0.copy()
+    x = apply_b(weights[0], x0) / b1
+    tau_prev, tau = 1.0, b1
+    for w in weights[1:]:
+        tau_next = 2.0 * b1 * tau - tau_prev
+        x_next = (2.0 * tau / tau_next) * apply_b(w, x) - (tau_prev / tau_next) * x_prev
+        x_prev, x = x, x_next
+        tau_prev, tau = tau, tau_next
+    return x
+
+
+def reference_iterate(x0, cfg, rng=None):
+    """The recurrence on a (K, m) or (trials, K, m) x0; under link failures
+    one (I, E) draw from ``rng`` gives the weights every trial shares."""
+    if rng is not None:
+        alive = rng.random((cfg.iterations, len(cfg.weights.graph.edges))) >= cfg.link_failure_prob
+        weights = reference_metropolis_stack(cfg.weights.graph, alive)
+    else:
+        w = cfg.weights.entries
+        weights = np.broadcast_to(w, (cfg.iterations,) + w.shape)
+    if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
+        return reference_chebyshev(x0, weights, cfg.cheb)
+    x = x0.copy()
+    for w in weights:
+        x = reference_real_matmul(w, x)
+    return x
+
+
+class TestBufferedKernel:
+    """The real-view recurrences in preallocated buffers, bit for bit."""
+
+    K = 12
+
+    @staticmethod
+    def networks():
+        geometric = metropolis_weights(generate_random_geometric(12, 0.5, 2))
+        complete = complete_weights(12)
+        assert spectral_bounds(complete).is_degenerate
+        return {"geometric": geometric, "complete": complete}
+
+    @classmethod
+    def inputs(cls, scale):
+        rng = np.random.default_rng(51)
+        k = cls.K
+        for shape in ((k,), (k, 1), (k, 4), (3, k, 1), (3, k, 5)):
+            yield scale * rng.standard_normal(shape)
+            yield scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    @pytest.mark.parametrize("network", ["geometric", "complete"])
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    @pytest.mark.parametrize("failures", [False, True])
+    def test_matches_complex_typed_reference(self, engine, network, failures, scale):
+        w = self.networks()[network]
+        cheb = spectral_bounds(w)
+        for iters in (1, 2, 30):
+            for z0 in self.inputs(scale):
+                cfg = AcConfig(
+                    engine, iters, weights=w, cheb=cheb,
+                    link_failure_prob=0.2 if failures else 0.0,
+                    failure_seed=9 if failures else None,
+                )
+                rng = np.random.default_rng(9) if failures else None
+                x0 = z0[:, None] if z0.ndim == 1 else z0
+                want = reference_iterate(x0, cfg, rng)
+                got = _iterate(x0, cfg)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                if failures:
+                    # the whole run, with a second call continuing the stream
+                    z = run_consensus(z0, cfg).z
+                    want = reference_iterate(x0, cfg, rng)
+                    assert np.array_equal(z, want[:, 0] if z0.ndim == 1 else want)
+                    assert cfg._failure_rngs[0].random() == rng.random()
+
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    def test_fixed_weight_operator_matches_reference(self, engine):
+        for w in self.networks().values():
+            cfg = AcConfig(engine, 30, weights=w, cheb=spectral_bounds(w))
+            want = reference_iterate(np.eye(self.K), cfg)
+            assert np.array_equal(_mixing_operator(cfg), want)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 32])
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    def test_each_stacked_trial_equals_its_lone_run(self, engine, trials):
+        w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
+        seeds = [1000 + 7 * t for t in range(trials)]
+
+        def make(failure_seed):
+            return AcConfig(
+                engine, 15, weights=w, cheb=spectral_bounds(w),
+                link_failure_prob=0.03, failure_seed=failure_seed,
+            )
+
+        rng = np.random.default_rng(trials)
+        for shape in ((trials, 40, 10), (trials, 40)):
+            z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            block = make(seeds)
+            lone = [make(s) for s in seeds]
+            # two rounds: the second continues every trial's stream
+            for _ in range(2):
+                res = run_block(block, z0)
+                assert res.z.shape == z0.shape
+                for t in range(trials):
+                    alone = lone[t].run(z0[t])
+                    assert np.array_equal(res.z[t], alone.z)
+                    assert np.array_equal(res.error[t], alone.error)
+                    assert np.array_equal(
+                        res.scalars_exchanged_per_node[t], alone.scalars_exchanged_per_node
+                    )
+            for t in range(trials):
+                assert block._failure_rngs[t].random() == lone[t]._failure_rngs[0].random()
+
+    def test_each_trial_draws_from_its_own_generator(self):
+        w = metropolis_weights(generate_random_geometric(12, 0.5, 2))
+        cfg = AcConfig("standard", 4, weights=w, link_failure_prob=0.3, failure_seed=[5, 6, 7])
+        rng = np.random.default_rng(3)
+        z0 = rng.standard_normal((3, 12, 2))
+        z = run_consensus(z0, cfg).z
+        for t, seed in enumerate((5, 6, 7)):
+            want = reference_iterate(z0[t], cfg, np.random.default_rng(seed))
+            assert np.array_equal(z[t], want)
+
+
+class TestMetropolisBuffer:
+    @staticmethod
+    def graph():
+        return generate_random_geometric(40, 0.4, 3)
+
+    @pytest.mark.parametrize("groups", [1, 3, 32, 33])
+    def test_chunks_match_one_pass_build(self, groups):
+        g = self.graph()
+        rng = np.random.default_rng(groups)
+        alive = rng.random((70, groups, len(g.edges))) >= 0.5
+        step = 0
+        for chunk in metropolis_stack(g, alive):
+            assert chunk.shape[1:] == (groups, 40, 40)
+            assert chunk.size // (40 * 40) <= max(32, groups)
+            for w in chunk:
+                assert np.array_equal(w, reference_metropolis_stack(g, alive[step]))
+                step += 1
+        assert step == 70
+
+    def test_weights_are_not_a_view_of_a_later_buffer(self):
+        g = self.graph()
+        w = metropolis_weights(g)
+        before = w.entries.copy()
+        alive = np.random.default_rng(1).random((40, 1, len(g.edges))) >= 0.5
+        for chunk in metropolis_stack(g, alive):
+            assert not np.shares_memory(chunk, w.entries)
+        assert np.array_equal(w.entries, before)
+
+    def test_layout_built_once_and_freed_with_its_graph(self):
+        g = self.graph()
+        assert g._incidence is g._incidence and g._edge_slots is g._edge_slots
+        refs = [weakref.ref(g), weakref.ref(g._incidence), weakref.ref(g._edge_slots[0])]
+        del g
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+
+def test_repeated_ac_compare_runs_hold_no_memory():
+    """Six in-process 1-trial ac-compare runs: traced memory after the sixth
+    stays within 256 KB of the level after the second, so no buffer outlives
+    the run (for example in a cache keyed by the run's graph)."""
+    text = (Path(__file__).resolve().parents[1] / "configs" / "ac_compare.cfg").read_text()
+    cfg = dataclasses.replace(validate_config(text, "ac-compare"), trials=1)
+    levels = []
+    tracemalloc.start()
+    try:
+        for _ in range(6):
+            run_ac_compare(cfg)
+            gc.collect()
+            levels.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert levels[5] - levels[1] <= 256 * 1024

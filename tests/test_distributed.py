@@ -12,6 +12,7 @@ from eigennet.consensus import (
     run_consensus,
 )
 from eigennet.distributed import (
+    MessageAudit,
     audit_messages,
     check_dpm_convergence_condition,
     default_dla_start,
@@ -32,7 +33,7 @@ from eigennet.eigencore import (
     sample_covariance,
     tridiagonal_eigenvalues,
 )
-from eigennet.errors import AuditMismatch, DegenerateRunError, EigennetError
+from eigennet.errors import AuditMismatch, ConsensusError, DegenerateRunError, EigennetError
 from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 
@@ -348,6 +349,17 @@ class TestBatchedRitzExtraction:
                 assert np.array_equal(res.ritz_raw[j][node], raw[j][node])
                 assert np.array_equal(res.eigenvalues[j][node], filtered[j][node])
 
+    def test_rank_test_starts_past_the_krylov_bound(self):
+        # at N = 1 the bound is min(K, N + 1) = 2: the iteration-2 lists are
+        # filtered without the iteration-1 ones, and keep the exact lambda_1
+        k, n = 6, 1
+        y = random_samples(k, n, 26)
+        lam1 = np.linalg.eigvalsh(sample_covariance(y))[-1]
+        res = run_dla(y, IDEAL, 3, ritz_iters=(2, 3))
+        assert sorted(res.ritz_stacks) == [2, 3]
+        for j in (2, 3):
+            assert np.allclose(res.eigenvalue_stacks[j][:, 0], lam1, rtol=1e-12, atol=0.0)
+
     def test_one_solver_call_per_size_and_no_per_node_filter(self, monkeypatch):
         k, n, m = 8, 3, 7
         calls = {"tridiag": [], "batch": 0, "single": 0}
@@ -588,43 +600,63 @@ class TestTrialStack:
         return np.stack(ys)
 
     def engine_factory(self, kind):
-        """Trial t's engine; called twice for one t it gives equal fresh engines."""
+        """The engine of the trials listed, the whole block or one trial alone.
+
+        Called twice for the same trials it gives equal fresh engines; the
+        engine of trials ``ts`` runs trial ``ts[b]`` as the engine of that
+        trial alone does.
+        """
         graph = random_connected_graph(self.K, 3)
         w = metropolis_weights(graph)
         cheb = spectral_bounds(w)
         if kind == "ideal":
-            return lambda t: AcConfig("ideal", 0, weights=w)
+            return lambda ts: AcConfig("ideal", 0, weights=w)
         if kind == "chebyshev":
-            return lambda t: AcConfig("chebyshev", 4, weights=w, cheb=cheb)
+            return lambda ts: AcConfig("chebyshev", 4, weights=w, cheb=cheb)
         if kind == "failures":
-            return lambda t: AcConfig(
-                "chebyshev", 4, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=100 + t
+            return lambda ts: AcConfig(
+                "chebyshev", 4, weights=w, cheb=cheb, link_failure_prob=0.3,
+                failure_seed=[100 + t for t in ts],
             )
         if kind == "injected":
-            return lambda t: self.noisy_engine(40 + t)
+            return lambda ts: self.noisy_engine([40 + t for t in ts])
         raise ValueError(kind)
 
     @staticmethod
-    def noisy_engine(seed):
-        """Exact means plus seeded random errors, complex for complex inputs."""
-        rng = np.random.default_rng(seed)
+    def noisy_engine(seeds):
+        """Exact means plus seeded random errors, complex for complex inputs.
+
+        One generator per trial: a lone input draws from the one generator,
+        a stack draws each trial's errors from its own.
+        """
+        rngs = [np.random.default_rng(s) for s in seeds]
+
+        def draw(rng, shape, complex_input):
+            err = 0.01 * rng.standard_normal(shape)
+            if complex_input:
+                err = err + 0.01j * rng.standard_normal(shape)
+            return err
 
         def errors(idx, z0):
-            err = 0.01 * rng.standard_normal(z0.shape)
-            if np.iscomplexobj(z0):
-                err = err + 0.01j * rng.standard_normal(z0.shape)
-            return err
+            if len(rngs) == 1:
+                return draw(rngs[0], z0.shape, np.iscomplexobj(z0))
+            return np.stack([draw(r, z0.shape[1:], np.iscomplexobj(z0)) for r in rngs])
 
         return ErrorInjectingEngine(errors)
 
     @staticmethod
-    def breaking_engine(stop):
-        """Zero scalar-consensus outputs: nodes stop[j] break down at iteration j."""
+    def breaking_engine(stops):
+        """Zero scalar-consensus outputs: in trial b, nodes stops[b][j] break
+        down at iteration j. A lone trial's scalar round is (K,), a stack's
+        (B, K, 1)."""
 
         def errors(idx, z0):
             err = np.zeros_like(z0)
             if z0.ndim == 1:
-                err[stop.get(idx // 2 + 1, [])] = -z0.mean() - 1.0
+                err[stops[0].get(idx // 2 + 1, [])] = -z0.mean() - 1.0
+            elif z0.shape[-1] == 1:
+                for b, stop in enumerate(stops):
+                    err[b, stop.get(idx // 2 + 1, []), 0] = -z0[b, :, 0].mean() - 1.0
             return err
 
         return ErrorInjectingEngine(errors)
@@ -654,12 +686,12 @@ class TestTrialStack:
         make = self.engine_factory(kind)
         v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(trials)])
         stacked = run_dpm(
-            y, [make(t) for t in range(trials)], self.M, v0, checkpoints=(2, 4), trace=True
+            y, make(range(trials)), self.M, v0, checkpoints=(2, 4), trace=True
         )
         assert stacked.lambda1.shape == (trials, self.K)
         assert len(stacked.audit) == trials
         for t in range(trials):
-            alone = run_dpm(y[t], make(t), self.M, v0[t], checkpoints=(2, 4), trace=True)
+            alone = run_dpm(y[t], make([t]), self.M, v0[t], checkpoints=(2, 4), trace=True)
             self.assert_same_dpm(stacked.trial(t), alone)
 
     @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
@@ -667,19 +699,17 @@ class TestTrialStack:
         y = self.block()
         trials = len(y)
         make = self.engine_factory(kind)
-        stacked = run_dla(
-            y, [make(t) for t in range(trials)], self.M, ritz_iters="all", trace=True
-        )
+        stacked = run_dla(y, make(range(trials)), self.M, ritz_iters="all", trace=True)
         assert stacked.sizes.shape == (trials, self.K)
         for t in range(trials):
-            alone = run_dla(y[t], make(t), self.M, ritz_iters="all", trace=True)
+            alone = run_dla(y[t], make([t]), self.M, ritz_iters="all", trace=True)
             self.assert_same_dla(stacked.trial(t), alone)
 
     def test_dla_breakdowns_at_different_sizes(self):
         y = self.block()[:4]
         stops = [{2: [0]}, {3: [1, 2]}, {}, {5: [7], 2: [3]}]
         stacked = run_dla(
-            y, [self.breaking_engine(s) for s in stops], self.M, ritz_iters=(2, 3, 6), trace=True
+            y, self.breaking_engine(stops), self.M, ritz_iters=(2, 3, 6), trace=True
         )
         assert stacked.sizes[:, :4].tolist() == [
             [2, 6, 6, 6], [6, 3, 3, 6], [6, 6, 6, 6], [6, 6, 6, 2]
@@ -687,25 +717,25 @@ class TestTrialStack:
         assert stacked.sizes[3, 7] == 5
         for t, stop in enumerate(stops):
             alone = run_dla(
-                y[t], self.breaking_engine(stop), self.M, ritz_iters=(2, 3, 6), trace=True
+                y[t], self.breaking_engine([stop]), self.M, ritz_iters=(2, 3, 6), trace=True
             )
             self.assert_same_dla(stacked.trial(t), alone)
 
     def test_shared_start_and_engine(self):
         y = self.block()
-        ac = self.engine_factory("chebyshev")(0)
+        ac = self.engine_factory("chebyshev")([0])
         v0 = default_dpm_start(self.K, seed=9)
         stacked = run_dpm(y, ac, self.M, v0, trace=True)
         for t in range(len(y)):
             self.assert_same_dpm(stacked.trial(t), run_dpm(y[t], ac, self.M, v0, trace=True))
 
-    def test_engine_count_must_match(self):
+    def test_failure_generator_count_must_match(self):
         y = self.block()
         make = self.engine_factory("failures")
-        with pytest.raises(ValueError, match="one consensus engine per trial"):
-            run_dpm(y, [make(t) for t in range(3)], self.M)
-        with pytest.raises(ValueError, match="one consensus engine per trial"):
-            run_dla(y, [make(t) for t in range(6)], self.M)
+        with pytest.raises(ConsensusError, match="one per trial, not 3"):
+            run_dpm(y, make(range(3)), self.M)
+        with pytest.raises(ConsensusError, match="one per trial, not 6"):
+            run_dla(y, make(range(6)), self.M)
 
     def test_one_failure_config_serves_the_block(self):
         # every trial of the block shares each call's surviving links, so
@@ -713,12 +743,12 @@ class TestTrialStack:
         y = self.block()
         make = self.engine_factory("failures")
         v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(len(y))])
-        dpm = run_dpm(y, make(0), self.M, v0, checkpoints=(2, 4), trace=True)
-        dla = run_dla(y, make(0), self.M, ritz_iters="all", trace=True)
+        dpm = run_dpm(y, make([0]), self.M, v0, checkpoints=(2, 4), trace=True)
+        dla = run_dla(y, make([0]), self.M, ritz_iters="all", trace=True)
         for t in range(len(y)):
-            alone = run_dpm(y[t], make(0), self.M, v0[t], checkpoints=(2, 4), trace=True)
+            alone = run_dpm(y[t], make([0]), self.M, v0[t], checkpoints=(2, 4), trace=True)
             self.assert_same_dpm(dpm.trial(t), alone)
-            alone = run_dla(y[t], make(0), self.M, ritz_iters="all", trace=True)
+            alone = run_dla(y[t], make([0]), self.M, ritz_iters="all", trace=True)
             self.assert_same_dla(dla.trial(t), alone)
 
     def test_lanczos_breakdown_in_one_trial(self):
@@ -790,13 +820,9 @@ class TestTraceOption:
         y = self.helper.block()
         out, draws = [], []
         for trace in (False, True):
-            acs = [make(t) for t in range(len(y))]
-            if stacked:
-                out.append(run(y, acs, trace=trace))
-            else:
-                out.append(run(y[0], acs[0], trace=trace))
-                acs = acs[:1]
-            draws.append([ac._failure_rng.random() for ac in acs if kind == "failures"])
+            ac = make(range(len(y)) if stacked else [0])
+            out.append(run(y if stacked else y[0], ac, trace=trace))
+            draws.append([rng.random() for rng in getattr(ac, "_failure_rngs", [])])
         return out, draws
 
     @pytest.mark.parametrize("stacked", [True, False])
@@ -815,7 +841,7 @@ class TestTraceOption:
         stops = [{2: [0]}, {3: [1, 2]}, {}, {5: [7], 2: [3]}]
         off, on = (
             run_dla(
-                y, [self.helper.breaking_engine(s) for s in stops], self.M,
+                y, self.helper.breaking_engine(stops), self.M,
                 ritz_iters=(2, 3, 6), trace=trace,
             )
             for trace in (False, True)
@@ -860,9 +886,52 @@ class TestUntracedRunsSkipErrors:
         make = self.helper.engine_factory(kind)
         y = self.helper.block()[:3]
         for run in TestTraceOption.RUNS.values():
-            ac = [make(t) for t in range(len(y))] if per_trial else make(0)
+            ac = make(range(len(y)) if per_trial else [0])
             assert run(y, ac, False).trace is None
             # the patch is in force: a traced run reads the errors
-            ac = [make(t) for t in range(len(y))] if per_trial else make(0)
+            ac = make(range(len(y)) if per_trial else [0])
             with pytest.raises(AssertionError, match="consensus error read"):
                 run(y, ac, True)
+
+
+class TestAuditOnRead:
+    """A result builds its audits on first read, equal to the eager ones."""
+
+    helper = TestTrialStack()
+
+    @pytest.mark.parametrize("algorithm", ["dpm", "dla"])
+    def test_equals_eager_audit_field_by_field(self, algorithm):
+        y = self.helper.block()[:3]
+        ac = self.helper.engine_factory("failures")(range(3))
+        counted = {"n": 0, "1": 0, "units": np.zeros((3, self.helper.K), dtype=np.int64)}
+
+        class Counting:
+            """The block's engine, counting its rounds and units as they run."""
+
+            iterations, graph = ac.iterations, ac.graph
+
+            def run(self, z0):
+                res = ac.run(z0)
+                counted["1" if z0.shape[-1] == 1 else "n"] += 1
+                counted["units"] += res.scalars_exchanged_per_node
+                return res
+
+        res = TestTraceOption.RUNS[algorithm](y, Counting(), False)
+        assert "audit" not in vars(res)
+        eager = [
+            MessageAudit(
+                ac_n_calls=counted["n"],
+                ac_1_calls=counted["1"],
+                units_per_node={k: int(u) for k, u in enumerate(row)},
+                time_periods=counted["n"] + counted["1"],
+            )
+            for row in counted["units"].tolist()
+        ]
+        lazy = res.audit
+        assert res.audit is lazy
+        assert len(lazy) == len(eager) == 3
+        for t, want in enumerate(eager):
+            for got in (lazy[t], res.trial(t).audit):
+                for f in dataclasses.fields(MessageAudit):
+                    assert getattr(got, f.name) == getattr(want, f.name)
+                assert all(type(u) is int for u in got.units_per_node.values())

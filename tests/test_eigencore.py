@@ -308,6 +308,22 @@ class TestFilterSpurious:
         out = filter_spurious(cur, prev, 4, 4, 1e-3, iteration=3)
         assert 0.7 in out
 
+    @pytest.mark.parametrize(
+        "k, n, bound",
+        [(6, 1, 2), (4, 3, 4), (4, 4, 4), (4, 9, 4)],
+        ids=["N=1", "N=K-1", "N=K", "N>K"],
+    )
+    def test_rank_criterion_starts_past_the_krylov_bound(self, k, n, bound):
+        # K_j(R, v1) has dimension at most min(K, N + 1): up to there every
+        # Ritz value is genuine, so a value new at that iteration is kept
+        prev = np.array([9.0, 5.0])
+        cur = np.array([9.0, 5.0, 0.7])
+        assert bound == min(k, n + 1)
+        out = filter_spurious(cur, prev, k, n, 1e-3, iteration=bound)
+        assert out.tolist() == [9.0, 5.0, 0.7]
+        out = filter_spurious(cur, prev, k, n, 1e-3, iteration=bound + 1)
+        assert out.tolist() == [9.0, 5.0]
+
 
 class TestCullumWilloughby:
     def test_flags_replicated_value(self):

@@ -217,10 +217,11 @@ class TestEigencoreProperties:
 
 
 def scalar_filter_oracle(current, previous, k, n, tol, *, iteration=None):
-    """The one-list spurious filter as it stood before the batched version."""
+    """The one-list spurious filter as it stood before the batched version,
+    with the rank test starting past the Krylov bound min(K, N + 1)."""
     cur = np.sort(np.asarray(current, dtype=float))[::-1]
     j = iteration if iteration is not None else len(cur)
-    if j > min(k, n) and previous is not None and len(cur):
+    if j > min(k, n + 1) and previous is not None and len(cur):
         prev = np.asarray(previous, dtype=float)
         if len(prev):
             seen = np.min(np.abs(cur[:, None] - prev[None, :]), axis=1) <= tol
