@@ -26,11 +26,12 @@ read, and ``trial(b)`` gives the result trial b would have had alone (on a
 fresh engine with trial b's generator), to the bit. Past the
 iteration loop, at each Ritz checkpoint the Ritz values of every node of
 every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
-stopped growing, which is solved by batched LAPACK calls per distinct size
-and filtered in one batched pass. A traced run reads the consensus errors
-one iteration at a time (DPM drift inside the loop, DLA w-error terms after
-it), because a stack of every iteration's errors for a whole block would set
-the peak memory of a run.
+stopped growing. Equal adjacent rows (every node of a trial under exact
+consensus) are solved and filtered once; the distinct rows are solved by
+batched LAPACK calls per distinct size and filtered in one batched pass. A
+traced run reads the consensus errors one iteration at a time (DPM drift
+inside the loop, DLA w-error terms after it), because a stack of every
+iteration's errors for a whole block would set the peak memory of a run.
 """
 
 from __future__ import annotations
@@ -760,6 +761,17 @@ def predict_dla_w_error(
     )[0, 0]
 
 
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value.
+
+    Two rows' values compare equal only when the rows are equal bit for bit
+    (0.0 and -0.0 differ). One comparison per row costs a fraction of an
+    elementwise comparison reduced over short rows.
+    """
+    x = np.ascontiguousarray(x)
+    return x.view(np.dtype((np.void, x.shape[1] * x.itemsize)))[:, 0]
+
+
 def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     """Ritz values of a stack of tridiagonal matrices, raw and filtered.
 
@@ -769,11 +781,14 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     dimensions that drive the spurious-value filter. Rows are the nodes of
     every trial of a decentralized run, or the trials of a centralized one.
     At iteration j every row's values sit in one (rows, j) stack, NaN-padded
-    past the row's size, which is solved with one batched call per distinct
-    size and filtered in one batched pass. Returns two dicts of NaN-padded
-    (rows, j) stacks: raw values at every iteration the filter needs, and
-    the filtered values, kept values first, at the wanted ones. Non-finite
-    coefficients raise :class:`DegenerateRunError` before any solve.
+    past the row's size. Each run of adjacent rows whose ``alpha``, ``beta``
+    and ``sizes`` are equal bit for bit is solved and filtered once, through
+    its first row: the distinct rows are solved with one batched call per
+    distinct size and filtered in one batched pass. Returns two dicts of
+    NaN-padded (rows, j) stacks: raw values at every iteration the filter
+    needs, and the filtered values, kept values first, at the wanted ones.
+    Non-finite coefficients raise :class:`DegenerateRunError` before any
+    solve.
     """
     # entries past a row's size are never read, so only the others count
     read = np.arange(alpha.shape[1]) < sizes[:, None]
@@ -783,6 +798,18 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
             "Lanczos coefficients are not finite: the samples are too large "
             "for floating point"
         )
+    # Rows are trial-major, so a trial's nodes are neighbours, and under exact
+    # consensus they hold one matrix. Each row's values, tolerance and kept
+    # values depend on that row alone, so a row equal to its predecessor bit
+    # for bit takes the predecessor's results.
+    same = sizes[1:] == sizes[:-1]
+    for x in (alpha, beta):
+        keys = _row_keys(x)
+        same &= keys[1:] == keys[:-1]
+    first = np.concatenate(([True], ~same))
+    inverse = np.cumsum(first) - 1
+    keep = np.flatnonzero(first)
+    alpha, beta, sizes = (np.take(x, keep, axis=0) for x in (alpha, beta, sizes))
     # the rank test starts past the Krylov bound min(K, N + 1)
     limit = min(k, n + 1)
     rows = alpha.shape[0]
@@ -809,7 +836,10 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
             tol_rel * np.maximum(peak, 1e-12),
             padded=True,
         )
-    return raw, filtered
+    return (
+        {j: np.take(values, inverse, axis=0) for j, values in raw.items()},
+        {j: np.take(values, inverse, axis=0) for j, values in filtered.items()},
+    )
 
 
 def matrix_error_for_drift(y: np.ndarray, drift: np.ndarray) -> np.ndarray:

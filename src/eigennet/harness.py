@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,13 +253,18 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("M cannot exceed K for Lanczos-based experiments")
     if not cfg.ac_iters or any(i < 0 for i in cfg.ac_iters):
         problems.append("I entries must be nonnegative")
-    if cfg.sigma2 <= 0:
-        problems.append("sigma2 must be positive")
+    # every float check is written so that NaN, which fails all comparisons,
+    # fails it
+    if not (0 < cfg.sigma2 < math.inf):
+        problems.append("sigma2 must be positive and finite")
     if cfg.p < 1:
         # every experiment draws signal-present samples, which need a source
         problems.append("P must be at least 1")
     if cfg.p > 0 and len(cfg.snr_db) not in (1, cfg.p):
         problems.append("snr_db must have one entry or one per source")
+    # -inf dB is a source of zero power
+    if not all(s < math.inf for s in cfg.snr_db):
+        problems.append("snr_db entries must be numbers below +inf")
     if cfg.engine not in ("ideal",) + _ENGINE_TOKENS:
         problems.append(f"engine must be one of ideal, {', '.join(_ENGINE_TOKENS)}")
     if any(e not in _ENGINE_TOKENS for e in cfg.engines):
@@ -269,7 +275,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("trials must be at least 1")
     if cfg.topology not in ("generate", "file"):
         problems.append("topology must be 'generate' or 'file'")
-    if cfg.radius <= 0:
+    # an infinite radius gives the complete graph
+    if not cfg.radius > 0:
         problems.append("radius must be positive")
     if any(d not in ("RT", "GT", "ST", "JT") for d in cfg.detectors):
         problems.append("detectors entries must be among RT, GT, ST, JT")
@@ -279,8 +286,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("eig_indices must be positive")
     if not (0 <= cfg.report_node < cfg.k):
         problems.append("report_node must be a valid node index")
-    if cfg.spurious_tol <= 0:
-        problems.append("spurious_tol must be positive")
+    if not (0 < cfg.spurious_tol < math.inf):
+        problems.append("spurious_tol must be positive and finite")
     if problems:
         raise ConfigError("; ".join(problems))
 

@@ -192,6 +192,43 @@ def test_no_sources_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("sigma2 = nan", "sigma2 must be positive and finite"),
+        ("sigma2 = inf", "sigma2 must be positive and finite"),
+        ("spurious_tol = nan", "spurious_tol must be positive and finite"),
+        ("spurious_tol = inf", "spurious_tol must be positive and finite"),
+        ("snr_db = nan", "snr_db entries must be numbers below +inf"),
+        ("snr_db = inf", "snr_db entries must be numbers below +inf"),
+        ("radius = nan", "radius must be positive"),
+        ("link_failure_prob = nan", "link_failure_prob must lie in [0, 1)"),
+        ("alphas = 0.1 nan", "alphas must lie in (0, 1)"),
+    ],
+)
+def test_non_finite_value_is_a_config_error(line, problem, tmp_path, capsys):
+    config = tmp_path / "non_finite.cfg"
+    config.write_text(f"K = 6\nN = 4\nM = 2\nI = 3\ntrials = 1\n{line}\n")
+    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: ")
+    assert problem in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["radius = inf", "snr_db = -inf"])
+def test_infinite_radius_and_silent_source_run(line, tmp_path, capsys):
+    # an infinite radius is the complete graph, -inf dB a source of no power
+    config = tmp_path / "infinite.cfg"
+    config.write_text(f"K = 6\nN = 4\nM = 2\nI = 3\ntrials = 1\n{line}\n")
+    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "eig-converge.csv").exists()
+
+
 def test_closed_stdout_exits_two_without_traceback(tmp_path):
     env = subprocess_env()
     argv = [

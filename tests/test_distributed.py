@@ -1,9 +1,10 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigennet import distributed, eigencore
+from eigennet import distributed, eigencore, harness
 from eigennet.consensus import (
     AcConfig,
     ConsensusResult,
@@ -27,6 +28,7 @@ from eigennet.distributed import (
 )
 from eigennet.eigencore import (
     EigenSolution,
+    TridiagonalMatrix,
     filter_spurious,
     lanczos,
     power_method,
@@ -40,6 +42,7 @@ from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 from conftest import random_connected_graph, random_hermitian_psd, random_samples
 
 IDEAL = AcConfig("ideal", 0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def dpm_injection(k, n, m, scale, seed, *, scalar_scale=None):
@@ -312,15 +315,25 @@ class TestBatchedRitzExtraction:
         return ErrorInjectingEngine(errors)
 
     @staticmethod
-    def per_node_reference(res, k, n, tol_rel):
-        """Ritz lists built node by node from the one-matrix routines."""
+    def per_node_reference(alpha, beta, sizes, k, n, tol_rel):
+        """Ritz lists built row by row from the one-matrix routines.
+
+        Row r of the (rows, M) ``alpha`` and ``beta`` holds one node's
+        coefficient history and ``sizes[r]`` the size at which its matrix
+        stopped growing.
+        """
         raw, filtered = {}, {}
-        m = res.m_iterations
+        m = alpha.shape[1]
+        nodes = range(len(sizes))
         for j in range(1, m + 1):
-            raw[j] = [tridiagonal_eigenvalues(res.tridiagonal(node, j)) for node in range(k)]
+            raw[j] = []
+            for node in nodes:
+                s = min(int(sizes[node]), j)
+                t = TridiagonalMatrix(alpha[node, :s], beta[node, : s - 1])
+                raw[j].append(tridiagonal_eigenvalues(t))
         for j in range(1, m + 1):
             filtered[j] = []
-            for node in range(k):
+            for node in nodes:
                 cur = raw[j][node]
                 tol = tol_rel * max(float(np.max(np.abs(cur))), 1e-12)
                 prev = raw[j - 1][node] if j > min(k, n) else None
@@ -340,7 +353,9 @@ class TestBatchedRitzExtraction:
             assert np.all(res.sizes < m)
         else:
             assert res.sizes.tolist() == [2, 2, 4] + [m] * (k - 3)
-        raw, filtered = self.per_node_reference(res, k, n, 1e-3)
+        raw, filtered = self.per_node_reference(
+            res.alpha_hist.T, res.beta_hist.T, res.sizes, k, n, 1e-3
+        )
         assert res.ritz_raw.keys() == raw.keys()
         assert res.eigenvalues.keys() == filtered.keys()
         for j in raw:
@@ -389,14 +404,112 @@ class TestBatchedRitzExtraction:
         # past min(K, N) = 3 the filter also needs the previous iteration
         needed = sorted(set(wanted) | {4, 6})
         assert sorted(res.ritz_raw) == needed
+        # a node whose matrix equals its predecessor's is solved through it:
+        # nodes 0 and 1 stop together, and nodes 3..7 keep the exact mean
+        distinct = [
+            node
+            for node in range(k)
+            if node == 0
+            or not (
+                res.sizes[node] == res.sizes[node - 1]
+                and np.array_equal(res.alpha_hist[:, node], res.alpha_hist[:, node - 1])
+                and np.array_equal(res.beta_hist[:, node], res.beta_hist[:, node - 1])
+            )
+        ]
+        assert distinct == [0, 2, 3]
+        sizes = res.sizes[distinct]
         expected = [
-            (int(np.sum(np.minimum(res.sizes, j) == s)), int(s))
+            (int(np.sum(np.minimum(sizes, j) == s)), int(s))
             for j in needed
-            for s in np.unique(np.minimum(res.sizes, j))
+            for s in np.unique(np.minimum(sizes, j))
         ]
         assert calls["tridiag"] == expected
         assert calls["batch"] == len(wanted)
         assert calls["single"] == 0
+
+    def test_ideal_block_solves_one_matrix_per_trial(self, monkeypatch):
+        b, k, n, m = 3, 8, 10, 5
+        shapes = []
+        solve = distributed.tridiagonal_eigenvalues_batch
+
+        def counted_solve(alpha, beta):
+            shapes.append(alpha.shape)
+            return solve(alpha, beta)
+
+        monkeypatch.setattr(distributed, "tridiagonal_eigenvalues_batch", counted_solve)
+        y = np.stack([random_samples(k, n, 30 + t) for t in range(b)])
+        res = run_dla(y, IDEAL, m, ritz_iters=(2, 5))
+        assert [s for _, s in shapes] == [2, 5]
+        assert all(rows <= b for rows, _ in shapes)
+        # every node of a trial gets its trial's values
+        for stacks in (res.ritz_stacks, res.eigenvalue_stacks):
+            for stack in stacks.values():
+                assert np.array_equal(stack, np.repeat(stack[:, :1], k, axis=1))
+
+    def test_mixed_stack_matches_per_node_reference(self):
+        k, n, m = 8, 3, 7
+        agree = run_dla(random_samples(k, n, 27), IDEAL, m)
+        staggered = run_dla(random_samples(k, n, 28), self.staggered_breakdowns(), m)
+        assert staggered.sizes.tolist() == [2, 2, 4] + [m] * (k - 3)
+        rows = []
+
+        def add(res, node, d_alpha=0.0, d_beta=0.0, size=None):
+            rows.append((
+                res.alpha_hist[:, node] + d_alpha,
+                res.beta_hist[:, node] + d_beta,
+                res.sizes[node] if size is None else size,
+            ))
+
+        for node in range(k):
+            add(agree, node)
+        # rows that differ from their predecessor in one read entry only
+        first = np.arange(m) == 0
+        add(agree, 0, d_alpha=first)
+        add(agree, 0, d_alpha=first, d_beta=0.5 * first)
+        for node in range(k):
+            add(staggered, node)
+        # a row equal to the first trial's rows, but not adjacent to them
+        add(agree, 0)
+        # a row that differs from the next one in its size only, then two
+        # size-2 rows that differ only past their size
+        add(staggered, 0, size=3)
+        add(staggered, 0)
+        add(staggered, 0, d_alpha=np.arange(m) >= 2, d_beta=np.arange(m) >= 1)
+        alpha, beta, sizes = (np.array(column) for column in zip(*rows))
+        assert not np.array_equal(alpha[-1], alpha[-2])
+        raw, filtered = distributed._extract_ritz(
+            alpha, beta, sizes, range(1, m + 1), k, n, 1e-3
+        )
+        ref_raw, ref_filtered = self.per_node_reference(alpha, beta, sizes, k, n, 1e-3)
+        assert raw.keys() == ref_raw.keys()
+        assert filtered.keys() == ref_filtered.keys()
+        for j in ref_raw:
+            for row in range(len(sizes)):
+                got_raw, got_kept = raw[j][row], filtered[j][row]
+                assert np.array_equal(got_raw[~np.isnan(got_raw)], ref_raw[j][row])
+                assert np.array_equal(got_kept[~np.isnan(got_kept)], ref_filtered[j][row])
+
+    @pytest.mark.parametrize(
+        "experiment, trials, rows", [("eig-converge", 8, 4536), ("roc", 200, 32800)]
+    )
+    def test_shipped_runs_solve_each_distinct_row_once(
+        self, experiment, trials, rows, monkeypatch
+    ):
+        # eig-converge's ideal-consensus Lanczos hands every node of a trial
+        # the same matrix (6720 rows when solved per node); roc's trial rows
+        # are all distinct
+        counted = []
+        solve = distributed.tridiagonal_eigenvalues_batch
+
+        def counted_solve(alpha, beta):
+            counted.append(len(alpha))
+            return solve(alpha, beta)
+
+        monkeypatch.setattr(distributed, "tridiagonal_eigenvalues_batch", counted_solve)
+        text = (CONFIGS / f"{experiment.replace('-', '_')}.cfg").read_text()
+        cfg = dataclasses.replace(harness.validate_config(text, experiment), trials=trials)
+        harness.run(cfg)
+        assert sum(counted) == rows
 
 
 class TestDlaRobustness:

@@ -204,7 +204,7 @@ class TestEigencoreProperties:
             checked += 1
         assert checked == CASES
 
-    def test_bisection_matches_dense_oracle(self):
+    def test_tridiagonal_eigenvalues_match_dense_oracle(self):
         for seed in range(CASES):
             rng = np.random.default_rng(seed)
             m = 2 + seed % 11
