@@ -133,10 +133,15 @@ def threshold_from_h0(values: Sequence[float], alpha: float) -> float:
         raise DetectionError("false-alarm rate must lie in (0, 1)")
     vals = np.sort(np.asarray(values, dtype=float))
     n = len(vals)
+    _check_calibration_size(n, alpha)
+    rank = math.ceil((1.0 - alpha) * n)
+    return float(vals[min(max(rank, 1), n) - 1])
+
+
+def _check_calibration_size(n: int, alpha: float) -> None:
+    """Raise unless ``n`` noise-only samples can calibrate rate ``alpha``."""
     if n < 10.0 / alpha:
         raise DetectionError(
             f"{n} calibration trials are too few for alpha={alpha} "
             f"(need at least {math.ceil(10.0 / alpha)})"
         )
-    rank = math.ceil((1.0 - alpha) * n)
-    return float(vals[min(max(rank, 1), n) - 1])

@@ -543,8 +543,10 @@ def run_dla(
     and the new direction) and one scalar consensus (for the off-diagonal
     coefficient). Every node assembles its own tridiagonal matrix; Ritz
     values are extracted at the iterations listed in ``ritz_iters`` (default:
-    only the final one; pass "all" for every iteration) and filtered for
-    spurious values.
+    only the final one; pass "all" for every iteration, or an empty list for
+    none, leaving the histories to a caller that extracts some nodes only)
+    and filtered for spurious values. Non-finite coefficients raise
+    :class:`DegenerateRunError` either way.
 
     Negative scalar-consensus outputs are clamped to zero and flagged. An
     off-diagonal coefficient below the breakdown guard, a fixed 1e-12
@@ -779,16 +781,17 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     diagonal and off-diagonal coefficient history, and ``sizes`` the size
     at which each matrix stopped growing; ``k`` and ``n`` are the sample
     dimensions that drive the spurious-value filter. Rows are the nodes of
-    every trial of a decentralized run, or the trials of a centralized one.
+    every trial of a decentralized run, the trials of one node, or the
+    trials of a centralized one.
     At iteration j every row's values sit in one (rows, j) stack, NaN-padded
     past the row's size. Each run of adjacent rows whose ``alpha``, ``beta``
     and ``sizes`` are equal bit for bit is solved and filtered once, through
     its first row: the distinct rows are solved with one batched call per
     distinct size and filtered in one batched pass. Returns two dicts of
     NaN-padded (rows, j) stacks: raw values at every iteration the filter
-    needs, and the filtered values, kept values first, at the wanted ones.
-    Non-finite coefficients raise :class:`DegenerateRunError` before any
-    solve.
+    needs, and the filtered values, kept values first, at the wanted ones;
+    both are empty when nothing is wanted. Non-finite coefficients raise
+    :class:`DegenerateRunError` before any solve, even then.
     """
     # entries past a row's size are never read, so only the others count
     read = np.arange(alpha.shape[1]) < sizes[:, None]
@@ -798,6 +801,8 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
             "Lanczos coefficients are not finite: the samples are too large "
             "for floating point"
         )
+    if not wanted:
+        return {}, {}
     # Rows are trial-major, so a trial's nodes are neighbours, and under exact
     # consensus they hold one matrix. Each row's values, tolerance and kept
     # values depend on that row alone, so a row equal to its predecessor bit

@@ -15,9 +15,11 @@ one failure generator per trial, seeded from the trial's seed, and draws
 each trial's links from the trial's own generator, so each trial's link
 failures do not depend on the blocking.
 The runners read only estimates, so their DPM/DLA runs keep no error trace.
-The block is bounded because a block's working set (samples, covariances,
-consensus outputs, Lanczos histories and the Ritz stacks of every node)
-grows with it and shows in the peak RSS. Measured on roc at 200 trials
+eig-converge and multi-eig score every node, so their DLA runs extract every
+node's Ritz values; roc scores only ``report_node`` and extracts only that
+node's. The block is bounded because a block's working set (samples,
+covariances, consensus outputs, Lanczos histories and Ritz stacks) grows
+with it and shows in the peak RSS. Measured on roc at 200 trials
 (2-core Xeon, medians of three processes); the first row keeps the error
 traces, as every run did before they became opt-in:
 
@@ -37,7 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from .consensus import AcConfig, ErrorInjectingEngine
-from .detection import compute_statistic, threshold_from_h0, trace_consensus
+from .detection import (
+    _check_calibration_size,
+    compute_statistic,
+    threshold_from_h0,
+    trace_consensus,
+)
 from .distributed import (
     _extract_ritz,
     audit_messages,
@@ -367,9 +374,15 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     estimates at every configured M, and the decentralized runs all consume
     the same sample matrix. ``trials`` counts sensing periods per
     hypothesis; noise-only and signal trials use disjoint seed indices.
-    Statistics of decentralized pipelines are read at ``report_node``.
+    Statistics of decentralized pipelines are read at ``report_node``, and
+    the DLA's Ritz values are extracted at that node only. Every pipeline
+    calibrates its thresholds on ``trials`` noise-only values, so a run with
+    too few of them raises :class:`~eigennet.errors.DetectionError` before
+    it draws a sample.
     """
     graph, weights, cheb, topo = _topology(cfg)
+    for a in cfg.alphas:
+        _check_calibration_size(cfg.trials, a)
     m_grid = sorted(set(cfg.m))
     m_max = m_grid[-1]
     node = cfg.report_node
@@ -447,15 +460,22 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         dpm_lam = run_dpm(
             y, engines(block, 0xD0), m_max, v0, checkpoints=tuple(m_grid)
         ).checkpoints
-        dla_lam = run_dla(
-            y, engines(block, 0xE0), m_max, v1,
-            ritz_iters=m_grid,
-            spurious_tol_rel=cfg.spurious_tol,
-        ).eigenvalue_stacks
+        # only the report node's matrices are solved; run_dla still checks
+        # every node's coefficients
+        dla = run_dla(y, engines(block, 0xE0), m_max, v1, ritz_iters=())
+        _, dla_lam = _extract_ritz(
+            dla.alpha_hist[:, :, node],
+            dla.beta_hist[:, :, node],
+            dla.sizes[:, node],
+            m_grid,
+            cfg.k,
+            cfg.n,
+            cfg.spurious_tol,
+        )
         traces: dict[str, np.ndarray] = {}
         for m in m_grid:
             lists[f"dpm-m{m}"] = dpm_lam[m][:, node, None]
-            lists[f"dla-m{m}"] = dla_lam[m][:, node]
+            lists[f"dla-m{m}"] = dla_lam[m]
         if ratio_kinds:
             dec_trace = trace_consensus(y, engines(block, 0xF2))[:, node]
             for m in m_grid:

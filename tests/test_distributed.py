@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigennet import distributed, eigencore, harness
+from eigennet import distributed, eigencore, experiments, harness
 from eigennet.consensus import (
     AcConfig,
     ConsensusResult,
@@ -490,14 +490,15 @@ class TestBatchedRitzExtraction:
                 assert np.array_equal(got_kept[~np.isnan(got_kept)], ref_filtered[j][row])
 
     @pytest.mark.parametrize(
-        "experiment, trials, rows", [("eig-converge", 8, 4536), ("roc", 200, 32800)]
+        "experiment, trials, rows", [("eig-converge", 8, 4536), ("roc", 200, 1600)]
     )
     def test_shipped_runs_solve_each_distinct_row_once(
         self, experiment, trials, rows, monkeypatch
     ):
         # eig-converge's ideal-consensus Lanczos hands every node of a trial
-        # the same matrix (6720 rows when solved per node); roc's trial rows
-        # are all distinct
+        # the same matrix (6720 rows when solved per node); roc solves its
+        # 2 x 200 trials at M = 5 and 10 once for the centralized Lanczos and
+        # once at the report node (32800 rows when every node was solved)
         counted = []
         solve = distributed.tridiagonal_eigenvalues_batch
 
@@ -510,6 +511,58 @@ class TestBatchedRitzExtraction:
         cfg = dataclasses.replace(harness.validate_config(text, experiment), trials=trials)
         harness.run(cfg)
         assert sum(counted) == rows
+
+    @pytest.mark.parametrize("node", [3, 39])
+    def test_roc_report_node_extraction_matches_all_nodes(self, node, monkeypatch):
+        # roc extracts the DLA's Ritz values at the report node only; under
+        # finite-I Chebyshev consensus every node's rows differ, so a slice on
+        # the wrong axis of the (trials, M, K) histories cannot pass
+        text = (CONFIGS / "roc.cfg").read_text()
+        cfg = dataclasses.replace(
+            harness.validate_config(text, "roc"), trials=20, alphas=(0.5,), report_node=node
+        )
+        assert cfg.engine == "chebyshev" and cfg.m_max == 10
+        dla_calls, extractions = [], []
+        run = experiments.run_dla
+        extract = experiments._extract_ritz
+
+        def recorded_run(*args, **kwargs):
+            dla_calls.append(args)
+            return run(*args, **kwargs)
+
+        def recorded_extract(*args):
+            extractions.append(extract(*args))
+            return extractions[-1]
+
+        monkeypatch.setattr(experiments, "run_dla", recorded_run)
+        monkeypatch.setattr(experiments, "_extract_ritz", recorded_extract)
+        experiments.run_roc(cfg)
+        # one block per hypothesis; each extracts the centralized Lanczos
+        # first and the report node's DLA second
+        assert len(dla_calls) == 2 and len(extractions) == 4
+        for args, (_, got) in zip(dla_calls, extractions[1::2]):
+            ref = run(*args, ritz_iters=cfg.m, spurious_tol_rel=cfg.spurious_tol)
+            assert sorted(got) == sorted(ref.eigenvalue_stacks)
+            for m, stack in ref.eigenvalue_stacks.items():
+                assert stack.shape == (20, cfg.k, m)
+                assert not np.array_equal(stack[:, node], stack[:, 0], equal_nan=True)
+                assert np.array_equal(got[m], stack[:, node], equal_nan=True)
+
+    def test_nothing_wanted_solves_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            distributed,
+            "tridiagonal_eigenvalues_batch",
+            lambda alpha, beta: calls.append(alpha.shape),
+        )
+        y = np.stack([random_samples(6, 4, 40 + t) for t in range(3)])
+        res = run_dla(y, IDEAL, 4, ritz_iters=())
+        assert res.ritz_stacks == {} and res.eigenvalue_stacks == {}
+        assert res.ritz_raw == {} and res.eigenvalues == {}
+        assert calls == []
+        with pytest.raises(DegenerateRunError, match="Lanczos coefficients are not finite"):
+            run_dla(1e160 * y, IDEAL, 3, ritz_iters=())
+        assert calls == []
 
 
 class TestDlaRobustness:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from eigennet import experiments
 from eigennet.cli import main as cli_main
-from eigennet.errors import ConfigError
+from eigennet.detection import threshold_from_h0
+from eigennet.errors import ConfigError, DetectionError
 from eigennet.harness import (
     ExperimentReport,
     emit_csv,
@@ -262,6 +264,23 @@ class TestCli:
         )
         assert cli_main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "runtime error" in capsys.readouterr().err
+
+    def test_too_few_calibration_trials_fail_before_sampling(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(experiments, "gen_h0", drawn.append)
+        monkeypatch.setattr(experiments, "gen_h1", drawn.append)
+        # 25 trials calibrate alpha = 0.5 but not 0.05
+        cfg = validate_config(
+            "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 25\nradius = 0.9\nalphas = 0.5 0.05\n",
+            "roc",
+        )
+        with pytest.raises(DetectionError) as early:
+            run(cfg)
+        assert drawn == []
+        with pytest.raises(DetectionError) as late:
+            threshold_from_h0(np.zeros(25), 0.05)
+        assert str(early.value) == str(late.value)
+        assert str(early.value) == "25 calibration trials are too few for alpha=0.05 (need at least 200)"
 
     def test_cli_overrides(self, tmp_path):
         cfg = self.write_config(
