@@ -37,7 +37,10 @@ def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     # trial's failure stream and the chebyshev+failures rows built on it.
     # Re-recorded when the exact lambda_1 came to be solved from the N x N
     # Gram matrix and real weights began to multiply complex iterates as one
-    # real product: rounding moved every MSE, by at most 8.2e-12 relative
+    # real product: rounding moved every MSE, by at most 8.2e-12 relative.
+    # Re-recorded when the Chebyshev scalars came to be folded into each
+    # step's weights, in the ratio form: MSEs moved by at most 4.8e-11
+    # relative, on chebyshev DPM at I = 25
     argv = [
         "ac-compare", "--config", str(CONFIGS / "ac_compare.cfg"),
         "--out", str(tmp_path), "--trials", "3",
@@ -59,7 +62,12 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     # moved only rounding: roc thresholds by at most 1.5e-15 relative (no
     # pfa or pd), eig-converge MSEs by at most 6.8e-8 relative, on la-ideal
     # at M = 10, whose 4.4e-15 MSE squares a Lanczos error that a few ulps
-    # of the exact lambda_1 move, and the ~1e-29 rows by ~1e-29
+    # of the exact lambda_1 move, and the ~1e-29 rows by ~1e-29. All three
+    # were re-recorded when the Chebyshev scalars came to be folded into each
+    # step's weights, in the ratio form; rounding moved roc thresholds by at
+    # most 4.5e-15 relative (no pfa or pd), eig-converge MSEs by at most
+    # 9.4e-11 (chebyshev DLA, I = 15) and multi-eig MSEs by at most 3.0e-10
+    # (chebyshev DLA, I = 30, 5th eigenvalue)
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     argv = [experiment, "--config", str(config), "--out", str(tmp_path), "--trials", trials]
     assert cli_main(argv) == 0
@@ -178,6 +186,19 @@ def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tm
     lines = done.stderr.splitlines()
     assert len(lines) == 1, done.stderr
     assert lines[0].startswith("runtime error: ")
+
+
+def test_long_chebyshev_runs_finish(tmp_path, capsys):
+    # at I >= 950 the Chebyshev scalars tau_I of the shipped network used to
+    # overflow, and the NaN iterates stopped the run with exit code 2 as a
+    # "DPM eigenvalue stage overflowed" error
+    config = config_with("ac-compare", "I", "1000", tmp_path)
+    out = tmp_path / "out"
+    argv = ["ac-compare", "--config", str(config), "--out", str(out), "--trials", "1"]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "ac-compare.csv").read_text().splitlines()
+    assert len(rows) > 1 and all("nan" not in row for row in rows)
 
 
 def test_no_sources_is_a_config_error(tmp_path, capsys):

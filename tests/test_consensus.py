@@ -11,6 +11,7 @@ from eigennet.consensus import (
     AcConfig,
     ErrorInjectingEngine,
     ReplayEngine,
+    _chebyshev_coefficients,
     _failure_masks,
     _iterate,
     _mixing_operator,
@@ -22,6 +23,7 @@ from eigennet.errors import ConsensusError
 from eigennet.experiments import run_ac_compare
 from eigennet.harness import validate_config
 from eigennet.topology import (
+    ChebyshevParams,
     Graph,
     generate_random_geometric,
     metropolis_stack,
@@ -523,30 +525,17 @@ def loop_failure_run(z0, cfg, rng):
     """Reference link-failure run: the recurrence step by step, each step's
     weights redrawn by the per-edge loop from ``rng``."""
     graph, p = cfg.weights.graph, cfg.link_failure_prob
-
-    def weights():
-        return loop_failure_weights(graph, rng, p)
-
+    weights = [loop_failure_weights(graph, rng, p) for _ in range(cfg.iterations)]
     x = z0[..., None] if z0.ndim == 1 else z0.copy()
     cheb = cfg.cheb
     if cfg.engine == "standard" or cheb.is_degenerate or cfg.iterations == 0:
-        for _ in range(cfg.iterations):
-            x = weights() @ x
+        for w in weights:
+            x = w @ x
     else:
-        lam_sum = cheb.lambda_max + cheb.lambda_min
-        lam_diff = cheb.lambda_max - cheb.lambda_min
-
-        def apply_b(x):
-            return (2.0 * (weights() @ x) - lam_sum * x) / lam_diff
-
-        x_prev = x.copy()
-        x = apply_b(x) / cheb.b1
-        tau_prev, tau = 1.0, cheb.b1
-        for _ in range(2, cfg.iterations + 1):
-            tau_next = 2.0 * cheb.b1 * tau - tau_prev
-            x_next = (2.0 * tau / tau_next) * apply_b(x) - (tau_prev / tau_next) * x_prev
-            x_prev, x = x, x_next
-            tau_prev, tau = tau, tau_next
+        eye = np.eye(graph.node_count)
+        x_prev = np.zeros_like(x)
+        for w, (a, d, c) in zip(weights, folded_coefficients(cheb, cfg.iterations)):
+            x_prev, x = x, (a * w + d * eye) @ x - c * x_prev
     return x[..., 0] if z0.ndim == 1 else x
 
 
@@ -666,9 +655,9 @@ class TestDegrees:
         assert Graph(1, ()).degrees().tolist() == [0]
 
 
-# The complex-typed recurrences as they stood before the iterate was kept as
-# one real view in preallocated buffers, with the weight build of that time:
-# the reference that the buffered kernel must reproduce to the bit.
+# Naive complex-typed recurrences, a fresh array per step, with the one-pass
+# weight build: the reference that the buffered kernel, which folds each
+# step's scalars into its weight chunk in place, must reproduce to the bit.
 
 
 def reference_metropolis_stack(g, alive):
@@ -699,7 +688,31 @@ def reference_real_matmul(w, x):
     return (w @ x.view(float)).view(complex)
 
 
+def folded_coefficients(cheb, steps):
+    """(a_s, d_s, c_s) of steps 1..steps, from the ratios rho_s = tau_{s-1} / tau_s."""
+    lam_sum = cheb.lambda_max + cheb.lambda_min
+    lam_diff = cheb.lambda_max - cheb.lambda_min
+    rho = [1.0 / cheb.b1]
+    for _ in range(steps - 1):
+        rho.append(1.0 / (2.0 * cheb.b1 - rho[-1]))
+    g = [rho[0]] + [2.0 * r for r in rho[1:]]
+    c = [0.0] + [r_prev * r for r_prev, r in zip(rho, rho[1:])]
+    return [(gs * (2.0 / lam_diff), gs * -(lam_sum / lam_diff), cs) for gs, cs in zip(g, c)]
+
+
 def reference_chebyshev(x0, weights, cheb):
+    """x_s = (a_s W_s + d_s I) x_{s-1} - c_s x_{s-2} from x_{-1} = 0."""
+    eye = np.eye(x0.shape[-2])
+    x_prev, x = np.zeros_like(x0), x0
+    for w, (a, d, c) in zip(weights, folded_coefficients(cheb, len(weights))):
+        x_prev, x = x, reference_real_matmul(a * w + d * eye, x) - c * x_prev
+    return x
+
+
+def unfolded_chebyshev(x0, weights, cheb):
+    """The recurrence in the scalars tau_s, with B_s applied as (2 W_s x -
+    (l_max + l_min) x) / (l_max - l_min): the form the folded steps replaced,
+    kept as an oracle. Its tau_s overflow near s = 950 on b1 = 1.287."""
     lam_sum = cheb.lambda_max + cheb.lambda_min
     lam_diff = cheb.lambda_max - cheb.lambda_min
     b1 = cheb.b1
@@ -718,7 +731,7 @@ def reference_chebyshev(x0, weights, cheb):
     return x
 
 
-def reference_iterate(x0, cfg, rng=None):
+def reference_iterate(x0, cfg, rng=None, chebyshev=reference_chebyshev):
     """The recurrence on a (K, m) or (trials, K, m) x0; under link failures
     one (I, E) draw from ``rng`` gives the weights every trial shares."""
     if rng is not None:
@@ -728,7 +741,7 @@ def reference_iterate(x0, cfg, rng=None):
         w = cfg.weights.entries
         weights = np.broadcast_to(w, (cfg.iterations,) + w.shape)
     if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
-        return reference_chebyshev(x0, weights, cfg.cheb)
+        return chebyshev(x0, weights, cfg.cheb)
     x = x0.copy()
     for w in weights:
         x = reference_real_matmul(w, x)
@@ -829,6 +842,115 @@ class TestBufferedKernel:
         for t, seed in enumerate((5, 6, 7)):
             want = reference_iterate(z0[t], cfg, np.random.default_rng(seed))
             assert np.array_equal(z[t], want)
+
+
+class TestFoldedCoefficients:
+    """The ratio form of the Chebyshev scalars, and what it fixes."""
+
+    @staticmethod
+    def shipped_weights():
+        """The weights of the shipped configs' network (K = 40, b1 = 1.287)."""
+        return metropolis_weights(generate_random_geometric(40, 0.4, 3))
+
+    @pytest.mark.parametrize("network", ["shipped", "path3"])
+    def test_ratios_match_closed_form(self, network, path3_weights):
+        w = self.shipped_weights() if network == "shipped" else path3_weights
+        cheb = spectral_bounds(w)
+        steps = 300
+        a, d, c = _chebyshev_coefficients(cheb, steps)
+        # T_s(b1) = cosh(s theta) for b1 = cosh(theta) > 1
+        theta = np.arccosh(cheb.b1)
+        t = np.cosh(np.arange(steps + 1) * theta)
+        rho = t[:-1] / t[1:]  # rho_s = T_{s-1}(b1) / T_s(b1), s = 1..steps
+        lam_diff = cheb.lambda_max - cheb.lambda_min
+        g = a * (lam_diff / 2.0)
+        assert np.allclose(g[0], rho[0], rtol=1e-13, atol=0.0)
+        assert np.allclose(g[1:] / 2.0, rho[1:], rtol=1e-13, atol=0.0)
+        assert c[0] == 0.0
+        assert np.allclose(c[1:], rho[:-1] * rho[1:], rtol=1e-13, atol=0.0)
+        # A_s maps the all-ones vector to (a_s + d_s) times itself, and the
+        # mean survives the step because a_s + d_s - c_s = 1
+        assert np.allclose(a + d - c, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_ratios_stay_finite_where_tau_overflows(self):
+        cheb = spectral_bounds(self.shipped_weights())
+        a, d, c = _chebyshev_coefficients(cheb, 2000)
+        assert all(np.isfinite(v).all() for v in (a, d, c))
+        # rho_s tends to the fixed point of rho -> 1 / (2 b1 - rho)
+        lam_diff = cheb.lambda_max - cheb.lambda_min
+        rho_limit = cheb.b1 - np.sqrt(cheb.b1**2 - 1.0)
+        assert abs(a[-1] * lam_diff / 4.0 - rho_limit) <= 1e-15
+        assert abs(c[-1] - rho_limit**2) <= 1e-15
+
+    def test_coefficients_are_cached_and_read_only(self, path3_cheb):
+        coefficients = _chebyshev_coefficients(path3_cheb, 7)
+        assert _chebyshev_coefficients(path3_cheb, 7) is coefficients
+        for v in coefficients:
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    @pytest.mark.parametrize("iters", [1, 2, 30, 500])
+    @pytest.mark.parametrize("failures", [False, True])
+    @pytest.mark.parametrize("network", ["geometric", "shipped"])
+    def test_matches_unfolded_recurrence(self, network, failures, iters):
+        # rounding only: the largest relative difference measured here was
+        # 5.5e-15 for I <= 30 and 1.3e-13 at I = 500, growing about linearly
+        if network == "shipped":
+            w = self.shipped_weights()
+        else:
+            w = TestBufferedKernel.networks()["geometric"]
+        cheb = spectral_bounds(w)
+        k = w.node_count
+        bound = 4e-16 * max(iters, 25)
+        rng = np.random.default_rng(51)
+        inputs = (
+            rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4)),
+            rng.standard_normal((3, k, 5)),
+        )
+        for scale in (1.0, 1e150, 1e-150):
+            for z0 in inputs:
+                x0 = scale * z0
+                cfg = AcConfig(
+                    "chebyshev", iters, weights=w, cheb=cheb,
+                    link_failure_prob=0.2 if failures else 0.0,
+                    failure_seed=9 if failures else None,
+                )
+                draws = np.random.default_rng(9) if failures else None
+                want = reference_iterate(x0, cfg, draws, chebyshev=unfolded_chebyshev)
+                assert max_rel_diff(_iterate(x0, cfg), want) <= bound
+
+    @pytest.mark.parametrize("iters", [1000, 2000])
+    @pytest.mark.parametrize("failures", [False, True])
+    def test_long_runs_stay_finite(self, failures, iters):
+        # tau_s overflowed near s = 950 on this network, and the engine
+        # returned NaN on fixed weights and under failures alike
+        w = self.shipped_weights()
+        cfg = AcConfig(
+            "chebyshev", iters, weights=w, cheb=spectral_bounds(w),
+            link_failure_prob=0.03 if failures else 0.0,
+            failure_seed=4 if failures else None,
+        )
+        rng = np.random.default_rng(iters)
+        z0 = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        res = run_consensus(z0, cfg)
+        assert np.isfinite(res.z.view(float)).all()
+        assert np.max(np.abs(res.error)) <= 1e-12
+
+    @pytest.mark.parametrize("failures", [False, True])
+    def test_near_degenerate_spectrum_stays_finite(self, failures):
+        # l_max - l_min = 1e-12 gives b1 = 2e12, whose tau_s overflowed by
+        # s = 26; the complete graph mixes to the mean in one step
+        w = complete_weights(12)
+        cheb = ChebyshevParams(-5e-13, 5e-13, 2.0 / 1e-12)
+        cfg = AcConfig(
+            "chebyshev", 40, weights=w, cheb=cheb,
+            link_failure_prob=0.2 if failures else 0.0,
+            failure_seed=6 if failures else None,
+        )
+        z0 = np.random.default_rng(2).standard_normal((12, 2))
+        res = run_consensus(z0, cfg)
+        assert np.isfinite(res.z).all()
+        assert np.max(np.abs(res.error)) <= 1e-12
 
 
 class TestMetropolisBuffer:
