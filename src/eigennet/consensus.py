@@ -18,17 +18,18 @@ redraw at each step. A config holds one generator, whose links every trial
 of a stacked call shares, or one per trial: then each trial's links come
 from its own generator, drawn in trial order, and each step mixes the whole
 stack with one product. The mixing matrices come in step-major chunks of at
-most 32, in one buffer per call: the Metropolis matrices of the surviving
-links, or copies of the fixed weights. The Chebyshev recurrence folds each
-step's scalars into that step's matrices as a chunk arrives, so that every
-step is one product and one scaled subtract of the iterate before. The
-mixing weights are real and the iterates often complex; the recurrence keeps
-the iterate, for the whole run, as one real array of its interleaved real
-and imaginary parts, updated in preallocated buffers, so each product is one
-real product. Every result carries the realized error matrix, the deviation
-of the output from the exact mean; that matrix is a simulation observable
-only, never read by the algorithms under test, so it is computed on its
-first read.
+most 32: the Metropolis matrices of the surviving links, in a buffer that
+each chunk overwrites, or read-only views of the fixed weights. The
+Chebyshev recurrence folds each step's scalars into that step's matrix as a
+chunk arrives, in place or on fixed weights into a buffer of its own, so
+that every step is one product and one scaled subtract of the iterate
+before. The mixing weights are real and the iterates often complex; the
+recurrence keeps the iterate, for the whole run, as one real array of its
+interleaved real and imaginary parts, updated in preallocated buffers, so
+each product is one real product. Every result carries the realized error
+matrix, the deviation of the output from the exact mean; that matrix is a
+simulation observable only, never read by the algorithms under test, so it
+is computed on its first read.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
 (K,), (K, m) or (trials, K, m) input, averaging over the node axis.
@@ -44,13 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsensusError
 from .topology import (
-    _STACK_CHUNK,
+    STACK_CHUNK,
     ChebyshevParams,
     Graph,
     WeightMatrix,
@@ -161,24 +162,21 @@ def _failure_masks(
 def _weight_chunks(cfg: AcConfig, trials: int) -> Iterator[np.ndarray]:
     """The mixing matrices of a run on ``trials`` stacked trials, in chunks.
 
-    Each chunk is a writable, C-contiguous stack of consecutive steps'
-    matrices: (c, K, K) when every trial shares a step's matrix, or
-    (c, trials, K, K) under link failures with one generator per trial. A
-    chunk holds at most 32 matrices, or one step's when the trials exceed
-    that. Every chunk is a view of one buffer that the next chunk
-    overwrites, so a caller may fold scalars into a chunk in place. On fixed
-    weights the chunks hold copies of the weights; under link failures every
-    link is drawn before the first chunk.
+    Each chunk is a stack of consecutive steps' matrices: (c, K, K) when
+    every trial shares a step's matrix, or (c, trials, K, K) under link
+    failures with one generator per trial. A chunk holds at most 32
+    matrices, or one step's when the trials exceed that. On fixed weights
+    each chunk is a read-only view of the weights, repeated. Under link
+    failures every link is drawn before the first chunk, and each chunk is
+    a writable view of the buffer of :func:`metropolis_stack`, which the
+    next chunk overwrites: the caller may use it as scratch.
     """
     assert cfg.weights is not None
     if cfg.link_failure_prob == 0.0:
         w = cfg.weights.entries
-        per = min(cfg.iterations, _STACK_CHUNK)
-        buffer = np.empty((per,) + w.shape)
+        per = min(cfg.iterations, STACK_CHUNK)
         for start in range(0, cfg.iterations, per):
-            chunk = buffer[: min(per, cfg.iterations - start)]
-            chunk[...] = w
-            yield chunk
+            yield np.broadcast_to(w, (min(per, cfg.iterations - start),) + w.shape)
         return
     rngs = cfg._failure_rngs
     if len(rngs) not in (1, trials):
@@ -210,17 +208,14 @@ def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
     as_complex = x0.dtype.kind == "c"
     x = np.array(x0, dtype=complex if as_complex else float, order="C").view(float)
     chunks = _weight_chunks(cfg, len(x) if x.ndim == 3 else 1)
-    # on a lone (K, c) iterate np.dot runs the same product as np.matmul
-    # without its broadcasting set-up, about 1.4 us less per step at K = 40
-    product = np.dot if x.ndim == 2 else np.matmul
     if cfg.engine == "chebyshev" and not cfg.cheb.is_degenerate:
         coefficients = _chebyshev_coefficients(cfg.cheb, cfg.iterations)
-        x = _chebyshev_iterate(x, chunks, coefficients, product)
+        x = _chebyshev_iterate(x, chunks, coefficients)
     else:
         out = np.empty_like(x)
         for chunk in chunks:
             for w in chunk:
-                product(w, x, out=out)
+                np.matmul(w, x, out=out)
                 x, out = out, x
     return x.view(complex) if as_complex else x
 
@@ -297,7 +292,6 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     return ConsensusResult(z[:, 0] if squeeze else z, counters, error)
 
 
-@lru_cache(maxsize=64)
 def _chebyshev_coefficients(
     cheb: ChebyshevParams, steps: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -314,7 +308,7 @@ def _chebyshev_coefficients(
     step count, where tau_s overflows. Folding g_s B_s into one matrix, step
     s is x_s = (a_s W_s + d_s I) x_{s-1} - c_s x_{s-2} with
     a_s = 2 g_s / (l_max - l_min) and d_s = -g_s (l_max + l_min) / (l_max -
-    l_min). The arrays are cached per (params, steps) and read-only.
+    l_min).
     """
     b1 = cheb.b1
     rho = np.empty(steps)
@@ -330,8 +324,6 @@ def _chebyshev_coefficients(
     lam_diff = cheb.lambda_max - cheb.lambda_min
     a = g * (2.0 / lam_diff)
     d = g * -(lam_sum / lam_diff)
-    for v in (a, d, c):
-        v.setflags(write=False)
     return a, d, c
 
 
@@ -339,21 +331,21 @@ def _chebyshev_iterate(
     x: np.ndarray,
     chunks: Iterator[np.ndarray],
     coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
-    product: Callable[..., np.ndarray],
 ) -> np.ndarray:
     """Chebyshev semi-iteration x_s = A_s x_{s-1} - c_s x_{s-2}.
 
-    ``coefficients`` are the (a, d, c) of :func:`_chebyshev_coefficients`,
-    ``chunks`` the mixing matrices W_s as :func:`_weight_chunks` gives them
-    and ``product`` the matrix product with an ``out`` argument. Each chunk
-    is folded in place as it arrives, with one multiply by a_s and one add
-    of d_s on the diagonals, into A_s = a_s W_s + d_s I; a step is then one
-    product, one scale of x_{s-2} and one subtract. On
-    fixed weights the iterates realize p_s(W) = T_s(B)/T_s(b1): disagreement
-    is damped by at least 1/T_s(b1), and the consensus component is kept up
-    to rounding, as A_s maps the all-ones vector to (a_s + d_s) times
-    itself and a_s + d_s - c_s = 1. Under link failures step s mixes with
-    its own weights but the nominal scalars are kept.
+    ``coefficients`` are the (a, d, c) of :func:`_chebyshev_coefficients`
+    and ``chunks`` the mixing matrices W_s as :func:`_weight_chunks` gives
+    them. Each chunk is folded as it arrives, with one multiply by a_s and
+    one add of d_s on the diagonals, into A_s = a_s W_s + d_s I: in place
+    when it is writable scratch, else into a buffer of the first chunk's
+    shape. A step is then one product, one scale of x_{s-2} and one
+    subtract. On fixed weights the iterates realize
+    p_s(W) = T_s(B)/T_s(b1): disagreement is damped by at least 1/T_s(b1),
+    and the consensus component is kept up to rounding, as A_s maps the
+    all-ones vector to (a_s + d_s) times itself and a_s + d_s - c_s = 1.
+    Under link failures step s mixes with its own weights but the nominal
+    scalars are kept.
 
     ``x`` is the real (..., K, c) view of the iterate. Its interleaved
     complex parts, if any, are scaled and subtracted part by part, as the
@@ -363,15 +355,26 @@ def _chebyshev_iterate(
     """
     a, d, c = coefficients
     x_prev, x_next = np.zeros_like(x), np.empty_like(x)
+    # a failure run's chunks are folded in place: a second buffer of their
+    # size made glibc's malloc return the freed memory at the end of each
+    # call and fault it in again on the next, which took a 30-step call at
+    # K = 40 from 280 to 650 us
+    buffer = None
     s = 0
     for chunk in chunks:
         n, k = len(chunk), chunk.shape[-1]
-        flat = chunk.reshape(n, -1, k * k)  # a view: chunks are C-contiguous
-        np.multiply(flat, a[s : s + n, None, None], out=flat)
-        diagonals = flat[..., :: k + 1]
+        if chunk.flags.writeable:
+            mixing = chunk
+        else:
+            if buffer is None:
+                buffer = np.empty(chunk.shape)  # no later chunk is larger
+            mixing = buffer[:n]
+        per_step = (n,) + (1,) * (chunk.ndim - 1)
+        np.multiply(chunk, a[s : s + n].reshape(per_step), out=mixing)
+        diagonals = mixing.reshape(n, -1, k * k)[..., :: k + 1]
         np.add(diagonals, d[s : s + n, None, None], out=diagonals)
-        for w, c_s in zip(chunk, c[s : s + n]):
-            product(w, x, out=x_next)
+        for w, c_s in zip(mixing, c[s : s + n]):
+            np.matmul(w, x, out=x_next)
             np.multiply(x_prev, c_s, out=x_prev)
             np.subtract(x_next, x_prev, out=x_next)
             x_prev, x, x_next = x, x_next, x_prev

@@ -236,7 +236,7 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-_STACK_CHUNK = 32  # most matrices that one metropolis_stack buffer holds
+STACK_CHUNK = 32  # most mixing matrices in one chunk of a consensus run's steps
 
 
 def metropolis_stack(g: Graph, alive: np.ndarray) -> Iterator[np.ndarray]:
@@ -258,7 +258,7 @@ def metropolis_stack(g: Graph, alive: np.ndarray) -> Iterator[np.ndarray]:
     k = g.node_count
     u, v = g.edge_index
     upper, lower = g._edge_slots
-    per = max(1, min(steps, _STACK_CHUNK // groups))  # steps per chunk
+    per = max(1, min(steps, STACK_CHUNK // groups))  # steps per chunk
     w = np.zeros((per, groups, k, k))
     flat = w.reshape(per * groups, k * k)
     for start in range(0, steps, per):

@@ -882,13 +882,6 @@ class TestFoldedCoefficients:
         assert abs(a[-1] * lam_diff / 4.0 - rho_limit) <= 1e-15
         assert abs(c[-1] - rho_limit**2) <= 1e-15
 
-    def test_coefficients_are_cached_and_read_only(self, path3_cheb):
-        coefficients = _chebyshev_coefficients(path3_cheb, 7)
-        assert _chebyshev_coefficients(path3_cheb, 7) is coefficients
-        for v in coefficients:
-            with pytest.raises(ValueError):
-                v[0] = 0.0
-
     @pytest.mark.parametrize("iters", [1, 2, 30, 500])
     @pytest.mark.parametrize("failures", [False, True])
     @pytest.mark.parametrize("network", ["geometric", "shipped"])
