@@ -13,7 +13,6 @@ from .consensus import (
     AcConfig,
     ConsensusResult,
     ErrorInjectingEngine,
-    ReplayEngine,
     run_block,
     run_consensus,
 )

@@ -60,6 +60,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = run(cfg)
         paths = emit_report(report, cfg.out)
+    except ConfigError as exc:  # a graph_file fault shows only when read
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except EigennetError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

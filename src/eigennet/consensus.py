@@ -6,57 +6,54 @@ axis, (trials, K, m), stacks independent problems on the same network: each
 trial is averaged on its own, with one product per step for the whole
 stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
 (repeated multiplication by the mixing matrix), and ``chebyshev``
-(semi-iterative acceleration of the same mixing). On fixed weights an I-step
-run of either mixing engine is one matrix polynomial p_I(W); it is built
-once per (weights, engine, I) and then applied as a single product. Under
-link failures the recurrence runs step by step on the input with fresh
-surviving links each step. Before the first step a call draws the links of
-all its I steps, as one (I, E) uniform draw per failure generator, which
-consumes the generator exactly as I per-step draws of E values would, so the
-failure stream, and every output computed from it, is the same as with a
-redraw at each step. A config holds one generator, whose links every trial
-of a stacked call shares, or one per trial: then each trial's links come
-from its own generator, drawn in trial order, and each step mixes the whole
-stack with one product. The mixing matrices come in step-major chunks of at
-most 32: the Metropolis matrices of the surviving links, in a buffer that
-each chunk overwrites, or read-only views of the fixed weights. The
-Chebyshev recurrence folds each step's scalars into that step's matrix as a
-chunk arrives, in place or on fixed weights into a buffer of its own, so
-that every step is one product and one scaled subtract of the iterate
-before. The mixing weights are real and the iterates often complex; the
-recurrence keeps the iterate, for the whole run, as one real array of its
-interleaved real and imaginary parts, updated in preallocated buffers, so
-each product is one real product. Every result carries the realized error
-matrix, the deviation of the output from the exact mean; that matrix is a
-simulation observable only, never read by the algorithms under test, so it
-is computed on its first read.
+(semi-iterative acceleration of the same mixing).
+
+Both mixing engines run one recurrence, x_s = A_s x_{s-1} - c_s x_{s-2} with
+A_s = a_s W_s + d_s I. ``chebyshev`` takes its scalars from the spectral
+bounds of the weights; ``standard``, and ``chebyshev`` on a degenerate
+spectrum, is the case a_s = 1, d_s = c_s = 0 of plain averaging. Each step's
+A_s is written straight from the Metropolis weights of that step's links by
+:func:`~eigennet.topology.metropolis_stack`, in step-major chunks of at most
+32 matrices: fixed weights are the case where every link is alive. On fixed
+weights an I-step run of either mixing engine is one matrix polynomial
+p_I(W); it is built once per (weights, engine, I), by the recurrence on the
+identity, and then applied as a single product. Under link failures the
+recurrence runs step by step on the input with fresh surviving links each
+step. Before the first step a call draws the links of all its I steps, as
+one (I, E) uniform draw per failure generator, which consumes the generator
+exactly as I per-step draws of E values would, so the failure stream, and
+every output computed from it, is the same as with a redraw at each step. A
+config holds one generator, whose links every trial of a stacked call
+shares, or one per trial: then each trial's links come from its own
+generator, drawn in trial order, and each step mixes the whole stack with
+one product. The mixing weights are real and the iterates often complex; a
+run reads its input once as one real array of its interleaved real and
+imaginary parts, so that the operator product, or each step's product, is
+one real product, and the recurrence updates that array in preallocated
+buffers. Every result carries the realized error matrix, the deviation of
+the output from the exact mean; that matrix is a simulation observable only,
+never read by the algorithms under test, so it is computed on its first
+read.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
 (K,), (K, m) or (trials, K, m) input, averaging over the node axis.
-:class:`AcConfig` runs :func:`run_consensus`, and two synthetic engines
-support instrumentation: :class:`ErrorInjectingEngine` returns exact means
-plus caller-chosen error terms (for verifying the closed-form error
-expressions), and :class:`ReplayEngine` returns pre-recorded outputs
-regardless of input (for locality tests). :func:`run_block` runs one
-consensus round of a block of trials on one engine for the whole stack.
+:class:`AcConfig` runs :func:`run_consensus`, and the synthetic
+:class:`ErrorInjectingEngine` returns exact means plus caller-chosen error
+terms, for verifying the closed-form error expressions. :func:`run_block`
+runs one consensus round of a block of trials on one engine for the whole
+stack.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConsensusError
-from .topology import (
-    STACK_CHUNK,
-    ChebyshevParams,
-    Graph,
-    WeightMatrix,
-    metropolis_stack,
-)
+from .topology import ChebyshevParams, Graph, WeightMatrix, metropolis_stack
 
 __all__ = [
     "AcConfig",
@@ -64,7 +61,6 @@ __all__ = [
     "run_consensus",
     "run_block",
     "ErrorInjectingEngine",
-    "ReplayEngine",
 ]
 
 _ENGINES = ("ideal", "standard", "chebyshev")
@@ -159,81 +155,62 @@ def _failure_masks(
     return alive
 
 
-def _weight_chunks(cfg: AcConfig, trials: int) -> Iterator[np.ndarray]:
-    """The mixing matrices of a run on ``trials`` stacked trials, in chunks.
+def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
+    """Run the engine's recurrence on the real (K, c) or (B, K, c) iterate ``x``.
 
-    Each chunk is a stack of consecutive steps' matrices: (c, K, K) when
-    every trial shares a step's matrix, or (c, trials, K, K) under link
-    failures with one generator per trial. A chunk holds at most 32
-    matrices, or one step's when the trials exceed that. On fixed weights
-    each chunk is a read-only view of the weights, repeated. Under link
-    failures every link is drawn before the first chunk, and each chunk is
-    a writable view of the buffer of :func:`metropolis_stack`, which the
-    next chunk overwrites: the caller may use it as scratch.
+    Step s is x_s = A_s x_{s-1} - c_s x_{s-2} with A_s = a_s W_s + d_s I: one
+    product and, where c_s != 0, one scaled subtract. The scalars are the
+    (a, d, c) of :func:`_chebyshev_coefficients`, or (1, 0, 0), plain
+    averaging, for ``standard`` and for a degenerate Chebyshev spectrum,
+    where plain averaging already contracts as fast as any polynomial in W
+    of the same degree. Under link failures step s mixes with its own
+    weights but keeps the nominal scalars. :func:`metropolis_stack` builds
+    the A_s, in chunks, from each step's masks of alive links: every link on
+    fixed weights, or the links drawn before the first step under link
+    failures, one mask per failure generator. Each product covers the whole
+    stack, with the step's one matrix or its per-trial matrices. c_1 = 0, so
+    x_{-1} is never read; the skipped subtracts of 0 x_{s-2} would change
+    nothing on finite iterates.
+
+    The scaled subtract treats the interleaved real and imaginary parts of
+    ``x``, if any, part by part, as the complex arithmetic would. ``x`` is
+    not written: the steps rotate three buffers of its shape, the first a
+    copy of it, and the result is one of them.
     """
-    assert cfg.weights is not None
-    if cfg.link_failure_prob == 0.0:
-        w = cfg.weights.entries
-        per = min(cfg.iterations, STACK_CHUNK)
-        for start in range(0, cfg.iterations, per):
-            yield np.broadcast_to(w, (min(per, cfg.iterations - start),) + w.shape)
-        return
-    rngs = cfg._failure_rngs
-    if len(rngs) not in (1, trials):
-        raise ConsensusError(
-            f"{trials} stacked trials need one failure generator or one per "
-            f"trial, not {len(rngs)}"
-        )
-    graph = cfg.weights.graph
-    alive = _failure_masks(
-        rngs, cfg.link_failure_prob, cfg.iterations, graph.edge_index.shape[1]
-    )
-    for chunk in metropolis_stack(graph, alive):
-        yield chunk[:, 0] if len(rngs) == 1 else chunk
-
-
-def _iterate(x0: np.ndarray, cfg: AcConfig) -> np.ndarray:
-    """Run the engine's recurrence on a (K, m) or (B, K, m) x0, step by step.
-
-    The weights are real. For the whole run the iterate is one real
-    (..., K, c) array, updated in preallocated buffers: a real x0's float
-    copy, or the interleaved real and imaginary parts of a complex x0's
-    copy, c = 2m, so that each step's product with the weights is one real
-    product. A degenerate Chebyshev spectrum runs the plain averaging loop:
-    plain averaging already contracts as fast as any polynomial in W of the
-    same degree.
-    """
-    if cfg.iterations == 0:
-        return x0.copy()
-    as_complex = x0.dtype.kind == "c"
-    x = np.array(x0, dtype=complex if as_complex else float, order="C").view(float)
-    chunks = _weight_chunks(cfg, len(x) if x.ndim == 3 else 1)
+    steps = cfg.iterations
+    if steps == 0:
+        return x.copy()
     if cfg.engine == "chebyshev" and not cfg.cheb.is_degenerate:
-        coefficients = _chebyshev_coefficients(cfg.cheb, cfg.iterations)
-        x = _chebyshev_iterate(x, chunks, coefficients)
+        a, d, c = _chebyshev_coefficients(cfg.cheb, steps)
     else:
-        out = np.empty_like(x)
-        for chunk in chunks:
-            for w in chunk:
-                np.matmul(w, x, out=out)
-                x, out = out, x
-    return x.view(complex) if as_complex else x
-
-
-def _real_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``w @ x`` for a real matrix ``w``, as one real product.
-
-    numpy would cast ``w`` to complex for a complex ``x``. Instead a
-    C-contiguous complex (..., K, m) ``x`` is read as the real (..., K, 2m)
-    array of its interleaved real and imaginary parts, whose product with
-    ``w`` is the result's. A real ``x`` takes the plain product.
-    """
-    if x.dtype.kind != "c":
-        return w @ x
-    if x.ndim == 1:
-        return _real_matmul(w, x[:, None])[:, 0]
-    x = np.ascontiguousarray(x, dtype=complex)
-    return (w @ x.view(float)).view(complex)
+        a, d, c = np.ones(steps), np.zeros(steps), np.zeros(steps)
+    graph = cfg.weights.graph
+    edges = graph.edge_index.shape[1]
+    if cfg.link_failure_prob == 0.0:
+        alive = np.ones((steps, 1, edges), dtype=bool)
+    else:
+        rngs = cfg._failure_rngs
+        trials = len(x) if x.ndim == 3 else 1
+        if len(rngs) not in (1, trials):
+            raise ConsensusError(
+                f"{trials} stacked trials need one failure generator or one per "
+                f"trial, not {len(rngs)}"
+            )
+        alive = _failure_masks(rngs, cfg.link_failure_prob, steps, edges)
+    x = x.copy()
+    x_prev, x_next = np.empty_like(x), np.empty_like(x)
+    s = 0
+    for chunk in metropolis_stack(graph, alive, a, d):
+        if chunk.shape[1] == 1:  # one matrix per step, shared by every trial
+            chunk = chunk[:, 0]
+        for mixing, c_s in zip(chunk, c[s : s + len(chunk)]):
+            np.matmul(mixing, x, out=x_next)
+            if c_s != 0.0:
+                np.multiply(x_prev, c_s, out=x_prev)
+                np.subtract(x_next, x_prev, out=x_next)
+            x_prev, x, x_next = x, x_next, x_prev
+        s += len(chunk)
+    return x
 
 
 def _mixing_operator(cfg: AcConfig) -> np.ndarray:
@@ -241,8 +218,8 @@ def _mixing_operator(cfg: AcConfig) -> np.ndarray:
 
     Without link failures every engine step is linear in its input with the
     same weights, so the whole run equals one matrix product. The operator is
-    built once, by running the recurrence on the identity, and cached on the
-    weight matrix that owns it.
+    built once, by running the recurrence on the real identity, and cached
+    on the weight matrix that owns it.
     """
     assert cfg.weights is not None and cfg.link_failure_prob == 0.0
     key = (cfg.engine, cfg.iterations, cfg.cheb)
@@ -277,10 +254,16 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     ideal = cfg.engine == "ideal"
     if ideal:
         z = np.broadcast_to(x0.mean(axis=-2, keepdims=True), x0.shape).copy()
-    elif cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
-        z = _iterate(x0, cfg)
     else:
-        z = _real_matmul(_mixing_operator(cfg), x0)
+        # the weights are real: a complex input is read as the real
+        # (..., K, 2m) array of its interleaved real and imaginary parts
+        as_complex = x0.dtype.kind == "c"
+        x = np.ascontiguousarray(x0, dtype=complex if as_complex else float).view(float)
+        if cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
+            x = _iterate(x, cfg)
+        else:
+            x = _mixing_operator(cfg) @ x
+        z = x.view(complex) if as_complex else x
 
     def error() -> np.ndarray:
         e = np.zeros_like(z) if ideal else z - x0.mean(axis=-2, keepdims=True)
@@ -325,61 +308,6 @@ def _chebyshev_coefficients(
     a = g * (2.0 / lam_diff)
     d = g * -(lam_sum / lam_diff)
     return a, d, c
-
-
-def _chebyshev_iterate(
-    x: np.ndarray,
-    chunks: Iterator[np.ndarray],
-    coefficients: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Chebyshev semi-iteration x_s = A_s x_{s-1} - c_s x_{s-2}.
-
-    ``coefficients`` are the (a, d, c) of :func:`_chebyshev_coefficients`
-    and ``chunks`` the mixing matrices W_s as :func:`_weight_chunks` gives
-    them. Each chunk is folded as it arrives, with one multiply by a_s and
-    one add of d_s on the diagonals, into A_s = a_s W_s + d_s I: in place
-    when it is writable scratch, else into a buffer of the first chunk's
-    shape. A step is then one product, one scale of x_{s-2} and one
-    subtract. On fixed weights the iterates realize
-    p_s(W) = T_s(B)/T_s(b1): disagreement is damped by at least 1/T_s(b1),
-    and the consensus component is kept up to rounding, as A_s maps the
-    all-ones vector to (a_s + d_s) times itself and a_s + d_s - c_s = 1.
-    Under link failures step s mixes with its own weights but the nominal
-    scalars are kept.
-
-    ``x`` is the real (..., K, c) view of the iterate. Its interleaved
-    complex parts, if any, are scaled and subtracted part by part, as the
-    complex arithmetic would. It is overwritten, and the result is one of
-    three buffers of its shape that the steps rotate. x_{-1} is zero, so
-    that step 1, with c_1 = 0, takes the same three calls.
-    """
-    a, d, c = coefficients
-    x_prev, x_next = np.zeros_like(x), np.empty_like(x)
-    # a failure run's chunks are folded in place: a second buffer of their
-    # size made glibc's malloc return the freed memory at the end of each
-    # call and fault it in again on the next, which took a 30-step call at
-    # K = 40 from 280 to 650 us
-    buffer = None
-    s = 0
-    for chunk in chunks:
-        n, k = len(chunk), chunk.shape[-1]
-        if chunk.flags.writeable:
-            mixing = chunk
-        else:
-            if buffer is None:
-                buffer = np.empty(chunk.shape)  # no later chunk is larger
-            mixing = buffer[:n]
-        per_step = (n,) + (1,) * (chunk.ndim - 1)
-        np.multiply(chunk, a[s : s + n].reshape(per_step), out=mixing)
-        diagonals = mixing.reshape(n, -1, k * k)[..., :: k + 1]
-        np.add(diagonals, d[s : s + n, None, None], out=diagonals)
-        for w, c_s in zip(mixing, c[s : s + n]):
-            np.matmul(w, x, out=x_next)
-            np.multiply(x_prev, c_s, out=x_prev)
-            np.subtract(x_next, x_prev, out=x_next)
-            x_prev, x, x_next = x, x_next, x_prev
-        s += n
-    return x
 
 
 def run_block(ac, z0: np.ndarray) -> ConsensusResult:
@@ -456,25 +384,3 @@ class ErrorInjectingEngine:
         if z0.dtype.kind != "c" and err.dtype.kind == "c":
             raise ConsensusError("real-valued consensus cannot carry complex error")
         return _synthetic_result(z0, z0.mean(axis=_node_axis(z0), keepdims=True) + err)
-
-
-class ReplayEngine:
-    """Synthetic consensus returning pre-recorded outputs, ignoring the input.
-
-    Used by locality tests: with replayed consensus outputs, a node's local
-    updates must depend only on its own samples.
-    """
-
-    def __init__(self, outputs: Sequence[np.ndarray]) -> None:
-        self._outputs = [np.asarray(o) for o in outputs]
-        self.calls = 0
-
-    def run(self, z0: np.ndarray) -> ConsensusResult:
-        z0 = np.asarray(z0)
-        if self.calls >= len(self._outputs):
-            raise ConsensusError("replay engine ran out of outputs")
-        z = self._outputs[self.calls].copy()
-        self.calls += 1
-        if z.shape != z0.shape:
-            raise ConsensusError("replayed output shape does not match input")
-        return _synthetic_result(z0, z)

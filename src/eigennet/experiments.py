@@ -65,7 +65,7 @@ from .eigencore import (
     power_method,
     sample_covariance,
 )
-from .errors import ConfigError
+from .errors import ConfigError, TopologyError
 from .harness import ExperimentConfig, ExperimentReport, _splitmix64, trial_seed
 from .signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from .topology import (
@@ -99,8 +99,12 @@ def _topology(cfg: ExperimentConfig):
     else:
         from pathlib import Path
 
-        graph = load_edge_list(Path(cfg.graph_file).read_text())
-        graph.require_connected()
+        # an unreadable, malformed or disconnected file is a configuration fault
+        try:
+            graph = load_edge_list(Path(cfg.graph_file).read_text())
+            graph.require_connected()
+        except (OSError, UnicodeDecodeError, TopologyError) as exc:
+            raise ConfigError(f"graph_file {cfg.graph_file!r}: {exc}") from exc
     if graph.node_count != cfg.k:
         raise ConfigError(
             f"topology has {graph.node_count} nodes but K={cfg.k} was configured"

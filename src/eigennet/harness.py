@@ -271,6 +271,11 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append(f"engines entries must be among {', '.join(_ENGINE_TOKENS)}")
     if not (0.0 <= cfg.link_failure_prob < 1.0):
         problems.append("link_failure_prob must lie in [0, 1)")
+    if not cfg.link_failure_prob > 0.0:
+        if cfg.engine.endswith("+failures"):
+            problems.append("link_failure_prob must be positive for a +failures engine")
+        if any(e.endswith("+failures") for e in cfg.engines):
+            problems.append("link_failure_prob must be positive for a +failures engines entry")
     if cfg.trials < 1:
         problems.append("trials must be at least 1")
     if cfg.topology not in ("generate", "file"):

@@ -40,8 +40,10 @@ class Graph:
     reproducibility and plot emission; no algorithm reads it.
     ``edge_index`` holds the edge endpoints as a read-only 2 x E integer
     array (row 0 the smaller endpoint), for vectorized weight construction.
-    The layout that :func:`metropolis_stack` scatters weights with is built
-    on its first use and kept on the graph, so it lives and dies with it.
+    The layout that :func:`metropolis_stack` builds weights with (the
+    incidence matrix, the table of each node's edges and the edge slots) is
+    built on its first use and kept on the graph, so it lives and dies with
+    it.
     """
 
     node_count: int
@@ -86,6 +88,23 @@ class Graph:
         return incidence
 
     @cached_property
+    def _incident_edges(self) -> np.ndarray:
+        """The (D, K) table of each node's edges, D the largest degree or 1.
+
+        Column k lists the ``edge_index`` columns of the edges at node k in
+        edge order, then E, the index of a padding slot that reads 0.
+        """
+        u, v = self.edge_index
+        ends = np.concatenate((u, v))
+        ids = np.tile(np.arange(u.size), 2)
+        order = np.lexsort((ids, ends))  # by node, then by edge
+        nodes = ends[order]
+        starts = np.cumsum(self._degrees) - self._degrees
+        table = np.full((max(self._degrees.max(), 1), self.node_count), u.size)
+        table[np.arange(nodes.size) - starts[nodes], nodes] = ids[order]
+        return table
+
+    @cached_property
     def _edge_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Flat positions of entries (u, v) and (v, u) of each edge in a K x K matrix."""
         u, v = self.edge_index
@@ -123,13 +142,15 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Symmetric row-stochastic consensus weights on a graph.
+    """The Metropolis weights of ``graph``, as :func:`metropolis_weights` makes them.
 
-    Equality and hashing are by identity, so weight matrices of different
-    networks never compare equal. ``_operators`` caches fixed-weight
-    consensus operators built from these entries (see
-    :mod:`eigennet.consensus`); it lives and dies with this object, so no two
-    weight matrices share one.
+    ``entries`` are the Metropolis weights of ``graph``: a consensus run on
+    fixed weights rebuilds each step's matrix from the graph's edges, with
+    the builder that made ``entries``, so only :func:`metropolis_weights`
+    makes a weight matrix. Equality and hashing are by identity, so weight
+    matrices of different networks never compare equal. ``_operators``
+    caches fixed-weight consensus operators (see :mod:`eigennet.consensus`);
+    it lives and dies with this object, so no two weight matrices share one.
     """
 
     entries: np.ndarray
@@ -236,57 +257,97 @@ def dump_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-STACK_CHUNK = 32  # most mixing matrices in one chunk of a consensus run's steps
+_STACK_CHUNK = 32  # most matrices in one chunk of metropolis_stack
 
 
-def metropolis_stack(g: Graph, alive: np.ndarray) -> Iterator[np.ndarray]:
-    """Dense Metropolis weights, one matrix per mask of ``alive``, in chunks.
+def _node_sums(values: np.ndarray, incident: np.ndarray) -> np.ndarray:
+    """Each node's sum of an edge-major (E + 1, rows) array over its edges, as (K, rows).
+
+    ``incident`` is the graph's (D, K) table of incident edges. Each node's D
+    gathered values are added pairwise: the second half of the slots onto
+    the first, the middle slot of an odd count kept, until one is left.
+    These are elementwise adds, whose order no array shape changes, and the
+    row sums of the weights come out as accurate as a dense row sum's.
+    """
+    sums = np.take(values, incident, axis=0)
+    width = len(incident)
+    while width > 1:
+        half = width // 2
+        width -= half
+        np.add(sums[:half], sums[width : width + half], out=sums[:half])
+    return sums[0]
+
+
+def metropolis_stack(
+    g: Graph, alive: np.ndarray, scale: np.ndarray, shift: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Scaled and shifted Metropolis weights, one matrix per mask of ``alive``.
 
     ``alive`` is an (S, G, E) boolean mask over the graph's ``edge_index``
-    columns: step s has G masks. Matrix (s, g) carries the Metropolis weights
-    of the subgraph of the edges alive in ``alive[s, g]``, with degrees
-    counted over those edges only. The matrices come step by step, as
-    consecutive (c, G, K, K) chunks of at most 32 matrices (one step when G
-    exceeds that), and every chunk is a view of one buffer that the next
-    chunk overwrites. Each chunk is built at once: one product for the
-    degrees, one scatter of the edge weights and one row sum for the
-    diagonals. The buffer is zero-filled once; each scatter rewrites every
-    edge's entries, dead or alive, and the diagonal is cleared before the
-    row sum.
+    columns: step s has G masks. ``scale`` and ``shift`` hold one value per
+    step. Matrix (s, g) is A = scale[s] W + shift[s] I, where W carries the
+    Metropolis weights of the subgraph of the edges alive in ``alive[s, g]``,
+    with degrees counted over those edges only; scale 1 and shift 0 give W
+    itself. The matrices come step by step, as consecutive (c, G, K, K)
+    chunks of at most 32 matrices (one step when G exceeds that), and every
+    chunk is a view of one buffer that the next chunk overwrites.
+
+    A is written straight from the edge weights w_ij. The buffer is
+    zero-filled once per call; each chunk scatters scale[s] w_ij into the
+    slots of every edge, dead (w_ij = 0) or alive, and writes each diagonal
+    as scale[s] (1 - r) + shift[s], where r is the node's sum of weights.
+    One product with the incidence matrix gives the degrees, exact integer
+    sums. r is summed by :func:`_node_sums` instead, because a BLAS
+    product's rounding depends on how many rows it multiplies at once: each
+    matrix's entries then do not depend on the masks beside it in its chunk.
     """
     steps, groups, edges = alive.shape
     k = g.node_count
     u, v = g.edge_index
     upper, lower = g._edge_slots
-    per = max(1, min(steps, STACK_CHUNK // groups))  # steps per chunk
-    w = np.zeros((per, groups, k, k))
-    flat = w.reshape(per * groups, k * k)
+    per = max(1, min(steps, _STACK_CHUNK // groups))  # steps per chunk
+    a = np.zeros((per, groups, k, k))
+    flat = a.reshape(per * groups, k * k)
+    # the weights edge-major, one column per matrix; row E is the padding
+    # slot of the incident-edge table and stays 0
+    weights = np.zeros((edges + 1, per * groups))
     for start in range(0, steps, per):
         chunk = alive[start : start + per]
-        rows = len(chunk) * groups
-        up = chunk.reshape(rows, edges).astype(float)
-        # each row sums 0/1 terms, so the degrees are exact integer-valued floats
-        deg = up @ g._incidence
-        # dead edges get 0 / (1 + ...) = 0
-        wij = up / (1.0 + np.maximum(deg[:, u], deg[:, v]))
+        n = len(chunk)
+        rows = n * groups
+        w = weights[:, :rows]
+        w[:edges] = chunk.reshape(rows, edges).T
+        # each column sums 0/1 terms, so the degrees are exact integer-valued floats
+        inv = 1.0 / (1.0 + g._incidence.T @ w[:edges])
+        # w_ij = min(1 / (1 + d_i), 1 / (1 + d_j)) = 1 / (1 + max(d_i, d_j)),
+        # exactly; dead edges get 0
+        w[:edges] *= np.minimum(inv.take(u, axis=0), inv.take(v, axis=0))
+        r = _node_sums(w, g._incident_edges)
+        # each step's scalars, over the step's G columns
+        step_scale = scale[start : start + n, None]
+        step_shift = shift[start : start + n, None]
+        scaled = (w[:edges].reshape(edges, n, groups) * step_scale).reshape(edges, rows).T
         out = flat[:rows]
-        out[:, upper] = wij
-        out[:, lower] = wij
-        out[:, :: k + 1] = 0.0
-        out[:, :: k + 1] = 1.0 - out.reshape(rows, k, k).sum(axis=-1)
-        yield w[: len(chunk)]
+        out[:, upper] = scaled
+        out[:, lower] = scaled
+        np.subtract(1.0, r, out=r)
+        diagonals = r.reshape(k, n, groups) * step_scale + step_shift
+        out[:, :: k + 1] = diagonals.reshape(k, rows).T
+        yield a[:n]
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
     Diagonal entries absorb the remaining mass so that rows sum to 1. This is
-    the one-step, all-links-alive case of :func:`metropolis_stack`, whose
-    buffer no later call writes. The entries are read-only, because
-    consensus operators cached on the returned object are built from them.
+    the one-step, all-links-alive case of :func:`metropolis_stack`, at scale 1
+    and shift 0, whose buffer no later call writes. The entries are
+    read-only; a consensus run on fixed weights rebuilds them, and its
+    operators, from the graph's edges through the same builder.
     """
     g.require_connected()
-    w = next(metropolis_stack(g, np.ones((1, 1, len(g.edges)), dtype=bool)))[0, 0]
+    alive = np.ones((1, 1, len(g.edges)), dtype=bool)
+    w = next(metropolis_stack(g, alive, np.ones(1), np.zeros(1)))[0, 0]
     w.setflags(write=False)
     return WeightMatrix(w, g)
 

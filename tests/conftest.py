@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from eigennet.consensus import ConsensusResult, _synthetic_result
 from eigennet.eigencore import EigenSolution
+from eigennet.errors import ConsensusError
 from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 
 
@@ -44,6 +46,28 @@ def random_connected_graph(k, seed, p=0.45):
             if rng.random() < p:
                 edges.add((i, j))
     return Graph(k, tuple(sorted(edges)))
+
+
+class ReplayEngine:
+    """Synthetic consensus returning pre-recorded outputs, ignoring the input.
+
+    Used by locality tests: with replayed consensus outputs, a node's local
+    updates must depend only on its own samples.
+    """
+
+    def __init__(self, outputs):
+        self._outputs = [np.asarray(o) for o in outputs]
+        self.calls = 0
+
+    def run(self, z0: np.ndarray) -> ConsensusResult:
+        z0 = np.asarray(z0)
+        if self.calls >= len(self._outputs):
+            raise ConsensusError("replay engine ran out of outputs")
+        z = self._outputs[self.calls].copy()
+        self.calls += 1
+        if z.shape != z0.shape:
+            raise ConsensusError("replayed output shape does not match input")
+        return _synthetic_result(z0, z)
 
 
 def _hermitian_deviation(a: np.ndarray) -> float:

@@ -40,7 +40,10 @@ def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     # real product: rounding moved every MSE, by at most 8.2e-12 relative.
     # Re-recorded when the Chebyshev scalars came to be folded into each
     # step's weights, in the ratio form: MSEs moved by at most 4.8e-11
-    # relative, on chebyshev DPM at I = 25
+    # relative, on chebyshev DPM at I = 25. Re-recorded when each step's
+    # matrix came to be written straight from the edge weights, its diagonal
+    # 1 minus a pairwise sum of the node's edge weights: MSEs moved by at
+    # most 7.4e-11 relative, on chebyshev+failures DPM at I = 30
     argv = [
         "ac-compare", "--config", str(CONFIGS / "ac_compare.cfg"),
         "--out", str(tmp_path), "--trials", "3",
@@ -67,7 +70,13 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     # step's weights, in the ratio form; rounding moved roc thresholds by at
     # most 4.5e-15 relative (no pfa or pd), eig-converge MSEs by at most
     # 9.4e-11 (chebyshev DLA, I = 15) and multi-eig MSEs by at most 3.0e-10
-    # (chebyshev DLA, I = 30, 5th eigenvalue)
+    # (chebyshev DLA, I = 30, 5th eigenvalue). All three were re-recorded
+    # when each step's matrix came to be written straight from the edge
+    # weights, its diagonal 1 minus a pairwise sum of the node's edge
+    # weights; rounding moved roc thresholds by at most 6.2e-15 relative (no
+    # pfa or pd), eig-converge MSEs by at most 1.1e-10 (chebyshev DLA,
+    # I = 15) and multi-eig MSEs by at most 5.1e-10 (chebyshev DLA, I = 30,
+    # 5th eigenvalue)
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     argv = [experiment, "--config", str(config), "--out", str(tmp_path), "--trials", trials]
     assert cli_main(argv) == 0
@@ -264,3 +273,61 @@ def test_closed_stdout_exits_two_without_traceback(tmp_path):
     assert b"Traceback" not in err
     assert b"BrokenPipeError" not in err
     assert (tmp_path / "audit-messages.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value, entry",
+    [
+        ("eig-converge", "engine", "chebyshev+failures", "engine"),
+        ("ac-compare", "link_failure_prob", "0", "engines entry"),
+    ],
+)
+def test_failures_engine_at_probability_zero_is_a_config_error(
+    experiment, key, value, entry, tmp_path, capsys
+):
+    # a +failures engine at link_failure_prob = 0 used to pass validation and
+    # stop the run with exit code 2
+    config = config_with(experiment, key, value, tmp_path)
+    argv = [experiment, "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: ")
+    assert f"link_failure_prob must be positive for a +failures {entry}" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def file_topology_config(tmp_path, k, graph_file):
+    """An eig-converge config on K nodes whose graph is read from ``graph_file``."""
+    config = tmp_path / "file_topology.cfg"
+    config.write_text(
+        f"K = {k}\nN = 4\nM = 2\nI = 3\ntrials = 1\n"
+        f"topology = file\ngraph_file = {graph_file}\n"
+    )
+    return config
+
+
+@pytest.mark.parametrize(
+    "k, edges, problem, names_file",
+    [
+        (3, "4\n0 1\n1 2\n2 3\n", "topology has 4 nodes but K=3 was configured", False),
+        (4, None, "No such file", True),
+        (4, "4\n0 1\n2 3\n", "graph is not connected", True),
+        (4, "4\n0 1 2\n", "bad edge line", True),
+    ],
+    ids=["node-count", "missing", "disconnected", "malformed"],
+)
+def test_bad_graph_file_is_a_config_error(k, edges, problem, names_file, tmp_path, capsys):
+    # each used to exit with code 2, as a runtime error
+    graph_file = tmp_path / "graph.txt"
+    if edges is not None:
+        graph_file.write_text(edges)
+    config = file_topology_config(tmp_path, k, graph_file)
+    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config error: ")
+    assert problem in lines[0]
+    assert (str(graph_file) in lines[0]) == names_file
+    assert not (tmp_path / "out").exists()

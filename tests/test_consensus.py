@@ -10,12 +10,10 @@ import pytest
 from eigennet.consensus import (
     AcConfig,
     ErrorInjectingEngine,
-    ReplayEngine,
     _chebyshev_coefficients,
     _failure_masks,
     _iterate,
     _mixing_operator,
-    _real_matmul,
     run_block,
     run_consensus,
 )
@@ -31,7 +29,7 @@ from eigennet.topology import (
     spectral_bounds,
 )
 
-from conftest import random_connected_graph
+from conftest import ReplayEngine, random_connected_graph
 
 
 def complete_weights(k):
@@ -346,12 +344,13 @@ class TestBroadcastFormulation:
         assert np.array_equal(res.error, want)
 
 
-class TestRealMatmul:
-    """Real weights times a complex iterate, as one real product."""
+class TestRealProduct:
+    """Real weights times a complex input, as one real product: a fixed-weight
+    run applies its real operator to the input's real view."""
 
     @staticmethod
-    def weights(k, seed=3):
-        return metropolis_weights(random_connected_graph(k, seed)).entries
+    def config(k, seed=3):
+        return AcConfig("standard", 3, weights=metropolis_weights(random_connected_graph(k, seed)))
 
     @staticmethod
     def complex_inputs(k, scale):
@@ -373,33 +372,63 @@ class TestRealMatmul:
 
     @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
     def test_matches_complex_product(self, scale):
-        w = self.weights(9)
+        cfg = self.config(9)
+        op = _mixing_operator(cfg)
         for x in self.complex_inputs(9, scale):
-            got = _real_matmul(w, x)
-            want = w.astype(complex) @ x
+            got = run_consensus(x, cfg).z
+            want = op.astype(complex) @ x
             assert got.shape == want.shape and got.dtype == want.dtype
-            bound = 1e-15 * np.linalg.norm(w) * np.linalg.norm(x)
+            bound = 1e-15 * np.linalg.norm(op) * np.linalg.norm(x)
             assert np.max(np.abs(got - want)) <= bound
 
     def test_real_input_is_the_plain_product(self):
-        w = self.weights(9)
+        cfg = self.config(9)
+        op = _mixing_operator(cfg)
         rng = np.random.default_rng(43)
         for shape in ((9,), (9, 1), (9, 5), (3, 9, 2)):
             x = rng.standard_normal(shape)
-            got = _real_matmul(w, x)
+            got = run_consensus(x, cfg).z
             assert got.dtype == x.dtype
-            assert np.array_equal(got, w @ x)
+            assert np.array_equal(got, op @ x)
         x = rng.standard_normal((9, 6))[:, ::2]
-        assert np.array_equal(_real_matmul(w, x), w @ x)
+        assert np.array_equal(run_consensus(x, cfg).z, op @ x)
 
     @pytest.mark.parametrize("trials", [2, 3, 32])
     def test_each_trial_equals_its_lone_product(self, trials):
-        w = self.weights(40)
+        cfg = self.config(40)
         rng = np.random.default_rng(trials)
         x = rng.standard_normal((trials, 40, 10)) + 1j * rng.standard_normal((trials, 40, 10))
-        stacked = _real_matmul(w, x)
+        stacked = run_consensus(x, cfg).z
         for t in range(trials):
-            assert np.array_equal(stacked[t], _real_matmul(w, x[t]))
+            assert np.array_equal(stacked[t], run_consensus(x[t], cfg).z)
+
+
+def node_weight_sums(graph, wij):
+    """Each node's sum of its edges' weights (..., E), as the builder adds
+    them: the weights in edge order, padded with zeros to the largest degree
+    (or 1), then the second half of the slots added onto the first, the
+    middle slot of an odd count kept, until one is left."""
+    wij = np.asarray(wij, dtype=float)
+    edges_at = [[] for _ in range(graph.node_count)]
+    for e, (u, v) in enumerate(graph.edges):
+        edges_at[u].append(e)
+        edges_at[v].append(e)
+    width = max(max(graph.degrees()), 1)
+    sums = np.empty(wij.shape[:-1] + (graph.node_count,))
+    for node, edges in enumerate(edges_at):
+        slots = [wij[..., e] for e in edges] + [np.zeros(wij.shape[:-1])] * (width - len(edges))
+        while len(slots) > 1:
+            half = len(slots) // 2
+            rest = len(slots) - half
+            slots = [slots[j] + slots[rest + j] for j in range(half)] + slots[half:rest]
+        sums[..., node] = slots[0]
+    return sums
+
+
+def plain_stack(g, alive):
+    """The builder's chunks of plain Metropolis weights: scale 1, shift 0."""
+    steps = len(alive)
+    return metropolis_stack(g, alive, np.ones(steps), np.zeros(steps))
 
 
 def loop_failure_weights(graph, rng, p):
@@ -415,12 +444,21 @@ def loop_failure_weights(graph, rng, p):
         wij = 1.0 / (1.0 + max(deg[u], deg[v]))
         w[u, v] = wij
         w[v, u] = wij
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    np.fill_diagonal(w, 1.0 - node_weight_sums(graph, [w[u, v] for u, v in graph.edges]))
     return w
 
 
 def max_rel_diff(got, ref):
     return np.max(np.abs(got - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+
+def recurrence(x0, cfg):
+    """The engine's step-by-step recurrence on a (K, m) or (B, K, m) ``x0``,
+    through the real view that run_consensus gives it."""
+    as_complex = x0.dtype.kind == "c"
+    x = np.ascontiguousarray(x0, dtype=complex if as_complex else float).view(float)
+    x = _iterate(x, cfg)
+    return x.view(complex) if as_complex else x
 
 
 class TestTrialStack:
@@ -501,7 +539,7 @@ class TestFailureRedraw:
             loop_rng = np.random.default_rng(11)
             for steps in (0, 1, 30, 1, 0, 29):
                 alive = _failure_masks([fast_rng], p, steps, len(g.edges))
-                stack = [w[0].copy() for chunk in metropolis_stack(g, alive) for w in chunk]
+                stack = [w[0].copy() for chunk in plain_stack(g, alive) for w in chunk]
                 assert len(stack) == steps
                 for fast in stack:
                     assert fast.shape == (g.node_count, g.node_count)
@@ -512,7 +550,7 @@ class TestFailureRedraw:
 
     def test_edgeless_single_node(self):
         alive = _failure_masks([np.random.default_rng(0)], 0.5, 3, 0)
-        (w,) = metropolis_stack(Graph(1, ()), alive)
+        (w,) = plain_stack(Graph(1, ()), alive)
         assert np.array_equal(w, np.ones((3, 1, 1, 1)))
 
     def test_no_failures_reproduce_metropolis_weights(self):
@@ -583,7 +621,7 @@ class TestMixingOperator:
     def check_against_recurrence(self, cfg):
         for z0 in self.inputs():
             x0 = z0.reshape(z0.shape[0], -1)
-            ref = _iterate(x0, cfg)
+            ref = recurrence(x0, cfg)
             assert max_rel_diff(_mixing_operator(cfg) @ x0, ref) <= 1e-13
             z = run_consensus(z0, cfg).z
             assert z.shape == z0.shape
@@ -631,7 +669,7 @@ class TestMixingOperator:
         ops = []
         for w in (w1, w1_again, w2):
             cfg = AcConfig("chebyshev", 6, weights=w, cheb=spectral_bounds(w))
-            assert max_rel_diff(run_consensus(z0, cfg).z, _iterate(z0, cfg)) <= 1e-13
+            assert max_rel_diff(run_consensus(z0, cfg).z, recurrence(z0, cfg)) <= 1e-13
             (op,) = w._operators.values()
             ops.append(op)
         assert ops[0] is not ops[1] and ops[0] is not ops[2]
@@ -655,13 +693,16 @@ class TestDegrees:
         assert Graph(1, ()).degrees().tolist() == [0]
 
 
-# Naive complex-typed recurrences, a fresh array per step, with the one-pass
-# weight build: the reference that the buffered kernel, which folds each
-# step's scalars into its weight chunk in place, must reproduce to the bit.
+# Naive complex-typed recurrences, a fresh array per step, with a one-pass
+# weight build and each step's scalars folded in after it: the reference that
+# the kernel, which writes each step's folded matrix straight from the edge
+# weights, must reproduce to the bit.
 
 
 def reference_metropolis_stack(g, alive):
-    """(S, K, K) Metropolis weights of an (S, E) mask, built in one pass."""
+    """(S, K, K) Metropolis weights of an (S, E) mask, built in one pass, with
+    each diagonal 1 minus the node's sum of edge weights as the builder adds
+    them (see node_weight_sums)."""
     k = g.node_count
     u, v = g.edge_index
     steps = alive.shape[0]
@@ -675,7 +716,7 @@ def reference_metropolis_stack(g, alive):
     w = np.zeros((steps, k, k))
     flat = w.reshape(steps, k * k)
     flat[:, np.concatenate((u * k + v, v * k + u))] = np.tile(wij, 2)
-    flat[:, :: k + 1] = 1.0 - w.sum(axis=-1)
+    flat[:, :: k + 1] = 1.0 - node_weight_sums(g, wij)
     return w
 
 
@@ -731,14 +772,19 @@ def unfolded_chebyshev(x0, weights, cheb):
     return x
 
 
-def reference_iterate(x0, cfg, rng=None, chebyshev=reference_chebyshev):
-    """The recurrence on a (K, m) or (trials, K, m) x0; under link failures
-    one (I, E) draw from ``rng`` gives the weights every trial shares."""
+def reference_iterate(
+    x0, cfg, rng=None, chebyshev=reference_chebyshev, build=reference_metropolis_stack
+):
+    """The recurrence on a (K, m) or (trials, K, m) x0, on the weights that
+    ``build`` makes of (S, E) masks: under link failures one (I, E) draw from
+    ``rng`` gives the masks every trial shares, and fixed weights are the
+    one all-alive mask's."""
+    graph = cfg.weights.graph
     if rng is not None:
-        alive = rng.random((cfg.iterations, len(cfg.weights.graph.edges))) >= cfg.link_failure_prob
-        weights = reference_metropolis_stack(cfg.weights.graph, alive)
+        alive = rng.random((cfg.iterations, len(graph.edges))) >= cfg.link_failure_prob
+        weights = build(graph, alive)
     else:
-        w = cfg.weights.entries
+        (w,) = build(graph, np.ones((1, len(graph.edges)), dtype=bool))
         weights = np.broadcast_to(w, (cfg.iterations,) + w.shape)
     if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
         return chebyshev(x0, weights, cfg.cheb)
@@ -785,7 +831,7 @@ class TestBufferedKernel:
                 rng = np.random.default_rng(9) if failures else None
                 x0 = z0[:, None] if z0.ndim == 1 else z0
                 want = reference_iterate(x0, cfg, rng)
-                got = _iterate(x0, cfg)
+                got = recurrence(x0, cfg)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got, want)
                 if failures:
@@ -844,6 +890,83 @@ class TestBufferedKernel:
             assert np.array_equal(z[t], want)
 
 
+def dense_metropolis_stack(g, alive):
+    """(S, K, K) Metropolis weights of an (S, E) mask whose diagonals are 1
+    minus the dense row sums: the build before the diagonals came from the
+    edge weights."""
+    w = reference_metropolis_stack(g, alive)
+    for step in w:
+        np.fill_diagonal(step, 0.0)
+        np.fill_diagonal(step, 1.0 - step.sum(axis=-1))
+    return w
+
+
+class TestParentKernel:
+    """The kernel that the direct build replaced, as an oracle: dense weights
+    with row-sum diagonals, each step's scalars folded in after the build,
+    and the plain loop for ``standard``. Only the diagonals' rounding
+    differs."""
+
+    @staticmethod
+    def inputs(k, scale):
+        rng = np.random.default_rng(53)
+        yield scale * rng.standard_normal((k, 3))
+        yield scale * (rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4)))
+        yield scale * (rng.standard_normal((3, k, 2)) + 1j * rng.standard_normal((3, k, 2)))
+
+    @pytest.mark.parametrize("failures", [False, True])
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    def test_matches_parent_kernel(self, engine, failures):
+        # rounding only: the largest relative difference measured here was
+        # 3.1e-15 for I <= 30, at I = 1 on the complete network, and 2.5e-14
+        # at I = 200, on chebyshev's fixed weights of the geometric one
+        networks = dict(TestBufferedKernel.networks())
+        networks["shipped"] = TestFoldedCoefficients.shipped_weights()
+        for w in networks.values():
+            cheb = spectral_bounds(w)
+            for iters in (1, 2, 30, 200):
+                bound = 2e-16 * max(iters, 25)
+                for scale in (1.0, 1e150, 1e-150):
+                    for z0 in self.inputs(w.node_count, scale):
+                        cfg = AcConfig(
+                            engine, iters, weights=w, cheb=cheb,
+                            link_failure_prob=0.2 if failures else 0.0,
+                            failure_seed=9 if failures else None,
+                        )
+                        draws = np.random.default_rng(9) if failures else None
+                        want = reference_iterate(z0, cfg, draws, build=dense_metropolis_stack)
+                        assert max_rel_diff(recurrence(z0, cfg), want) <= bound
+
+    @pytest.mark.parametrize("failures", [False, True])
+    def test_zero_c_step_is_an_exact_no_op(self, failures):
+        # ``standard`` through the whole three-term step, A_s = 1 W_s + 0 I
+        # and x_{s-2} scaled by c_s = 0 and subtracted, equals the kernel,
+        # which skips that subtract, bit for bit on finite inputs
+        w = TestBufferedKernel.networks()["geometric"]
+        eye = np.eye(12)
+
+        def three_term(x0, weights, cheb):
+            x_prev, x = np.zeros_like(x0), x0
+            for w_s in weights:
+                x_prev, x = x, reference_real_matmul(1.0 * w_s + 0.0 * eye, x) - 0.0 * x_prev
+            return x
+
+        def make(engine):
+            return AcConfig(
+                engine, 30, weights=w, cheb=spectral_bounds(w),
+                link_failure_prob=0.2 if failures else 0.0,
+                failure_seed=9 if failures else None,
+            )
+
+        for scale in (1.0, 1e150, 1e-150):
+            for z0 in TestBufferedKernel.inputs(scale):
+                x0 = z0[:, None] if z0.ndim == 1 else z0
+                draws = np.random.default_rng(9) if failures else None
+                # the chebyshev config routes the reference to three_term
+                want = reference_iterate(x0, make("chebyshev"), draws, chebyshev=three_term)
+                assert np.array_equal(recurrence(x0, make("standard")), want)
+
+
 class TestFoldedCoefficients:
     """The ratio form of the Chebyshev scalars, and what it fixes."""
 
@@ -887,7 +1010,7 @@ class TestFoldedCoefficients:
     @pytest.mark.parametrize("network", ["geometric", "shipped"])
     def test_matches_unfolded_recurrence(self, network, failures, iters):
         # rounding only: the largest relative difference measured here was
-        # 5.5e-15 for I <= 30 and 1.3e-13 at I = 500, growing about linearly
+        # 7.1e-15 for I <= 30 and 7.8e-14 at I = 500, growing about linearly
         if network == "shipped":
             w = self.shipped_weights()
         else:
@@ -910,7 +1033,7 @@ class TestFoldedCoefficients:
                 )
                 draws = np.random.default_rng(9) if failures else None
                 want = reference_iterate(x0, cfg, draws, chebyshev=unfolded_chebyshev)
-                assert max_rel_diff(_iterate(x0, cfg), want) <= bound
+                assert max_rel_diff(recurrence(x0, cfg), want) <= bound
 
     @pytest.mark.parametrize("iters", [1000, 2000])
     @pytest.mark.parametrize("failures", [False, True])
@@ -951,33 +1074,49 @@ class TestMetropolisBuffer:
     def graph():
         return generate_random_geometric(40, 0.4, 3)
 
+    @pytest.mark.parametrize("folded", [False, True])
     @pytest.mark.parametrize("groups", [1, 3, 32, 33])
-    def test_chunks_match_one_pass_build(self, groups):
+    def test_chunks_match_one_pass_build(self, groups, folded):
         g = self.graph()
         rng = np.random.default_rng(groups)
         alive = rng.random((70, groups, len(g.edges))) >= 0.5
+        if folded:  # Chebyshev-like scalars, negative shifts included
+            scale, shift = 1.0 + rng.random(70), -rng.random(70)
+        else:
+            scale, shift = np.ones(70), np.zeros(70)
+        eye = np.eye(40)
         step = 0
-        for chunk in metropolis_stack(g, alive):
+        for chunk in metropolis_stack(g, alive, scale, shift):
             assert chunk.shape[1:] == (groups, 40, 40)
             assert chunk.size // (40 * 40) <= max(32, groups)
-            for w in chunk:
-                assert np.array_equal(w, reference_metropolis_stack(g, alive[step]))
+            for a in chunk:
+                w = reference_metropolis_stack(g, alive[step])
+                assert np.array_equal(a, scale[step] * w + shift[step] * eye)
                 step += 1
         assert step == 70
+
+    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("steps", [1, 5, 40])
+    def test_weights_equal_every_all_alive_matrix(self, steps, groups):
+        g = self.graph()
+        w = metropolis_weights(g)
+        alive = np.ones((steps, groups, len(g.edges)), dtype=bool)
+        chunk = next(plain_stack(g, alive))
+        assert all(np.array_equal(a, w.entries) for a in chunk.reshape(-1, 40, 40))
 
     def test_weights_are_not_a_view_of_a_later_buffer(self):
         g = self.graph()
         w = metropolis_weights(g)
         before = w.entries.copy()
         alive = np.random.default_rng(1).random((40, 1, len(g.edges))) >= 0.5
-        for chunk in metropolis_stack(g, alive):
+        for chunk in plain_stack(g, alive):
             assert not np.shares_memory(chunk, w.entries)
         assert np.array_equal(w.entries, before)
 
     def test_layout_built_once_and_freed_with_its_graph(self):
         g = self.graph()
-        assert g._incidence is g._incidence and g._edge_slots is g._edge_slots
-        refs = [weakref.ref(g), weakref.ref(g._incidence), weakref.ref(g._edge_slots[0])]
+        assert g._incident_edges is g._incident_edges and g._edge_slots is g._edge_slots
+        refs = [weakref.ref(g), weakref.ref(g._incident_edges), weakref.ref(g._edge_slots[0])]
         del g
         gc.collect()
         assert all(ref() is None for ref in refs)

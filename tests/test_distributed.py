@@ -9,7 +9,6 @@ from eigennet.consensus import (
     AcConfig,
     ConsensusResult,
     ErrorInjectingEngine,
-    ReplayEngine,
     run_consensus,
 )
 from eigennet.distributed import (
@@ -39,7 +38,7 @@ from eigennet.errors import AuditMismatch, ConsensusError, DegenerateRunError, E
 from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from eigennet.topology import Graph, metropolis_weights, spectral_bounds
 
-from conftest import random_connected_graph, random_hermitian_psd, random_samples
+from conftest import ReplayEngine, random_connected_graph, random_hermitian_psd, random_samples
 
 IDEAL = AcConfig("ideal", 0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

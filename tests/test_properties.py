@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigennet.consensus import AcConfig, ErrorInjectingEngine, ReplayEngine, run_consensus
+from eigennet.consensus import AcConfig, ErrorInjectingEngine, run_consensus
 from eigennet.detection import compute_statistic
 from eigennet.distributed import (
     default_dla_start,
@@ -32,7 +32,7 @@ from eigennet.harness import trial_seed, validate_config
 from eigennet.signals import SignalConfig, gen_h1, theoretical_snr
 from eigennet.topology import generate_random_geometric, metropolis_weights, spectral_bounds
 
-from conftest import dense_hermitian_eig, random_connected_graph, random_samples
+from conftest import ReplayEngine, dense_hermitian_eig, random_connected_graph, random_samples
 
 CASES = 200
 HYP = settings(max_examples=CASES, deadline=None, derandomize=True)
