@@ -14,10 +14,11 @@ bounds of the weights; ``standard``, and ``chebyshev`` on a degenerate
 spectrum, is the case a_s = 1, d_s = c_s = 0 of plain averaging. Each step's
 A_s is written straight from the Metropolis weights of that step's links by
 :func:`~eigennet.topology.metropolis_stack`, in step-major chunks of at most
-32 matrices: fixed weights are the case where every link is alive. On fixed
-weights an I-step run of either mixing engine is one matrix polynomial
-p_I(W); it is built once per (weights, engine, I), by the recurrence on the
-identity, and then applied as a single product. Under link failures the
+32 matrices: fixed weights are one all-alive mask that every step shares,
+whose weights are computed once. On fixed weights an I-step run of either
+mixing engine is one matrix polynomial p_I(W); it is built once per
+(weights, engine, I), by the recurrence on the identity, and then applied as
+a single product. Under link failures the
 recurrence runs step by step on the input with fresh surviving links each
 step. Before the first step a call draws the links of all its I steps, as
 one (I, E) uniform draw per failure generator, which consumes the generator
@@ -165,9 +166,10 @@ def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
     where plain averaging already contracts as fast as any polynomial in W
     of the same degree. Under link failures step s mixes with its own
     weights but keeps the nominal scalars. :func:`metropolis_stack` builds
-    the A_s, in chunks, from each step's masks of alive links: every link on
-    fixed weights, or the links drawn before the first step under link
-    failures, one mask per failure generator. Each product covers the whole
+    the A_s, in chunks, from masks of alive links: on fixed weights one
+    all-alive mask that every step shares, whose weights it computes once;
+    under link failures each step's links, drawn before the first step, one
+    mask per failure generator. Each product covers the whole
     stack, with the step's one matrix or its per-trial matrices. c_1 = 0, so
     x_{-1} is never read; the skipped subtracts of 0 x_{s-2} would change
     nothing on finite iterates.
@@ -186,8 +188,8 @@ def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
         a, d, c = np.ones(steps), np.zeros(steps), np.zeros(steps)
     graph = cfg.weights.graph
     edges = graph.edge_index.shape[1]
-    if cfg.link_failure_prob == 0.0:
-        alive = np.ones((steps, 1, edges), dtype=bool)
+    if cfg.link_failure_prob == 0.0:  # one all-alive mask that every step shares
+        alive = np.ones((1, 1, edges), dtype=bool)
     else:
         rngs = cfg._failure_rngs
         trials = len(x) if x.ndim == 3 else 1

@@ -142,24 +142,33 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """The Metropolis weights of ``graph``, as :func:`metropolis_weights` makes them.
+    """The Metropolis weights of a connected ``graph``.
 
-    ``entries`` are the Metropolis weights of ``graph``: a consensus run on
-    fixed weights rebuilds each step's matrix from the graph's edges, with
-    the builder that made ``entries``, so only :func:`metropolis_weights`
-    makes a weight matrix. Equality and hashing are by identity, so weight
-    matrices of different networks never compare equal. ``_operators``
-    caches fixed-weight consensus operators (see :mod:`eigennet.consensus`);
-    it lives and dies with this object, so no two weight matrices share one.
+    The read-only K x K ``entries`` are built on first read by
+    :func:`metropolis_stack` (all links alive, scale 1, shift 0), from which
+    a consensus run on fixed weights also builds its steps, so the two never
+    disagree. Equality and hashing are by identity, so weight matrices of
+    different networks never compare equal. ``_operators`` caches
+    fixed-weight consensus operators (see :mod:`eigennet.consensus`); it
+    lives and dies with this object, so no two weight matrices share one.
     """
 
-    entries: np.ndarray
     graph: Graph
     _operators: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.graph.require_connected()
 
     @property
     def node_count(self) -> int:
         return self.graph.node_count
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        alive = np.ones((1, 1, len(self.graph.edges)), dtype=bool)
+        w = next(metropolis_stack(self.graph, alive, np.ones(1), np.zeros(1)))[0, 0]
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True)
@@ -278,17 +287,37 @@ def _node_sums(values: np.ndarray, incident: np.ndarray) -> np.ndarray:
     return sums[0]
 
 
+def _edge_weights(g: Graph, masks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Metropolis weights of the (rows, E) link masks, and each node's 1 - r.
+
+    The weights go edge-major into the first ``rows`` columns of ``out``,
+    whose row E, the incident-edge table's padding slot, reads 0. Returns
+    the (K, rows) diagonals 1 - r, r the node's sum of weights.
+    """
+    u, v = g.edge_index
+    w = out[:, : len(masks)]
+    w[:-1] = masks.T
+    # each column sums 0/1 terms, so the degrees are exact integer-valued floats
+    inv = 1.0 / (1.0 + g._incidence.T @ w[:-1])
+    # w_ij = min(1 / (1 + d_i), 1 / (1 + d_j)) = 1 / (1 + max(d_i, d_j)),
+    # exactly; dead edges get 0
+    w[:-1] *= np.minimum(inv.take(u, axis=0), inv.take(v, axis=0))
+    r = _node_sums(w, g._incident_edges)
+    return np.subtract(1.0, r, out=r)
+
+
 def metropolis_stack(
     g: Graph, alive: np.ndarray, scale: np.ndarray, shift: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Scaled and shifted Metropolis weights, one matrix per mask of ``alive``.
+    """Scaled and shifted Metropolis weights, one matrix per step and mask.
 
-    ``alive`` is an (S, G, E) boolean mask over the graph's ``edge_index``
-    columns: step s has G masks. ``scale`` and ``shift`` hold one value per
-    step. Matrix (s, g) is A = scale[s] W + shift[s] I, where W carries the
-    Metropolis weights of the subgraph of the edges alive in ``alive[s, g]``,
-    with degrees counted over those edges only; scale 1 and shift 0 give W
-    itself. The matrices come step by step, as consecutive (c, G, K, K)
+    ``scale`` and ``shift`` hold one value per step, S in all. ``alive`` is
+    an (S, G, E) boolean mask over the graph's ``edge_index`` columns, G
+    masks for each step, or (1, G, E): G masks that every step shares.
+    Matrix (s, g) is A = scale[s] W + shift[s] I, where W carries the
+    Metropolis weights of the subgraph of the edges alive in mask g of step
+    s, with degrees counted over those edges only; scale 1 and shift 0 give
+    W itself. The matrices come step by step, as consecutive (c, G, K, K)
     chunks of at most 32 matrices (one step when G exceeds that), and every
     chunk is a view of one buffer that the next chunk overwrites.
 
@@ -299,57 +328,45 @@ def metropolis_stack(
     One product with the incidence matrix gives the degrees, exact integer
     sums. r is summed by :func:`_node_sums` instead, because a BLAS
     product's rounding depends on how many rows it multiplies at once: each
-    matrix's entries then do not depend on the masks beside it in its chunk.
+    matrix's entries then do not depend on the masks beside it in its chunk,
+    and a shared mask, its weights computed once, gives per-step copies'.
     """
-    steps, groups, edges = alive.shape
+    steps = len(scale)
+    groups, edges = alive.shape[1:]
     k = g.node_count
-    u, v = g.edge_index
     upper, lower = g._edge_slots
     per = max(1, min(steps, _STACK_CHUNK // groups))  # steps per chunk
     a = np.zeros((per, groups, k, k))
     flat = a.reshape(per * groups, k * k)
-    # the weights edge-major, one column per matrix; row E is the padding
-    # slot of the incident-edge table and stays 0
     weights = np.zeros((edges + 1, per * groups))
+    if len(alive) == 1:
+        diagonals = _edge_weights(g, alive[0], weights)[:, None]
+        w = weights[:edges, None, :groups]
     for start in range(0, steps, per):
-        chunk = alive[start : start + per]
-        n = len(chunk)
+        n = min(per, steps - start)
         rows = n * groups
-        w = weights[:, :rows]
-        w[:edges] = chunk.reshape(rows, edges).T
-        # each column sums 0/1 terms, so the degrees are exact integer-valued floats
-        inv = 1.0 / (1.0 + g._incidence.T @ w[:edges])
-        # w_ij = min(1 / (1 + d_i), 1 / (1 + d_j)) = 1 / (1 + max(d_i, d_j)),
-        # exactly; dead edges get 0
-        w[:edges] *= np.minimum(inv.take(u, axis=0), inv.take(v, axis=0))
-        r = _node_sums(w, g._incident_edges)
+        if len(alive) > 1:
+            diagonals = _edge_weights(g, alive[start : start + n].reshape(rows, edges), weights)
+            diagonals = diagonals.reshape(k, n, groups)
+            w = weights[:edges, :rows].reshape(edges, n, groups)
         # each step's scalars, over the step's G columns
         step_scale = scale[start : start + n, None]
         step_shift = shift[start : start + n, None]
-        scaled = (w[:edges].reshape(edges, n, groups) * step_scale).reshape(edges, rows).T
         out = flat[:rows]
+        scaled = (w * step_scale).reshape(edges, rows).T
         out[:, upper] = scaled
         out[:, lower] = scaled
-        np.subtract(1.0, r, out=r)
-        diagonals = r.reshape(k, n, groups) * step_scale + step_shift
-        out[:, :: k + 1] = diagonals.reshape(k, rows).T
+        out[:, :: k + 1] = (diagonals * step_scale + step_shift).reshape(k, rows).T
         yield a[:n]
 
 
 def metropolis_weights(g: Graph) -> WeightMatrix:
     """Metropolis weights: w_ij = 1/(1 + max(d_i, d_j)) on edges.
 
-    Diagonal entries absorb the remaining mass so that rows sum to 1. This is
-    the one-step, all-links-alive case of :func:`metropolis_stack`, at scale 1
-    and shift 0, whose buffer no later call writes. The entries are
-    read-only; a consensus run on fixed weights rebuilds them, and its
-    operators, from the graph's edges through the same builder.
+    Diagonal entries absorb the remaining mass so that rows sum to 1. Raises
+    :class:`TopologyError` on a disconnected graph; see :class:`WeightMatrix`.
     """
-    g.require_connected()
-    alive = np.ones((1, 1, len(g.edges)), dtype=bool)
-    w = next(metropolis_stack(g, alive, np.ones(1), np.zeros(1)))[0, 0]
-    w.setflags(write=False)
-    return WeightMatrix(w, g)
+    return WeightMatrix(g)
 
 
 def spectral_bounds(w: WeightMatrix) -> ChebyshevParams:

@@ -17,12 +17,13 @@ from eigennet.consensus import (
     run_block,
     run_consensus,
 )
-from eigennet.errors import ConsensusError
+from eigennet.errors import ConsensusError, TopologyError
 from eigennet.experiments import run_ac_compare
 from eigennet.harness import validate_config
 from eigennet.topology import (
     ChebyshevParams,
     Graph,
+    WeightMatrix,
     generate_random_geometric,
     metropolis_stack,
     metropolis_weights,
@@ -1095,6 +1096,31 @@ class TestMetropolisBuffer:
                 step += 1
         assert step == 70
 
+    @pytest.mark.parametrize("groups", [1, 3, 33])
+    def test_shared_masks_equal_per_step_copies(self, groups):
+        g = self.graph()
+        rng = np.random.default_rng(groups)
+        masks = rng.random((1, groups, len(g.edges))) >= 0.5
+        scale, shift = 1.0 + rng.random(70), -rng.random(70)
+        shared = metropolis_stack(g, masks, scale, shift)
+        copies = metropolis_stack(g, np.repeat(masks, 70, axis=0), scale, shift)
+        steps = 0
+        for a, b in zip(shared, copies, strict=True):
+            assert np.array_equal(a, b)
+            steps += len(a)
+        assert steps == 70
+
+    def test_weight_matrix_is_built_from_its_graph(self):
+        g = self.graph()
+        w = WeightMatrix(g)
+        alive = np.ones((1, 1, len(g.edges)), dtype=bool)
+        assert np.array_equal(w.entries, next(plain_stack(g, alive))[0, 0])
+        assert w.entries is w.entries and not w.entries.flags.writeable
+        with pytest.raises(TypeError):
+            WeightMatrix(np.eye(40), g)
+        with pytest.raises(TopologyError, match="not connected"):
+            WeightMatrix(Graph(3, ((0, 1),)))
+
     @pytest.mark.parametrize("groups", [1, 3])
     @pytest.mark.parametrize("steps", [1, 5, 40])
     def test_weights_equal_every_all_alive_matrix(self, steps, groups):
@@ -1115,8 +1141,14 @@ class TestMetropolisBuffer:
 
     def test_layout_built_once_and_freed_with_its_graph(self):
         g = self.graph()
-        assert g._incident_edges is g._incident_edges and g._edge_slots is g._edge_slots
-        refs = [weakref.ref(g), weakref.ref(g._incident_edges), weakref.ref(g._edge_slots[0])]
+        assert g._incidence is g._incidence and g._incident_edges is g._incident_edges
+        assert g._edge_slots is g._edge_slots
+        refs = [
+            weakref.ref(g),
+            weakref.ref(g._incidence),
+            weakref.ref(g._incident_edges),
+            weakref.ref(g._edge_slots[0]),
+        ]
         del g
         gc.collect()
         assert all(ref() is None for ref in refs)
