@@ -374,13 +374,23 @@ class _BlockConsensus:
         return _MessageCounts(self.ac_n, self.ac_1, self.units)
 
 
+def _squared_moduli(z: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of |z|^2 for a complex (B, K, N) stack.
+
+    Summed on the real (B, K, 2N) view, as the squares of the real and
+    imaginary parts; each (b, k) sum reads that row alone.
+    """
+    zr = np.ascontiguousarray(z, dtype=complex).view(float)
+    return np.einsum("bkn,bkn->bk", zr, zr)
+
+
 def _dpm_final_stage(y, v, rounds, scale):
     z_n, e_n = rounds.run(v.conj()[:, :, None] * y)
     z_1, e_1 = rounds.run(np.abs(v) ** 2)
     denom = np.real(z_1)
     if np.any(denom == 0.0):
         raise DegenerateRunError("zero denominator in the eigenvalue stage")
-    numer = scale * np.sum(np.abs(z_n) ** 2, axis=2)
+    numer = scale * _squared_moduli(z_n)
     # a non-finite iterate of any earlier iteration reaches every node here
     if not (np.all(np.isfinite(numer)) and np.all(np.isfinite(denom))):
         raise DegenerateRunError(
@@ -550,8 +560,9 @@ def run_dla(
 
     Negative scalar-consensus outputs are clamped to zero and flagged. An
     off-diagonal coefficient below the breakdown guard, a fixed 1e-12
-    ||R||_F of the trial's sample covariance R, freezes that node's
-    tridiagonal matrix at its current size, mirroring centralized truncation.
+    ||R||_F of the trial's sample covariance R, or a zero one (the guard is
+    zero itself where ||R||_F^2 underflows), freezes that node's tridiagonal
+    matrix at its current size, mirroring centralized truncation.
 
     ``y``, ``ac`` and ``v1`` take a trial axis as in :func:`run_dpm`; each
     trial has its own breakdown guard. ``trace=True`` keeps the error trace
@@ -607,7 +618,7 @@ def run_dla(
             z, error = rounds.run(v.conj()[:, :, None] * y)
             if trace:
                 matrix_errors.append(error)
-            alpha_j = (k * k / n) * np.sum(np.abs(z) ** 2, axis=2)
+            alpha_j = (k * k / n) * _squared_moduli(z)
             local = scale * np.einsum("bkn,bkn->bk", z.conj(), y)
             w = local - alpha_j * v - beta_cur * v_prev
             alpha_hist[:, j - 1] = alpha_j
@@ -621,7 +632,7 @@ def run_dla(
             beta_next = np.sqrt(k * b)
             if trace and j < m:
                 normalization_errors[:, j] = np.real(error_1)
-            broke = active & (beta_next < eps_break[:, None])
+            broke = active & ((beta_next < eps_break[:, None]) | (beta_next == 0.0))
             sizes[broke] = j
             active &= ~broke
             beta_hist[:, j - 1] = beta_next

@@ -230,14 +230,36 @@ def lanczos(
     Iterates alpha_j = v_j^H R v_j, w_j = R v_j - alpha_j v_j - beta_j v_{j-1},
     beta_{j+1} = ||w_j||, v_{j+1} = w_j / beta_{j+1}, starting from a unit
     vector with beta_1 = 0. A beta below the fixed breakdown guard
-    1e-12 ||R||_F truncates the output at the current size and flags an
+    1e-12 ||R||_F, or a zero beta (the guard is zero itself where ||R||_F^2
+    underflows), truncates the output at the current size and flags an
     exact invariant subspace.
 
     A (trials, K, K) stack, with one start vector per trial or one shared
     (K,) vector, returns one matrix per trial; each trial breaks down on its
     own guard, and its matrix equals the run of that trial alone.
     """
-    single, r, v = _stack(r, v1)
+    single = np.ndim(r) == 2
+    alphas, betas, sizes = _lanczos_stack(r, v1, m_iterations)
+    results = [
+        TridiagonalMatrix(
+            alphas[t, :s].copy(), betas[t, : s - 1].copy(), invariant_subspace=s < m_iterations
+        )
+        for t, s in enumerate(sizes.tolist())
+    ]
+    return results[0] if single else results
+
+
+def _lanczos_stack(
+    r: np.ndarray, v1: np.ndarray, m_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients of :func:`lanczos`, one row per trial.
+
+    Returns the (trials, M) diagonals, the (trials, M) off-diagonals and the
+    (trials,) sizes; row t's matrix has the first ``sizes[t]`` diagonal and
+    ``sizes[t] - 1`` off-diagonal entries, and every entry past them is zero.
+    A single matrix is the one-trial stack.
+    """
+    _, r, v = _stack(r, v1)
     trials, k = v.shape
     if not (1 <= m_iterations <= k):
         raise ValueError("iteration count must be between 1 and K")
@@ -258,7 +280,7 @@ def lanczos(
             break
         w = u - alpha[:, None] * v - beta[:, None] * v_prev
         beta_next = row_norms(w)
-        broke = active & (beta_next < eps_break)
+        broke = active & ((beta_next < eps_break) | (beta_next == 0.0))
         sizes[broke] = j
         active &= ~broke
         betas[:, j - 1] = beta_next
@@ -266,13 +288,10 @@ def lanczos(
         # a trial that broke down keeps a zero vector from here on
         v = np.divide(w, beta_next[:, None], out=np.zeros_like(w), where=active[:, None])
         beta = beta_next
-    results = [
-        TridiagonalMatrix(
-            alphas[t, :s].copy(), betas[t, : s - 1].copy(), invariant_subspace=s < m_iterations
-        )
-        for t, s in enumerate(sizes.tolist())
-    ]
-    return results[0] if single else results
+    cols = np.arange(m_iterations)
+    alphas[cols >= sizes[:, None]] = 0.0
+    betas[cols >= sizes[:, None] - 1] = 0.0
+    return alphas, betas, sizes
 
 
 _DENSE_CHUNK = 1 << 15  # entries, 256 KB of float64

@@ -7,31 +7,46 @@ one trial sees the same sample matrix, so pipeline comparisons are paired.
 
 Trials run in consecutive blocks of ``TRIAL_BLOCK``: samples and starting
 values are still drawn per trial from the trial's seed, then the block's
-DPM/DLA runs, centralized baselines and detection statistics each run once
-on the stacked trials, and every result is read back per trial in trial
-order, so the block size changes no output. An engine token gives one
-consensus config for the whole block. Under ``+failures`` that config holds
-one failure generator per trial, seeded from the trial's seed, and draws
-each trial's links from the trial's own generator, so each trial's link
-failures do not depend on the blocking.
+DPM/DLA runs and centralized baselines each run once on the stacked trials,
+and every result is read back per trial in trial order, so the block size
+changes no output. An engine token gives one consensus config for the
+whole block. Under ``+failures`` that config holds one failure generator
+per trial, seeded from the trial's seed, and draws each trial's links from
+the trial's own generator, so each trial's link failures do not depend on
+the blocking.
 The runners read only estimates, so their DPM/DLA runs keep no error trace.
-eig-converge and multi-eig score every node, so their DLA runs extract every
-node's Ritz values; roc scores only ``report_node`` and extracts only that
-node's. The block is bounded because a block's working set (samples,
-covariances, consensus outputs, Lanczos histories and Ritz stacks) grows
-with it and shows in the peak RSS. Measured on roc at 200 trials
-(2-core Xeon, medians of three processes); the first row keeps the error
-traces, as every run did before they became opt-in:
+eig-converge and multi-eig score every node, so their DLA runs extract
+every node's Ritz values, block by block.
+
+roc runs in two stages. Stage 1 runs the blocks and keeps only per-trial
+rows: the exact spectra, the power-method values, the centralized Lanczos
+coefficients and sizes, the report node's DLA coefficients and sizes, the
+report node's DPM checkpoints and both traces. Each is kept as a copy,
+because a slice of a block's (B, M, K) history would keep all of it alive.
+Stage 2 runs once, after both hypotheses: one Ritz extraction over every
+centralized row and every report-node DLA row, then one statistic call per
+(detector, pipeline) over all 2 x ``trials`` rows, noise-only trials first.
+Each row's results depend on that row alone, so the stages change no output
+either; they save the fixed cost of per-block extraction and statistic
+calls.
+
+The block is bounded because a block's working set (samples, covariances,
+consensus outputs and Lanczos histories, and the Ritz stacks of every node
+in eig-converge and multi-eig) grows with it and shows in the peak RSS.
+Measured on roc at 200 trials (2-core Xeon, medians of three processes);
+the first row keeps the error traces, as every run did before they became
+opt-in:
 
     block           in-process loop     perfbench/run.py --workload roc
                     run      RSS        run_s    peak_rss_mb
-    16, traced      0.80 s   43.0 MB    0.84 s   45.05 MB
-    16              0.66 s   41.5 MB    0.72 s   43.71 MB
-    32              0.64 s   42.6 MB    0.62 s   44.77 MB
-    64              0.60 s   45.0 MB    0.59 s   47.02 MB
+    16, traced      0.25 s   42.9 MB    0.31 s   45.13 MB
+    16              0.15 s   41.8 MB    0.15 s   44.17 MB
+    32              0.13 s   42.2 MB    0.13 s   44.54 MB
+    64              0.12 s   44.0 MB    0.14 s   46.45 MB
 
 32 is the largest block whose peak RSS stays at or below that of traced
-blocks of 16.
+blocks of 16; blocks of 64 add about 1.9 MB and run no faster beyond the
+run-to-run drift.
 """
 
 from __future__ import annotations
@@ -60,8 +75,8 @@ from .distributed import (
 )
 from .eigencore import (
     EigenSolution,
+    _lanczos_stack,
     covariance_eigenvalues,
-    lanczos,
     power_method,
     sample_covariance,
 )
@@ -412,46 +427,34 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     def engines(block: list[int], tag: int):
         return _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, tag)
 
-    values: dict[tuple[str, str, int], list[float]] = {
-        (d, p, h): []
-        for d in cfg.detectors
-        for p in pipelines
-        if applicable(d, p)
-        for h in (0, 1)
-    }
+    # stage 1's per-trial rows, one array per block, the H0 blocks first
+    kept: dict[str, list[np.ndarray]] = {}
 
-    def central_lists(y: np.ndarray, v0: np.ndarray, v1: np.ndarray):
-        """The exact and centralized pipelines' lists, and the exact traces.
+    def keep(name: str, rows) -> None:
+        # a copy: a slice of a block's (B, M, K) history keeps all of it alive
+        kept.setdefault(name, []).append(np.array(rows))
 
-        Each list is one NaN-padded (trials, width) stack. A function of its
-        own, so the block's covariance stack is freed before the
-        decentralized runs.
+    def keep_central(y: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> None:
+        """Keep the exact and centralized rows, and the exact traces.
+
+        A function of its own, so the block's covariance stack is freed
+        before the decentralized runs.
         """
         r = sample_covariance(y)
-        # centralized Lanczos: each trial is one row of the Ritz extraction
-        t_central = lanczos(r, v1, m_max)
-        alpha = np.zeros((len(y), m_max))
-        beta = np.zeros((len(y), m_max))
-        for row, t in enumerate(t_central):
-            alpha[row, : t.size] = t.alpha
-            beta[row, : t.size - 1] = t.beta
-        _, la_stacks = _extract_ritz(
-            alpha,
-            beta,
-            np.array([t.size for t in t_central]),
-            m_grid,
-            cfg.k,
-            cfg.n,
-            cfg.spurious_tol,
-        )
-        lists = {"exact": covariance_eigenvalues(y)}
+        keep("exact", covariance_eigenvalues(y))
+        coefficients = _lanczos_stack(r, v1, m_max)
+        for name, x in zip(("la-alpha", "la-beta", "la-sizes"), coefficients):
+            keep(name, x)
+        # one power method to max(M), each checkpoint continuing the last
+        v, done = v0, 0
         for m in m_grid:
-            lists[f"pm-m{m}"] = np.array([[p.value] for p in power_method(r, v0, m)])
-            lists[f"la-m{m}"] = la_stacks[m]
-        return lists, np.real(np.trace(r, axis1=1, axis2=2))
+            results = power_method(r, v, m - done)
+            keep(f"pm-m{m}", [[p.value] for p in results])
+            v, done = np.stack([p.vector for p in results]), m
+        keep("exact-trace", np.real(np.trace(r, axis1=1, axis2=2)))
 
     def add_block(hyp: int, block: list[int]) -> None:
-        """Append one block's statistics to ``values``, trial by trial.
+        """Stage 1: run one block and keep its per-trial rows.
 
         A function of its own, so the block's runs are freed before the
         next block's start.
@@ -460,55 +463,55 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         y = np.stack([gen_h0(sig) if hyp == 0 else gen_h1(sig)[0] for sig in sigs])
         v0 = _dpm_starts(cfg.k, block)
         v1 = default_dla_start(cfg.k)
-        lists, exact_trace = central_lists(y, v0, v1)
+        keep_central(y, v0, v1)
         dpm_lam = run_dpm(
             y, engines(block, 0xD0), m_max, v0, checkpoints=tuple(m_grid)
         ).checkpoints
+        for m in m_grid:
+            keep(f"dpm-m{m}", dpm_lam[m][:, node, None])
         # only the report node's matrices are solved; run_dla still checks
         # every node's coefficients
         dla = run_dla(y, engines(block, 0xE0), m_max, v1, ritz_iters=())
-        _, dla_lam = _extract_ritz(
-            dla.alpha_hist[:, :, node],
-            dla.beta_hist[:, :, node],
-            dla.sizes[:, node],
-            m_grid,
-            cfg.k,
-            cfg.n,
-            cfg.spurious_tol,
-        )
-        traces: dict[str, np.ndarray] = {}
-        for m in m_grid:
-            lists[f"dpm-m{m}"] = dpm_lam[m][:, node, None]
-            lists[f"dla-m{m}"] = dla_lam[m]
+        keep("dla-alpha", dla.alpha_hist[:, :, node])
+        keep("dla-beta", dla.beta_hist[:, :, node])
+        keep("dla-sizes", dla.sizes[:, node])
         if ratio_kinds:
-            dec_trace = trace_consensus(y, engines(block, 0xF2))[:, node]
-            for m in m_grid:
-                lists[f"la-m{m}-tr"] = lists[f"la-m{m}"]
-                traces[f"la-m{m}-tr"] = exact_trace
-                lists[f"dla-m{m}-tr"] = lists[f"dla-m{m}"]
-                traces[f"dla-m{m}-tr"] = dec_trace
-        for detector in cfg.detectors:
-            for pipeline in pipelines:
-                if not applicable(detector, pipeline):
-                    continue
-                stat = compute_statistic(
-                    detector,
-                    lists[pipeline],
-                    cfg.sigma2,
-                    trace=traces.get(pipeline),
-                )
-                values[(detector, pipeline, hyp)].extend(stat.value.tolist())
+            keep("dla-trace", trace_consensus(y, engines(block, 0xF2))[:, node])
 
     for hyp in (0, 1):
         for block in _blocks(seeds[hyp * cfg.trials : (hyp + 1) * cfg.trials]):
             add_block(hyp, block)
+    # stage 2: every row of the run at once, H0 trials first; each row's
+    # results depend on that row alone
+    rows_of = {name: np.concatenate(parts) for name, parts in kept.items()}
+    total = 2 * cfg.trials
+    # the centralized Lanczos rows, then the report node's DLA rows
+    coefficients = (
+        np.concatenate((rows_of[f"la-{x}"], rows_of[f"dla-{x}"]))
+        for x in ("alpha", "beta", "sizes")
+    )
+    _, ritz = _extract_ritz(*coefficients, m_grid, cfg.k, cfg.n, cfg.spurious_tol)
+    lists = {"exact": rows_of["exact"]}
+    traces: dict[str, np.ndarray] = {}
+    for m in m_grid:
+        lists[f"pm-m{m}"] = rows_of[f"pm-m{m}"]
+        lists[f"la-m{m}"] = ritz[m][:total]
+        lists[f"dpm-m{m}"] = rows_of[f"dpm-m{m}"]
+        lists[f"dla-m{m}"] = ritz[m][total:]
+        if ratio_kinds:
+            lists[f"la-m{m}-tr"] = lists[f"la-m{m}"]
+            traces[f"la-m{m}-tr"] = rows_of["exact-trace"]
+            lists[f"dla-m{m}-tr"] = lists[f"dla-m{m}"]
+            traces[f"dla-m{m}-tr"] = rows_of["dla-trace"]
     rows = []
     for detector in cfg.detectors:
         for pipeline in pipelines:
             if not applicable(detector, pipeline):
                 continue
-            h0 = np.asarray(values[(detector, pipeline, 0)])
-            h1 = np.asarray(values[(detector, pipeline, 1)])
+            stat = compute_statistic(
+                detector, lists[pipeline], cfg.sigma2, trace=traces.get(pipeline)
+            ).value
+            h0, h1 = stat[: cfg.trials], stat[cfg.trials :]
             grid = sorted(
                 {threshold_from_h0(h0, a) for a in cfg.alphas} | {-np.inf, np.inf}
             )

@@ -43,7 +43,10 @@ def test_ac_compare_matches_recorded_output(tmp_path, capsys):
     # relative, on chebyshev DPM at I = 25. Re-recorded when each step's
     # matrix came to be written straight from the edge weights, its diagonal
     # 1 minus a pairwise sum of the node's edge weights: MSEs moved by at
-    # most 7.4e-11 relative, on chebyshev+failures DPM at I = 30
+    # most 7.4e-11 relative, on chebyshev+failures DPM at I = 30.
+    # Re-recorded when the DPM's eigenvalue-stage numerator came to sum the
+    # squared real and imaginary parts of its consensus output: MSEs moved
+    # by at most 6.3e-13 relative, on chebyshev DPM at I = 15
     argv = [
         "ac-compare", "--config", str(CONFIGS / "ac_compare.cfg"),
         "--out", str(tmp_path), "--trials", "3",
@@ -76,7 +79,13 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     # weights; rounding moved roc thresholds by at most 6.2e-15 relative (no
     # pfa or pd), eig-converge MSEs by at most 1.1e-10 (chebyshev DLA,
     # I = 15) and multi-eig MSEs by at most 5.1e-10 (chebyshev DLA, I = 30,
-    # 5th eigenvalue)
+    # 5th eigenvalue). All three were re-recorded when the DPM numerator and
+    # the DLA's alpha came to sum the squared real and imaginary parts of the
+    # consensus output; rounding moved roc thresholds by at most 5.7e-16
+    # relative (no pfa or pd), eig-converge MSEs by at most 7.1e-12 (chebyshev
+    # DLA, I = 15) on rows above 1e-12, la-ideal at M = 10 (4.4e-15) by
+    # 1.6e-8 and the ~1e-29 rows by ~2e-29, and multi-eig MSEs by at most
+    # 9.4e-11 (chebyshev DLA, I = 30, 3rd eigenvalue)
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     argv = [experiment, "--config", str(config), "--out", str(tmp_path), "--trials", trials]
     assert cli_main(argv) == 0
@@ -178,6 +187,9 @@ def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
         ("eig-converge", "snr_db", "400", "3"),
         ("eig-converge", "sigma2", "1e300", "3"),
         ("multi-eig", "sigma2", "1e300", "3"),
+        # the other end: ||R||_F^2 underflows, and a vanishing Lanczos beta
+        # must break down rather than divide by zero
+        ("roc", "sigma2", "1e-200", "200"),
     ],
 )
 def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tmp_path):

@@ -111,6 +111,16 @@ class TestIdealEquivalence:
         assert t0.invariant_subspace
         assert t0.alpha == pytest.approx([1.0])
 
+    def test_vanishing_beta_breaks_down_as_centralized(self):
+        # at this scale the guard 1e-12 ||R||_F underflows to zero and so
+        # does the first beta: every node's matrix stops at size 1, as the
+        # centralized one does
+        y = 1e-160 * random_samples(4, 6, 3)
+        res = run_dla(y, IDEAL, 3, default_dla_start(4))
+        ref = lanczos(sample_covariance(y), default_dla_start(4), 3)
+        assert ref.size == 1 and ref.invariant_subspace
+        assert np.all(res.sizes == 1)
+
 
 class TestRunValidation:
     def test_rejects_zero_start(self):
@@ -536,16 +546,45 @@ class TestBatchedRitzExtraction:
         monkeypatch.setattr(experiments, "run_dla", recorded_run)
         monkeypatch.setattr(experiments, "_extract_ritz", recorded_extract)
         experiments.run_roc(cfg)
-        # one block per hypothesis; each extracts the centralized Lanczos
-        # first and the report node's DLA second
-        assert len(dla_calls) == 2 and len(extractions) == 4
-        for args, (_, got) in zip(dla_calls, extractions[1::2]):
+        # one block per hypothesis, and one extraction for the whole run:
+        # the 2 x 20 centralized Lanczos rows first, then the report node's
+        # DLA rows, block by block
+        assert len(dla_calls) == 2 and len(extractions) == 1
+        _, got = extractions[0]
+        start = 2 * cfg.trials
+        for args in dla_calls:
             ref = run(*args, ritz_iters=cfg.m, spurious_tol_rel=cfg.spurious_tol)
             assert sorted(got) == sorted(ref.eigenvalue_stacks)
+            rows = slice(start, start + len(args[0]))
             for m, stack in ref.eigenvalue_stacks.items():
                 assert stack.shape == (20, cfg.k, m)
                 assert not np.array_equal(stack[:, node], stack[:, 0], equal_nan=True)
-                assert np.array_equal(got[m], stack[:, node], equal_nan=True)
+                assert np.array_equal(got[m][rows], stack[:, node], equal_nan=True)
+            start = rows.stop
+        assert start == len(got[cfg.m_max])
+
+    def test_roc_scores_every_trial_at_once(self, monkeypatch):
+        # the shipped roc config extracts Ritz values once and computes each
+        # (detector, pipeline) statistic once, over all 2 x 200 trials: 18
+        # pairs, where one call per 32-trial block made 28 and 252 calls
+        text = (CONFIGS / "roc.cfg").read_text()
+        cfg = dataclasses.replace(harness.validate_config(text, "roc"), trials=200)
+        calls = {"extract": [], "statistic": []}
+        extract = experiments._extract_ritz
+        statistic = experiments.compute_statistic
+
+        def counted_extract(alpha, *args):
+            calls["extract"].append(len(alpha))
+            return extract(alpha, *args)
+
+        def counted_statistic(kind, rows, *args, **kwargs):
+            calls["statistic"].append(len(rows))
+            return statistic(kind, rows, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_extract_ritz", counted_extract)
+        monkeypatch.setattr(experiments, "compute_statistic", counted_statistic)
+        experiments.run_roc(cfg)
+        assert calls == {"extract": [800], "statistic": [400] * 18}
 
     def test_nothing_wanted_solves_nothing(self, monkeypatch):
         calls = []

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from eigennet.eigencore import (
     TridiagonalMatrix,
+    _lanczos_stack,
     covariance_eigenvalues,
     cullum_willoughby_spurious,
     filter_spurious,
@@ -150,6 +153,24 @@ class TestPowerMethod:
         with pytest.raises(DegenerateRunError, match="overflowed at iteration 1"):
             power_method(np.diag([1e300, 1.0]), np.array([1e10, 1.0]), 1)
 
+    def test_chained_run_equals_a_fresh_one(self):
+        # a run continued from an earlier run's vectors repeats the fresh
+        # run's products and rescalings, so its iterates and quotients match
+        # to the bit; only log_scale restarts from zero
+        r = np.stack([np.diag([1e60, 1.0, 1.0, 0.5]) + 0j, random_hermitian_psd(4, 3)])
+        rng = np.random.default_rng(9)
+        v0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        fresh = power_method(r, v0, 10, overflow_limit=1e50)
+        first = power_method(r, v0, 4, overflow_limit=1e50)
+        chained = power_method(
+            r, np.stack([p.vector for p in first]), 6, overflow_limit=1e50
+        )
+        assert fresh[0].log_scale > first[0].log_scale > 0.0
+        for a, b, c in zip(fresh, first, chained):
+            assert np.array_equal(c.vector, a.vector)
+            assert c.value == a.value
+            assert b.log_scale + c.log_scale == pytest.approx(a.log_scale, rel=1e-12)
+
     def test_rejects_zero_start(self):
         with pytest.raises(ValueError):
             power_method(np.eye(2), np.zeros(2), 3)
@@ -183,6 +204,31 @@ class TestLanczos:
         mine = tridiagonal_eigenvalues(t)
         oracle = dense_hermitian_eig(r).values
         assert np.max(np.abs(mine - oracle[: len(mine)])) <= 1e-6 * oracle[0]
+
+    def test_vanishing_beta_breaks_down(self):
+        # ||R||_F^2 underflows, so the guard 1e-12 ||R||_F is zero, and so is
+        # the first beta: that is a breakdown, not a division by zero
+        r = 1e-170 * (random_hermitian_psd(4, 5) + 0.5 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = lanczos(r, np.array([1.0, 0, 0, 0]), 3)
+        assert t.invariant_subspace and t.size == 1
+        assert np.all(np.isfinite(t.alpha))
+
+    def test_stack_holds_the_matrices_and_zeros_past_them(self):
+        k, m = 6, 5
+        r = np.stack(
+            [random_hermitian_psd(k, 1), 2.5 * np.eye(k) + 0j, random_hermitian_psd(k, 2)]
+        )
+        v1 = np.full(k, 1.0 / np.sqrt(k))
+        alphas, betas, sizes = _lanczos_stack(r, v1, m)
+        assert alphas.shape == betas.shape == (3, m)
+        assert sizes.tolist() == [m, 1, m]
+        for row, t in enumerate(lanczos(r, v1, m)):
+            assert np.array_equal(alphas[row, : t.size], t.alpha)
+            assert np.array_equal(betas[row, : t.size - 1], t.beta)
+            assert not alphas[row, t.size :].any()
+            assert not betas[row, t.size - 1 :].any()
 
     def test_rejects_non_unit_start(self):
         with pytest.raises(ValueError):
