@@ -10,13 +10,12 @@ the output files are complete by then.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, EigennetError
-from .harness import EXPERIMENTS, emit_report, run, validate_config
+from .harness import EXPERIMENTS, emit_report, parse_config_text, run, validate_config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,18 +41,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        cfg = validate_config(text, args.experiment)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.out is not None:
-            overrides["out"] = args.out
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-            if cfg.trials < 1:
-                raise ConfigError("trials must be at least 1")
+        raw = parse_config_text(text)
+        overrides = {"seed": args.seed, "trials": args.trials, "out": args.out}
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
+        cfg = validate_config(raw, args.experiment)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

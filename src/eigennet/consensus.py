@@ -10,8 +10,9 @@ stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
 
 Both mixing engines run one recurrence, x_s = A_s x_{s-1} - c_s x_{s-2} with
 A_s = a_s W_s + d_s I. ``chebyshev`` takes its scalars from the spectral
-bounds of the weights; ``standard``, and ``chebyshev`` on a degenerate
-spectrum, is the case a_s = 1, d_s = c_s = 0 of plain averaging. Each step's
+bounds of the weights it mixes with, cached on them as ``WeightMatrix.bounds``;
+``standard``, and ``chebyshev`` on a degenerate spectrum, is the case
+a_s = 1, d_s = c_s = 0 of plain averaging. Each step's
 A_s is written straight from the Metropolis weights of that step's links by
 :func:`~eigennet.topology.metropolis_stack`, in step-major chunks of at most
 32 matrices: fixed weights are one all-alive mask that every step shares,
@@ -93,6 +94,7 @@ class ConsensusResult:
 class AcConfig:
     """Configuration of a consensus run.
 
+    A ``chebyshev`` run reads its spectral bounds from ``weights.bounds``.
     ``failure_seed`` seeds the link-failure draws: one int, or one seed per
     trial of the (B, K, m) stacks the config runs. Fresh generators are
     created at construction, so rebuilding the same config reproduces the
@@ -105,7 +107,6 @@ class AcConfig:
     engine: str
     iterations: int
     weights: WeightMatrix | None = None
-    cheb: ChebyshevParams | None = None
     link_failure_prob: float = 0.0
     failure_seed: int | Sequence[int] | None = None
     _failure_rngs: list[np.random.Generator] = field(
@@ -121,8 +122,6 @@ class AcConfig:
             raise ConsensusError("link failure probability must be in [0, 1)")
         if self.engine in ("standard", "chebyshev") and self.weights is None:
             raise ConsensusError(f"engine {self.engine!r} needs a weight matrix")
-        if self.engine == "chebyshev" and self.cheb is None:
-            raise ConsensusError("chebyshev engine needs spectral bounds")
         if self.link_failure_prob > 0.0:
             seeds = self.failure_seed
             if np.ndim(seeds) == 0:
@@ -182,8 +181,8 @@ def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
     steps = cfg.iterations
     if steps == 0:
         return x.copy()
-    if cfg.engine == "chebyshev" and not cfg.cheb.is_degenerate:
-        a, d, c = _chebyshev_coefficients(cfg.cheb, steps)
+    if cfg.engine == "chebyshev" and not cfg.weights.bounds.is_degenerate:
+        a, d, c = _chebyshev_coefficients(cfg.weights.bounds, steps)
     else:
         a, d, c = np.ones(steps), np.zeros(steps), np.zeros(steps)
     graph = cfg.weights.graph
@@ -224,7 +223,7 @@ def _mixing_operator(cfg: AcConfig) -> np.ndarray:
     on the weight matrix that owns it.
     """
     assert cfg.weights is not None and cfg.link_failure_prob == 0.0
-    key = (cfg.engine, cfg.iterations, cfg.cheb)
+    key = (cfg.engine, cfg.iterations)
     operators = cfg.weights._operators
     op = operators.get(key)
     if op is None:

@@ -363,7 +363,7 @@ class _BlockConsensus:
         shape of ``z0``; an untraced run gets None for the error.
         """
         res = run_block(self.ac, z0)
-        if z0.ndim == 2 or z0.shape[2] == 1:
+        if z0.ndim == 2:  # a width-N round at N = 1 is still (B, K, 1)
             self.ac_1 += 1
         else:
             self.ac_n += 1
@@ -495,12 +495,15 @@ def _lambda1_error_terms(y, v, e_mat, e_scalar):
     """
     k, n = y.shape[-2:]
     yhv = (np.swapaxes(y.conj(), -1, -2) @ v[..., None])[..., 0]
-    cross = np.einsum("...kn,...n->...k", e_mat, yhv)
-    e_num = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
-        np.abs(e_mat) ** 2, axis=-1
-    )
-    e_den = k * np.real(e_scalar)
-    return e_num, e_den
+    return _quadratic_error(e_mat, yhv, k, n), k * np.real(e_scalar)
+
+
+def _quadratic_error(e, yhv, k, n):
+    """(K/N) 2 Re(e_k . Y^H v) + (K^2/N) sum |e_k|^2 per node: the exact error of
+    (K^2/N) ||u + e_k||^2, u = (Y^H v)^* / K the mean of the width-N rows v_k^* y_k.
+    """
+    cross = np.einsum("...kn,...n->...k", e, yhv)
+    return (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(np.abs(e) ** 2, axis=-1)
 
 
 def predict_dpm_vector_error(
@@ -735,11 +738,7 @@ def _dla_w_error_terms(y, e_mat, e_scalar, v, v_prev, w_norm_prev):
     pred = np.empty_like(v)
     for j, e in enumerate(e_mat):
         term1 = (k / n) * np.einsum("bkn,bkn->bk", e.conj(), y)
-        cross = np.einsum("bkn,bn->bk", e, yhv[:, j])
-        e_alpha = (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(
-            np.abs(e) ** 2, axis=2
-        )
-        pred[:, j] = term1 - e_alpha * v[:, j]
+        pred[:, j] = term1 - _quadratic_error(e, yhv[:, j], k, n) * v[:, j]
     has_prev = w_norm_prev > 0
     pred[has_prev] -= (
         (k / (2.0 * w_norm_prev[has_prev]))[:, None]

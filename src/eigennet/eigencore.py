@@ -265,29 +265,31 @@ def _lanczos_stack(
         raise ValueError("iteration count must be between 1 and K")
     if np.any(np.abs(row_norms(v) - 1.0) > 1e-10):
         raise ValueError("starting vector must have unit norm")
-    eps_break = 1e-12 * row_norms(r)
     alphas = np.zeros((trials, m_iterations))
     betas = np.zeros((trials, m_iterations))
     sizes = np.full(trials, m_iterations)
     active = np.ones(trials, dtype=bool)
     v_prev = np.zeros_like(v)
     beta = np.zeros(trials)
-    for j in range(1, m_iterations + 1):
-        u = (r @ v[:, :, None])[:, :, 0]
-        alpha = np.real(_row_vdot(v, u))
-        alphas[:, j - 1] = alpha
-        if j == m_iterations or not active.any():
-            break
-        w = u - alpha[:, None] * v - beta[:, None] * v_prev
-        beta_next = row_norms(w)
-        broke = active & ((beta_next < eps_break) | (beta_next == 0.0))
-        sizes[broke] = j
-        active &= ~broke
-        betas[:, j - 1] = beta_next
-        v_prev = v
-        # a trial that broke down keeps a zero vector from here on
-        v = np.divide(w, beta_next[:, None], out=np.zeros_like(w), where=active[:, None])
-        beta = beta_next
+    # overflow gives non-finite coefficients, which the Ritz extraction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_break = 1e-12 * row_norms(r)
+        for j in range(1, m_iterations + 1):
+            u = (r @ v[:, :, None])[:, :, 0]
+            alpha = np.real(_row_vdot(v, u))
+            alphas[:, j - 1] = alpha
+            if j == m_iterations or not active.any():
+                break
+            w = u - alpha[:, None] * v - beta[:, None] * v_prev
+            beta_next = row_norms(w)
+            broke = active & ((beta_next < eps_break) | (beta_next == 0.0))
+            sizes[broke] = j
+            active &= ~broke
+            betas[:, j - 1] = beta_next
+            v_prev = v
+            # a trial that broke down keeps a zero vector from here on
+            v = np.divide(w, beta_next[:, None], out=np.zeros_like(w), where=active[:, None])
+            beta = beta_next
     cols = np.arange(m_iterations)
     alphas[cols >= sizes[:, None]] = 0.0
     betas[cols >= sizes[:, None] - 1] = 0.0

@@ -109,6 +109,7 @@ def _sub_seed(seed: int, tag: int) -> int:
 
 
 def _topology(cfg: ExperimentConfig):
+    """The configured network's weights and its edge-list text."""
     if cfg.topology == "generate":
         graph = generate_random_geometric(cfg.k, cfg.radius, cfg.topology_seed)
     else:
@@ -125,11 +126,12 @@ def _topology(cfg: ExperimentConfig):
             f"topology has {graph.node_count} nodes but K={cfg.k} was configured"
         )
     weights = metropolis_weights(graph)
-    cheb = spectral_bounds(weights)
-    return graph, weights, cheb, dump_edge_list(graph)
+    # fills the bounds cache: weights without the consensus eigenvalue fail here
+    spectral_bounds(weights)
+    return weights, dump_edge_list(graph)
 
 
-def _make_ac(token: str, i_iters: int, cfg, weights, cheb, seeds: list[int], tag: int):
+def _make_ac(token: str, i_iters: int, cfg, weights, seeds: list[int], tag: int):
     """The consensus config of a block whose trials have seeds ``seeds``.
 
     Under a ``+failures`` token it holds one failure generator per trial,
@@ -141,16 +143,12 @@ def _make_ac(token: str, i_iters: int, cfg, weights, cheb, seeds: list[int], tag
         raise ConfigError(
             "link_failure_prob must be positive when a +failures engine is used"
         )
-    if base == "ideal":
-        return AcConfig("ideal", i_iters, weights=weights)
-    cheb = cheb if base == "chebyshev" else None
     if not failures:
-        return AcConfig(base, i_iters, weights=weights, cheb=cheb)
+        return AcConfig(base, i_iters, weights=weights)
     return AcConfig(
         base,
         i_iters,
         weights=weights,
-        cheb=cheb,
         link_failure_prob=cfg.link_failure_prob,
         failure_seed=[_sub_seed(s, tag) for s in seeds],
     )
@@ -213,7 +211,7 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
     All engines and averaging times see the same per-trial sample matrices
     and starting values; the exact-consensus run provides the floor.
     """
-    graph, weights, cheb, topo = _topology(cfg)
+    weights, topo = _topology(cfg)
     m = cfg.m_max
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     blocks = []
@@ -242,7 +240,7 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
         for i_iters in cfg.ac_iters:
             mse = dpm_mse(
                 lambda block, tok=token, ii=i_iters: _make_ac(
-                    tok, ii, cfg, weights, cheb, block, 0xF0 + ii
+                    tok, ii, cfg, weights, block, 0xF0 + ii
                 )
             )
             rows.append(
@@ -276,7 +274,7 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
     The run always executes max(M) algorithm iterations; estimates are
     recorded at every iteration count listed in M.
     """
-    graph, weights, cheb, topo = _topology(cfg)
+    weights, topo = _topology(cfg)
     m = cfg.m_max
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     checkpoints = tuple(sorted(set(cfg.m)))
@@ -303,7 +301,7 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
                 add((algorithm, i_iters, j), _dla_lambda(stacks[j], 1))
 
         def engines(i_iters, tag):
-            return _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, tag)
+            return _make_ac(cfg.engine, i_iters, cfg, weights, block, tag)
 
         ideal = AcConfig("ideal", 0, weights=weights)
         dpm("pm-ideal", 0, ideal)
@@ -340,7 +338,7 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
     As in the convergence experiment, M lists the iteration counts at which
     estimates are recorded; the run executes max(M) iterations.
     """
-    graph, weights, cheb, topo = _topology(cfg)
+    weights, topo = _topology(cfg)
     m = cfg.m_max
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     indices = [i for i in cfg.eig_indices if i <= m]
@@ -351,7 +349,7 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
         lam_true = covariance_eigenvalues(y)
         v1 = default_dla_start(cfg.k)
         for i_iters in cfg.ac_iters:
-            ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, 0xE0 + i_iters)
+            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xE0 + i_iters)
             stacks = run_dla(
                 y, ac, m, v1,
                 ritz_iters=checkpoints,
@@ -399,7 +397,7 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     too few of them raises :class:`~eigennet.errors.DetectionError` before
     it draws a sample.
     """
-    graph, weights, cheb, topo = _topology(cfg)
+    weights, topo = _topology(cfg)
     for a in cfg.alphas:
         _check_calibration_size(cfg.trials, a)
     m_grid = sorted(set(cfg.m))
@@ -425,7 +423,7 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         return pipeline == "exact" or pipeline.startswith(("la-", "dla-"))
 
     def engines(block: list[int], tag: int):
-        return _make_ac(cfg.engine, i_iters, cfg, weights, cheb, block, tag)
+        return _make_ac(cfg.engine, i_iters, cfg, weights, block, tag)
 
     # stage 1's per-trial rows, one array per block, the H0 blocks first
     kept: dict[str, list[np.ndarray]] = {}
@@ -537,15 +535,15 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_audit_messages(cfg: ExperimentConfig) -> ExperimentReport:
     """Run both algorithms once and assert the message-counter formulas."""
-    graph, weights, cheb, topo = _topology(cfg)
+    weights, topo = _topology(cfg)
     m = cfg.m[0]
     i_iters = cfg.ac_iters[0]
     s = trial_seed(cfg.seed, 0)
     y, _ = gen_h1(_signal_cfg(cfg, s, hypothesis=1))
-    deg = graph.degrees()
+    deg = weights.graph.degrees()
     rows = []
     for algorithm in ("dpm", "dla"):
-        ac = _make_ac(cfg.engine, i_iters, cfg, weights, cheb, [s], 0xF1)
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, [s], 0xF1)
         if algorithm == "dpm":
             result = run_dpm(y, ac, m, default_dpm_start(cfg.k, _sub_seed(s, 0xA5)))
         else:

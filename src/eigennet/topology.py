@@ -147,10 +147,11 @@ class WeightMatrix:
     The read-only K x K ``entries`` are built on first read by
     :func:`metropolis_stack` (all links alive, scale 1, shift 0), from which
     a consensus run on fixed weights also builds its steps, so the two never
-    disagree. Equality and hashing are by identity, so weight matrices of
-    different networks never compare equal. ``_operators`` caches
-    fixed-weight consensus operators (see :mod:`eigennet.consensus`); it
-    lives and dies with this object, so no two weight matrices share one.
+    disagree. Its Chebyshev ``bounds`` are computed on first read too.
+    Equality and hashing are by identity, so weight matrices of different
+    networks never compare equal. ``_operators`` caches fixed-weight
+    consensus operators (see :mod:`eigennet.consensus`); it lives and dies
+    with this object, so no two weight matrices share one.
     """
 
     graph: Graph
@@ -169,6 +170,29 @@ class WeightMatrix:
         w = next(metropolis_stack(self.graph, alive, np.ones(1), np.zeros(1)))[0, 0]
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def bounds(self) -> ChebyshevParams:
+        """Bounds on the disagreement spectrum of W, for Chebyshev acceleration.
+
+        lambda_max is the second-largest and lambda_min the smallest
+        eigenvalue of W, computed by LAPACK (``numpy.linalg.eigvalsh``). When
+        the disagreement spectrum collapses to a point (complete-graph-like
+        W), the params carry b1 = inf, which downgrades the accelerated
+        engine to plain averaging.
+        """
+        values = np.linalg.eigvalsh(self.entries)[::-1]
+        if abs(values[0] - 1.0) > 1e-9:
+            raise TopologyError("weight matrix lacks the consensus eigenvalue 1")
+        lam_max = float(values[1]) if len(values) > 1 else 0.0
+        lam_min = float(values[-1]) if len(values) > 1 else 0.0
+        # Metropolis weights on a connected graph already keep the spectrum
+        # inside (-1, 1]; the clamp only guards pathological inputs.
+        lam_min = max(lam_min, -1.0 + 1e-9)
+        if lam_max - lam_min <= 1e-12:
+            return ChebyshevParams(lam_min, max(lam_max, lam_min), np.inf)
+        b1 = (2.0 - lam_max - lam_min) / (lam_max - lam_min)
+        return ChebyshevParams(lam_min, lam_max, b1)
 
 
 @dataclass(frozen=True)
@@ -370,23 +394,5 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 
 def spectral_bounds(w: WeightMatrix) -> ChebyshevParams:
-    """Bounds on the disagreement spectrum of W, for Chebyshev acceleration.
-
-    lambda_max is the second-largest and lambda_min the smallest eigenvalue
-    of W, computed by LAPACK (``numpy.linalg.eigvalsh``). When the disagreement
-    spectrum collapses to a point (complete-graph-like W), the returned
-    params carry b1 = inf, which downgrades the accelerated engine to plain
-    averaging.
-    """
-    values = np.linalg.eigvalsh(w.entries)[::-1]
-    if abs(values[0] - 1.0) > 1e-9:
-        raise TopologyError("weight matrix lacks the consensus eigenvalue 1")
-    lam_max = float(values[1]) if len(values) > 1 else 0.0
-    lam_min = float(values[-1]) if len(values) > 1 else 0.0
-    # Metropolis weights on a connected graph already keep the spectrum
-    # inside (-1, 1]; the clamp only guards pathological inputs.
-    lam_min = max(lam_min, -1.0 + 1e-9)
-    if lam_max - lam_min <= 1e-12:
-        return ChebyshevParams(lam_min, max(lam_max, lam_min), np.inf)
-    b1 = (2.0 - lam_max - lam_min) / (lam_max - lam_min)
-    return ChebyshevParams(lam_min, lam_max, b1)
+    """The Chebyshev bounds of ``w``: its cached :attr:`WeightMatrix.bounds`."""
+    return w.bounds

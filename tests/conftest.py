@@ -6,7 +6,7 @@ import pytest
 from eigennet.consensus import ConsensusResult, _synthetic_result
 from eigennet.eigencore import EigenSolution
 from eigennet.errors import ConsensusError
-from eigennet.topology import Graph, metropolis_weights, spectral_bounds
+from eigennet.topology import Graph, metropolis_weights
 
 
 @pytest.fixture
@@ -17,11 +17,6 @@ def path3():
 @pytest.fixture
 def path3_weights(path3):
     return metropolis_weights(path3)
-
-
-@pytest.fixture
-def path3_cheb(path3_weights):
-    return spectral_bounds(path3_weights)
 
 
 def random_hermitian_psd(k, seed, n=None):

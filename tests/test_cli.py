@@ -190,6 +190,8 @@ def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
         # the other end: ||R||_F^2 underflows, and a vanishing Lanczos beta
         # must break down rather than divide by zero
         ("roc", "sigma2", "1e-200", "200"),
+        # the centralized Lanczos overflows too, and must not warn first
+        ("roc", "sigma2", "1e300", "200"),
     ],
 )
 def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tmp_path):
@@ -269,6 +271,39 @@ def test_infinite_radius_and_silent_source_run(line, tmp_path, capsys):
     assert cli_main(argv) == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "out" / "eig-converge.csv").exists()
+
+
+def test_trials_override_is_validated_as_the_file_is(tmp_path, capsys):
+    argv = [
+        "eig-converge", "--config", str(CONFIGS / "eig_converge.cfg"),
+        "--out", str(tmp_path / "out"), "--trials", "0",
+    ]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "config error: trials must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_audit_at_one_sample_per_node(tmp_path, capsys):
+    # at N = 1 a width-N round is a (B, K, 1) stack, which was counted as a
+    # scalar round: the DPM audit measured 0 width-N calls against 6 and
+    # the run exited 2
+    config = config_with("audit-messages", "N", "1", tmp_path)
+    out = tmp_path / "out"
+    assert cli_main(["audit-messages", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "audit-messages.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    # M = 5, I = 30: DPM runs M + 1 width-N rounds and one scalar round, DLA
+    # M of each
+    calls = {"dpm": (6, 1), "dla": (5, 5)}
+    seen = set()
+    for row in rows[1:]:
+        fields = dict(zip(header, row.split(",")))
+        n_calls, one_calls = calls[fields["algorithm"]]
+        assert (int(fields["ac_n_calls"]), int(fields["ac_1_calls"])) == (n_calls, one_calls)
+        assert int(fields["units"]) == 30 * int(fields["degree"]) * (n_calls * 1 + one_calls)
+        seen.add(fields["algorithm"])
+    assert seen == {"dpm", "dla"}
 
 
 def test_closed_stdout_exits_two_without_traceback(tmp_path):

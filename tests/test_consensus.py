@@ -40,9 +40,9 @@ def complete_weights(k):
 
 class TestEngines:
     @pytest.mark.parametrize("engine", ["ideal", "standard", "chebyshev"])
-    def test_identical_rows_are_fixed_point(self, engine, path3_weights, path3_cheb):
+    def test_identical_rows_are_fixed_point(self, engine, path3_weights):
         z0 = np.tile(np.array([1.0 + 2.0j, -0.5j, 3.0]), (3, 1))
-        cfg = AcConfig(engine, 4, weights=path3_weights, cheb=path3_cheb)
+        cfg = AcConfig(engine, 4, weights=path3_weights)
         res = run_consensus(z0, cfg)
         assert np.allclose(res.z, z0, atol=1e-12)
         assert np.max(np.abs(res.error)) < 1e-12
@@ -59,12 +59,12 @@ class TestEngines:
         res = run_consensus(z0, AcConfig("standard", 1, weights=w))
         assert np.max(np.abs(res.error)) < 1e-14
 
-    def test_chebyshev_path3_hand_damping(self, path3_weights, path3_cheb):
+    def test_chebyshev_path3_hand_damping(self, path3_weights):
         # b1 = 2 gives the scalar sequence 1, 2, 7, 26
         rng = np.random.default_rng(1)
         z0 = rng.standard_normal((3, 5))
         mean = z0.mean(axis=0)
-        res = run_consensus(z0, AcConfig("chebyshev", 3, weights=path3_weights, cheb=path3_cheb))
+        res = run_consensus(z0, AcConfig("chebyshev", 3, weights=path3_weights))
         assert np.linalg.norm(res.z - mean) <= np.linalg.norm(z0 - mean) / 26 + 1e-12
 
     def test_zero_iterations_returns_input(self, path3_weights):
@@ -77,7 +77,7 @@ class TestEngines:
         cp = spectral_bounds(w)
         assert cp.is_degenerate
         z0 = np.array([[3.0], [0.0], [0.0]])
-        res = run_consensus(z0, AcConfig("chebyshev", 1, weights=w, cheb=cp))
+        res = run_consensus(z0, AcConfig("chebyshev", 1, weights=w))
         assert np.allclose(res.z, 1.0, atol=1e-14)
 
 
@@ -102,12 +102,11 @@ class TestInvariantsAndCounters:
     def test_mass_conservation_with_failures(self, seed):
         g = random_connected_graph(7, seed)
         w = metropolis_weights(g)
-        cp = spectral_bounds(w)
         rng = np.random.default_rng(seed)
         z0 = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
         for engine in ("standard", "chebyshev"):
             cfg = AcConfig(
-                engine, 9, weights=w, cheb=cp,
+                engine, 9, weights=w,
                 link_failure_prob=0.25, failure_seed=seed,
             )
             res = run_consensus(z0, cfg)
@@ -124,13 +123,13 @@ class TestInvariantsAndCounters:
             assert cur <= last * (1 + 1e-12)
             last = cur
 
-    def test_determinism_bit_identical(self, path3_weights, path3_cheb):
+    def test_determinism_bit_identical(self, path3_weights):
         rng = np.random.default_rng(9)
         z0 = rng.standard_normal((3, 4))
 
         def once():
             cfg = AcConfig(
-                "chebyshev", 6, weights=path3_weights, cheb=path3_cheb,
+                "chebyshev", 6, weights=path3_weights,
                 link_failure_prob=0.3, failure_seed=77,
             )
             return run_consensus(z0, cfg)
@@ -159,9 +158,10 @@ class TestValidation:
         with pytest.raises(ConsensusError):
             AcConfig("gossip", 1)
 
-    def test_chebyshev_needs_bounds(self, path3_weights):
-        with pytest.raises(ConsensusError):
-            AcConfig("chebyshev", 1, weights=path3_weights)
+    def test_bounds_are_not_a_setting(self, path3_weights):
+        # a chebyshev run reads its bounds from the weights it mixes with
+        with pytest.raises(TypeError):
+            AcConfig("chebyshev", 1, weights=path3_weights, **{"cheb": path3_weights.bounds})
 
     def test_failures_need_seed(self, path3_weights):
         with pytest.raises(ConsensusError):
@@ -220,14 +220,13 @@ class TestBroadcastFormulation:
     def test_run_consensus_matches_tile_and_broadcast_to(self):
         g = generate_random_geometric(40, 0.4, 3)
         w = metropolis_weights(g)
-        cheb = spectral_bounds(w)
         configs = [
             lambda: AcConfig("ideal", 0),
             lambda: AcConfig("standard", 7, weights=w),
             lambda: AcConfig("standard", 0, weights=w),
-            lambda: AcConfig("chebyshev", 12, weights=w, cheb=cheb),
+            lambda: AcConfig("chebyshev", 12, weights=w),
             lambda: AcConfig(
-                "chebyshev", 5, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=4
+                "chebyshev", 5, weights=w, link_failure_prob=0.3, failure_seed=4
             ),
         ]
         for make in configs:
@@ -263,16 +262,16 @@ class TestBroadcastFormulation:
 
 
     ENGINES = {
-        "ideal": lambda w, cheb: AcConfig("ideal", 0),
-        "ideal-weighted": lambda w, cheb: AcConfig("ideal", 4, weights=w),
-        "standard": lambda w, cheb: AcConfig("standard", 7, weights=w),
-        "standard-0": lambda w, cheb: AcConfig("standard", 0, weights=w),
-        "chebyshev": lambda w, cheb: AcConfig("chebyshev", 12, weights=w, cheb=cheb),
-        "standard+failures": lambda w, cheb: AcConfig(
+        "ideal": lambda w: AcConfig("ideal", 0),
+        "ideal-weighted": lambda w: AcConfig("ideal", 4, weights=w),
+        "standard": lambda w: AcConfig("standard", 7, weights=w),
+        "standard-0": lambda w: AcConfig("standard", 0, weights=w),
+        "chebyshev": lambda w: AcConfig("chebyshev", 12, weights=w),
+        "standard+failures": lambda w: AcConfig(
             "standard", 5, weights=w, link_failure_prob=0.3, failure_seed=4
         ),
-        "chebyshev+failures": lambda w, cheb: AcConfig(
-            "chebyshev", 5, weights=w, cheb=cheb, link_failure_prob=0.3, failure_seed=4
+        "chebyshev+failures": lambda w: AcConfig(
+            "chebyshev", 5, weights=w, link_failure_prob=0.3, failure_seed=4
         ),
     }
 
@@ -296,9 +295,8 @@ class TestBroadcastFormulation:
     @pytest.mark.parametrize("engine", list(ENGINES))
     def test_error_on_read_matches_eager_formula(self, engine):
         w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
-        cheb = spectral_bounds(w)
         for z0 in self.stacked_inputs(40):
-            cfg = self.ENGINES[engine](w, cheb)
+            cfg = self.ENGINES[engine](w)
             res = run_consensus(z0, cfg)
             want = self.eager_error(z0, res.z, cfg.engine == "ideal")
             assert res.error.dtype == want.dtype and res.error.shape == z0.shape
@@ -327,14 +325,13 @@ class TestBroadcastFormulation:
     @pytest.mark.parametrize("shape", [(4, 40, 3), (4, 40), (1, 40, 3), (1, 40)])
     def test_run_block_error_on_read_matches_eager_formula(self, engine, shape):
         w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
-        cheb = spectral_bounds(w)
         rng = np.random.default_rng(31)
         z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         make = self.ENGINES[engine]
-        ideal = make(w, cheb).engine == "ideal"
+        ideal = make(w).engine == "ideal"
 
         # one engine for the block
-        res = run_block(make(w, cheb), z0)
+        res = run_block(make(w), z0)
         if len(z0) == 1:
             want = self.eager_error(z0[0], res.z[0], ideal)[None]
         elif z0.ndim == 2:
@@ -467,7 +464,7 @@ class TestTrialStack:
     @pytest.mark.parametrize("width", [1, 3])
     def test_each_trial_equals_its_lone_run(self, engine, width):
         w = metropolis_weights(random_connected_graph(7, 2))
-        cfg = AcConfig(engine, 5, weights=w, cheb=spectral_bounds(w))
+        cfg = AcConfig(engine, 5, weights=w)
         rng = np.random.default_rng(4)
         z0 = rng.standard_normal((4, 7, width)) + 1j * rng.standard_normal((4, 7, width))
         res = run_consensus(z0, cfg)
@@ -566,7 +563,7 @@ def loop_failure_run(z0, cfg, rng):
     graph, p = cfg.weights.graph, cfg.link_failure_prob
     weights = [loop_failure_weights(graph, rng, p) for _ in range(cfg.iterations)]
     x = z0[..., None] if z0.ndim == 1 else z0.copy()
-    cheb = cfg.cheb
+    cheb = cfg.weights.bounds
     if cfg.engine == "standard" or cheb.is_degenerate or cfg.iterations == 0:
         for w in weights:
             x = w @ x
@@ -600,7 +597,7 @@ class TestFailureStackRecurrence:
         assert cp.is_degenerate == (network == "complete")
         for z0 in self.inputs(12):
             cfg = AcConfig(
-                engine, iters, weights=w, cheb=cp, link_failure_prob=0.2, failure_seed=5
+                engine, iters, weights=w, link_failure_prob=0.2, failure_seed=5
             )
             loop_rng = np.random.default_rng(5)
             # the second call continues the config's failure stream
@@ -634,22 +631,22 @@ class TestMixingOperator:
         w = metropolis_weights(generate_random_geometric(12, 0.5, 2))
         cp = spectral_bounds(w)
         assert not cp.is_degenerate
-        self.check_against_recurrence(AcConfig(engine, iters, weights=w, cheb=cp))
+        self.check_against_recurrence(AcConfig(engine, iters, weights=w))
 
     @pytest.mark.parametrize("iters", [0, 1, 2, 30])
     def test_degenerate_chebyshev_matches_recurrence(self, iters):
         w = complete_weights(12)
         cp = spectral_bounds(w)
         assert cp.is_degenerate
-        self.check_against_recurrence(AcConfig("chebyshev", iters, weights=w, cheb=cp))
+        self.check_against_recurrence(AcConfig("chebyshev", iters, weights=w))
 
-    def test_built_once_per_engine_and_iterations(self, path3_weights, path3_cheb):
+    def test_built_once_per_engine_and_iterations(self, path3_weights):
         z0 = np.arange(6.0).reshape(3, 2)
         for _ in range(3):
             for engine in ("standard", "chebyshev"):
-                run_consensus(z0, AcConfig(engine, 4, weights=path3_weights, cheb=path3_cheb))
+                run_consensus(z0, AcConfig(engine, 4, weights=path3_weights))
         assert len(path3_weights._operators) == 2
-        cfg = AcConfig("chebyshev", 4, weights=path3_weights, cheb=path3_cheb)
+        cfg = AcConfig("chebyshev", 4, weights=path3_weights)
         assert _mixing_operator(cfg) is _mixing_operator(cfg)
 
     def test_operator_dies_with_its_weights(self):
@@ -669,7 +666,7 @@ class TestMixingOperator:
         z0 = np.random.default_rng(0).standard_normal((12, 3))
         ops = []
         for w in (w1, w1_again, w2):
-            cfg = AcConfig("chebyshev", 6, weights=w, cheb=spectral_bounds(w))
+            cfg = AcConfig("chebyshev", 6, weights=w)
             assert max_rel_diff(run_consensus(z0, cfg).z, recurrence(z0, cfg)) <= 1e-13
             (op,) = w._operators.values()
             ops.append(op)
@@ -787,8 +784,9 @@ def reference_iterate(
     else:
         (w,) = build(graph, np.ones((1, len(graph.edges)), dtype=bool))
         weights = np.broadcast_to(w, (cfg.iterations,) + w.shape)
-    if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cfg.cheb.is_degenerate:
-        return chebyshev(x0, weights, cfg.cheb)
+    cheb = cfg.weights.bounds
+    if cfg.engine == "chebyshev" and cfg.iterations > 0 and not cheb.is_degenerate:
+        return chebyshev(x0, weights, cheb)
     x = x0.copy()
     for w in weights:
         x = reference_real_matmul(w, x)
@@ -821,11 +819,10 @@ class TestBufferedKernel:
     @pytest.mark.parametrize("failures", [False, True])
     def test_matches_complex_typed_reference(self, engine, network, failures, scale):
         w = self.networks()[network]
-        cheb = spectral_bounds(w)
         for iters in (1, 2, 30):
             for z0 in self.inputs(scale):
                 cfg = AcConfig(
-                    engine, iters, weights=w, cheb=cheb,
+                    engine, iters, weights=w,
                     link_failure_prob=0.2 if failures else 0.0,
                     failure_seed=9 if failures else None,
                 )
@@ -845,7 +842,7 @@ class TestBufferedKernel:
     @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
     def test_fixed_weight_operator_matches_reference(self, engine):
         for w in self.networks().values():
-            cfg = AcConfig(engine, 30, weights=w, cheb=spectral_bounds(w))
+            cfg = AcConfig(engine, 30, weights=w)
             want = reference_iterate(np.eye(self.K), cfg)
             assert np.array_equal(_mixing_operator(cfg), want)
 
@@ -857,7 +854,7 @@ class TestBufferedKernel:
 
         def make(failure_seed):
             return AcConfig(
-                engine, 15, weights=w, cheb=spectral_bounds(w),
+                engine, 15, weights=w,
                 link_failure_prob=0.03, failure_seed=failure_seed,
             )
 
@@ -924,13 +921,12 @@ class TestParentKernel:
         networks = dict(TestBufferedKernel.networks())
         networks["shipped"] = TestFoldedCoefficients.shipped_weights()
         for w in networks.values():
-            cheb = spectral_bounds(w)
             for iters in (1, 2, 30, 200):
                 bound = 2e-16 * max(iters, 25)
                 for scale in (1.0, 1e150, 1e-150):
                     for z0 in self.inputs(w.node_count, scale):
                         cfg = AcConfig(
-                            engine, iters, weights=w, cheb=cheb,
+                            engine, iters, weights=w,
                             link_failure_prob=0.2 if failures else 0.0,
                             failure_seed=9 if failures else None,
                         )
@@ -954,7 +950,7 @@ class TestParentKernel:
 
         def make(engine):
             return AcConfig(
-                engine, 30, weights=w, cheb=spectral_bounds(w),
+                engine, 30, weights=w,
                 link_failure_prob=0.2 if failures else 0.0,
                 failure_seed=9 if failures else None,
             )
@@ -1016,7 +1012,6 @@ class TestFoldedCoefficients:
             w = self.shipped_weights()
         else:
             w = TestBufferedKernel.networks()["geometric"]
-        cheb = spectral_bounds(w)
         k = w.node_count
         bound = 4e-16 * max(iters, 25)
         rng = np.random.default_rng(51)
@@ -1028,7 +1023,7 @@ class TestFoldedCoefficients:
             for z0 in inputs:
                 x0 = scale * z0
                 cfg = AcConfig(
-                    "chebyshev", iters, weights=w, cheb=cheb,
+                    "chebyshev", iters, weights=w,
                     link_failure_prob=0.2 if failures else 0.0,
                     failure_seed=9 if failures else None,
                 )
@@ -1043,7 +1038,7 @@ class TestFoldedCoefficients:
         # returned NaN on fixed weights and under failures alike
         w = self.shipped_weights()
         cfg = AcConfig(
-            "chebyshev", iters, weights=w, cheb=spectral_bounds(w),
+            "chebyshev", iters, weights=w,
             link_failure_prob=0.03 if failures else 0.0,
             failure_seed=4 if failures else None,
         )
@@ -1056,11 +1051,12 @@ class TestFoldedCoefficients:
     @pytest.mark.parametrize("failures", [False, True])
     def test_near_degenerate_spectrum_stays_finite(self, failures):
         # l_max - l_min = 1e-12 gives b1 = 2e12, whose tau_s overflowed by
-        # s = 26; the complete graph mixes to the mean in one step
+        # s = 26; the complete graph mixes to the mean in one step. No graph
+        # has that spectrum, so the bounds are seeded into the cache
         w = complete_weights(12)
-        cheb = ChebyshevParams(-5e-13, 5e-13, 2.0 / 1e-12)
+        vars(w)["bounds"] = ChebyshevParams(-5e-13, 5e-13, 2.0 / 1e-12)
         cfg = AcConfig(
-            "chebyshev", 40, weights=w, cheb=cheb,
+            "chebyshev", 40, weights=w,
             link_failure_prob=0.2 if failures else 0.0,
             failure_seed=6 if failures else None,
         )
@@ -1068,6 +1064,45 @@ class TestFoldedCoefficients:
         res = run_consensus(z0, cfg)
         assert np.isfinite(res.z).all()
         assert np.max(np.abs(res.error)) <= 1e-12
+
+
+class TestBoundsFollowWeights:
+    @staticmethod
+    def own_bounds(w):
+        """The disagreement-spectrum bounds of ``w``, from its eigenvalues here."""
+        values = np.linalg.eigvalsh(w.entries)
+        lam_min, lam_max = float(values[0]), float(values[-2])
+        return ChebyshevParams(lam_min, lam_max, (2.0 - lam_max - lam_min) / (lam_max - lam_min))
+
+    @pytest.mark.parametrize("failures", [False, True])
+    def test_each_network_runs_on_its_own_bounds(self, failures):
+        # two networks of the same size, so a run on one could be given the
+        # other's bounds while they were a setting: on the first network's
+        # fixed weights, this input then ended 7.1e-4 from the mean, not 1.4e-9
+        nets = [
+            metropolis_weights(generate_random_geometric(40, radius, seed))
+            for radius, seed in ((0.4, 3), (0.25, 5))
+        ]
+        rng = np.random.default_rng(61)
+        z0 = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+        for w, other in (nets, nets[::-1]):
+            own = self.own_bounds(w)
+            assert own == w.bounds and own != other.bounds
+            cfg = AcConfig(
+                "chebyshev", 30, weights=w,
+                link_failure_prob=0.2 if failures else 0.0,
+                failure_seed=9 if failures else None,
+            )
+
+            def driven_by(bounds):
+                draws = np.random.default_rng(9) if failures else None
+                return reference_iterate(
+                    z0, cfg, draws, chebyshev=lambda x, ws, _: reference_chebyshev(x, ws, bounds)
+                )
+
+            got = recurrence(z0, cfg)
+            assert np.array_equal(got, driven_by(own))
+            assert not np.allclose(got, driven_by(other.bounds), rtol=0.0, atol=1e-6)
 
 
 class TestMetropolisBuffer:

@@ -140,15 +140,15 @@ class TestStatisticConsensus:
         out = np.real(AcConfig("ideal", 0).run(vals).z)
         assert np.allclose(out, 3.0, atol=1e-15)
 
-    def test_identical_inputs_unchanged(self, path3_weights, path3_cheb):
+    def test_identical_inputs_unchanged(self, path3_weights):
         vals = np.full(3, 1.7)
-        cfg = AcConfig("chebyshev", 2, weights=path3_weights, cheb=path3_cheb)
+        cfg = AcConfig("chebyshev", 2, weights=path3_weights)
         assert np.allclose(cfg.run(vals).z, vals, atol=1e-12)
 
-    def test_chebyshev_damps_spread(self, path3_weights, path3_cheb):
+    def test_chebyshev_damps_spread(self, path3_weights):
         vals = np.array([0.0, 1.0, 5.0])
         t = 3
-        cfg = AcConfig("chebyshev", t, weights=path3_weights, cheb=path3_cheb)
+        cfg = AcConfig("chebyshev", t, weights=path3_weights)
         out = cfg.run(vals).z
         # scalar sequence for b1=2 is 1, 2, 7, 26
         assert np.linalg.norm(out - vals.mean()) <= np.linalg.norm(vals - vals.mean()) / 26 + 1e-12

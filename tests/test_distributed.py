@@ -36,7 +36,7 @@ from eigennet.eigencore import (
 )
 from eigennet.errors import AuditMismatch, ConsensusError, DegenerateRunError, EigennetError
 from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
-from eigennet.topology import Graph, metropolis_weights, spectral_bounds
+from eigennet.topology import Graph, metropolis_weights
 
 from conftest import ReplayEngine, random_connected_graph, random_hermitian_psd, random_samples
 
@@ -752,12 +752,11 @@ class TestDeterminismAndState:
     def test_repeat_runs_bit_identical(self):
         g = random_connected_graph(6, 1)
         w = metropolis_weights(g)
-        cp = spectral_bounds(w)
         y = random_samples(6, 5, 19)
 
         def once():
             ac = AcConfig(
-                "chebyshev", 8, weights=w, cheb=cp,
+                "chebyshev", 8, weights=w,
                 link_failure_prob=0.2, failure_seed=5,
             )
             return run_dpm(y, ac, 4, default_dpm_start(6, 2))
@@ -812,14 +811,13 @@ class TestTrialStack:
         """
         graph = random_connected_graph(self.K, 3)
         w = metropolis_weights(graph)
-        cheb = spectral_bounds(w)
         if kind == "ideal":
             return lambda ts: AcConfig("ideal", 0, weights=w)
         if kind == "chebyshev":
-            return lambda ts: AcConfig("chebyshev", 4, weights=w, cheb=cheb)
+            return lambda ts: AcConfig("chebyshev", 4, weights=w)
         if kind == "failures":
             return lambda ts: AcConfig(
-                "chebyshev", 4, weights=w, cheb=cheb, link_failure_prob=0.3,
+                "chebyshev", 4, weights=w, link_failure_prob=0.3,
                 failure_seed=[100 + t for t in ts],
             )
         if kind == "injected":

@@ -92,14 +92,13 @@ class TestConsensusProperties:
     def test_mass_conservation(self):
         for seed in range(CASES):
             g, w = seeded_graph_and_weights(seed)
-            cp = spectral_bounds(w)
             rng = np.random.default_rng(seed)
             k = g.node_count
             z0 = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
             engine = ("standard", "chebyshev")[seed % 2]
             p = 0.2 if seed % 3 == 0 else 0.0
             cfg = AcConfig(
-                engine, 1 + seed % 6, weights=w, cheb=cp,
+                engine, 1 + seed % 6, weights=w,
                 link_failure_prob=p, failure_seed=seed if p else None,
             )
             res = run_consensus(z0, cfg)
@@ -131,7 +130,7 @@ class TestConsensusProperties:
             tau = [1.0, cp.b1]
             for _ in range(t - 1):
                 tau.append(2 * cp.b1 * tau[-1] - tau[-2])
-            res = run_consensus(z0, AcConfig("chebyshev", t, weights=w, cheb=cp))
+            res = run_consensus(z0, AcConfig("chebyshev", t, weights=w))
             lhs = np.linalg.norm(res.z - mean)
             rhs = np.linalg.norm(z0 - mean) / tau[t]
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
@@ -139,13 +138,12 @@ class TestConsensusProperties:
     def test_determinism(self):
         for seed in range(CASES):
             g, w = seeded_graph_and_weights(seed)
-            cp = spectral_bounds(w)
             rng = np.random.default_rng(seed)
             z0 = rng.standard_normal((g.node_count, 2))
 
             def once():
                 cfg = AcConfig(
-                    "chebyshev", 4, weights=w, cheb=cp,
+                    "chebyshev", 4, weights=w,
                     link_failure_prob=0.15, failure_seed=seed,
                 )
                 return run_consensus(z0, cfg)
@@ -366,12 +364,11 @@ class TestDistributedProperties:
     def test_run_determinism(self):
         for seed in range(CASES):
             g, w = seeded_graph_and_weights(seed, k=5)
-            cp = spectral_bounds(w)
             y = random_samples(5, 4, seed)
 
             def once():
                 ac = AcConfig(
-                    "chebyshev", 3, weights=w, cheb=cp,
+                    "chebyshev", 3, weights=w,
                     link_failure_prob=0.1, failure_seed=seed,
                 )
                 return run_dpm(y, ac, 3, default_dpm_start(5, seed))

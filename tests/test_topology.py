@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,16 @@ class TestSpectralBounds:
         disagreement = values[:-1]
         assert np.all(disagreement >= cp.lambda_min - 1e-9)
         assert np.all(disagreement <= cp.lambda_max + 1e-9)
+
+    def test_bounds_are_cached_on_the_weights(self, path3_weights):
+        bounds = path3_weights.bounds
+        assert path3_weights.bounds is bounds
+        assert spectral_bounds(path3_weights) is bounds
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            path3_weights.bounds = bounds
+
+    def test_weights_without_consensus_eigenvalue_raise(self, path3):
+        w = metropolis_weights(path3)
+        vars(w)["entries"] = 0.5 * np.eye(3)
+        with pytest.raises(TopologyError):
+            spectral_bounds(w)
