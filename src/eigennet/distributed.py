@@ -23,7 +23,8 @@ per step, with each trial's surviving links drawn from that trial's own
 generator when the engine holds one per trial. Results carry the trial axis
 on every array and one :class:`MessageAudit` per trial, built on its first
 read, and ``trial(b)`` gives the result trial b would have had alone (on a
-fresh engine with trial b's generator), to the bit. Past the
+fresh engine with trial b's generator), to the bit. Results, error traces
+and message counters share that one ``trial`` slicer. Past the
 iteration loop, at each Ritz checkpoint the Ritz values of every node of
 every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
 stopped growing. Equal adjacent rows (every node of a trial under exact
@@ -37,7 +38,7 @@ iteration's errors for a whole block would set the peak memory of a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -86,8 +87,35 @@ class MessageAudit:
     time_periods: int
 
 
+class _Stacked:
+    """A result with a leading trial axis, as a stacked run returns it."""
+
+    def trial(self, t: int):
+        """Trial t of a stacked result, as the run of that trial alone returns it.
+
+        Array fields, and the arrays in list and dict fields, are sliced on
+        their leading axis, and nested stacked fields likewise; every other
+        field (counts, the graph) is shared.
+        """
+        return replace(
+            self, **{f.name: _trial_of(getattr(self, f.name), t) for f in fields(self)}
+        )
+
+
+def _trial_of(value, t: int):
+    if isinstance(value, np.ndarray):
+        return value[t]
+    if isinstance(value, list):
+        return [x[t] for x in value]
+    if isinstance(value, dict):
+        return {key: x[t] for key, x in value.items()}
+    if isinstance(value, _Stacked):
+        return value.trial(t)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
-class _MessageCounts:
+class _MessageCounts(_Stacked):
     """A run's consensus call counts and per-node units, (B, K) when stacked.
 
     Results keep these counters and build their :class:`MessageAudit` from
@@ -105,9 +133,6 @@ class _MessageCounts:
             and np.array_equal(self.units, other.units)
         )
 
-    def trial(self, t: int) -> _MessageCounts:
-        return _MessageCounts(self.ac_n_calls, self.ac_1_calls, self.units[t])
-
     def audit(self) -> MessageAudit | list[MessageAudit]:
         """The audit of a lone run, or one audit per trial of a stacked run."""
         if self.units.ndim > 1:
@@ -121,7 +146,7 @@ class _MessageCounts:
 
 
 @dataclass
-class DpmErrorTrace:
+class DpmErrorTrace(_Stacked):
     """Realized consensus errors of a DPM run and their closed-form impact.
 
     ``iteration_drift`` row j-1 holds the additive error on the power iterate
@@ -138,19 +163,9 @@ class DpmErrorTrace:
     numerator_error: np.ndarray
     denominator_error: np.ndarray
 
-    def trial(self, t: int) -> DpmErrorTrace:
-        return DpmErrorTrace(
-            iteration_errors=[e[t] for e in self.iteration_errors],
-            iteration_drift=self.iteration_drift[t],
-            final_matrix_error=self.final_matrix_error[t],
-            final_scalar_error=self.final_scalar_error[t],
-            numerator_error=self.numerator_error[t],
-            denominator_error=self.denominator_error[t],
-        )
-
 
 @dataclass
-class DlaErrorTrace:
+class DlaErrorTrace(_Stacked):
     """Per-iteration consensus errors of a DLA run, with drift bookkeeping.
 
     ``normalization_errors`` row j-1 is the scalar-consensus error behind the
@@ -167,15 +182,6 @@ class DlaErrorTrace:
     w_error_measured: np.ndarray
     w_error_predicted: np.ndarray
     taylor_flags: np.ndarray
-
-    def trial(self, t: int) -> DlaErrorTrace:
-        return DlaErrorTrace(
-            iteration_matrix_errors=[e[t] for e in self.iteration_matrix_errors],
-            normalization_errors=self.normalization_errors[t],
-            w_error_measured=self.w_error_measured[t],
-            w_error_predicted=self.w_error_predicted[t],
-            taylor_flags=self.taylor_flags[t],
-        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ class ConvergenceVerdict:
 
 
 @dataclass
-class DpmResult:
+class DpmResult(_Stacked):
     """A DPM run; a stacked run has a leading trial axis and one audit per trial.
 
     ``audit`` is built from the run's message counters on its first read.
@@ -219,21 +225,9 @@ class DpmResult:
     def audit(self) -> MessageAudit | list[MessageAudit]:
         return self._messages.audit()
 
-    def trial(self, t: int) -> DpmResult:
-        """Trial t of a stacked run, as the run of that trial alone returns it."""
-        return replace(
-            self,
-            lambda1=self.lambda1[t],
-            v_hist=self.v_hist[t],
-            trace=None if self.trace is None else self.trace.trial(t),
-            _messages=self._messages.trial(t),
-            checkpoints={j: lam[t] for j, lam in self.checkpoints.items()},
-            samples=self.samples[t],
-        )
-
 
 @dataclass
-class DlaResult:
+class DlaResult(_Stacked):
     """A DLA run; a stacked run has a leading trial axis and one audit per trial.
 
     ``ritz_stacks`` and ``eigenvalue_stacks`` map each extracted iteration j
@@ -272,23 +266,6 @@ class DlaResult:
     def eigenvalues(self) -> dict[int, list]:
         return {j: _unpad(s) for j, s in self.eigenvalue_stacks.items()}
 
-    def trial(self, t: int) -> DlaResult:
-        """Trial t of a stacked run, as the run of that trial alone returns it."""
-        return replace(
-            self,
-            alpha_hist=self.alpha_hist[t],
-            beta_hist=self.beta_hist[t],
-            v_hist=self.v_hist[t],
-            w_hist=self.w_hist[t],
-            w_norms=self.w_norms[t],
-            sizes=self.sizes[t],
-            ritz_stacks={j: s[t] for j, s in self.ritz_stacks.items()},
-            eigenvalue_stacks={j: s[t] for j, s in self.eigenvalue_stacks.items()},
-            clamped=self.clamped[t],
-            trace=None if self.trace is None else self.trace.trial(t),
-            _messages=self._messages.trial(t),
-            samples=self.samples[t],
-        )
 
     def tridiagonal(self, k: int, size: int | None = None) -> TridiagonalMatrix:
         s = int(self.sizes[k]) if size is None else min(size, int(self.sizes[k]))
@@ -556,8 +533,8 @@ def run_dla(
     and the new direction) and one scalar consensus (for the off-diagonal
     coefficient). Every node assembles its own tridiagonal matrix; Ritz
     values are extracted at the iterations listed in ``ritz_iters`` (default:
-    only the final one; pass "all" for every iteration, or an empty list for
-    none, leaving the histories to a caller that extracts some nodes only)
+    only the final one; an empty list extracts none, leaving the histories to
+    a caller that extracts some nodes only)
     and filtered for spurious values. Non-finite coefficients raise
     :class:`DegenerateRunError` either way.
 
@@ -582,8 +559,6 @@ def run_dla(
         raise ValueError("starting values must have unit global norm")
     if ritz_iters is None:
         wanted = {m_iterations}
-    elif ritz_iters == "all":
-        wanted = set(range(1, m_iterations + 1))
     else:
         wanted = set(int(j) for j in ritz_iters)
         if not all(1 <= j <= m_iterations for j in wanted):

@@ -15,8 +15,14 @@ per trial, seeded from the trial's seed, and draws each trial's links from
 the trial's own generator, so each trial's link failures do not depend on
 the blocking.
 The runners read only estimates, so their DPM/DLA runs keep no error trace.
-eig-converge and multi-eig score every node, so their DLA runs extract
-every node's Ritz values, block by block.
+
+ac-compare, eig-converge and multi-eig share one trial loop,
+``_convergence_report``. It holds one block at a time: per block it draws
+the signal-present samples and their exact spectrum, and adds each row's
+per-trial squared errors in trial order. Each runner supplies only the
+block's estimates, row by row, so ac-compare, too, no longer holds every
+block's samples at once. eig-converge and multi-eig score every node, so
+their DLA runs extract every node's Ritz values, block by block.
 
 roc runs in two stages. Stage 1 runs the blocks and keeps only per-trial
 rows: the exact spectra, the power-method values, the centralized Lanczos
@@ -205,55 +211,59 @@ def _add_mse(total: float, estimates: np.ndarray, truth: np.ndarray) -> float:
     return total
 
 
+def _convergence_report(cfg: ExperimentConfig, estimates) -> ExperimentReport:
+    """The MSE rows of a convergence experiment, over every trial of the run.
+
+    For each block, ``estimates(weights, block, y)`` yields one triple per
+    row: the row's label fields, the 1-based index of the eigenvalue the row
+    estimates, and the block's (B, K) estimates of it. Each row's MSE is
+    taken against that eigenvalue of each trial's sample covariance; rows
+    come out in the order the first block yields them.
+    """
+    weights, topo = _topology(cfg)
+    seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
+    totals: dict[tuple, float] = {}
+    for block in _blocks(seeds):
+        y = _h1_block(cfg, block)
+        truth = covariance_eigenvalues(y)
+        for label, index, est in estimates(weights, block, y):
+            key = tuple(label.items())
+            totals[key] = _add_mse(totals.get(key, 0.0), est, truth[:, index - 1])
+    rows = [
+        _base_row(cfg, **dict(key), mse=total / cfg.trials)
+        for key, total in totals.items()
+    ]
+    return ExperimentReport(
+        config=cfg,
+        rows=rows,
+        schema="convergence",
+        trial_seeds=seeds,
+        topology_text=topo,
+    )
+
+
 def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
     """Largest-eigenvalue MSE of the DPM under different consensus engines.
 
     All engines and averaging times see the same per-trial sample matrices
     and starting values; the exact-consensus run provides the floor.
     """
-    weights, topo = _topology(cfg)
-    m = cfg.m_max
-    seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    blocks = []
-    for block in _blocks(seeds):
-        y = _h1_block(cfg, block)
-        lam1 = covariance_eigenvalues(y)[:, 0]
-        blocks.append((block, y, _dpm_starts(cfg.k, block), lam1))
 
-    def dpm_mse(make_ac) -> float:
-        total = 0.0
-        for block, y, v0, lam1 in blocks:
-            res = run_dpm(y, make_ac(block), m, v0)
-            total = _add_mse(total, res.lambda1, lam1)
-        return total / cfg.trials
+    def estimates(weights, block, y):
+        v0 = _dpm_starts(cfg.k, block)
 
-    rows = [
-        _base_row(
-            cfg,
-            engine="ideal",
-            algorithm="dpm",
-            I=0,
-            mse=dpm_mse(lambda block: AcConfig("ideal", 0, weights=weights)),
-        )
-    ]
-    for token in cfg.engines:
-        for i_iters in cfg.ac_iters:
-            mse = dpm_mse(
-                lambda block, tok=token, ii=i_iters: _make_ac(
-                    tok, ii, cfg, weights, block, 0xF0 + ii
-                )
-            )
-            rows.append(
-                _base_row(cfg, engine=token, algorithm="dpm", I=i_iters, mse=mse)
-            )
-    return ExperimentReport(
-        config=cfg,
-        rows=rows,
-        schema="convergence",
-        trial_seeds=seeds,
-        duration_s=0.0,
-        topology_text=topo,
-    )
+        def lambda1(ac):
+            return run_dpm(y, ac, cfg.m_max, v0).lambda1
+
+        ideal = AcConfig("ideal", 0, weights=weights)
+        yield {"engine": "ideal", "algorithm": "dpm", "I": 0}, 1, lambda1(ideal)
+        for token in cfg.engines:
+            for i_iters in cfg.ac_iters:
+                ac = _make_ac(token, i_iters, cfg, weights, block, 0xF0 + i_iters)
+                label = {"engine": token, "algorithm": "dpm", "I": i_iters}
+                yield label, 1, lambda1(ac)
+
+    return _convergence_report(cfg, estimates)
 
 
 def _dla_lambda(filtered: np.ndarray, index: int) -> np.ndarray:
@@ -268,68 +278,56 @@ def _dla_lambda(filtered: np.ndarray, index: int) -> np.ndarray:
     return np.where(np.isnan(est), 0.0, est)
 
 
+def _dla_rows(cfg: ExperimentConfig, y, ac, indices, **label):
+    """One DLA run's rows: each index's estimate at each checkpoint M.
+
+    Rows run by index, then M, and skip an index above its M.
+    """
+    checkpoints = sorted(set(cfg.m))
+    stacks = run_dla(
+        y,
+        ac,
+        cfg.m_max,
+        default_dla_start(cfg.k),
+        ritz_iters=checkpoints,
+        spurious_tol_rel=cfg.spurious_tol,
+    ).eigenvalue_stacks
+    for index in indices:
+        for j in checkpoints:
+            if index <= j:
+                row = {**label, "M": j, "eig_index": index}
+                yield row, index, _dla_lambda(stacks[j], index)
+
+
 def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
     """Largest-eigenvalue MSE against the iteration count, per algorithm.
 
     The run always executes max(M) algorithm iterations; estimates are
     recorded at every iteration count listed in M.
     """
-    weights, topo = _topology(cfg)
-    m = cfg.m_max
-    seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
     checkpoints = tuple(sorted(set(cfg.m)))
-    acc: dict[tuple[str, int, int], float] = {}
-    for block in _blocks(seeds):
-        y = _h1_block(cfg, block)
-        lam1 = covariance_eigenvalues(y)[:, 0]
+    i_grid = sorted(cfg.ac_iters)
+
+    def estimates(weights, block, y):
         v0 = _dpm_starts(cfg.k, block)
-        v1 = default_dla_start(cfg.k)
 
-        def add(key, estimates):
-            acc[key] = _add_mse(acc.get(key, 0.0), estimates, lam1)
-
-        def dpm(algorithm, i_iters, ac):
-            lams = run_dpm(y, ac, m, v0, checkpoints=checkpoints).checkpoints
-            for j, lam in lams.items():
-                add((algorithm, i_iters, j), lam)
-
-        def dla(algorithm, i_iters, ac):
-            stacks = run_dla(
-                y, ac, m, v1, ritz_iters=checkpoints, spurious_tol_rel=cfg.spurious_tol
-            ).eigenvalue_stacks
+        def dpm_rows(ac, **label):
+            lams = run_dpm(y, ac, cfg.m_max, v0, checkpoints=checkpoints).checkpoints
             for j in checkpoints:
-                add((algorithm, i_iters, j), _dla_lambda(stacks[j], 1))
+                yield {**label, "M": j}, 1, lams[j]
 
-        def engines(i_iters, tag):
-            return _make_ac(cfg.engine, i_iters, cfg, weights, block, tag)
-
+        for i_iters in i_grid:
+            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xE0 + i_iters)
+            yield from _dla_rows(cfg, y, ac, [1], algorithm="dla", I=i_iters)
+        for i_iters in i_grid:
+            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xD0 + i_iters)
+            yield from dpm_rows(ac, algorithm="dpm", I=i_iters)
         ideal = AcConfig("ideal", 0, weights=weights)
-        dpm("pm-ideal", 0, ideal)
-        dla("la-ideal", 0, ideal)
-        for i_iters in cfg.ac_iters:
-            dpm("dpm", i_iters, engines(i_iters, 0xD0 + i_iters))
-            dla("dla", i_iters, engines(i_iters, 0xE0 + i_iters))
-    rows = []
-    for (algorithm, i_iters, j), total in sorted(acc.items()):
-        engine = "ideal" if algorithm.endswith("-ideal") else cfg.engine
-        rows.append(
-            _base_row(
-                cfg,
-                engine=engine,
-                algorithm=algorithm,
-                I=i_iters,
-                M=j,
-                mse=total / cfg.trials,
-            )
-        )
-    return ExperimentReport(
-        config=cfg,
-        rows=rows,
-        schema="convergence",
-        trial_seeds=seeds,
-        duration_s=0.0,
-        topology_text=topo,
-    )
+        ideal_label = {"engine": "ideal", "I": 0}
+        yield from _dla_rows(cfg, y, ideal, [1], algorithm="la-ideal", **ideal_label)
+        yield from dpm_rows(ideal, algorithm="pm-ideal", **ideal_label)
+
+    return _convergence_report(cfg, estimates)
 
 
 def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
@@ -338,50 +336,14 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
     As in the convergence experiment, M lists the iteration counts at which
     estimates are recorded; the run executes max(M) iterations.
     """
-    weights, topo = _topology(cfg)
-    m = cfg.m_max
-    seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    indices = [i for i in cfg.eig_indices if i <= m]
-    checkpoints = tuple(sorted(set(cfg.m)))
-    acc: dict[tuple[int, int, int], float] = {}
-    for block in _blocks(seeds):
-        y = _h1_block(cfg, block)
-        lam_true = covariance_eigenvalues(y)
-        v1 = default_dla_start(cfg.k)
-        for i_iters in cfg.ac_iters:
+    indices = sorted(cfg.eig_indices)
+
+    def estimates(weights, block, y):
+        for i_iters in sorted(cfg.ac_iters):
             ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xE0 + i_iters)
-            stacks = run_dla(
-                y, ac, m, v1,
-                ritz_iters=checkpoints,
-                spurious_tol_rel=cfg.spurious_tol,
-            ).eigenvalue_stacks
-            for j in checkpoints:
-                for idx in indices:
-                    if idx > j:
-                        continue
-                    est = _dla_lambda(stacks[j], idx)
-                    key = (i_iters, idx, j)
-                    acc[key] = _add_mse(acc.get(key, 0.0), est, lam_true[:, idx - 1])
-    rows = []
-    for (i_iters, idx, j), total in sorted(acc.items()):
-        rows.append(
-            _base_row(
-                cfg,
-                algorithm="dla",
-                I=i_iters,
-                M=j,
-                eig_index=idx,
-                mse=total / cfg.trials,
-            )
-        )
-    return ExperimentReport(
-        config=cfg,
-        rows=rows,
-        schema="convergence",
-        trial_seeds=seeds,
-        duration_s=0.0,
-        topology_text=topo,
-    )
+            yield from _dla_rows(cfg, y, ac, indices, algorithm="dla", I=i_iters)
+
+    return _convergence_report(cfg, estimates)
 
 
 def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
@@ -528,7 +490,6 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         rows=rows,
         schema="roc",
         trial_seeds=seeds,
-        duration_s=0.0,
         topology_text=topo,
     )
 
@@ -566,7 +527,6 @@ def run_audit_messages(cfg: ExperimentConfig) -> ExperimentReport:
         rows=rows,
         schema="audit",
         trial_seeds=[s],
-        duration_s=0.0,
         topology_text=topo,
     )
 
@@ -696,6 +656,5 @@ def run_prop_check(cfg: ExperimentConfig) -> ExperimentReport:
         rows=[],
         schema=None,
         trial_seeds=[s],
-        duration_s=0.0,
         extra=extra,
     )

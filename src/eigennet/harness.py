@@ -126,7 +126,7 @@ class ExperimentReport:
     rows: list[dict]
     schema: str | None
     trial_seeds: list[int]
-    duration_s: float
+    duration_s: float = 0.0  # set by :func:`run`
     extra: dict = field(default_factory=dict)
     topology_text: str | None = None
 
@@ -293,6 +293,16 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("report_node must be a valid node index")
     if not (0 < cfg.spurious_tol < math.inf):
         problems.append("spurious_tol must be positive and finite")
+    # a repeated entry would add its rows or MSE terms twice; repeats in M and
+    # alphas collapse harmlessly, and two sources may share one snr_db
+    for key, entries in (
+        ("I", cfg.ac_iters),
+        ("eig_indices", cfg.eig_indices),
+        ("engines", cfg.engines),
+        ("detectors", cfg.detectors),
+    ):
+        if len(set(entries)) < len(entries):
+            problems.append(f"{key} entries must not repeat")
     if problems:
         raise ConfigError("; ".join(problems))
 

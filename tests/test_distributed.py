@@ -357,7 +357,7 @@ class TestBatchedRitzExtraction:
         if case == "ideal":
             y = y[:, :2]  # rank 2 < M: every node breaks down early
             n = 2
-        res = run_dla(y, ac, m, ritz_iters="all", spurious_tol_rel=1e-3)
+        res = run_dla(y, ac, m, ritz_iters=range(1, m + 1), spurious_tol_rel=1e-3)
         if case == "ideal":
             assert np.all(res.sizes < m)
         else:
@@ -790,6 +790,7 @@ class TestTrialStack:
     """A stacked run's trial slices equal the lone runs of those trials."""
 
     K, N, M = 8, 5, 6
+    EVERY_M = range(1, M + 1)  # Ritz values at every iteration
 
     def block(self):
         """Noise-only and signal-present trials mixed in one block."""
@@ -901,10 +902,10 @@ class TestTrialStack:
         y = self.block()
         trials = len(y)
         make = self.engine_factory(kind)
-        stacked = run_dla(y, make(range(trials)), self.M, ritz_iters="all", trace=True)
+        stacked = run_dla(y, make(range(trials)), self.M, ritz_iters=self.EVERY_M, trace=True)
         assert stacked.sizes.shape == (trials, self.K)
         for t in range(trials):
-            alone = run_dla(y[t], make([t]), self.M, ritz_iters="all", trace=True)
+            alone = run_dla(y[t], make([t]), self.M, ritz_iters=self.EVERY_M, trace=True)
             self.assert_same_dla(stacked.trial(t), alone)
 
     def test_dla_breakdowns_at_different_sizes(self):
@@ -946,11 +947,11 @@ class TestTrialStack:
         make = self.engine_factory("failures")
         v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(len(y))])
         dpm = run_dpm(y, make([0]), self.M, v0, checkpoints=(2, 4), trace=True)
-        dla = run_dla(y, make([0]), self.M, ritz_iters="all", trace=True)
+        dla = run_dla(y, make([0]), self.M, ritz_iters=self.EVERY_M, trace=True)
         for t in range(len(y)):
             alone = run_dpm(y[t], make([0]), self.M, v0[t], checkpoints=(2, 4), trace=True)
             self.assert_same_dpm(dpm.trial(t), alone)
-            alone = run_dla(y[t], make([0]), self.M, ritz_iters="all", trace=True)
+            alone = run_dla(y[t], make([0]), self.M, ritz_iters=self.EVERY_M, trace=True)
             self.assert_same_dla(dla.trial(t), alone)
 
     def test_lanczos_breakdown_in_one_trial(self):
@@ -993,7 +994,7 @@ class TestTraceOption:
             y, ac, TestTraceOption.M, checkpoints=(2, 4), trace=trace
         ),
         "dla": lambda y, ac, trace: run_dla(
-            y, ac, TestTraceOption.M, ritz_iters="all", trace=trace
+            y, ac, TestTraceOption.M, ritz_iters=TestTrialStack.EVERY_M, trace=trace
         ),
     }
 

@@ -282,6 +282,29 @@ class TestCli:
         assert str(early.value) == str(late.value)
         assert str(early.value) == "25 calibration trials are too few for alpha=0.05 (need at least 200)"
 
+    @pytest.mark.parametrize(
+        "experiment, text",
+        [
+            ("eig-converge", "I = 10 10\n"),
+            ("multi-eig", "eig_indices = 1 1\n"),
+            ("roc", "detectors = GT GT\nalphas = 0.5\n"),
+            ("ac-compare", "I = 10 10\n"),
+            ("ac-compare", "engines = standard chebyshev standard\n"),
+        ],
+    )
+    def test_repeated_list_entries_exit_one(self, experiment, text, tmp_path, capsys):
+        # each repeat would count its rows or MSE terms twice
+        cfg = self.write_config(tmp_path, "K = 6\nN = 4\nM = 2\ntrials = 20\n" + text)
+        out = tmp_path / "o"
+        assert cli_main([experiment, "--config", cfg, "--out", str(out)]) == 1
+        key = text.split(" =")[0]
+        assert f"{key} entries must not repeat" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeats_that_change_no_row_are_accepted(self):
+        cfg = validate_config("M = 5 5\nalphas = 0.1 0.1\nP = 2\nsnr_db = 5 5\n", "roc")
+        assert (cfg.m, cfg.alphas, cfg.snr_db) == ((5, 5), (0.1, 0.1), (5.0, 5.0))
+
     def test_cli_overrides(self, tmp_path):
         cfg = self.write_config(
             tmp_path, "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 2\nradius = 0.9\nseed = 1\n"
