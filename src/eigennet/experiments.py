@@ -16,25 +16,27 @@ the trial's own generator, so each trial's link failures do not depend on
 the blocking.
 The runners read only estimates, so their DPM/DLA runs keep no error trace.
 
-ac-compare, eig-converge and multi-eig share one trial loop,
-``_convergence_report``. It holds one block at a time: per block it draws
-the signal-present samples and their exact spectrum, and adds each row's
-per-trial squared errors in trial order. Each runner supplies only the
-block's estimates, row by row, so ac-compare, too, no longer holds every
-block's samples at once. eig-converge and multi-eig score every node, so
-their DLA runs extract every node's Ritz values, block by block.
+Every Monte-Carlo runner builds one trial table, ``_trial_table``. Stage 1
+is a module-level function of (cfg, weights, hypothesis, block seeds) that
+runs one block and yields per-trial values by key; the table keeps a copy
+of each, because a slice of a block's (B, M, K) history would keep all of
+it alive, and concatenates each key's values in trial order. Stage 2
+reduces the table once per run. Each trial's values depend on that trial
+alone, so the blocking changes no output.
 
-roc runs in two stages. Stage 1 runs the blocks and keeps only per-trial
-rows: the exact spectra, the power-method values, the centralized Lanczos
-coefficients and sizes, the report node's DLA coefficients and sizes, the
-report node's DPM checkpoints and both traces. Each is kept as a copy,
-because a slice of a block's (B, M, K) history would keep all of it alive.
-Stage 2 runs once, after both hypotheses: one Ritz extraction over every
-centralized row and every report-node DLA row, then one statistic call per
-(detector, pipeline) over all 2 x ``trials`` rows, noise-only trials first.
-Each row's results depend on that row alone, so the stages change no output
-either; they save the fixed cost of per-block extraction and statistic
-calls.
+- ac-compare, eig-converge and multi-eig share ``_convergence_block``: it
+  draws the signal-present samples and their exact spectrum, and yields
+  each row's per-trial MSE over nodes, taken from the (B, K) estimates of
+  the runner's row function. Stage 2 sums each row's errors in trial order.
+  eig-converge and multi-eig score every node, so their DLA runs extract
+  every node's Ritz values, block by block.
+- roc's ``_roc_block`` yields the exact spectra, the power-method values,
+  the centralized Lanczos coefficients and sizes, the report node's DLA
+  coefficients, sizes and DPM checkpoints, and both traces, for both
+  hypotheses' blocks, noise-only first. Stage 2 runs one Ritz extraction
+  over every centralized and report-node DLA row, then one statistic call
+  per (detector, pipeline) over all 2 x ``trials`` rows, which saves the
+  fixed cost of per-block extraction and statistic calls.
 
 The block is bounded because a block's working set (samples, covariances,
 consensus outputs and Lanczos histories, and the Ritz stacks of every node
@@ -186,60 +188,83 @@ def _base_row(cfg: ExperimentConfig, **overrides) -> dict:
     return row
 
 
-def _blocks(seeds: list[int]) -> list[list[int]]:
-    """Consecutive blocks of at most ``TRIAL_BLOCK`` trial seeds."""
-    return [seeds[i : i + TRIAL_BLOCK] for i in range(0, len(seeds), TRIAL_BLOCK)]
+def _blocks(hypothesis: int, seeds: list[int]) -> list[tuple[int, list[int]]]:
+    """Consecutive blocks of at most ``TRIAL_BLOCK`` seeds, each with its hypothesis."""
+    starts = range(0, len(seeds), TRIAL_BLOCK)
+    return [(hypothesis, seeds[i : i + TRIAL_BLOCK]) for i in starts]
 
 
-def _h1_block(cfg: ExperimentConfig, seeds: list[int]) -> np.ndarray:
-    """The (B, K, N) signal-present samples of one block, one seed per trial."""
-    return np.stack([gen_h1(_signal_cfg(cfg, s, hypothesis=1))[0] for s in seeds])
+def _draw(cfg: ExperimentConfig, hypothesis: int, seeds: list[int]) -> np.ndarray:
+    """The (B, K, N) samples of one block under ``hypothesis``, one seed per trial."""
+    sigs = [_signal_cfg(cfg, s, hypothesis) for s in seeds]
+    return np.stack([gen_h0(sig) if hypothesis == 0 else gen_h1(sig)[0] for sig in sigs])
 
 
 def _dpm_starts(k: int, seeds: list[int]) -> np.ndarray:
     return np.stack([default_dpm_start(k, seed=_sub_seed(s, 0xA5)) for s in seeds])
 
 
-def _add_mse(total: float, estimates: np.ndarray, truth: np.ndarray) -> float:
-    """Add each trial's mean squared error over its nodes, trial by trial.
+def _trial_table(cfg: ExperimentConfig, weights, blocks, stage1, *args) -> dict:
+    """Stage 1 over every block in order: each key's values over all trials.
 
-    ``estimates`` is (B, K) and ``truth`` (B,); the sum runs in trial order,
-    so blocking the trials does not change it.
+    ``stage1(cfg, weights, hypothesis, seeds, *args)`` runs one
+    ``(hypothesis, seeds)`` block of ``blocks`` and yields ``(key, values)``
+    pairs, one row of ``values`` per trial. Keys come out in the order the
+    first block yields them.
     """
-    for err in np.mean((estimates - truth[:, None]) ** 2, axis=1).tolist():
-        total += err
-    return total
+    parts: dict = {}
+    for hypothesis, seeds in blocks:
+        for key, values in stage1(cfg, weights, hypothesis, seeds, *args):
+            # a copy: a slice of a block's (B, M, K) history keeps all of it alive
+            parts.setdefault(key, []).append(np.array(values))
+    return {key: np.concatenate(p) for key, p in parts.items()}
 
 
-def _convergence_report(cfg: ExperimentConfig, estimates) -> ExperimentReport:
+def _convergence_block(cfg: ExperimentConfig, weights, hypothesis, seeds, rows):
+    """Stage 1 of a convergence experiment: each row's per-trial MSE over nodes.
+
+    ``rows(cfg, weights, seeds, y)`` yields one triple per row: the row's
+    label fields, the 1-based index of the eigenvalue the row estimates, and
+    the block's (B, K) estimates of it, which are scored against that
+    eigenvalue of each trial's sample covariance.
+    """
+    y = _draw(cfg, hypothesis, seeds)
+    truth = covariance_eigenvalues(y)
+    for label, index, est in rows(cfg, weights, seeds, y):
+        yield tuple(label.items()), np.mean((est - truth[:, index - 1, None]) ** 2, axis=1)
+
+
+def _convergence_report(cfg: ExperimentConfig, rows) -> ExperimentReport:
     """The MSE rows of a convergence experiment, over every trial of the run.
 
-    For each block, ``estimates(weights, block, y)`` yields one triple per
-    row: the row's label fields, the 1-based index of the eigenvalue the row
-    estimates, and the block's (B, K) estimates of it. Each row's MSE is
-    taken against that eigenvalue of each trial's sample covariance; rows
-    come out in the order the first block yields them.
+    Rows come out in the order ``rows`` (see ``_convergence_block``) yields them.
     """
     weights, topo = _topology(cfg)
     seeds = [trial_seed(cfg.seed, t) for t in range(cfg.trials)]
-    totals: dict[tuple, float] = {}
-    for block in _blocks(seeds):
-        y = _h1_block(cfg, block)
-        truth = covariance_eigenvalues(y)
-        for label, index, est in estimates(weights, block, y):
-            key = tuple(label.items())
-            totals[key] = _add_mse(totals.get(key, 0.0), est, truth[:, index - 1])
-    rows = [
-        _base_row(cfg, **dict(key), mse=total / cfg.trials)
-        for key, total in totals.items()
-    ]
+    table = _trial_table(cfg, weights, _blocks(1, seeds), _convergence_block, rows)
+    out = []
+    for key, errors in table.items():
+        total = 0.0
+        for err in errors.tolist():  # in trial order: np.sum adds pairwise
+            total += err
+        out.append(_base_row(cfg, **dict(key), mse=total / cfg.trials))
     return ExperimentReport(
         config=cfg,
-        rows=rows,
+        rows=out,
         schema="convergence",
         trial_seeds=seeds,
         topology_text=topo,
     )
+
+
+def _ac_compare_rows(cfg: ExperimentConfig, weights, seeds, y):
+    """The exact-consensus DPM, then each engine at each averaging time."""
+    v0 = _dpm_starts(cfg.k, seeds)
+    runs = [("ideal", 0)] + [(token, i) for token in cfg.engines for i in cfg.ac_iters]
+    for token, i_iters in runs:
+        ac = _make_ac(token, i_iters, cfg, weights, seeds, 0xF0 + i_iters)
+        label = {"engine": token, "algorithm": "dpm", "I": i_iters}
+        yield label, 1, run_dpm(y, ac, cfg.m_max, v0).lambda1
 
 
 def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
@@ -248,22 +273,7 @@ def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
     All engines and averaging times see the same per-trial sample matrices
     and starting values; the exact-consensus run provides the floor.
     """
-
-    def estimates(weights, block, y):
-        v0 = _dpm_starts(cfg.k, block)
-
-        def lambda1(ac):
-            return run_dpm(y, ac, cfg.m_max, v0).lambda1
-
-        ideal = AcConfig("ideal", 0, weights=weights)
-        yield {"engine": "ideal", "algorithm": "dpm", "I": 0}, 1, lambda1(ideal)
-        for token in cfg.engines:
-            for i_iters in cfg.ac_iters:
-                ac = _make_ac(token, i_iters, cfg, weights, block, 0xF0 + i_iters)
-                label = {"engine": token, "algorithm": "dpm", "I": i_iters}
-                yield label, 1, lambda1(ac)
-
-    return _convergence_report(cfg, estimates)
+    return _convergence_report(cfg, _ac_compare_rows)
 
 
 def _dla_lambda(filtered: np.ndarray, index: int) -> np.ndarray:
@@ -299,35 +309,43 @@ def _dla_rows(cfg: ExperimentConfig, y, ac, indices, **label):
                 yield row, index, _dla_lambda(stacks[j], index)
 
 
+def _dpm_rows(cfg: ExperimentConfig, y, ac, v0, **label):
+    """One DPM run's rows: the largest eigenvalue's estimate at each checkpoint M."""
+    checkpoints = tuple(sorted(set(cfg.m)))
+    lams = run_dpm(y, ac, cfg.m_max, v0, checkpoints=checkpoints).checkpoints
+    for j in checkpoints:
+        yield {**label, "M": j}, 1, lams[j]
+
+
+def _eig_converge_rows(cfg: ExperimentConfig, weights, seeds, y):
+    """DLA, then DPM, at each averaging time; then both under exact consensus."""
+    v0 = _dpm_starts(cfg.k, seeds)
+    i_grid = sorted(cfg.ac_iters)
+    for i_iters in i_grid:
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
+        yield from _dla_rows(cfg, y, ac, [1], algorithm="dla", I=i_iters)
+    for i_iters in i_grid:
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xD0 + i_iters)
+        yield from _dpm_rows(cfg, y, ac, v0, algorithm="dpm", I=i_iters)
+    ideal = AcConfig("ideal", 0, weights=weights)
+    yield from _dla_rows(cfg, y, ideal, [1], engine="ideal", algorithm="la-ideal", I=0)
+    yield from _dpm_rows(cfg, y, ideal, v0, engine="ideal", algorithm="pm-ideal", I=0)
+
+
 def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
     """Largest-eigenvalue MSE against the iteration count, per algorithm.
 
     The run always executes max(M) algorithm iterations; estimates are
     recorded at every iteration count listed in M.
     """
-    checkpoints = tuple(sorted(set(cfg.m)))
-    i_grid = sorted(cfg.ac_iters)
+    return _convergence_report(cfg, _eig_converge_rows)
 
-    def estimates(weights, block, y):
-        v0 = _dpm_starts(cfg.k, block)
 
-        def dpm_rows(ac, **label):
-            lams = run_dpm(y, ac, cfg.m_max, v0, checkpoints=checkpoints).checkpoints
-            for j in checkpoints:
-                yield {**label, "M": j}, 1, lams[j]
-
-        for i_iters in i_grid:
-            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xE0 + i_iters)
-            yield from _dla_rows(cfg, y, ac, [1], algorithm="dla", I=i_iters)
-        for i_iters in i_grid:
-            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xD0 + i_iters)
-            yield from dpm_rows(ac, algorithm="dpm", I=i_iters)
-        ideal = AcConfig("ideal", 0, weights=weights)
-        ideal_label = {"engine": "ideal", "I": 0}
-        yield from _dla_rows(cfg, y, ideal, [1], algorithm="la-ideal", **ideal_label)
-        yield from dpm_rows(ideal, algorithm="pm-ideal", **ideal_label)
-
-    return _convergence_report(cfg, estimates)
+def _multi_eig_rows(cfg: ExperimentConfig, weights, seeds, y):
+    """One DLA run per averaging time, every configured index scored."""
+    for i_iters in sorted(cfg.ac_iters):
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
+        yield from _dla_rows(cfg, y, ac, sorted(cfg.eig_indices), algorithm="dla", I=i_iters)
 
 
 def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
@@ -336,14 +354,50 @@ def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:
     As in the convergence experiment, M lists the iteration counts at which
     estimates are recorded; the run executes max(M) iterations.
     """
-    indices = sorted(cfg.eig_indices)
+    return _convergence_report(cfg, _multi_eig_rows)
 
-    def estimates(weights, block, y):
-        for i_iters in sorted(cfg.ac_iters):
-            ac = _make_ac(cfg.engine, i_iters, cfg, weights, block, 0xE0 + i_iters)
-            yield from _dla_rows(cfg, y, ac, indices, algorithm="dla", I=i_iters)
 
-    return _convergence_report(cfg, estimates)
+def _roc_central(y: np.ndarray, v0: np.ndarray, v1: np.ndarray, m_grid: list[int]):
+    """The exact and centralized rows of one roc block, and the exact traces.
+
+    A generator of its own, so the block's covariance stack is freed before
+    the decentralized runs.
+    """
+    r = sample_covariance(y)
+    yield "exact", covariance_eigenvalues(y)
+    yield from zip(("la-alpha", "la-beta", "la-sizes"), _lanczos_stack(r, v1, m_grid[-1]))
+    # one power method to max(M), each checkpoint continuing the last
+    v, done = v0, 0
+    for m in m_grid:
+        results = power_method(r, v, m - done)
+        yield f"pm-m{m}", [[p.value] for p in results]
+        v, done = np.stack([p.vector for p in results]), m
+    yield "exact-trace", np.real(np.trace(r, axis1=1, axis2=2))
+
+
+def _roc_block(cfg: ExperimentConfig, weights, hypothesis: int, seeds: list[int]):
+    """Stage 1 of roc: one block's per-trial rows, decentralized ones at the report node."""
+    m_grid = sorted(set(cfg.m))
+    node = cfg.report_node
+    y = _draw(cfg, hypothesis, seeds)
+    v0 = _dpm_starts(cfg.k, seeds)
+    v1 = default_dla_start(cfg.k)
+    yield from _roc_central(y, v0, v1, m_grid)
+    i_iters = cfg.ac_iters[0]
+    ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xD0)
+    dpm_lam = run_dpm(y, ac, m_grid[-1], v0, checkpoints=tuple(m_grid)).checkpoints
+    for m in m_grid:
+        yield f"dpm-m{m}", dpm_lam[m][:, node, None]
+    # only the report node's matrices are solved; run_dla still checks every
+    # node's coefficients
+    ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0)
+    dla = run_dla(y, ac, m_grid[-1], v1, ritz_iters=())
+    yield "dla-alpha", dla.alpha_hist[:, :, node]
+    yield "dla-beta", dla.beta_hist[:, :, node]
+    yield "dla-sizes", dla.sizes[:, node]
+    if any(d != "RT" for d in cfg.detectors):
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xF2)
+        yield "dla-trace", trace_consensus(y, ac)[:, node]
 
 
 def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
@@ -363,114 +417,42 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     for a in cfg.alphas:
         _check_calibration_size(cfg.trials, a)
     m_grid = sorted(set(cfg.m))
-    m_max = m_grid[-1]
-    node = cfg.report_node
-    i_iters = cfg.ac_iters[0]
-    seeds = [trial_seed(cfg.seed, t) for t in range(2 * cfg.trials)]
-    pipelines = ["exact"]
-    for m in m_grid:
-        pipelines += [f"pm-m{m}", f"la-m{m}", f"dpm-m{m}", f"dla-m{m}"]
-    ratio_kinds = [d for d in cfg.detectors if d != "RT"]
-    if ratio_kinds:
-        # exact-trace variants: the partial-spectrum sum is replaced by the
-        # covariance trace (a scalar consensus for the decentralized one)
-        pipelines += [f"la-m{m}-tr" for m in m_grid]
-        pipelines += [f"dla-m{m}-tr" for m in m_grid]
-
-    def applicable(detector: str, pipeline: str) -> bool:
-        if pipeline.endswith("-tr"):
-            return detector != "RT"
-        if detector == "RT":
-            return True
-        return pipeline == "exact" or pipeline.startswith(("la-", "dla-"))
-
-    def engines(block: list[int], tag: int):
-        return _make_ac(cfg.engine, i_iters, cfg, weights, block, tag)
-
-    # stage 1's per-trial rows, one array per block, the H0 blocks first
-    kept: dict[str, list[np.ndarray]] = {}
-
-    def keep(name: str, rows) -> None:
-        # a copy: a slice of a block's (B, M, K) history keeps all of it alive
-        kept.setdefault(name, []).append(np.array(rows))
-
-    def keep_central(y: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> None:
-        """Keep the exact and centralized rows, and the exact traces.
-
-        A function of its own, so the block's covariance stack is freed
-        before the decentralized runs.
-        """
-        r = sample_covariance(y)
-        keep("exact", covariance_eigenvalues(y))
-        coefficients = _lanczos_stack(r, v1, m_max)
-        for name, x in zip(("la-alpha", "la-beta", "la-sizes"), coefficients):
-            keep(name, x)
-        # one power method to max(M), each checkpoint continuing the last
-        v, done = v0, 0
-        for m in m_grid:
-            results = power_method(r, v, m - done)
-            keep(f"pm-m{m}", [[p.value] for p in results])
-            v, done = np.stack([p.vector for p in results]), m
-        keep("exact-trace", np.real(np.trace(r, axis1=1, axis2=2)))
-
-    def add_block(hyp: int, block: list[int]) -> None:
-        """Stage 1: run one block and keep its per-trial rows.
-
-        A function of its own, so the block's runs are freed before the
-        next block's start.
-        """
-        sigs = [_signal_cfg(cfg, s, hypothesis=hyp) for s in block]
-        y = np.stack([gen_h0(sig) if hyp == 0 else gen_h1(sig)[0] for sig in sigs])
-        v0 = _dpm_starts(cfg.k, block)
-        v1 = default_dla_start(cfg.k)
-        keep_central(y, v0, v1)
-        dpm_lam = run_dpm(
-            y, engines(block, 0xD0), m_max, v0, checkpoints=tuple(m_grid)
-        ).checkpoints
-        for m in m_grid:
-            keep(f"dpm-m{m}", dpm_lam[m][:, node, None])
-        # only the report node's matrices are solved; run_dla still checks
-        # every node's coefficients
-        dla = run_dla(y, engines(block, 0xE0), m_max, v1, ritz_iters=())
-        keep("dla-alpha", dla.alpha_hist[:, :, node])
-        keep("dla-beta", dla.beta_hist[:, :, node])
-        keep("dla-sizes", dla.sizes[:, node])
-        if ratio_kinds:
-            keep("dla-trace", trace_consensus(y, engines(block, 0xF2))[:, node])
-
-    for hyp in (0, 1):
-        for block in _blocks(seeds[hyp * cfg.trials : (hyp + 1) * cfg.trials]):
-            add_block(hyp, block)
-    # stage 2: every row of the run at once, H0 trials first; each row's
-    # results depend on that row alone
-    rows_of = {name: np.concatenate(parts) for name, parts in kept.items()}
     total = 2 * cfg.trials
-    # the centralized Lanczos rows, then the report node's DLA rows
+    seeds = [trial_seed(cfg.seed, t) for t in range(total)]
+    blocks = _blocks(0, seeds[: cfg.trials]) + _blocks(1, seeds[cfg.trials :])
+    table = _trial_table(cfg, weights, blocks, _roc_block)
+    # stage 2: every row of the run at once, H0 trials first; each row's
+    # results depend on that row alone. One Ritz extraction covers the
+    # centralized Lanczos rows, then the report node's DLA rows.
     coefficients = (
-        np.concatenate((rows_of[f"la-{x}"], rows_of[f"dla-{x}"]))
+        np.concatenate((table[f"la-{x}"], table[f"dla-{x}"]))
         for x in ("alpha", "beta", "sizes")
     )
     _, ritz = _extract_ritz(*coefficients, m_grid, cfg.k, cfg.n, cfg.spurious_tol)
-    lists = {"exact": rows_of["exact"]}
-    traces: dict[str, np.ndarray] = {}
+    la = {m: ritz[m][:total] for m in m_grid}
+    dla = {m: ritz[m][total:] for m in m_grid}
+    # (pipeline, eigenvalue lists, trace, the detectors that read it); the
+    # ratio detectors also read exact-trace variants, whose partial-spectrum
+    # sum is replaced by the covariance trace (a scalar consensus for the
+    # decentralized one)
+    every, ratios = set(cfg.detectors), set(cfg.detectors) - {"RT"}
+    scored = [("exact", table["exact"], None, every)]
     for m in m_grid:
-        lists[f"pm-m{m}"] = rows_of[f"pm-m{m}"]
-        lists[f"la-m{m}"] = ritz[m][:total]
-        lists[f"dpm-m{m}"] = rows_of[f"dpm-m{m}"]
-        lists[f"dla-m{m}"] = ritz[m][total:]
-        if ratio_kinds:
-            lists[f"la-m{m}-tr"] = lists[f"la-m{m}"]
-            traces[f"la-m{m}-tr"] = rows_of["exact-trace"]
-            lists[f"dla-m{m}-tr"] = lists[f"dla-m{m}"]
-            traces[f"dla-m{m}-tr"] = rows_of["dla-trace"]
+        scored += [
+            (f"pm-m{m}", table[f"pm-m{m}"], None, {"RT"}),
+            (f"la-m{m}", la[m], None, every),
+            (f"dpm-m{m}", table[f"dpm-m{m}"], None, {"RT"}),
+            (f"dla-m{m}", dla[m], None, every),
+        ]
+    if ratios:
+        for name, lists, trace in (("la", la, "exact-trace"), ("dla", dla, "dla-trace")):
+            scored += [(f"{name}-m{m}-tr", lists[m], table[trace], ratios) for m in m_grid]
     rows = []
     for detector in cfg.detectors:
-        for pipeline in pipelines:
-            if not applicable(detector, pipeline):
+        for pipeline, lists, trace, readers in scored:
+            if detector not in readers:
                 continue
-            stat = compute_statistic(
-                detector, lists[pipeline], cfg.sigma2, trace=traces.get(pipeline)
-            ).value
+            stat = compute_statistic(detector, lists, cfg.sigma2, trace=trace).value
             h0, h1 = stat[: cfg.trials], stat[cfg.trials :]
             grid = sorted(
                 {threshold_from_h0(h0, a) for a in cfg.alphas} | {-np.inf, np.inf}

@@ -289,6 +289,13 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("alphas must lie in (0, 1)")
     if any(i < 1 for i in cfg.eig_indices):
         problems.append("eig_indices must be positive")
+    # multi-eig writes no row for an index above max(M), and scores a zero
+    # estimate as exact for an index above the covariance's rank min(K, N)
+    if cfg.experiment == "multi-eig" and cfg.m and cfg.eig_indices:
+        if max(cfg.eig_indices) > max(cfg.m):
+            problems.append("eig_indices cannot exceed max(M) for multi-eig")
+        if max(cfg.eig_indices) > min(cfg.k, cfg.n):
+            problems.append("eig_indices cannot exceed min(K, N) for multi-eig")
     if not (0 <= cfg.report_node < cfg.k):
         problems.append("report_node must be a valid node index")
     if not (0 < cfg.spurious_tol < math.inf):

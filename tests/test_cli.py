@@ -378,3 +378,31 @@ def test_bad_graph_file_is_a_config_error(k, edges, problem, names_file, tmp_pat
     assert problem in lines[0]
     assert (str(graph_file) in lines[0]) == names_file
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        # no checkpoint reaches index 9: the run wrote rows for 1 and 3 only
+        ("K = 12\nN = 10\nM = 4\neig_indices = 1 3 9\n", "exceed max(M)"),
+        # lambda_4 of a rank-2 covariance is exactly 0, and so is the
+        # zero-filled estimate: the row read MSE 0.0, as if exact
+        ("K = 6\nN = 2\nM = 5\neig_indices = 1 4\n", "exceed min(K, N)"),
+    ],
+    ids=["above-max-M", "above-rank"],
+)
+def test_multi_eig_index_without_an_estimate_is_a_config_error(
+    text, problem, tmp_path, capsys
+):
+    # both used to exit 0
+    config = tmp_path / "multi_eig.cfg"
+    config.write_text(text + "I = 3\ntrials = 1\n")
+    argv = ["multi-eig", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert cli_main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"config error: eig_indices cannot {problem} for multi-eig"]
+    assert not (tmp_path / "out").exists()
+    # the other experiments read no eig_indices, and its default (1 3 5 9)
+    # applies to them all, so the same config runs as eig-converge
+    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "other")]
+    assert cli_main(argv) == 0

@@ -1,11 +1,13 @@
-"""Row order and values of the convergence experiments on unshipped shapes.
+"""Row order and values of the Monte-Carlo experiments on unshipped shapes.
 
 The configs list ``I``, ``M``, ``engines`` and ``eig_indices`` out of order,
 and 35 trials span two blocks of ``experiments.TRIAL_BLOCK``. ac-compare
 keeps the config order of ``engines`` and ``I``; eig-converge and multi-eig
-sort their labels.
+sort their labels. roc keeps the config order of ``detectors`` and runs
+every detector, so its ratio detectors read the exact-trace pipelines.
 """
 
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
@@ -23,10 +25,10 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TRIALS = 35
 
 
-def config(experiment, **keys):
-    """The shipped config with ``keys`` replaced, at ``TRIALS`` trials."""
+def config(experiment, trials=TRIALS, **keys):
+    """The shipped config with ``keys`` replaced, at ``trials`` trials."""
     raw = parse_config_text((CONFIGS / f"{experiment.replace('-', '_')}.cfg").read_text())
-    raw.update(keys, trials=str(TRIALS))
+    raw.update(keys, trials=str(trials))
     return validate_config(raw, experiment)
 
 
@@ -109,3 +111,24 @@ def test_multi_eig_sorts_by_i_then_index_then_m():
     ]
     assert row["mse"] == sum(errors) / TRIALS
 
+
+def test_roc_keeps_detector_order_then_pipeline_order():
+    # 50 trials per hypothesis, the fewest alpha 0.2 calibrates on, span two
+    # blocks each
+    cfg = config("roc", 50, detectors="JT RT ST GT", alphas="0.2 0.5", M="10 5")
+    report = experiments.run_roc(cfg)
+    ms = ("m5", "m10")
+    rt = ["exact"] + [f"{a}-{m}" for m in ms for a in ("pm", "la", "dpm", "dla")]
+    ratio = (
+        ["exact"]
+        + [f"{a}-{m}" for m in ms for a in ("la", "dla")]
+        + [f"la-{m}-tr" for m in ms]
+        + [f"dla-{m}-tr" for m in ms]
+    )
+    expected = [
+        (detector, pipeline)
+        for detector in ("JT", "RT", "ST", "GT")
+        for pipeline in (rt if detector == "RT" else ratio)
+    ]
+    # each pair's rows are contiguous
+    assert [pair for pair, _ in groupby(labels(report, "detector", "pipeline"))] == expected

@@ -25,18 +25,18 @@ RUNNERS = {
 }
 
 
-def shipped(experiment, trials):
+def shipped(experiment, trials, **keys):
     text = (CONFIGS / f"{experiment.replace('-', '_')}.cfg").read_text()
-    return dataclasses.replace(validate_config(text, experiment), trials=trials)
+    return dataclasses.replace(validate_config(text, experiment), trials=trials, **keys)
 
 
-def rows(experiment, trials):
-    return RUNNERS[experiment](shipped(experiment, trials)).rows
+def rows(experiment, trials, **keys):
+    return RUNNERS[experiment](shipped(experiment, trials, **keys)).rows
 
 
 @lru_cache(maxsize=None)
-def default_rows(experiment, trials):
-    return rows(experiment, trials)
+def default_rows(experiment, trials, **keys):
+    return rows(experiment, trials, **keys)
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -44,6 +44,16 @@ def test_roc(block, monkeypatch):
     expected = default_rows("roc", 200)
     monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
     assert rows("roc", 200) == expected
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_roc_with_every_detector(block, monkeypatch):
+    # ST and JT also read the exact-trace pipelines and the DLA's trace
+    # consensus; alpha 0.2 calibrates on 50 noise-only trials
+    keys = {"detectors": ("JT", "RT", "ST", "GT"), "alphas": (0.2, 0.5)}
+    expected = default_rows("roc", 50, **keys)
+    monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
+    assert rows("roc", 50, **keys) == expected
 
 
 @pytest.mark.parametrize("experiment", ["eig-converge", "multi-eig"])
