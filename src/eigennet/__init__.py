@@ -31,7 +31,6 @@ from .distributed import (
     default_dpm_start,
     make_convergence_trace,
     matrix_error_for_drift,
-    predict_dla_w_error,
     predict_dpm_vector_error,
     predict_lambda1_error,
     run_dla,

@@ -21,10 +21,10 @@ whole stack in one ``run`` call: one stacked product on fixed weights, the
 per-column mean under ideal averaging, and under link failures one product
 per step, with each trial's surviving links drawn from that trial's own
 generator when the engine holds one per trial. Results carry the trial axis
-on every array and one :class:`MessageAudit` per trial, built on its first
-read, and ``trial(b)`` gives the result trial b would have had alone (on a
-fresh engine with trial b's generator), to the bit. Results, error traces
-and message counters share that one ``trial`` slicer. Past the
+on every array, their :class:`MessageAudit` included, and ``trial(b)`` gives
+the result trial b would have had alone (on a fresh engine with trial b's
+generator), to the bit. Results, error traces and message audits share that
+one ``trial`` slicer. Past the
 iteration loop, at each Ritz checkpoint the Ritz values of every node of
 every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
 stopped growing. Equal adjacent rows (every node of a trial under exact
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -69,22 +68,11 @@ __all__ = [
     "run_dla",
     "predict_dpm_vector_error",
     "predict_lambda1_error",
-    "predict_dla_w_error",
     "matrix_error_for_drift",
     "make_convergence_trace",
     "check_dpm_convergence_condition",
     "audit_messages",
 ]
-
-
-@dataclass(frozen=True)
-class MessageAudit:
-    """Consensus call counts and per-node information units for one run."""
-
-    ac_n_calls: int
-    ac_1_calls: int
-    units_per_node: dict[int, int]
-    time_periods: int
 
 
 class _Stacked:
@@ -115,11 +103,11 @@ def _trial_of(value, t: int):
 
 
 @dataclass(frozen=True, eq=False)
-class _MessageCounts(_Stacked):
-    """A run's consensus call counts and per-node units, (B, K) when stacked.
+class MessageAudit(_Stacked):
+    """Consensus call counts and per-node information units of a run.
 
-    Results keep these counters and build their :class:`MessageAudit` from
-    them on first read: the Monte-Carlo runners never read the audit.
+    ``units`` is (K,) for a lone run and (B, K) for a stacked one; every
+    trial of a block makes the same calls.
     """
 
     ac_n_calls: int
@@ -128,21 +116,20 @@ class _MessageCounts(_Stacked):
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, _MessageCounts)
+            isinstance(other, MessageAudit)
             and (self.ac_n_calls, self.ac_1_calls) == (other.ac_n_calls, other.ac_1_calls)
             and np.array_equal(self.units, other.units)
         )
 
-    def audit(self) -> MessageAudit | list[MessageAudit]:
-        """The audit of a lone run, or one audit per trial of a stacked run."""
-        if self.units.ndim > 1:
-            return [self.trial(t).audit() for t in range(len(self.units))]
-        return MessageAudit(
-            ac_n_calls=self.ac_n_calls,
-            ac_1_calls=self.ac_1_calls,
-            units_per_node={k: int(u) for k, u in enumerate(self.units.tolist())},
-            time_periods=self.ac_n_calls + self.ac_1_calls,
-        )
+    @property
+    def units_per_node(self) -> dict[int, int] | dict[int, list[int]]:
+        """Each node's units: an int for a lone run, a per-trial list when stacked."""
+        return dict(enumerate(self.units.T.tolist()))
+
+    @property
+    def time_periods(self) -> int:
+        """Consensus rounds run one after another, one time period each."""
+        return self.ac_n_calls + self.ac_1_calls
 
 
 @dataclass
@@ -205,15 +192,12 @@ class ConvergenceVerdict:
 
 @dataclass
 class DpmResult(_Stacked):
-    """A DPM run; a stacked run has a leading trial axis and one audit per trial.
-
-    ``audit`` is built from the run's message counters on its first read.
-    """
+    """A DPM run; a stacked run has a leading trial axis on every array."""
 
     lambda1: np.ndarray
     v_hist: np.ndarray
     trace: DpmErrorTrace | None
-    _messages: _MessageCounts = field(repr=False)
+    audit: MessageAudit
     checkpoints: dict[int, np.ndarray]
     m_iterations: int
     ac_iterations: int | None
@@ -221,20 +205,14 @@ class DpmResult(_Stacked):
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dpm"
 
-    @cached_property
-    def audit(self) -> MessageAudit | list[MessageAudit]:
-        return self._messages.audit()
-
 
 @dataclass
 class DlaResult(_Stacked):
-    """A DLA run; a stacked run has a leading trial axis and one audit per trial.
+    """A DLA run; a stacked run has a leading trial axis on every array.
 
     ``ritz_stacks`` and ``eigenvalue_stacks`` map each extracted iteration j
     to the NaN-padded (..., K, j) raw and filtered Ritz values; filtered rows
-    hold their kept values first. ``ritz_raw`` and ``eigenvalues`` give the
-    same values as one array per node (nested per trial for a stacked run).
-    ``audit`` is built from the run's message counters on its first read.
+    hold their kept values first.
     """
 
     alpha_hist: np.ndarray
@@ -247,25 +225,12 @@ class DlaResult(_Stacked):
     eigenvalue_stacks: dict[int, np.ndarray]
     clamped: np.ndarray
     trace: DlaErrorTrace | None
-    _messages: _MessageCounts = field(repr=False)
+    audit: MessageAudit
     m_iterations: int
     ac_iterations: int | None
     graph: Graph | None
     samples: np.ndarray = field(repr=False)
     algorithm: str = "dla"
-
-    @cached_property
-    def audit(self) -> MessageAudit | list[MessageAudit]:
-        return self._messages.audit()
-
-    @cached_property
-    def ritz_raw(self) -> dict[int, list]:
-        return {j: _unpad(s) for j, s in self.ritz_stacks.items()}
-
-    @cached_property
-    def eigenvalues(self) -> dict[int, list]:
-        return {j: _unpad(s) for j, s in self.eigenvalue_stacks.items()}
-
 
     def tridiagonal(self, k: int, size: int | None = None) -> TridiagonalMatrix:
         s = int(self.sizes[k]) if size is None else min(size, int(self.sizes[k]))
@@ -294,13 +259,6 @@ def _require_trace(trace):
             "the run kept no error trace; rerun it with trace=True"
         )
     return trace
-
-
-def _unpad(stack: np.ndarray):
-    """The values of each row of a NaN-padded stack, nested over leading axes."""
-    if stack.ndim == 1:
-        return stack[~np.isnan(stack)]
-    return [_unpad(row) for row in stack]
 
 
 def _trials(y: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -347,8 +305,8 @@ class _BlockConsensus:
         self.units += res.scalars_exchanged_per_node
         return res.z, (res.error if self.trace else None)
 
-    def counts(self) -> _MessageCounts:
-        return _MessageCounts(self.ac_n, self.ac_1, self.units)
+    def counts(self) -> MessageAudit:
+        return MessageAudit(self.ac_n, self.ac_1, self.units)
 
 
 def _squared_moduli(z: np.ndarray) -> np.ndarray:
@@ -441,20 +399,22 @@ def run_dpm(
     error_trace = None
     if trace:
         e_scalar = np.real(e_scalar)
-        e_num, e_den = _lambda1_error_terms(y, v, e_mat, e_scalar)
+        # the exact perturbations of the Rayleigh-quotient numerator and
+        # denominator
+        yhv = (np.swapaxes(y.conj(), -1, -2) @ v[..., None])[..., 0]
         error_trace = DpmErrorTrace(
             iteration_errors=iteration_errors,
             iteration_drift=drift,
             final_matrix_error=e_mat,
             final_scalar_error=e_scalar,
-            numerator_error=e_num,
-            denominator_error=e_den,
+            numerator_error=_quadratic_error(e_mat, yhv, k, n),
+            denominator_error=k * e_scalar,
         )
     result = DpmResult(
         lambda1=lam,
         v_hist=v_hist,
         trace=error_trace,
-        _messages=rounds.counts(),
+        audit=rounds.counts(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
         # optional engine attributes, which a synthetic engine lacks
@@ -463,16 +423,6 @@ def run_dpm(
         samples=y,
     )
     return result.trial(0) if single else result
-
-
-def _lambda1_error_terms(y, v, e_mat, e_scalar):
-    """Exact perturbations of the Rayleigh-quotient numerator and denominator.
-
-    Takes one trial, or stacks with a leading trial axis on every argument.
-    """
-    k, n = y.shape[-2:]
-    yhv = (np.swapaxes(y.conj(), -1, -2) @ v[..., None])[..., 0]
-    return _quadratic_error(e_mat, yhv, k, n), k * np.real(e_scalar)
 
 
 def _quadratic_error(e, yhv, k, n):
@@ -502,14 +452,14 @@ def predict_dpm_vector_error(
 def predict_lambda1_error(trace: DpmErrorTrace, y: np.ndarray, v_m: np.ndarray):
     """Closed-form eigenvalue-stage errors and the reconstructed estimates.
 
-    Returns (numerator_error, denominator_error, lambda1_reconstructed); the
-    reconstruction equals the simulated per-node estimates exactly because no
-    approximation enters the derivation.
+    Returns (numerator_error, denominator_error, lambda1_reconstructed): the
+    two error terms as the run's trace holds them, and the estimates rebuilt
+    from them and the final iterate ``v_m``. The reconstruction equals the
+    simulated per-node estimates exactly because no approximation enters the
+    derivation.
     """
     trace = _require_trace(trace)
-    e_num, e_den = _lambda1_error_terms(
-        y, v_m, trace.final_matrix_error, trace.final_scalar_error
-    )
+    e_num, e_den = trace.numerator_error, trace.denominator_error
     r = sample_covariance(y)
     quad = float(np.real(np.vdot(v_m, r @ v_m)))
     norm_sq = float(np.real(np.vdot(v_m, v_m)))
@@ -650,7 +600,7 @@ def run_dla(
         eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
         clamped=clamped,
         trace=error_trace,
-        _messages=rounds.counts(),
+        audit=rounds.counts(),
         m_iterations=m,
         # optional engine attributes, which a synthetic engine lacks
         ac_iterations=getattr(ac, "iterations", None),
@@ -721,31 +671,6 @@ def _dla_w_error_terms(y, e_mat, e_scalar, v, v_prev, w_norm_prev):
         * v_prev[has_prev]
     )
     return pred
-
-
-def predict_dla_w_error(
-    trace: DlaErrorTrace, y: np.ndarray, result: DlaResult, j: int
-) -> np.ndarray:
-    """Closed-form prediction of the iteration-j deviation of w.
-
-    Uses iteration j's width-N consensus error, the scalar-consensus error
-    behind the off-diagonal coefficient applied at iteration j, and the
-    simulated vectors of one trial's run. The residual against the measured
-    deviation is second order in the scalar error.
-    """
-    trace = _require_trace(trace)
-    if not (1 <= j <= result.m_iterations):
-        raise ValueError("iteration out of range")
-    at = slice(j - 1, j)
-    v = result.v_hist[None, : result.m_iterations]
-    return _dla_w_error_terms(
-        np.asarray(y, dtype=complex)[None],
-        [trace.iteration_matrix_errors[j - 1][None]],
-        trace.normalization_errors[None, at],
-        v[:, at],
-        _previous(v)[:, at],
-        _previous(result.w_norms[None])[:, at],
-    )[0, 0]
 
 
 def _row_keys(x: np.ndarray) -> np.ndarray:
@@ -911,10 +836,13 @@ def audit_messages(result) -> MessageAudit:
     scalar call, I (M N + N + 1) d(k) units at node k, and M+2 time periods;
     the Lanczos variant M and M calls, I (M N + M) d(k) units, and 2M
     periods. Raises :class:`AuditMismatch` naming the first differing
-    counter. Only plain runs qualify (no extra eigenvalue checkpoints).
+    counter. Only plain runs of one trial qualify (no extra eigenvalue
+    checkpoints); audit trial b of a stacked run as ``result.trial(b)``.
     """
     if result.graph is None or result.ac_iterations is None:
         raise ValueError("audit needs a run driven by a weighted consensus config")
+    if result.audit.units.ndim > 1:
+        raise ValueError("audit needs one trial's run: audit result.trial(b)")
     m = result.m_iterations
     n = result.samples.shape[1]
     i_iters = result.ac_iterations

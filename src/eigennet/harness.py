@@ -131,22 +131,30 @@ class ExperimentReport:
     topology_text: str | None = None
 
 
-_INT_KEYS = {"K", "N", "P", "trials", "seed", "topology_seed", "report_node"}
-_FLOAT_KEYS = {"sigma2", "link_failure_prob", "radius", "spurious_tol"}
-_INT_LIST_KEYS = {"M", "I", "eig_indices"}
-_FLOAT_LIST_KEYS = {"snr_db", "alphas"}
-_STR_KEYS = {"experiment", "engine", "topology", "graph_file", "out"}
-_STR_LIST_KEYS = {"engines", "detectors"}
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _INT_LIST_KEYS | _FLOAT_LIST_KEYS | _STR_KEYS | _STR_LIST_KEYS
-)
+# the fields whose config key is not their name
+_ALIASES = {"k": "K", "n": "N", "p": "P", "m": "M", "ac_iters": "I"}
 
+# every config key and the field it sets
 _KEY_TO_FIELD = {
-    "K": "k",
-    "N": "n",
-    "P": "p",
-    "M": "m",
-    "I": "ac_iters",
+    _ALIASES.get(f.name, f.name): f for f in dataclasses.fields(ExperimentConfig)
+}
+
+
+def _listed(parse):
+    """A parser of comma- or space-separated entries, each read by ``parse``."""
+    return lambda value: tuple(parse(p) for p in value.replace(",", " ").split())
+
+
+# a value's parser, by its field's annotation, and the kind of value an
+# error names
+_PARSERS = {
+    "int": (int, "integer"),
+    "float": (float, "number"),
+    "str": (str, "text"),
+    "str | None": (str, "text"),
+    "tuple[int, ...]": (_listed(int), "integer list"),
+    "tuple[float, ...]": (_listed(float), "number list"),
+    "tuple[str, ...]": (_listed(str), "text list"),
 }
 
 
@@ -171,33 +179,12 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def _convert(key: str, value: str):
-    def fail(kind: str):
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}")
-
-    parts = value.replace(",", " ").split()
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            fail("integer")
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            fail("number")
-    if key in _INT_LIST_KEYS:
-        try:
-            return tuple(int(p) for p in parts)
-        except ValueError:
-            fail("integer list")
-    if key in _FLOAT_LIST_KEYS:
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            fail("number list")
-    if key in _STR_LIST_KEYS:
-        return tuple(parts)
-    return value
+    """The text ``value`` of ``key`` as its field's type."""
+    parse, kind = _PARSERS[_KEY_TO_FIELD[key].type]
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"key {key!r}: cannot parse {value!r} as {kind}") from None
 
 
 def validate_config(source: str | dict, experiment: str | None = None) -> ExperimentConfig:
@@ -207,7 +194,7 @@ def validate_config(source: str | dict, experiment: str | None = None) -> Experi
     ``experiment`` key and must agree with one that is present.
     """
     raw = parse_config_text(source) if isinstance(source, str) else dict(source)
-    unknown = sorted(set(raw) - _ALL_KEYS)
+    unknown = sorted(set(raw) - _KEY_TO_FIELD.keys())
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values: dict[str, object] = {}
@@ -215,7 +202,7 @@ def validate_config(source: str | dict, experiment: str | None = None) -> Experi
         converted = (
             _convert(key, text_value) if isinstance(text_value, str) else text_value
         )
-        values[_KEY_TO_FIELD.get(key, key)] = converted
+        values[_KEY_TO_FIELD[key].name] = converted
     file_experiment = values.pop("experiment", None)
     if experiment is None:
         experiment = file_experiment
@@ -296,6 +283,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
             problems.append("eig_indices cannot exceed max(M) for multi-eig")
         if max(cfg.eig_indices) > min(cfg.k, cfg.n):
             problems.append("eig_indices cannot exceed min(K, N) for multi-eig")
+    if cfg.topology_seed < 0:
+        problems.append("topology_seed must be nonnegative")
     if not (0 <= cfg.report_node < cfg.k):
         problems.append("report_node must be a valid node index")
     if not (0 < cfg.spurious_tol < math.inf):

@@ -9,7 +9,6 @@ eigenvalue at 1 on connected graphs.
 
 from __future__ import annotations
 
-import io
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -244,21 +243,14 @@ def generate_random_geometric(
     )
 
 
-def load_edge_list(source) -> Graph:
-    """Parse the edge-list text format: first line node count, then 'u v' lines.
+def load_edge_list(text: str) -> Graph:
+    """Parse edge-list text: first line node count, then 'u v' lines.
 
-    Accepts a string, bytes, or a readable stream. Duplicate edges are
-    collapsed. Connectivity is not enforced here; callers check on demand.
+    Blank lines and lines starting with '#' are skipped, and duplicate
+    edges are collapsed. Connectivity is not enforced here; callers check
+    on demand.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    lines = [ln.strip() for ln in io.StringIO(text)]
+    lines = [ln.strip() for ln in text.split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise TopologyError("empty edge-list input")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -97,16 +98,9 @@ def test_one_sample_per_node_keeps_the_exact_lambda1(tmp_path, capsys):
     # N = 1: Lanczos finds the whole spectrum by iteration N + 1 = 2, so the
     # rank test must not run there; run at j > N it dropped the exact
     # lambda_1 at M = 2 and the zero-filled estimate gave MSE 84.5
-    config = tmp_path / "eig_converge.cfg"
-    replaced = {"K": "6", "N": "1", "M": "2", "radius": "0.9", "trials": "20"}
-    lines = (CONFIGS / "eig_converge.cfg").read_text().splitlines()
-    config.write_text(
-        "\n".join(
-            f"{line.split(' = ')[0]} = {replaced[line.split(' = ')[0]]}"
-            if line.split(" = ")[0] in replaced else line
-            for line in lines
-        )
-        + "\n"
+    config = shipped_config(
+        "eig-converge", {"K": "6", "N": "1", "M": "2", "radius": "0.9", "trials": "20"},
+        tmp_path,
     )
     out = tmp_path / "out"
     assert cli_main(["eig-converge", "--config", str(config), "--out", str(out)]) == 0
@@ -133,17 +127,26 @@ def subprocess_env():
     return env
 
 
-def config_with(experiment, key, value, tmp_path):
-    """The shipped config of ``experiment`` with one key replaced."""
+def shipped_config(experiment, replaced, tmp_path):
+    """The shipped config of ``experiment`` with the keys of ``replaced`` replaced."""
     name = experiment.replace("-", "_")
     lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
-    assert any(line.startswith(f"{key} = ") for line in lines)
+    keys = [line.split(" = ")[0] for line in lines]
+    assert set(replaced) <= set(keys)
     config = tmp_path / f"{name}.cfg"
     config.write_text(
-        "\n".join(f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines)
+        "\n".join(
+            f"{key} = {replaced[key]}" if key in replaced else line
+            for key, line in zip(keys, lines)
+        )
         + "\n"
     )
     return config
+
+
+def config_with(experiment, key, value, tmp_path):
+    """The shipped config of ``experiment`` with one key replaced."""
+    return shipped_config(experiment, {key: value}, tmp_path)
 
 
 def run_with(experiment, key, value, trials, tmp_path, capsys):
@@ -271,6 +274,41 @@ def test_infinite_radius_and_silent_source_run(line, tmp_path, capsys):
     assert cli_main(argv) == 0
     assert capsys.readouterr().err == ""
     assert (tmp_path / "out" / "eig-converge.csv").exists()
+
+
+def test_negative_topology_seed_is_a_config_error(tmp_path, capsys):
+    # the graph generator's own check stopped the run with exit code 2, as a
+    # runtime error naming numpy's "expected non-negative integer"
+    code, err = run_with("eig-converge", "topology_seed", "-1", "1", tmp_path, capsys)
+    assert code == 1
+    assert err == "config error: topology_seed must be nonnegative\n"
+
+
+@pytest.mark.parametrize(
+    "experiment, replaced, trials",
+    [
+        # two nodes, the fewest a network has
+        ("eig-converge", {"K": "2", "N": "4", "M": "2", "radius": "2"}, "3"),
+        # M above min(K, N), the rank of the sample covariance
+        ("eig-converge", {"K": "8", "N": "2", "M": "6", "radius": "0.9"}, "3"),
+        ("roc", {"K": "8", "N": "2", "M": "6", "radius": "0.9", "alphas": "0.05"}, "200"),
+    ],
+    ids=["eig-converge-two-nodes", "eig-converge-M-above-rank", "roc-M-above-rank"],
+)
+def test_degenerate_shapes_run(experiment, replaced, trials, tmp_path, capsys):
+    config = shipped_config(experiment, replaced, tmp_path)
+    out = tmp_path / "out"
+    argv = [experiment, "--config", str(config), "--out", str(out), "--trials", trials]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = (out / f"{experiment}.csv").read_text().splitlines()
+    finite = {"mse", "pfa", "pd"} & set(header.split(","))
+    assert rows and finite
+    for row in rows:
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert all(math.isfinite(float(fields[c])) for c in finite), row
+        # each ROC curve runs from threshold -inf to +inf
+        assert not math.isnan(float(fields.get("threshold", 0.0))), row
 
 
 def test_trials_override_is_validated_as_the_file_is(tmp_path, capsys):

@@ -96,18 +96,19 @@ def test_multi_eig_sorts_by_i_then_index_then_m():
         ]
     )
     ac = AcConfig(cfg.engine, i_iters, weights=weights)
-    lists = run_dla(
+    stack = run_dla(
         y,
         ac,
         cfg.m_max,
         default_dla_start(cfg.k),
         ritz_iters=(m,),
         spurious_tol_rel=cfg.spurious_tol,
-    ).eigenvalues[m]
+    ).eigenvalue_stacks[m]
     truth = covariance_eigenvalues(y)[:, index - 1]
+    # a node that kept fewer than ``index`` values estimates zero
     errors = [
-        np.mean([((v[index - 1] if len(v) >= index else 0.0) - lam) ** 2 for v in nodes])
-        for nodes, lam in zip(lists, truth)
+        np.mean([((0.0 if np.isnan(v[index - 1]) else v[index - 1]) - lam) ** 2 for v in nodes])
+        for nodes, lam in zip(stack, truth)
     ]
     assert row["mse"] == sum(errors) / TRIALS
 

@@ -19,7 +19,6 @@ from eigennet.distributed import (
     default_dpm_start,
     make_convergence_trace,
     matrix_error_for_drift,
-    predict_dla_w_error,
     predict_dpm_vector_error,
     predict_lambda1_error,
     run_dla,
@@ -90,8 +89,7 @@ class TestIdealEquivalence:
         assert np.max(np.abs(res.alpha_hist - ref.alpha[:, None])) <= 1e-12 * scale
         assert np.max(np.abs(res.beta_hist[: m - 1] - ref.beta[:, None])) <= 1e-12 * scale
         lam_ref = tridiagonal_eigenvalues(ref)
-        for k in range(7):
-            assert np.max(np.abs(res.ritz_raw[m][k] - lam_ref)) <= 1e-10 * lam_ref[0]
+        assert np.max(np.abs(res.ritz_stacks[m] - lam_ref)) <= 1e-10 * lam_ref[0]
 
     def test_two_node_complete_graph_one_step_standard(self):
         # one-step-exact consensus makes the standard engine match exactly
@@ -245,14 +243,6 @@ class TestErrorPredictions:
         ratio = residual(1e-3) / residual(5e-4)
         assert 3.0 <= ratio <= 5.0
 
-    def test_predict_dla_w_error_matches_trace(self):
-        k, n, m = 5, 4, 3
-        y = random_samples(k, n, 9)
-        res = run_dla(y, dla_injection(k, n, m, 1e-3, 1e-3, 3), m, trace=True)
-        for j in range(1, m + 1):
-            pred = predict_dla_w_error(res.trace, y, res, j)
-            assert np.allclose(pred, res.trace.w_error_predicted[j - 1], atol=1e-14)
-
 
 def max_rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -290,8 +280,6 @@ class TestInstrumentationAfterTheLoop:
         assert max_rel(tr.w_error_predicted, predicted) <= 1e-12
         assert np.array_equal(tr.taylor_flags, flags)
         assert tr.taylor_flags.any() == (scalar_scale == 50.0)
-        for j in range(1, m + 1):
-            assert max_rel(predict_dla_w_error(tr, y, res, j), predicted[j - 1]) <= 1e-12
 
     def test_dpm_drift_matches_per_iteration_loop(self):
         k, n, m = 6, 4, 5
@@ -365,13 +353,16 @@ class TestBatchedRitzExtraction:
         raw, filtered = self.per_node_reference(
             res.alpha_hist.T, res.beta_hist.T, res.sizes, k, n, 1e-3
         )
-        assert res.ritz_raw.keys() == raw.keys()
-        assert res.eigenvalues.keys() == filtered.keys()
+        assert res.ritz_stacks.keys() == raw.keys()
+        assert res.eigenvalue_stacks.keys() == filtered.keys()
         for j in raw:
-            assert len(res.ritz_raw[j]) == len(res.eigenvalues[j]) == k
+            assert res.ritz_stacks[j].shape == res.eigenvalue_stacks[j].shape == (k, j)
             for node in range(k):
-                assert np.array_equal(res.ritz_raw[j][node], raw[j][node])
-                assert np.array_equal(res.eigenvalues[j][node], filtered[j][node])
+                # each row holds its values first, NaN-padded
+                for stack, want in ((res.ritz_stacks, raw), (res.eigenvalue_stacks, filtered)):
+                    row = stack[j][node]
+                    assert np.array_equal(row[: len(want[j][node])], want[j][node])
+                    assert np.all(np.isnan(row[len(want[j][node]) :]))
 
     def test_rank_test_starts_past_the_krylov_bound(self):
         # at N = 1 the bound is min(K, N + 1) = 2: the iteration-2 lists are
@@ -412,7 +403,7 @@ class TestBatchedRitzExtraction:
         )
         # past min(K, N) = 3 the filter also needs the previous iteration
         needed = sorted(set(wanted) | {4, 6})
-        assert sorted(res.ritz_raw) == needed
+        assert sorted(res.ritz_stacks) == needed
         # a node whose matrix equals its predecessor's is solved through it:
         # nodes 0 and 1 stop together, and nodes 3..7 keep the exact mean
         distinct = [
@@ -596,7 +587,6 @@ class TestBatchedRitzExtraction:
         y = np.stack([random_samples(6, 4, 40 + t) for t in range(3)])
         res = run_dla(y, IDEAL, 4, ritz_iters=())
         assert res.ritz_stacks == {} and res.eigenvalue_stacks == {}
-        assert res.ritz_raw == {} and res.eigenvalues == {}
         assert calls == []
         with pytest.raises(DegenerateRunError, match="Lanczos coefficients are not finite"):
             run_dla(1e160 * y, IDEAL, 3, ritz_iters=())
@@ -742,6 +732,17 @@ class TestAudit:
         with pytest.raises(AuditMismatch):
             audit_messages(res)
 
+    def test_stacked_run_is_audited_per_trial(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        ac = AcConfig("standard", 2, weights=metropolis_weights(g))
+        y = np.stack([random_samples(3, 4, 20 + t) for t in range(2)])
+        for res in (run_dpm(y, ac, 2), run_dla(y, ac, 2)):
+            # the formulas read one trial's N off the (K, N) samples
+            with pytest.raises(ValueError, match="one trial"):
+                audit_messages(res)
+            for t in range(2):
+                assert audit_messages(res.trial(t)) == res.audit.trial(t)
+
     def test_synthetic_engine_not_auditable(self):
         res = run_dpm(random_samples(3, 4, 18), IDEAL, 2)
         with pytest.raises(ValueError):
@@ -779,6 +780,13 @@ def assert_same_arrays(a, b):
     else:
         assert np.shape(a) == np.shape(b)
         assert np.array_equal(a, b)
+
+
+def assert_same_stacks(a, b):
+    """Equal to the bit: dicts of Ritz stacks, NaN-padded past each row's values."""
+    assert a.keys() == b.keys()
+    for j in a:
+        assert np.array_equal(a[j], b[j], equal_nan=True)
 
 
 def assert_same_trace(a, b):
@@ -876,8 +884,8 @@ class TestTrialStack:
     def assert_same_dla(self, part, alone):
         for name in ("alpha_hist", "beta_hist", "v_hist", "w_hist", "w_norms", "sizes", "clamped"):
             assert_same_arrays(getattr(part, name), getattr(alone, name))
-        assert_same_arrays(part.ritz_raw, alone.ritz_raw)
-        assert_same_arrays(part.eigenvalues, alone.eigenvalues)
+        assert_same_stacks(part.ritz_stacks, alone.ritz_stacks)
+        assert_same_stacks(part.eigenvalue_stacks, alone.eigenvalue_stacks)
         assert_same_trace(part.trace, alone.trace)
         assert part.audit == alone.audit
         assert (part.ac_iterations, part.graph) == (alone.ac_iterations, alone.graph)
@@ -892,7 +900,7 @@ class TestTrialStack:
             y, make(range(trials)), self.M, v0, checkpoints=(2, 4), trace=True
         )
         assert stacked.lambda1.shape == (trials, self.K)
-        assert len(stacked.audit) == trials
+        assert stacked.audit.units.shape == (trials, self.K)
         for t in range(trials):
             alone = run_dpm(y[t], make([t]), self.M, v0[t], checkpoints=(2, 4), trace=True)
             self.assert_same_dpm(stacked.trial(t), alone)
@@ -1010,10 +1018,7 @@ class TestTraceOption:
             elif f.name == "graph":
                 assert a is b
             elif f.name in ("ritz_stacks", "eigenvalue_stacks"):
-                # NaN-padded past each row's values
-                assert a.keys() == b.keys()
-                for j in a:
-                    assert np.array_equal(a[j], b[j], equal_nan=True)
+                assert_same_stacks(a, b)
             else:
                 assert_same_arrays(a, b)
 
@@ -1057,14 +1062,12 @@ class TestTraceOption:
         y = random_samples(k, n, 40)
         v0 = default_dpm_start(k, 1)
         dpm = run_dpm(y, IDEAL, m, v0)
-        dla = run_dla(y, IDEAL, m)
         values, vectors = np.linalg.eigh(sample_covariance(y))
         oracle = EigenSolution(values[::-1], vectors[:, ::-1])
         calls = [
             lambda: make_convergence_trace(dpm, oracle),
             lambda: predict_dpm_vector_error(dpm.trace, sample_covariance(y), v0, m),
             lambda: predict_lambda1_error(dpm.trace, y, dpm.v_hist[m]),
-            lambda: predict_dla_w_error(dla.trace, y, dla, 1),
         ]
         for call in calls:
             with pytest.raises(EigennetError, match="trace=True"):
@@ -1098,7 +1101,8 @@ class TestUntracedRunsSkipErrors:
 
 
 class TestAuditOnRead:
-    """A result builds its audits on first read, equal to the eager ones."""
+    """An audit works out its per-node units and time periods on read, equal
+    to the ones counted as the rounds ran."""
 
     helper = TestTrialStack()
 
@@ -1120,21 +1124,23 @@ class TestAuditOnRead:
                 return res
 
         res = TestTraceOption.RUNS[algorithm](y, Counting(), False)
-        assert "audit" not in vars(res)
         eager = [
-            MessageAudit(
-                ac_n_calls=counted["n"],
-                ac_1_calls=counted["1"],
-                units_per_node={k: int(u) for k, u in enumerate(row)},
-                time_periods=counted["n"] + counted["1"],
-            )
+            {
+                "ac_n_calls": counted["n"],
+                "ac_1_calls": counted["1"],
+                "units_per_node": {k: int(u) for k, u in enumerate(row)},
+                "time_periods": counted["n"] + counted["1"],
+            }
             for row in counted["units"].tolist()
         ]
-        lazy = res.audit
-        assert res.audit is lazy
-        assert len(lazy) == len(eager) == 3
+        assert isinstance(res.audit, MessageAudit)
+        # a stacked audit maps each node to its per-trial units
+        assert res.audit.units_per_node == {
+            k: [want["units_per_node"][k] for want in eager] for k in range(self.helper.K)
+        }
         for t, want in enumerate(eager):
-            for got in (lazy[t], res.trial(t).audit):
-                for f in dataclasses.fields(MessageAudit):
-                    assert getattr(got, f.name) == getattr(want, f.name)
+            for got in (res.audit.trial(t), res.trial(t).audit):
+                for name, value in want.items():
+                    assert getattr(got, name) == value
                 assert all(type(u) is int for u in got.units_per_node.values())
+                assert type(got.time_periods) is int

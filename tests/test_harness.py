@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ from eigennet.cli import main as cli_main
 from eigennet.detection import threshold_from_h0
 from eigennet.errors import ConfigError, DetectionError
 from eigennet.harness import (
+    _KEY_TO_FIELD,
+    ExperimentConfig,
     ExperimentReport,
+    _convert,
     emit_csv,
     emit_report,
     parse_config_text,
@@ -65,6 +70,26 @@ class TestConfigParsing:
         cfg = validate_config("I = 5, 10, 15\nM = 4\n", "ac-compare")
         assert cfg.ac_iters == (5, 10, 15)
         assert cfg.m == (4,)
+
+    def test_every_field_has_one_key_whose_text_parses_to_its_type(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        names = {f.name for f in fields}
+        assert sorted(f.name for f in _KEY_TO_FIELD.values()) == sorted(names)
+        assert set(_KEY_TO_FIELD) - names == {"K", "N", "P", "M", "I"}
+        hints = typing.get_type_hints(ExperimentConfig)
+        # the fields without a default value of their type
+        samples = {"experiment": "roc", "graph_file": "graph.txt"}
+        for key, f in _KEY_TO_FIELD.items():
+            value = samples.get(f.name, f.default)
+            text = " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            parsed = _convert(key, text)
+            assert parsed == value, key
+            hint = hints[f.name]
+            if typing.get_origin(hint) is tuple:
+                item = typing.get_args(hint)[0]
+                assert type(parsed) is tuple and all(type(x) is item for x in parsed), key
+            else:
+                assert isinstance(parsed, hint), key
 
     def test_bad_number(self):
         with pytest.raises(ConfigError):

@@ -59,3 +59,12 @@ def test_modules_use_their_imports_and_define_their_exports():
             if name not in defined
         ]
     assert not problems, "\n".join(problems)
+
+
+def test_readme_tour_runs():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0].split("```", 1)[0], namespace)
+    assert {"dpm", "dla", "exact"} <= namespace.keys()
