@@ -32,10 +32,10 @@ one product. The mixing weights are real and the iterates often complex; a
 run reads its input once as one real array of its interleaved real and
 imaginary parts, so that the operator product, or each step's product, is
 one real product, and the recurrence updates that array in preallocated
-buffers. Every result carries the realized error matrix, the deviation of
-the output from the exact mean; that matrix is a simulation observable only,
-never read by the algorithms under test, so it is computed on its first
-read.
+buffers. A result holds the output and the per-node message counters only:
+the realized error, the deviation of the output from the exact mean, is a
+simulation observable that no algorithm under test reads, so only a caller
+that wants it computes it from the input and the output.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
 (K,), (K, m) or (trials, K, m) input, averaging over the node axis.
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -72,22 +71,13 @@ _ENGINES = ("ideal", "standard", "chebyshev")
 class ConsensusResult:
     """Output of one consensus run.
 
-    ``error`` is z_t minus the exact per-column mean of the input (zero for
-    the ideal engine), recomputed from the output so the defining identity
-    holds by construction. It is computed on its first read, from the input
-    as it is then, and kept; a run whose error nobody reads never pays for
-    the mean. ``scalars_exchanged_per_node`` counts t * m * degree(k)
-    information units for node k (one scalar per neighbor per iteration per
-    input column), per trial when the input is stacked.
+    ``scalars_exchanged_per_node`` counts t * m * degree(k) information units
+    for node k (one scalar per neighbor per iteration per input column), per
+    trial when the input is stacked.
     """
 
     z: np.ndarray
     scalars_exchanged_per_node: np.ndarray
-    _error: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def error(self) -> np.ndarray:
-        return self._error()
 
 
 @dataclass
@@ -237,7 +227,7 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
     A (trials, K, m) input runs every trial on the same weights; under link
     failures each trial draws its links from its own generator when the
     config holds one per trial, and all trials share one draw otherwise. The
-    output, error and per-node counters then carry the leading trial axis,
+    output and per-node counters then carry the leading trial axis,
     and each trial's slice equals the run of that slice alone (on a config
     with that trial's generator).
     """
@@ -252,8 +242,7 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
             f"input has {k} rows but the weight matrix covers "
             f"{cfg.weights.node_count} nodes"
         )
-    ideal = cfg.engine == "ideal"
-    if ideal:
+    if cfg.engine == "ideal":
         z = np.broadcast_to(x0.mean(axis=-2, keepdims=True), x0.shape).copy()
     else:
         # the weights are real: a complex input is read as the real
@@ -265,15 +254,10 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
         else:
             x = _mixing_operator(cfg) @ x
         z = x.view(complex) if as_complex else x
-
-    def error() -> np.ndarray:
-        e = np.zeros_like(z) if ideal else z - x0.mean(axis=-2, keepdims=True)
-        return e[:, 0] if squeeze else e
-
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)
     counters = np.empty(x0.shape[:-2] + (k,), dtype=np.int64)
     counters[...] = cfg.iterations * m * deg
-    return ConsensusResult(z[:, 0] if squeeze else z, counters, error)
+    return ConsensusResult(z[:, 0] if squeeze else z, counters)
 
 
 def _chebyshev_coefficients(
@@ -317,22 +301,15 @@ def run_block(ac, z0: np.ndarray) -> ConsensusResult:
     ``z0`` is (B, K, m), or (B, K) for a scalar round, and ``ac`` one engine
     whose ``run`` takes the whole stack in one call (a scalar round as a
     (B, K, 1) stack). A one-trial block passes the lone (K, m) or (K,)
-    input, as a lone run does. The result's output and error have the shape
-    of ``z0`` and its counters are (B, K); the error is computed on its
-    first read, as each run's is.
+    input, as a lone run does. The result's output has the shape of ``z0``
+    and its counters are (B, K).
     """
     if len(z0) == 1:
         res = ac.run(z0[0])
-        return ConsensusResult(
-            res.z[None], res.scalars_exchanged_per_node[None], lambda: res.error[None]
-        )
+        return ConsensusResult(res.z[None], res.scalars_exchanged_per_node[None])
     if z0.ndim == 2:
         res = ac.run(z0[:, :, None])
-        return ConsensusResult(
-            res.z[:, :, 0],
-            res.scalars_exchanged_per_node,
-            lambda: res.error[:, :, 0],
-        )
+        return ConsensusResult(res.z[:, :, 0], res.scalars_exchanged_per_node)
     return ac.run(z0)
 
 
@@ -342,14 +319,9 @@ def _node_axis(z0: np.ndarray) -> int:
 
 
 def _synthetic_result(z0: np.ndarray, z: np.ndarray) -> ConsensusResult:
-    """A synthetic engine's output ``z``, its error and zero (..., K) counters."""
-    axis = _node_axis(z0)
-    k = z0.shape[axis]
-    return ConsensusResult(
-        z,
-        np.zeros(z0.shape[:-2] + (k,), dtype=np.int64),
-        lambda: z - z0.mean(axis=axis, keepdims=True),
-    )
+    """A synthetic engine's output ``z`` and zero (..., K) counters."""
+    k = z0.shape[_node_axis(z0)]
+    return ConsensusResult(z, np.zeros(z0.shape[:-2] + (k,), dtype=np.int64))
 
 
 class ErrorInjectingEngine:

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .consensus import run_block
+from .eigencore import _checked_samples
 from .errors import DetectionError
 
 __all__ = [
@@ -115,7 +116,7 @@ def trace_consensus(y: np.ndarray, ac) -> np.ndarray:
     stack, with one engine for the stack as in
     :func:`~eigennet.consensus.run_block`, gives (B, K) estimates.
     """
-    y = np.asarray(y)
+    y = _checked_samples(y)
     single = y.ndim == 2
     stack = y[None] if single else y
     k, n = stack.shape[1:]

@@ -5,10 +5,13 @@ decentralized Lanczos algorithm (DLA). Cross-node interaction happens only
 through consensus calls; every local update reads a node's own sample row,
 its own scalars, and its own row of the consensus output. Message counters
 are always recorded. Error instrumentation is on request: a run with
-``trace=True`` also keeps the realized consensus errors, their closed-form
-impact on the iterates and the measured-vs-predicted Lanczos drift. The
-Monte-Carlo experiments read only the estimates, so they leave it off, and
-their runs neither compute nor keep the consensus errors.
+``trace=True`` also computes and keeps the realized consensus errors, each
+round's output minus the exact mean of its input, their closed-form impact on
+the iterates and the measured-vs-predicted Lanczos drift. The Monte-Carlo
+experiments read only the estimates, so they leave it off, and their runs
+never compute a consensus error. A result holds what its run computed and
+no copy of its engine or its samples: :func:`audit_messages` takes the
+engine and the sample count beside the result.
 
 Implementation note: node-local scalars are stored in length-K arrays and
 updated with row-wise numpy operations, which preserves locality (entry k
@@ -38,21 +41,21 @@ iteration's errors for a whole block would set the peak memory of a run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .consensus import run_block
+from .consensus import AcConfig, run_block
 from .eigencore import (
     EigenSolution,
     TridiagonalMatrix,
+    _checked_samples,
     filter_spurious_batch,
     row_norms,
     sample_covariance,
     tridiagonal_eigenvalues_batch,
 )
 from .errors import AuditMismatch, DegenerateRunError, MissingTraceError
-from .topology import Graph
 
 __all__ = [
     "MessageAudit",
@@ -83,7 +86,7 @@ class _Stacked:
 
         Array fields, and the arrays in list and dict fields, are sliced on
         their leading axis, and nested stacked fields likewise; every other
-        field (counts, the graph) is shared.
+        field (counts) is shared.
         """
         return replace(
             self, **{f.name: _trial_of(getattr(self, f.name), t) for f in fields(self)}
@@ -200,10 +203,6 @@ class DpmResult(_Stacked):
     audit: MessageAudit
     checkpoints: dict[int, np.ndarray]
     m_iterations: int
-    ac_iterations: int | None
-    graph: Graph | None
-    samples: np.ndarray = field(repr=False)
-    algorithm: str = "dpm"
 
 
 @dataclass
@@ -219,7 +218,6 @@ class DlaResult(_Stacked):
     beta_hist: np.ndarray
     v_hist: np.ndarray
     w_hist: np.ndarray
-    w_norms: np.ndarray
     sizes: np.ndarray
     ritz_stacks: dict[int, np.ndarray]
     eigenvalue_stacks: dict[int, np.ndarray]
@@ -227,10 +225,6 @@ class DlaResult(_Stacked):
     trace: DlaErrorTrace | None
     audit: MessageAudit
     m_iterations: int
-    ac_iterations: int | None
-    graph: Graph | None
-    samples: np.ndarray = field(repr=False)
-    algorithm: str = "dla"
 
     def tridiagonal(self, k: int, size: int | None = None) -> TridiagonalMatrix:
         s = int(self.sizes[k]) if size is None else min(size, int(self.sizes[k]))
@@ -252,12 +246,15 @@ def default_dla_start(k: int) -> np.ndarray:
     return np.full(k, 1.0 / math.sqrt(k), dtype=complex)
 
 
-def _require_trace(trace):
-    """The error trace of a run, or a typed error for a run made without one."""
+def _require_trace(trace: DpmErrorTrace | None) -> DpmErrorTrace:
+    """The error trace of one trial's DPM run, or a typed error for a run
+    made without one; a stacked trace is read one trial at a time."""
     if trace is None:
         raise MissingTraceError(
             "the run kept no error trace; rerun it with trace=True"
         )
+    if trace.iteration_drift.ndim > 2:
+        raise ValueError("this reads one trial's trace: read result.trial(b).trace")
     return trace
 
 
@@ -266,6 +263,7 @@ def _trials(y: np.ndarray) -> tuple[bool, np.ndarray]:
     y = np.asarray(y, dtype=complex)
     if y.ndim not in (2, 3):
         raise ValueError("samples must be (K, N) or a (trials, K, N) stack")
+    y = _checked_samples(y)
     return y.ndim == 2, (y[None] if y.ndim == 2 else y)
 
 
@@ -280,8 +278,8 @@ def _start_values(v: np.ndarray, trials: int, k: int) -> np.ndarray:
 class _BlockConsensus:
     """A block's consensus rounds, with call counts and per-node units per trial.
 
-    Only a traced run reads the consensus errors; an untraced one never
-    computes them.
+    Only a traced run computes the consensus errors, with
+    :func:`_consensus_error`; an untraced one never does.
     """
 
     def __init__(self, ac, trials: int, k: int, trace: bool) -> None:
@@ -303,10 +301,16 @@ class _BlockConsensus:
         else:
             self.ac_n += 1
         self.units += res.scalars_exchanged_per_node
-        return res.z, (res.error if self.trace else None)
+        return res.z, (_consensus_error(z0, res.z) if self.trace else None)
 
     def counts(self) -> MessageAudit:
         return MessageAudit(self.ac_n, self.ac_1, self.units)
+
+
+def _consensus_error(z0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """A round's realized error: its (B, K, m) or (B, K) output minus the
+    exact per-trial, per-column mean of its input."""
+    return z - z0.mean(axis=1, keepdims=True)
 
 
 def _squared_moduli(z: np.ndarray) -> np.ndarray:
@@ -417,10 +421,6 @@ def run_dpm(
         audit=rounds.counts(),
         checkpoints=snapshots,
         m_iterations=m_iterations,
-        # optional engine attributes, which a synthetic engine lacks
-        ac_iterations=getattr(ac, "iterations", None),
-        graph=getattr(ac, "graph", None),
-        samples=y,
     )
     return result.trial(0) if single else result
 
@@ -513,9 +513,6 @@ def run_dla(
         wanted = set(int(j) for j in ritz_iters)
         if not all(1 <= j <= m_iterations for j in wanted):
             raise ValueError("ritz iterations must lie in 1..m_iterations")
-
-    if not np.all(np.isfinite(y.view(float))):
-        raise ValueError("sample matrix has non-finite entries")
     scale = k / n
     rounds = _BlockConsensus(ac, trials, k, trace)
 
@@ -524,7 +521,6 @@ def run_dla(
     beta_hist = np.zeros((trials, m, k))
     v_hist = np.zeros((trials, m + 1, k), dtype=complex)
     w_hist = np.zeros((trials, m, k), dtype=complex)
-    w_norms = np.zeros((trials, m))
     clamped = np.zeros((trials, m, k), dtype=bool)
     sizes = np.full((trials, k), m, dtype=np.int64)
     active = np.ones((trials, k), dtype=bool)
@@ -551,7 +547,6 @@ def run_dla(
             w = local - alpha_j * v - beta_cur * v_prev
             alpha_hist[:, j - 1] = alpha_j
             w_hist[:, j - 1] = w
-            w_norms[:, j - 1] = row_norms(w)
             z_1, error_1 = rounds.run(np.abs(w) ** 2)
             b = np.real(z_1)
             neg = b < 0
@@ -577,7 +572,7 @@ def run_dla(
     error_trace = None
     if trace:
         error_trace = _dla_error_trace(
-            y, matrix_errors, normalization_errors, v_hist[:, :m], w_hist, w_norms
+            y, matrix_errors, normalization_errors, v_hist[:, :m], w_hist
         )
     # every node of every trial is one row of the Ritz extraction
     raw, filtered = _extract_ritz(
@@ -594,7 +589,6 @@ def run_dla(
         beta_hist=beta_hist,
         v_hist=v_hist,
         w_hist=w_hist,
-        w_norms=w_norms,
         sizes=sizes,
         ritz_stacks={j: s.reshape(trials, k, j) for j, s in raw.items()},
         eigenvalue_stacks={j: s.reshape(trials, k, j) for j, s in filtered.items()},
@@ -602,10 +596,6 @@ def run_dla(
         trace=error_trace,
         audit=rounds.counts(),
         m_iterations=m,
-        # optional engine attributes, which a synthetic engine lacks
-        ac_iterations=getattr(ac, "iterations", None),
-        graph=getattr(ac, "graph", None),
-        samples=y,
     )
     return result.trial(0) if single else result
 
@@ -615,18 +605,19 @@ def _previous(hist: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros_like(hist[:, :1]), hist[:, :-1]), axis=1)
 
 
-def _dla_error_trace(y, matrix_errors, normalization_errors, v, w, w_norms):
+def _dla_error_trace(y, matrix_errors, normalization_errors, v, w):
     """Instrumentation of a finished DLA run, over all iterations at once.
 
     Every argument carries a leading trial axis. ``v`` holds the (B, M, K)
-    current vectors of iterations 1..M, ``w`` the computed directions and
-    ``w_norms`` their (B, M) global norms. The measured deviation compares w
-    with the one an exact iteration would produce from the same current
-    vectors.
+    current vectors of iterations 1..M and ``w`` the computed directions,
+    whose global norms the exact iteration divides by. The measured deviation
+    compares w with the one an exact iteration would produce from the same
+    current vectors.
     """
     k, n = y.shape[1:]
     v_prev = _previous(v)
-    w_norm_prev = _previous(w_norms)
+    # one (B M, K) pass; each row's norm is rounded as that row's alone
+    w_norm_prev = _previous(row_norms(w.reshape(-1, k)).reshape(w.shape[:2]))
     rv = ((v @ y.conj()) @ np.swapaxes(y, 1, 2)) / n
     alpha_ideal = np.real(np.sum(v.conj() * rv, axis=2))
     w_ideal = rv - alpha_ideal[:, :, None] * v - w_norm_prev[:, :, None] * v_prev
@@ -749,7 +740,6 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
             k,
             n,
             tol_rel * np.maximum(peak, 1e-12),
-            padded=True,
         )
     return (
         {j: np.take(values, inverse, axis=0) for j, values in raw.items()},
@@ -828,41 +818,39 @@ def check_dpm_convergence_condition(
     )
 
 
-def audit_messages(result) -> MessageAudit:
+def audit_messages(result: DpmResult | DlaResult, ac, n: int) -> MessageAudit:
     """Assert the run's message counters against the complexity formulas.
 
-    For a run whose consensus instances all used I iterations on a graph
-    with degrees d(k): the power method must show M+1 width-N calls, one
-    scalar call, I (M N + N + 1) d(k) units at node k, and M+2 time periods;
-    the Lanczos variant M and M calls, I (M N + M) d(k) units, and 2M
-    periods. Raises :class:`AuditMismatch` naming the first differing
-    counter. Only plain runs of one trial qualify (no extra eigenvalue
-    checkpoints); audit trial b of a stacked run as ``result.trial(b)``.
+    ``ac`` is the weighted :class:`~eigennet.consensus.AcConfig` that drove
+    the run and ``n`` the sample count of its (K, N) samples. For a run whose
+    consensus instances all used I iterations on a graph with degrees d(k):
+    the power method must show M+1 width-N calls, one scalar call,
+    I (M N + N + 1) d(k) units at node k, and M+2 time periods; the Lanczos
+    variant M and M calls, I (M N + M) d(k) units, and 2M periods. Raises
+    :class:`AuditMismatch` naming the first differing counter. Only plain
+    runs of one trial qualify (no extra eigenvalue checkpoints); audit trial
+    b of a stacked run as ``audit_messages(result.trial(b), ac, n)``.
     """
-    if result.graph is None or result.ac_iterations is None:
+    if not isinstance(ac, AcConfig) or ac.graph is None:
         raise ValueError("audit needs a run driven by a weighted consensus config")
     if result.audit.units.ndim > 1:
         raise ValueError("audit needs one trial's run: audit result.trial(b)")
     m = result.m_iterations
-    n = result.samples.shape[1]
-    i_iters = result.ac_iterations
-    deg = result.graph.degrees()
-    if result.algorithm == "dpm":
+    if isinstance(result, DpmResult):
         expected = {
             "ac_n_calls": m + 1,
             "ac_1_calls": 1,
             "time_periods": m + 2,
         }
-        unit_factor = i_iters * (m * n + n + 1)
-    elif result.algorithm == "dla":
+        unit_factor = ac.iterations * (m * n + n + 1)
+    else:
         expected = {
             "ac_n_calls": m,
             "ac_1_calls": m,
             "time_periods": 2 * m,
         }
-        unit_factor = i_iters * (m * n + m)
-    else:
-        raise ValueError(f"unknown algorithm {result.algorithm!r}")
+        unit_factor = ac.iterations * (m * n + m)
+    deg = ac.graph.degrees()
     audit = result.audit
     for name, want in expected.items():
         got = getattr(audit, name)

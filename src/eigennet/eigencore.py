@@ -96,10 +96,11 @@ def sample_covariance(y: np.ndarray) -> np.ndarray:
     """Sample covariance (1/N) Y Y^H of a K x N sample matrix.
 
     A (trials, K, N) stack gives the (trials, K, K) stack of covariances.
+    Samples whose products leave floating point raise
+    :class:`DegenerateRunError`.
     """
     y = _checked_samples(y)
-    n = y.shape[-1]
-    return (y @ np.swapaxes(y.conj(), -1, -2)) / n
+    return _scaled_product(y, np.swapaxes(y.conj(), -1, -2), y.shape[-1])
 
 
 def covariance_eigenvalues(y: np.ndarray) -> np.ndarray:
@@ -114,7 +115,7 @@ def covariance_eigenvalues(y: np.ndarray) -> np.ndarray:
     k, n = y.shape[-2:]
     if n >= k:
         return np.linalg.eigvalsh(sample_covariance(y))[..., ::-1]
-    gram = (np.swapaxes(y.conj(), -1, -2) @ y) / n
+    gram = _scaled_product(np.swapaxes(y.conj(), -1, -2), y, n)
     values = np.zeros(y.shape[:-2] + (k,))
     values[..., :n] = np.linalg.eigvalsh(gram)[..., ::-1]
     return values
@@ -125,9 +126,21 @@ def _checked_samples(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if y.ndim not in (2, 3):
         raise ValueError("sample matrix must be two-dimensional")
-    if not np.all(np.isfinite(y.view(float) if y.dtype.kind == "c" else y)):
+    if not np.all(np.isfinite(y)):
         raise ValueError("sample matrix has non-finite entries")
     return y
+
+
+def _scaled_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """(a @ b) / n, or a typed error where the product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (a @ b) / n
+    if not np.all(np.isfinite(out)):
+        raise DegenerateRunError(
+            "sample covariance overflowed: the samples are too large for "
+            "floating point"
+        )
+    return out
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -338,8 +351,7 @@ def filter_spurious_batch(
     tol: float | np.ndarray,
     *,
     iteration: int | None = None,
-    padded: bool = False,
-) -> list[np.ndarray] | np.ndarray:
+) -> np.ndarray:
     """Drop spurious Ritz values from a stack of iteration-j lists.
 
     ``current`` is (S, j), one list per row; NaN entries are padding, so
@@ -355,9 +367,9 @@ def filter_spurious_batch(
     2. Duplicate collapse: values within ``tol`` of the last kept value are
        merged into it (the largest of each cluster survives).
 
-    ``iteration`` defaults to the column count of ``current``. Returns one
-    descending array of kept values per row, or with ``padded`` the (S, j)
-    stack holding each row's kept values first and NaN after them.
+    ``iteration`` defaults to the column count of ``current``. Returns the
+    (S, j) stack holding each row's kept values first, descending, and NaN
+    after them.
     """
     # descending, with the NaN padding moved to the end of each row
     cur = -np.sort(-np.atleast_2d(np.asarray(current, dtype=float)), axis=1)
@@ -378,14 +390,9 @@ def filter_spurious_batch(
         value = cur[:, c]
         keep[:, c] &= np.isnan(last) | (last - value > tol)
         last = np.where(keep[:, c], value, last)
-    kept = cur[keep]
-    counts = np.sum(keep, axis=1)
-    if padded:
-        out = np.full_like(cur, np.nan)
-        out[np.arange(width) < counts[:, None]] = kept
-        return out
-    ends = np.cumsum(counts).tolist()
-    return [kept[a:b] for a, b in zip([0, *ends], ends)]
+    out = np.full_like(cur, np.nan)
+    out[np.arange(width) < np.sum(keep, axis=1)[:, None]] = cur[keep]
+    return out
 
 
 def filter_spurious(
@@ -399,13 +406,14 @@ def filter_spurious(
 ) -> np.ndarray:
     """Drop spurious Ritz values from one iteration-j list.
 
-    The one-row case of :func:`filter_spurious_batch`; ``iteration``
-    defaults to the length of ``current``.
+    The one-row case of :func:`filter_spurious_batch`, without the row's
+    NaN tail; ``iteration`` defaults to the length of ``current``.
     """
     prev = None if previous is None else np.asarray(previous, dtype=float)[None, :]
-    return filter_spurious_batch(
+    row = filter_spurious_batch(
         np.asarray(current, dtype=float)[None, :], prev, k, n, tol, iteration=iteration
     )[0]
+    return row[~np.isnan(row)]
 
 
 def cullum_willoughby_spurious(t: TridiagonalMatrix, tol: float) -> np.ndarray:

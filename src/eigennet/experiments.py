@@ -491,7 +491,7 @@ def run_audit_messages(cfg: ExperimentConfig) -> ExperimentReport:
             result = run_dpm(y, ac, m, default_dpm_start(cfg.k, _sub_seed(s, 0xA5)))
         else:
             result = run_dla(y, ac, min(m, cfg.k), default_dla_start(cfg.k))
-        audit = audit_messages(result)
+        audit = audit_messages(result, ac, cfg.n)
         for k in range(cfg.k):
             rows.append(
                 {

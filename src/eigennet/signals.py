@@ -35,7 +35,6 @@ class SignalConfig:
     sigma2: float
     p: int = 0
     snr_db: tuple[float, ...] = ()
-    source_var: tuple[float, ...] = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,15 +46,6 @@ class SignalConfig:
             raise ValueError("source count must be nonnegative")
         if self.p > 0 and len(self.snr_db) != self.p:
             raise ValueError("need one SNR per source")
-        if self.source_var and len(self.source_var) != self.p:
-            raise ValueError("need one variance per source")
-        if any(s <= 0 for s in self.source_var):
-            raise ValueError("source variances must be positive")
-
-    def source_variances(self) -> np.ndarray:
-        if self.source_var:
-            return np.asarray(self.source_var, dtype=float)
-        return np.ones(self.p)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -73,21 +63,21 @@ def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
     """Signal-plus-noise sample matrix and the (K, P) channel that produced it.
 
     The channel is drawn with unit-variance complex Gaussian entries, then
-    each column i is rescaled so its SNR, ||h_i||^2 var_i / sigma2, equals
+    each column i is rescaled so its SNR, ||h_i||^2 / sigma2, equals
     10^(snr_db_i / 10) exactly.
-    Source samples are mutually uncorrelated complex Gaussians with the
-    configured per-source variances, redrawn at every time instant.
+    Source samples are mutually uncorrelated unit-variance complex
+    Gaussians, redrawn at every time instant. A source variance would change
+    no statistic of the samples: the column rescaling cancels it.
     """
     if cfg.p < 1:
         raise ValueError("signal hypothesis needs at least one source")
     rng = np.random.default_rng(cfg.seed)
-    variances = cfg.source_variances()
     h = _complex_gaussian(rng, (cfg.k, cfg.p), 1.0)
     snr_lin = 10.0 ** (np.asarray(cfg.snr_db, dtype=float) / 10.0)
     for i in range(cfg.p):
-        target = snr_lin[i] * cfg.sigma2 / variances[i]
+        target = snr_lin[i] * cfg.sigma2
         h[:, i] *= math.sqrt(target) / np.linalg.norm(h[:, i])
-    s = _complex_gaussian(rng, (cfg.p, cfg.n), 1.0) * np.sqrt(variances)[:, None]
+    s = _complex_gaussian(rng, (cfg.p, cfg.n), 1.0)
     noise = _complex_gaussian(rng, (cfg.k, cfg.n), cfg.sigma2)
     return h @ s + noise, h
 

@@ -43,6 +43,13 @@ def random_connected_graph(k, seed, p=0.45):
     return Graph(k, tuple(sorted(edges)))
 
 
+def consensus_deviation(z0, z):
+    """A consensus output's deviation from the exact per-column mean of its
+    (K,), (K, m) or (trials, K, m) input."""
+    z0 = np.asarray(z0)
+    return z - z0.mean(axis=0 if z0.ndim == 1 else -2, keepdims=True)
+
+
 class ReplayEngine:
     """Synthetic consensus returning pre-recorded outputs, ignoring the input.
 

@@ -254,13 +254,13 @@ def test_criterion_5_message_audit():
             ac = AcConfig("standard", i_iters, weights=w)
             deg = g.degrees()
             res = run_dpm(y, ac, m, default_dpm_start(k, case))
-            audit = audit_messages(res)  # raises on any mismatch
+            audit = audit_messages(res, ac, n)  # raises on any mismatch
             for node in range(k):
                 assert audit.units_per_node[node] == i_iters * (m * n + n + 1) * deg[node]
             assert (audit.ac_n_calls, audit.ac_1_calls) == (m + 1, 1)
             assert audit.time_periods == m + 2
             res_l = run_dla(y, ac, m, default_dla_start(k))
-            audit_l = audit_messages(res_l)
+            audit_l = audit_messages(res_l, ac, n)
             for node in range(k):
                 assert audit_l.units_per_node[node] == i_iters * (m * n + m) * deg[node]
             assert (audit_l.ac_n_calls, audit_l.ac_1_calls) == (m, m)

@@ -198,20 +198,36 @@ def test_huge_noise_variance_is_a_typed_error(experiment, tmp_path, capsys):
     ],
 )
 def test_overflow_prints_only_its_typed_error(experiment, key, value, trials, tmp_path):
-    # a process of its own, where numpy's floating-point warnings would reach
-    # stderr ahead of the typed error
+    done = run_in_process(experiment, key, value, trials, tmp_path)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("runtime error: ")
+
+
+@pytest.mark.parametrize("experiment, trials", [("roc", "200"), ("eig-converge", "3")])
+def test_overflowing_sample_covariance_is_a_typed_error(experiment, trials, tmp_path):
+    # the covariance products overflow while the samples are still finite
+    done = run_in_process(experiment, "sigma2", "1e307", trials, tmp_path)
+    assert done.returncode == 2
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr == (
+        "runtime error: sample covariance overflowed: the samples are too large "
+        "for floating point\n"
+    )
+
+
+def run_in_process(experiment, key, value, trials, tmp_path):
+    """A shipped config run with one key replaced, in a process of its own,
+    where numpy's floating-point warnings would reach stderr."""
     config = config_with(experiment, key, value, tmp_path)
     argv = [
         sys.executable, "-m", "eigennet.cli", experiment, "--config", str(config),
         "--out", str(tmp_path / "out"), "--trials", trials,
     ]
-    done = subprocess.run(
+    return subprocess.run(
         argv, capture_output=True, text=True, env=subprocess_env(), timeout=300
     )
-    assert done.returncode == 2
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1, done.stderr
-    assert lines[0].startswith("runtime error: ")
 
 
 def test_long_chebyshev_runs_finish(tmp_path, capsys):

@@ -30,7 +30,7 @@ from eigennet.topology import (
     spectral_bounds,
 )
 
-from conftest import ReplayEngine, random_connected_graph
+from conftest import ReplayEngine, consensus_deviation, random_connected_graph
 
 
 def complete_weights(k):
@@ -45,19 +45,19 @@ class TestEngines:
         cfg = AcConfig(engine, 4, weights=path3_weights)
         res = run_consensus(z0, cfg)
         assert np.allclose(res.z, z0, atol=1e-12)
-        assert np.max(np.abs(res.error)) < 1e-12
+        assert np.max(np.abs(consensus_deviation(z0, res.z))) < 1e-12
 
     def test_ideal_identity_input(self):
         res = run_consensus(np.eye(2), AcConfig("ideal", 0))
         assert np.array_equal(res.z, np.full((2, 2), 0.5))
-        assert not res.error.any()  # exactly zero
+        assert not consensus_deviation(np.eye(2), res.z).any()  # exactly zero
 
     def test_standard_complete_graph_one_step_exact(self):
         w = complete_weights(4)
         rng = np.random.default_rng(0)
         z0 = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         res = run_consensus(z0, AcConfig("standard", 1, weights=w))
-        assert np.max(np.abs(res.error)) < 1e-14
+        assert np.max(np.abs(consensus_deviation(z0, res.z))) < 1e-14
 
     def test_chebyshev_path3_hand_damping(self, path3_weights):
         # b1 = 2 gives the scalar sequence 1, 2, 7, 26
@@ -136,7 +136,6 @@ class TestInvariantsAndCounters:
 
         a, b = once(), once()
         assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.error, b.error)
 
     def test_message_counters(self, path3_weights):
         res = run_consensus(np.zeros((3, 4)), AcConfig("standard", 5, weights=path3_weights))
@@ -146,7 +145,10 @@ class TestInvariantsAndCounters:
         rng = np.random.default_rng(2)
         z0 = rng.standard_normal((3, 2))
         res = run_consensus(z0, AcConfig("standard", 3, weights=path3_weights))
-        assert np.max(np.abs(res.error - (res.z - z0.mean(axis=0)))) < 1e-12
+        # the deviation from the mean is (W^3 - 1 1^T / K) z0
+        w = path3_weights.entries
+        oracle = (np.linalg.matrix_power(w, 3) - np.full((3, 3), 1.0 / 3.0)) @ z0
+        assert np.max(np.abs(consensus_deviation(z0, res.z) - oracle)) < 1e-12
 
 
 class TestValidation:
@@ -178,7 +180,7 @@ class TestSyntheticEngines:
         err = np.array([[0.1 + 0j, 0.0], [0.0, -0.1]])
         res = ErrorInjectingEngine([err]).run(z0)
         assert np.allclose(res.z, z0.mean(axis=0) + err, atol=1e-15)
-        assert np.allclose(res.error, err, atol=1e-15)
+        assert np.allclose(consensus_deviation(z0, res.z), err, atol=1e-15)
 
     def test_injection_rejects_complex_error_on_real_input(self):
         with pytest.raises(ConsensusError):
@@ -210,7 +212,7 @@ def broadcast_inputs():
 
 
 class TestBroadcastFormulation:
-    """The engines' mean and error terms, bit for bit against the np.tile and
+    """The engines' outputs, bit for bit against the np.tile and
     np.broadcast_to formulation they replaced (kept here as the reference)."""
 
     @staticmethod
@@ -233,19 +235,11 @@ class TestBroadcastFormulation:
             for z0 in broadcast_inputs():
                 cfg = make()
                 res = run_consensus(z0, cfg)
-                x0 = self.two_d(z0)
-                mean_row = x0.mean(axis=0)
+                assert res.z.shape == z0.shape and res.z.dtype == z0.dtype
                 if cfg.engine == "ideal":
-                    z_old = np.tile(mean_row, (x0.shape[0], 1))
-                    err_old = np.zeros_like(z_old)
-                else:
-                    z_old = self.two_d(res.z)
-                    err_old = z_old - np.broadcast_to(mean_row, x0.shape)
-                if z0.ndim == 1:
-                    z_old, err_old = z_old[:, 0], err_old[:, 0]
-                assert res.z.dtype == z_old.dtype and res.error.dtype == err_old.dtype
-                assert np.array_equal(res.z, z_old)
-                assert np.array_equal(res.error, err_old)
+                    x0 = self.two_d(z0)
+                    z_old = np.tile(x0.mean(axis=0), (x0.shape[0], 1))
+                    assert np.array_equal(res.z, z_old[:, 0] if z0.ndim == 1 else z_old)
 
     def test_synthetic_engines_match_broadcast_to(self):
         rng = np.random.default_rng(3)
@@ -255,91 +249,8 @@ class TestBroadcastFormulation:
             z_old = mean_row[None, ...] + err if z0.ndim > 1 else mean_row + err
             res = ErrorInjectingEngine([err]).run(z0)
             assert np.array_equal(res.z, z_old)
-            assert np.array_equal(res.error, z_old - np.broadcast_to(mean_row, z0.shape))
             out = rng.standard_normal(z0.shape)
-            res = ReplayEngine([out]).run(z0)
-            assert np.array_equal(res.error, out - np.broadcast_to(mean_row, z0.shape))
-
-
-    ENGINES = {
-        "ideal": lambda w: AcConfig("ideal", 0),
-        "ideal-weighted": lambda w: AcConfig("ideal", 4, weights=w),
-        "standard": lambda w: AcConfig("standard", 7, weights=w),
-        "standard-0": lambda w: AcConfig("standard", 0, weights=w),
-        "chebyshev": lambda w: AcConfig("chebyshev", 12, weights=w),
-        "standard+failures": lambda w: AcConfig(
-            "standard", 5, weights=w, link_failure_prob=0.3, failure_seed=4
-        ),
-        "chebyshev+failures": lambda w: AcConfig(
-            "chebyshev", 5, weights=w, link_failure_prob=0.3, failure_seed=4
-        ),
-    }
-
-    @staticmethod
-    def eager_error(z0, z, ideal):
-        """The error as run_consensus computed it before it was computed on read."""
-        squeeze = z0.ndim == 1
-        x0 = z0[:, None] if squeeze else z0
-        x = z[:, None] if squeeze else z
-        mean_row = x0.mean(axis=-2, keepdims=True)
-        error = np.zeros_like(x) if ideal else x - mean_row
-        return error[:, 0] if squeeze else error
-
-    @staticmethod
-    def stacked_inputs(k):
-        yield from broadcast_inputs()
-        rng = np.random.default_rng(23)
-        yield rng.standard_normal((4, k, 1))
-        yield rng.standard_normal((3, k, 5)) + 1j * rng.standard_normal((3, k, 5))
-
-    @pytest.mark.parametrize("engine", list(ENGINES))
-    def test_error_on_read_matches_eager_formula(self, engine):
-        w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
-        for z0 in self.stacked_inputs(40):
-            cfg = self.ENGINES[engine](w)
-            res = run_consensus(z0, cfg)
-            want = self.eager_error(z0, res.z, cfg.engine == "ideal")
-            assert res.error.dtype == want.dtype and res.error.shape == z0.shape
-            assert np.array_equal(res.error, want)
-            # computed once and kept
-            assert res.error is res.error
-
-    def test_ideal_error_is_zero_even_for_infinite_input(self):
-        z0 = np.ones((3, 5, 2))
-        z0[1, 2, 0] = np.inf
-        res = run_consensus(z0, AcConfig("ideal", 0))
-        assert np.array_equal(res.error, self.eager_error(z0, res.z, True))
-        assert not np.any(res.error)
-
-    def test_synthetic_error_on_read_matches_eager_formula(self):
-        rng = np.random.default_rng(29)
-        for z0 in self.stacked_inputs(40):
-            axis = 0 if z0.ndim == 1 else -2
-            err = rng.standard_normal(z0.shape)
-            for engine in (ErrorInjectingEngine([err]), ReplayEngine([err])):
-                res = engine.run(z0)
-                want = res.z - z0.mean(axis=axis, keepdims=True)
-                assert np.array_equal(res.error, want)
-
-    @pytest.mark.parametrize("engine", list(ENGINES))
-    @pytest.mark.parametrize("shape", [(4, 40, 3), (4, 40), (1, 40, 3), (1, 40)])
-    def test_run_block_error_on_read_matches_eager_formula(self, engine, shape):
-        w = metropolis_weights(generate_random_geometric(40, 0.4, 3))
-        rng = np.random.default_rng(31)
-        z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        make = self.ENGINES[engine]
-        ideal = make(w).engine == "ideal"
-
-        # one engine for the block
-        res = run_block(make(w), z0)
-        if len(z0) == 1:
-            want = self.eager_error(z0[0], res.z[0], ideal)[None]
-        elif z0.ndim == 2:
-            want = self.eager_error(z0[:, :, None], res.z[:, :, None], ideal)[:, :, 0]
-        else:
-            want = self.eager_error(z0, res.z, ideal)
-        assert res.error.shape == z0.shape
-        assert np.array_equal(res.error, want)
+            assert np.array_equal(ReplayEngine([out]).run(z0).z, out)
 
 
 class TestRealProduct:
@@ -468,12 +379,11 @@ class TestTrialStack:
         rng = np.random.default_rng(4)
         z0 = rng.standard_normal((4, 7, width)) + 1j * rng.standard_normal((4, 7, width))
         res = run_consensus(z0, cfg)
-        assert res.z.shape == res.error.shape == z0.shape
+        assert res.z.shape == z0.shape
         assert res.scalars_exchanged_per_node.shape == (4, 7)
         for t in range(4):
             alone = run_consensus(z0[t], cfg)
             assert np.array_equal(res.z[t], alone.z)
-            assert np.array_equal(res.error[t], alone.error)
             assert np.array_equal(
                 res.scalars_exchanged_per_node[t], alone.scalars_exchanged_per_node
             )
@@ -511,10 +421,10 @@ class TestRunBlock:
         ):
             res = run_block(engine, z0)
             assert np.array_equal(res.z, want)
-            assert np.array_equal(res.error, res.z - node_mean)
             assert res.scalars_exchanged_per_node.shape == (3, self.K)
             assert not np.any(res.scalars_exchanged_per_node)
-        assert np.allclose(run_block(ErrorInjectingEngine([err]), z0).error, err, atol=1e-15)
+        res = run_block(ErrorInjectingEngine([err]), z0)
+        assert np.allclose(res.z - node_mean, err, atol=1e-15)
 
     def test_failure_generator_count_must_match(self, path3_weights):
         cfg = AcConfig(
@@ -870,7 +780,6 @@ class TestBufferedKernel:
                 for t in range(trials):
                     alone = lone[t].run(z0[t])
                     assert np.array_equal(res.z[t], alone.z)
-                    assert np.array_equal(res.error[t], alone.error)
                     assert np.array_equal(
                         res.scalars_exchanged_per_node[t], alone.scalars_exchanged_per_node
                     )
@@ -1046,7 +955,7 @@ class TestFoldedCoefficients:
         z0 = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
         res = run_consensus(z0, cfg)
         assert np.isfinite(res.z.view(float)).all()
-        assert np.max(np.abs(res.error)) <= 1e-12
+        assert np.max(np.abs(consensus_deviation(z0, res.z))) <= 1e-12
 
     @pytest.mark.parametrize("failures", [False, True])
     def test_near_degenerate_spectrum_stays_finite(self, failures):
@@ -1063,7 +972,7 @@ class TestFoldedCoefficients:
         z0 = np.random.default_rng(2).standard_normal((12, 2))
         res = run_consensus(z0, cfg)
         assert np.isfinite(res.z).all()
-        assert np.max(np.abs(res.error)) <= 1e-12
+        assert np.max(np.abs(consensus_deviation(z0, res.z))) <= 1e-12
 
 
 class TestBoundsFollowWeights:

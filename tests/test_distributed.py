@@ -5,12 +5,8 @@ import numpy as np
 import pytest
 
 from eigennet import distributed, eigencore, experiments, harness
-from eigennet.consensus import (
-    AcConfig,
-    ConsensusResult,
-    ErrorInjectingEngine,
-    run_consensus,
-)
+from eigennet.consensus import AcConfig, ErrorInjectingEngine, run_consensus
+from eigennet.detection import trace_consensus
 from eigennet.distributed import (
     MessageAudit,
     audit_messages,
@@ -37,7 +33,13 @@ from eigennet.errors import AuditMismatch, ConsensusError, DegenerateRunError, E
 from eigennet.signals import SignalConfig, gen_h0, gen_h1, samples_with_spectrum
 from eigennet.topology import Graph, metropolis_weights
 
-from conftest import ReplayEngine, random_connected_graph, random_hermitian_psd, random_samples
+from conftest import (
+    ReplayEngine,
+    consensus_deviation,
+    random_connected_graph,
+    random_hermitian_psd,
+    random_samples,
+)
 
 IDEAL = AcConfig("ideal", 0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -160,6 +162,26 @@ class TestRunValidation:
         with pytest.raises(DegenerateRunError, match="Lanczos coefficients are not finite"):
             run_dla(y, IDEAL, 3)
 
+    def test_strided_samples(self):
+        y = random_samples(4, 6, 6)[:, ::2]
+        for run in (run_dpm, run_dla):
+            assert_same_arrays(run(y, IDEAL, 2).v_hist, run(y.copy(), IDEAL, 2).v_hist)
+        assert_same_arrays(trace_consensus(y, IDEAL), trace_consensus(y.copy(), IDEAL))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_samples_are_rejected(self, value):
+        y = random_samples(4, 3, 4)
+        y[2, 1] = value
+        runs = (
+            lambda ys: run_dpm(ys, IDEAL, 2),
+            lambda ys: run_dla(ys, IDEAL, 2),
+            lambda ys: trace_consensus(ys, IDEAL),
+        )
+        for run in runs:
+            for ys in (y, np.stack([random_samples(4, 3, 5), y])):
+                with pytest.raises(ValueError, match="non-finite"):
+                    run(ys)
+
 
 class TestErrorPredictions:
     def test_zero_errors_reduce_to_matrix_powers(self):
@@ -263,7 +285,7 @@ class TestInstrumentationAfterTheLoop:
         for j in range(1, m + 1):
             v = res.v_hist[j - 1]
             v_prev = res.v_hist[j - 2] if j >= 2 else np.zeros(k, dtype=complex)
-            w_prev = res.w_norms[j - 2] if j >= 2 else 0.0
+            w_prev = np.linalg.norm(res.w_hist[j - 2]) if j >= 2 else 0.0
             rv = (y @ (y.conj().T @ v)) / n
             alpha_ideal = float(np.real(np.vdot(v, rv)))
             measured[j - 1] = res.w_hist[j - 1] - (rv - alpha_ideal * v - w_prev * v_prev)
@@ -702,14 +724,14 @@ class TestAudit:
         y = random_samples(5, 10, 15)
         ac = AcConfig("standard", 30, weights=w)
         res = run_dpm(y, ac, 5, default_dpm_start(5, 0))
-        audit = audit_messages(res)
+        audit = audit_messages(res, ac, 10)
         assert audit.ac_n_calls == 6
         assert audit.ac_1_calls == 1
         assert audit.time_periods == 7
         assert audit.units_per_node[0] == 5490  # node 0 has degree 3
         # Lanczos counterpart: 30*(50+5)*3 = 4950
         res_l = run_dla(y, ac, 5, default_dla_start(5))
-        audit_l = audit_messages(res_l)
+        audit_l = audit_messages(res_l, ac, 10)
         assert audit_l.ac_n_calls == 5
         assert audit_l.ac_1_calls == 5
         assert audit_l.time_periods == 10
@@ -725,28 +747,28 @@ class TestAudit:
     def test_checkpointed_run_fails_audit(self):
         g = Graph(3, ((0, 1), (1, 2)))
         w = metropolis_weights(g)
-        res = run_dpm(
-            random_samples(3, 4, 17), AcConfig("standard", 2, weights=w), 3,
-            checkpoints=(1,),
-        )
+        ac = AcConfig("standard", 2, weights=w)
+        res = run_dpm(random_samples(3, 4, 17), ac, 3, checkpoints=(1,))
         with pytest.raises(AuditMismatch):
-            audit_messages(res)
+            audit_messages(res, ac, 4)
 
     def test_stacked_run_is_audited_per_trial(self):
         g = Graph(3, ((0, 1), (1, 2)))
         ac = AcConfig("standard", 2, weights=metropolis_weights(g))
         y = np.stack([random_samples(3, 4, 20 + t) for t in range(2)])
         for res in (run_dpm(y, ac, 2), run_dla(y, ac, 2)):
-            # the formulas read one trial's N off the (K, N) samples
+            # the formulas count one trial's units per node
             with pytest.raises(ValueError, match="one trial"):
-                audit_messages(res)
+                audit_messages(res, ac, 4)
             for t in range(2):
-                assert audit_messages(res.trial(t)) == res.audit.trial(t)
+                assert audit_messages(res.trial(t), ac, 4) == res.audit.trial(t)
 
     def test_synthetic_engine_not_auditable(self):
-        res = run_dpm(random_samples(3, 4, 18), IDEAL, 2)
-        with pytest.raises(ValueError):
-            audit_messages(res)
+        y = random_samples(3, 4, 18)
+        for ac in (IDEAL, ErrorInjectingEngine(lambda idx, z0: np.zeros_like(z0))):
+            res = run_dpm(y, ac, 2)
+            with pytest.raises(ValueError, match="weighted consensus config"):
+                audit_messages(res, ac, 4)
 
 
 class TestDeterminismAndState:
@@ -878,17 +900,14 @@ class TestTrialStack:
         assert_same_arrays(part.checkpoints, alone.checkpoints)
         assert_same_trace(part.trace, alone.trace)
         assert part.audit == alone.audit
-        assert (part.ac_iterations, part.graph) == (alone.ac_iterations, alone.graph)
-        assert_same_arrays(part.samples, alone.samples)
 
     def assert_same_dla(self, part, alone):
-        for name in ("alpha_hist", "beta_hist", "v_hist", "w_hist", "w_norms", "sizes", "clamped"):
+        for name in ("alpha_hist", "beta_hist", "v_hist", "w_hist", "sizes", "clamped"):
             assert_same_arrays(getattr(part, name), getattr(alone, name))
         assert_same_stacks(part.ritz_stacks, alone.ritz_stacks)
         assert_same_stacks(part.eigenvalue_stacks, alone.eigenvalue_stacks)
         assert_same_trace(part.trace, alone.trace)
         assert part.audit == alone.audit
-        assert (part.ac_iterations, part.graph) == (alone.ac_iterations, alone.graph)
 
     @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
     def test_dpm(self, kind):
@@ -1013,10 +1032,8 @@ class TestTraceOption:
             a, b = getattr(off, f.name), getattr(on, f.name)
             if f.name == "trace":
                 continue
-            if f.name in ("audit", "m_iterations", "ac_iterations", "algorithm"):
+            if f.name in ("audit", "m_iterations"):
                 assert a == b
-            elif f.name == "graph":
-                assert a is b
             elif f.name in ("ritz_stacks", "eigenvalue_stacks"):
                 assert_same_stacks(a, b)
             else:
@@ -1081,10 +1098,10 @@ class TestUntracedRunsSkipErrors:
 
     @pytest.fixture
     def unreadable_errors(self, monkeypatch):
-        def refuse(res):
+        def refuse(z0, z):
             raise AssertionError("consensus error read")
 
-        monkeypatch.setattr(ConsensusResult, "error", property(refuse))
+        monkeypatch.setattr(distributed, "_consensus_error", refuse)
 
     @pytest.mark.parametrize("per_trial", [False, True])
     @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures"])
@@ -1144,3 +1161,86 @@ class TestAuditOnRead:
                     assert getattr(got, name) == value
                 assert all(type(u) is int for u in got.units_per_node.values())
                 assert type(got.time_periods) is int
+
+
+class TestTracedErrors:
+    """A traced run records each round's output minus the exact mean of its
+    input, as the engine took and returned them."""
+
+    helper = TestTrialStack()
+    M = TestTrialStack.M
+
+    def recorded(self, run, kind, stacked):
+        """A traced run of ``run`` and each round's deviation, in round order.
+
+        The engine of the run is wrapped to record its (z0, z) pairs; a
+        stacked scalar round reaches the engine as a (B, K, 1) stack.
+        """
+        make = self.helper.engine_factory(kind)
+        y = self.helper.block()
+        ac = make(range(len(y)) if stacked else [0])
+        rounds = []
+
+        class Recording:
+            def run(self, z0):
+                res = ac.run(z0)
+                rounds.append((z0, res.z))
+                return res
+
+        res = run(y if stacked else y[0], Recording(), self.M, trace=True)
+        deviations = []
+        for z0, z in rounds:
+            e = consensus_deviation(z0, z)
+            deviations.append(e[:, :, 0] if stacked and z0.shape[-1] == 1 else e)
+        return res.trace, deviations
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    def test_dpm(self, kind, stacked):
+        tr, want = self.recorded(run_dpm, kind, stacked)
+        assert len(want) == self.M + 2
+        assert_same_arrays(tr.iteration_errors, want[: self.M])
+        assert_same_arrays(tr.final_matrix_error, want[self.M])
+        assert_same_arrays(tr.final_scalar_error, np.real(want[self.M + 1]))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    def test_dla(self, kind, stacked):
+        tr, want = self.recorded(run_dla, kind, stacked)
+        assert len(want) == 2 * self.M
+        assert_same_arrays(tr.iteration_matrix_errors, want[0::2])
+        # row j is the scalar error behind iteration j + 1's coefficient
+        scalar = np.real(np.stack(want[1::2], axis=-2))
+        assert_same_arrays(tr.normalization_errors[..., 1:, :], scalar[..., :-1, :])
+        assert not np.any(tr.normalization_errors[..., 0, :])
+
+
+class TestStackedTraceReaders:
+    """The readers of one trial's DPM trace name ``trial(b)`` for a stack."""
+
+    K, N, M = 4, 3, 3
+
+    def stacked_run(self):
+        y = np.stack([random_samples(self.K, self.N, 60 + t) for t in range(2)])
+        return y, run_dpm(y, IDEAL, self.M, trace=True)
+
+    def test_convergence_trace(self):
+        y, res = self.stacked_run()
+        values, vectors = np.linalg.eigh(sample_covariance(y[0]))
+        oracle = EigenSolution(values[::-1], vectors[:, ::-1])
+        with pytest.raises(ValueError, match=r"trial\(b\)"):
+            make_convergence_trace(res, oracle)
+        make_convergence_trace(res.trial(0), oracle)
+
+    def test_vector_prediction(self):
+        y, res = self.stacked_run()
+        r, v0 = sample_covariance(y[0]), default_dpm_start(self.K)
+        with pytest.raises(ValueError, match=r"trial\(b\)"):
+            predict_dpm_vector_error(res.trace, r, v0, self.M)
+        predict_dpm_vector_error(res.trial(0).trace, r, v0, self.M)
+
+    def test_lambda1_prediction(self):
+        y, res = self.stacked_run()
+        with pytest.raises(ValueError, match=r"trial\(b\)"):
+            predict_lambda1_error(res.trace, y[0], res.v_hist[0, self.M])
+        predict_lambda1_error(res.trial(0).trace, y[0], res.v_hist[0, self.M])

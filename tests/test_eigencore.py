@@ -43,6 +43,23 @@ class TestSampleCovariance:
         with pytest.raises(ValueError):
             sample_covariance(np.array([[np.nan, 1.0]]))
 
+    def test_strided_samples(self):
+        # a complex view whose last axis is strided has no float view
+        y = random_samples(5, 8, 4)[:, ::2]
+        assert np.array_equal(sample_covariance(y), sample_covariance(y.copy()))
+        assert np.array_equal(covariance_eigenvalues(y), covariance_eigenvalues(y.copy()))
+
+    def test_overflowing_product_is_a_typed_error(self):
+        # finite samples whose squared magnitudes leave floating point, with
+        # N < K (the Gram path of the spectrum), N > K and a stack
+        y = 1e160 * random_samples(4, 3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for samples in (y, y.T.copy(), np.stack([y / 1e160, y])):
+                for f in (sample_covariance, covariance_eigenvalues):
+                    with pytest.raises(DegenerateRunError, match="covariance overflowed"):
+                        f(samples)
+
 
 class TestCovarianceEigenvalues:
     K = 7

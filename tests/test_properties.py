@@ -288,13 +288,16 @@ class TestFilterBatch:
         cur, prev, k, n, tols, iteration = case
         got = filter_spurious_batch(cur, prev, k, n, tols, iteration=iteration)
         j = iteration if iteration is not None else cur.shape[1]
-        assert len(got) == cur.shape[0]
+        assert got.shape == cur.shape
         for r, row in enumerate(cur):
             tol = float(np.broadcast_to(tols, (cur.shape[0],))[r])
             prev_row = None if prev is None else prev[r][~np.isnan(prev[r])]
             want = scalar_filter_oracle(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
-            assert got[r].dtype == want.dtype
-            assert np.array_equal(got[r], want)
+            assert got.dtype == want.dtype
+            # each row holds its kept values first, NaN after them
+            padded = np.full(cur.shape[1], np.nan)
+            padded[: len(want)] = want
+            assert np.array_equal(got[r], padded, equal_nan=True)
             one = filter_spurious(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
             assert np.array_equal(one, want)
 

@@ -41,12 +41,10 @@ class TestNoiseOnly:
 
 class TestSignalPlusNoise:
     def test_snr_identity_exact(self):
-        cfg = SignalConfig(
-            k=6, n=8, sigma2=2.0, p=2, snr_db=(5.0, -3.0), source_var=(1.0, 4.0), seed=3
-        )
+        cfg = SignalConfig(k=6, n=8, sigma2=2.0, p=2, snr_db=(5.0, -3.0), seed=3)
         _, h = gen_h1(cfg)
-        for i, (rho_db, var) in enumerate(zip(cfg.snr_db, cfg.source_var)):
-            snr = theoretical_snr(h[:, i], var, cfg.sigma2)
+        for i, rho_db in enumerate(cfg.snr_db):
+            snr = theoretical_snr(h[:, i], 1.0, cfg.sigma2)
             assert snr == pytest.approx(10 ** (rho_db / 10), rel=1e-12)
 
     def test_single_source_5db_channel_energy(self):
