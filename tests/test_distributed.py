@@ -844,6 +844,17 @@ class TestTrialStack:
         w = metropolis_weights(graph)
         if kind == "ideal":
             return lambda ts: AcConfig("ideal", 0, weights=w)
+        if kind == "ideal-unweighted":
+            return lambda ts: AcConfig("ideal", 0)
+        if kind == "standard":
+            return lambda ts: AcConfig("standard", 7, weights=w)
+        if kind == "standard-0":
+            return lambda ts: AcConfig("standard", 0, weights=w)
+        if kind == "standard+failures":
+            return lambda ts: AcConfig(
+                "standard", 5, weights=w, link_failure_prob=0.3,
+                failure_seed=[100 + t for t in ts],
+            )
         if kind == "chebyshev":
             return lambda ts: AcConfig("chebyshev", 4, weights=w)
         if kind == "failures":
@@ -1169,6 +1180,10 @@ class TestTracedErrors:
 
     helper = TestTrialStack()
     M = TestTrialStack.M
+    KINDS = [
+        "ideal", "ideal-unweighted", "standard", "standard-0",
+        "standard+failures", "chebyshev", "failures", "injected",
+    ]
 
     def recorded(self, run, kind, stacked):
         """A traced run of ``run`` and each round's deviation, in round order.
@@ -1195,7 +1210,7 @@ class TestTracedErrors:
         return res.trace, deviations
 
     @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_dpm(self, kind, stacked):
         tr, want = self.recorded(run_dpm, kind, stacked)
         assert len(want) == self.M + 2
@@ -1204,7 +1219,7 @@ class TestTracedErrors:
         assert_same_arrays(tr.final_scalar_error, np.real(want[self.M + 1]))
 
     @pytest.mark.parametrize("stacked", [False, True])
-    @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures", "injected"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_dla(self, kind, stacked):
         tr, want = self.recorded(run_dla, kind, stacked)
         assert len(want) == 2 * self.M
