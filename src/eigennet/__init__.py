@@ -18,7 +18,6 @@ from .consensus import (
 )
 from .detection import Statistic, compute_statistic, threshold_from_h0, trace_consensus
 from .distributed import (
-    ConvergenceTrace,
     ConvergenceVerdict,
     DlaErrorTrace,
     DlaResult,
@@ -29,7 +28,6 @@ from .distributed import (
     check_dpm_convergence_condition,
     default_dla_start,
     default_dpm_start,
-    make_convergence_trace,
     matrix_error_for_drift,
     predict_dpm_vector_error,
     predict_lambda1_error,

@@ -36,6 +36,9 @@ batched LAPACK calls per distinct size and filtered in one batched pass. A
 traced run reads the consensus errors one iteration at a time (DPM drift
 inside the loop, DLA w-error terms after it), because a stack of every
 iteration's errors for a whole block would set the peak memory of a run.
+The error-analysis helpers take a traced run and nothing it already holds:
+its start v0, its iterates, its iteration count M and its error terms come
+from the result.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "MessageAudit",
     "DpmErrorTrace",
     "DlaErrorTrace",
-    "ConvergenceTrace",
     "ConvergenceVerdict",
     "DpmResult",
     "DlaResult",
@@ -72,7 +74,6 @@ __all__ = [
     "predict_dpm_vector_error",
     "predict_lambda1_error",
     "matrix_error_for_drift",
-    "make_convergence_trace",
     "check_dpm_convergence_condition",
     "audit_messages",
 ]
@@ -175,14 +176,6 @@ class DlaErrorTrace(_Stacked):
 
 
 @dataclass(frozen=True)
-class ConvergenceTrace:
-    """Angle-to-dominant-eigenvector trajectory plus drift magnitudes."""
-
-    sin_theta: np.ndarray
-    drift_inf: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConvergenceVerdict:
     """Outcome of the drift-decay sufficient condition check."""
 
@@ -226,12 +219,12 @@ class DlaResult(_Stacked):
     audit: MessageAudit
     m_iterations: int
 
-    def tridiagonal(self, k: int, size: int | None = None) -> TridiagonalMatrix:
-        s = int(self.sizes[k]) if size is None else min(size, int(self.sizes[k]))
+    def tridiagonal(self, k: int) -> TridiagonalMatrix:
+        s = int(self.sizes[k])
         return TridiagonalMatrix(
             self.alpha_hist[:s, k].copy(),
             self.beta_hist[: s - 1, k].copy() if s > 1 else np.zeros(0),
-            invariant_subspace=int(self.sizes[k]) < self.m_iterations,
+            invariant_subspace=s < self.m_iterations,
         )
 
 
@@ -246,9 +239,10 @@ def default_dla_start(k: int) -> np.ndarray:
     return np.full(k, 1.0 / math.sqrt(k), dtype=complex)
 
 
-def _require_trace(trace: DpmErrorTrace | None) -> DpmErrorTrace:
+def _require_trace(result: DpmResult) -> DpmErrorTrace:
     """The error trace of one trial's DPM run, or a typed error for a run
-    made without one; a stacked trace is read one trial at a time."""
+    made without one; a stacked run is read one trial at a time."""
+    trace = result.trace
     if trace is None:
         raise MissingTraceError(
             "the run kept no error trace; rerun it with trace=True"
@@ -362,9 +356,11 @@ def run_dpm(
     start shared by every trial or a (B, K) stack. A stack returns a
     stacked result whose ``trial(b)`` equals the run of trial b alone.
 
-    ``trace=True`` keeps the error trace (:class:`DpmErrorTrace`) that the
-    ``predict_*`` helpers read; otherwise ``.trace`` is None. Every other
-    field is the same to the bit either way.
+    ``trace=True`` keeps the error trace (:class:`DpmErrorTrace`);
+    otherwise ``.trace`` is None. Every other field is the same to the bit
+    either way. The analysis helpers (``predict_*`` and
+    :func:`check_dpm_convergence_condition`) take one trial's traced result
+    and read its start, iterates and iteration count from it.
     """
     single, y = _trials(y)
     trials, k, n = y.shape
@@ -433,38 +429,34 @@ def _quadratic_error(e, yhv, k, n):
     return (k / n) * 2.0 * np.real(cross) + (k * k / n) * np.sum(np.abs(e) ** 2, axis=-1)
 
 
-def predict_dpm_vector_error(
-    trace: DpmErrorTrace, r: np.ndarray, v0: np.ndarray, m_iterations: int
-) -> np.ndarray:
-    """Reconstruct the final power iterate from the recorded drift terms.
+def predict_dpm_vector_error(result: DpmResult, r: np.ndarray) -> np.ndarray:
+    """Reconstruct the final power iterate of a traced run from its drift terms.
 
     Returns R^M v0 plus the drift of each iteration propagated through the
-    remaining R powers; the identity is exact, so the result matches the
-    simulated iterate to rounding.
+    remaining R powers, with v0 and M the run's own; the identity is exact,
+    so the result matches the simulated iterate to rounding.
     """
-    drift = _require_trace(trace).iteration_drift
-    x = np.asarray(v0, dtype=complex).copy()
-    for j in range(1, m_iterations + 1):
-        x = r @ x + drift[j - 1]
+    drift = _require_trace(result).iteration_drift
+    x = result.v_hist[0].copy()
+    for d in drift:
+        x = r @ x + d
     return x
 
 
-def predict_lambda1_error(trace: DpmErrorTrace, y: np.ndarray, v_m: np.ndarray):
-    """Closed-form eigenvalue-stage errors and the reconstructed estimates.
+def predict_lambda1_error(result: DpmResult, y: np.ndarray) -> np.ndarray:
+    """The per-node estimates of a traced run, rebuilt in closed form.
 
-    Returns (numerator_error, denominator_error, lambda1_reconstructed): the
-    two error terms as the run's trace holds them, and the estimates rebuilt
-    from them and the final iterate ``v_m``. The reconstruction equals the
-    simulated per-node estimates exactly because no approximation enters the
-    derivation.
+    Rebuilt from the run's final iterate and the eigenvalue-stage error terms
+    its trace holds (``numerator_error`` and ``denominator_error``). The
+    reconstruction equals the simulated per-node estimates exactly because
+    no approximation enters the derivation.
     """
-    trace = _require_trace(trace)
-    e_num, e_den = trace.numerator_error, trace.denominator_error
+    trace = _require_trace(result)
+    v_m = result.v_hist[-1]
     r = sample_covariance(y)
     quad = float(np.real(np.vdot(v_m, r @ v_m)))
     norm_sq = float(np.real(np.vdot(v_m, v_m)))
-    lam = (quad + e_num) / (norm_sq + e_den)
-    return e_num, e_den, lam
+    return (quad + trace.numerator_error) / (norm_sq + trace.denominator_error)
 
 
 def run_dla(
@@ -681,9 +673,11 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     Row s of the (rows, M) ``alpha`` and ``beta`` holds one matrix's
     diagonal and off-diagonal coefficient history, and ``sizes`` the size
     at which each matrix stopped growing; ``k`` and ``n`` are the sample
-    dimensions that drive the spurious-value filter. Rows are the nodes of
-    every trial of a decentralized run, the trials of one node, or the
-    trials of a centralized one.
+    dimensions. They set the Krylov bound min(K, N + 1), which this function
+    alone applies: only past it does the filter get the previous iteration's
+    values, and drop a value absent from them. Rows are the nodes of every
+    trial of a decentralized run, the trials of one node, or the trials of a
+    centralized one.
     At iteration j every row's values sit in one (rows, j) stack, NaN-padded
     past the row's size. Each run of adjacent rows whose ``alpha``, ``beta``
     and ``sizes`` are equal bit for bit is solved and filtered once, through
@@ -716,7 +710,8 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     inverse = np.cumsum(first) - 1
     keep = np.flatnonzero(first)
     alpha, beta, sizes = (np.take(x, keep, axis=0) for x in (alpha, beta, sizes))
-    # the rank test starts past the Krylov bound min(K, N + 1)
+    # the rank test starts past the Krylov bound min(K, N + 1): the filter
+    # runs it on any previous stack it is given
     limit = min(k, n + 1)
     rows = alpha.shape[0]
     needed = set(wanted) | {j - 1 for j in wanted if j > limit}
@@ -735,11 +730,7 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
         cur = raw[j]
         peak = np.max(np.abs(cur), axis=1, where=~np.isnan(cur), initial=0.0)
         filtered[j] = filter_spurious_batch(
-            cur,
-            raw[j - 1] if j > limit else None,
-            k,
-            n,
-            tol_rel * np.maximum(peak, 1e-12),
+            cur, raw[j - 1] if j > limit else None, tol_rel * np.maximum(peak, 1e-12)
         )
     return (
         {j: np.take(values, inverse, axis=0) for j, values in raw.items()},
@@ -763,45 +754,38 @@ def matrix_error_for_drift(y: np.ndarray, drift: np.ndarray) -> np.ndarray:
     return coef[:, None] * y
 
 
-def make_convergence_trace(result: DpmResult, oracle: EigenSolution) -> ConvergenceTrace:
-    """Angle of each power iterate to the oracle dominant eigenvector."""
-    drift = _require_trace(result.trace).iteration_drift
+def check_dpm_convergence_condition(
+    result: DpmResult, oracle: EigenSolution
+) -> ConvergenceVerdict:
+    """Check whether a traced run's drift decays fast enough for convergence.
+
+    ``oracle`` is the exact spectrum of the run's sample covariance, with
+    eigenvectors: ``sin_theta`` is the angle of each power iterate to the
+    dominant one. The sufficient condition compares the per-iteration drift
+    magnitude against (1/(j+1)) * (lambda_1 / max(lambda_2, 1))^j. The
+    returned ratios divide the recorded drift by that envelope; the
+    condition is judged satisfied when the final ratio has fallen below 0.1
+    times the initial one (all-zero drift trivially satisfies it).
+    """
+    drift = _require_trace(result).iteration_drift
     if oracle.vectors is None:
         raise ValueError("oracle must carry eigenvectors")
-    u1 = oracle.vectors[:, 0]
-    sins = np.empty(result.v_hist.shape[0])
-    for i, v in enumerate(result.v_hist):
-        nv = float(np.linalg.norm(v))
-        c = abs(np.vdot(u1, v)) / nv if nv > 0 else 0.0
-        sins[i] = math.sqrt(max(0.0, 1.0 - min(c, 1.0) ** 2))
-    drift_inf = np.max(np.abs(drift), axis=1)
-    return ConvergenceTrace(sin_theta=sins, drift_inf=drift_inf)
-
-
-def check_dpm_convergence_condition(
-    trace: ConvergenceTrace,
-    spectrum: EigenSolution,
-    m_iterations: int,
-) -> ConvergenceVerdict:
-    """Check whether the recorded drift decays fast enough for convergence.
-
-    The sufficient condition compares the per-iteration drift magnitude
-    against (1/(j+1)) * (lambda_1 / max(lambda_2, 1))^j. The returned ratios
-    divide the recorded drift by that envelope; the condition is judged
-    satisfied when the final ratio has fallen below 0.1 times the initial
-    one (all-zero drift trivially satisfies it).
-    """
-    lam = spectrum.values
+    lam = oracle.values
     lam1 = float(lam[0])
     lam2 = float(lam[1]) if len(lam) > 1 else 0.0
     if lam1 <= 1.0:
         raise ValueError(
             "largest eigenvalue must exceed 1; rescale the samples first"
         )
-    m = min(m_iterations, len(trace.drift_inf))
-    j = np.arange(1, m + 1, dtype=float)
+    u1 = oracle.vectors[:, 0]
+    sins = np.empty(result.v_hist.shape[0])
+    for i, v in enumerate(result.v_hist):
+        nv = float(np.linalg.norm(v))
+        c = abs(np.vdot(u1, v)) / nv if nv > 0 else 0.0
+        sins[i] = math.sqrt(max(0.0, 1.0 - min(c, 1.0) ** 2))
+    j = np.arange(1, result.m_iterations + 1, dtype=float)
     envelope = (lam1 / max(lam2, 1.0)) ** j / (j + 1.0)
-    ratios = trace.drift_inf[:m] / envelope
+    ratios = np.max(np.abs(drift), axis=1) / envelope
     if np.all(ratios == 0.0):
         satisfied, margin = True, 0.0
     elif ratios[0] == 0.0:
@@ -812,8 +796,8 @@ def check_dpm_convergence_condition(
     return ConvergenceVerdict(
         condition_satisfied=satisfied,
         rate_margin=margin,
-        sin_theta_final=float(trace.sin_theta[m]),
-        sin_theta=trace.sin_theta,
+        sin_theta_final=float(sins[-1]),
+        sin_theta=sins,
         ratios=ratios,
     )
 

@@ -4,7 +4,10 @@ Everything here is a pure function of its arguments: sample covariance and
 its exact spectrum, unnormalized power iteration, Lanczos tridiagonalization
 without reorthogonalization, symmetric-tridiagonal eigenvalues from LAPACK
 (``numpy.linalg.eigvalsh``) and post-processing of Ritz lists
-(spurious-value filtering).
+(spurious-value filtering). The filter runs its rank test on whatever
+previous lists it is given; the caller decides when they apply, past the
+Krylov bound min(K, N + 1). The power method's overflow guard is a fixed
+iterate norm, 1e150.
 """
 
 from __future__ import annotations
@@ -175,17 +178,16 @@ def _stack(r: np.ndarray, start: np.ndarray) -> tuple[bool, np.ndarray, np.ndarr
     return single, stack, np.array(np.broadcast_to(start, stack.shape[:-1]), order="C")
 
 
+_OVERFLOW_LIMIT = 1e150  # iterate norm past which power_method renormalizes
+
+
 def power_method(
-    r: np.ndarray,
-    v0: np.ndarray,
-    m_iterations: int,
-    *,
-    overflow_limit: float = 1e150,
+    r: np.ndarray, v0: np.ndarray, m_iterations: int
 ) -> PowerIterationResult | list[PowerIterationResult]:
     """Unnormalized power iteration v <- R v with a tracked overflow guard.
 
     Returns the final iterate and the Rayleigh quotient estimate of the
-    largest eigenvalue. If the iterate norm passes ``overflow_limit``, or
+    largest eigenvalue. If the iterate norm passes 1e150, or
     cannot be formed because its square overflows, the iterate is
     renormalized internally and the accumulated positive factor is reported
     through ``log_scale``. A quotient that overflows on the final iterate is
@@ -207,7 +209,7 @@ def power_method(
         # the squared norm is inf past ~1e154: scale by the largest entry first
         with np.errstate(over="ignore"):
             nv = row_norms(v)
-        for t in np.nonzero(~(nv <= overflow_limit))[0]:
+        for t in np.nonzero(~(nv <= _OVERFLOW_LIMIT))[0]:
             peak = np.max(np.abs(v[t]))
             if not math.isfinite(peak):
                 raise DegenerateRunError(f"power iterate overflowed at iteration {j}")
@@ -344,13 +346,7 @@ def tridiagonal_eigenvalues(t: TridiagonalMatrix) -> np.ndarray:
 
 
 def filter_spurious_batch(
-    current: np.ndarray,
-    previous: np.ndarray | None,
-    k: int,
-    n: int,
-    tol: float | np.ndarray,
-    *,
-    iteration: int | None = None,
+    current: np.ndarray, previous: np.ndarray | None, tol: float | np.ndarray
 ) -> np.ndarray:
     """Drop spurious Ritz values from a stack of iteration-j lists.
 
@@ -359,25 +355,24 @@ def filter_spurious_batch(
     of the previous iteration's lists, or None. ``tol`` is a scalar or one
     tolerance per row. Two criteria, applied in order:
 
-    1. Rank criterion: the Krylov space K_j(R, v1) lies in span{v1} plus
-       the range of R, so its dimension is at most min(K, N + 1), and exact
-       Lanczos has found the whole spectrum by iteration min(K, N + 1).
-       Past that iteration a value absent (within ``tol``) from the
-       previous iteration's list is spurious.
+    1. Rank criterion, whenever ``previous`` is given: a value absent
+       (within ``tol``) from the previous iteration's list is spurious. The
+       Krylov space K_j(R, v1) lies in span{v1} plus the range of R, so its
+       dimension is at most min(K, N + 1), and exact Lanczos has found the
+       whole spectrum by iteration min(K, N + 1); the caller passes
+       ``previous`` only past that iteration.
     2. Duplicate collapse: values within ``tol`` of the last kept value are
        merged into it (the largest of each cluster survives).
 
-    ``iteration`` defaults to the column count of ``current``. Returns the
-    (S, j) stack holding each row's kept values first, descending, and NaN
-    after them.
+    Returns the (S, j) stack holding each row's kept values first,
+    descending, and NaN after them.
     """
     # descending, with the NaN padding moved to the end of each row
     cur = -np.sort(-np.atleast_2d(np.asarray(current, dtype=float)), axis=1)
     s, width = cur.shape
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (s,))
     keep = ~np.isnan(cur)
-    j = iteration if iteration is not None else width
-    if j > min(k, n + 1) and previous is not None:
+    if previous is not None:
         prev = np.asarray(previous, dtype=float)
         # one previous column at a time: an (S, j, p) difference stack would
         # set the peak memory of a run over many trials' nodes
@@ -396,23 +391,15 @@ def filter_spurious_batch(
 
 
 def filter_spurious(
-    current: np.ndarray,
-    previous: np.ndarray | None,
-    k: int,
-    n: int,
-    tol: float,
-    *,
-    iteration: int | None = None,
+    current: np.ndarray, previous: np.ndarray | None, tol: float
 ) -> np.ndarray:
     """Drop spurious Ritz values from one iteration-j list.
 
     The one-row case of :func:`filter_spurious_batch`, without the row's
-    NaN tail; ``iteration`` defaults to the length of ``current``.
+    NaN tail.
     """
     prev = None if previous is None else np.asarray(previous, dtype=float)[None, :]
-    row = filter_spurious_batch(
-        np.asarray(current, dtype=float)[None, :], prev, k, n, tol, iteration=iteration
-    )[0]
+    row = filter_spurious_batch(np.asarray(current, dtype=float)[None, :], prev, tol)[0]
     return row[~np.isnan(row)]
 
 

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .detection import STATISTIC_KINDS
 from .errors import ConfigError
 
 __all__ = [
@@ -270,8 +271,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
     # an infinite radius gives the complete graph
     if not cfg.radius > 0:
         problems.append("radius must be positive")
-    if any(d not in ("RT", "GT", "ST", "JT") for d in cfg.detectors):
-        problems.append("detectors entries must be among RT, GT, ST, JT")
+    if any(d not in STATISTIC_KINDS for d in cfg.detectors):
+        problems.append(f"detectors entries must be among {', '.join(STATISTIC_KINDS)}")
     if not cfg.alphas or any(not (0.0 < a < 1.0) for a in cfg.alphas):
         problems.append("alphas must lie in (0, 1)")
     if any(i < 1 for i in cfg.eig_indices):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateRunError
+
 __all__ = [
     "SignalConfig",
     "gen_h0",
@@ -64,7 +66,8 @@ def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
 
     The channel is drawn with unit-variance complex Gaussian entries, then
     each column i is rescaled so its SNR, ||h_i||^2 / sigma2, equals
-    10^(snr_db_i / 10) exactly.
+    10^(snr_db_i / 10) exactly; a source power 10^(snr_db_i / 10) sigma2
+    past floating point raises :class:`DegenerateRunError`.
     Source samples are mutually uncorrelated unit-variance complex
     Gaussians, redrawn at every time instant. A source variance would change
     no statistic of the samples: the column rescaling cancels it.
@@ -73,9 +76,17 @@ def gen_h1(cfg: SignalConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("signal hypothesis needs at least one source")
     rng = np.random.default_rng(cfg.seed)
     h = _complex_gaussian(rng, (cfg.k, cfg.p), 1.0)
-    snr_lin = 10.0 ** (np.asarray(cfg.snr_db, dtype=float) / 10.0)
+    # an overflow to inf raises the typed error below; numpy need not warn first
+    with np.errstate(over="ignore"):
+        snr_lin = 10.0 ** (np.asarray(cfg.snr_db, dtype=float) / 10.0)
     for i in range(cfg.p):
-        target = snr_lin[i] * cfg.sigma2
+        # a Python float product overflows to inf without a numpy warning
+        target = float(snr_lin[i]) * cfg.sigma2
+        if not math.isfinite(target):
+            raise DegenerateRunError(
+                f"source power overflowed: 10^(snr_db/10) sigma2 is not finite at "
+                f"snr_db = {cfg.snr_db[i]:g}, sigma2 = {cfg.sigma2:g}"
+            )
         h[:, i] *= math.sqrt(target) / np.linalg.norm(h[:, i])
     s = _complex_gaussian(rng, (cfg.p, cfg.n), 1.0)
     noise = _complex_gaussian(rng, (cfg.k, cfg.n), cfg.sigma2)

@@ -214,20 +214,21 @@ class ChebyshevParams:
         return not np.isfinite(self.b1)
 
 
-def generate_random_geometric(
-    k: int, radius: float, rng_seed: int, *, max_retries: int = 100
-) -> Graph:
+_PLACEMENTS = 100  # placements generate_random_geometric tries
+
+
+def generate_random_geometric(k: int, radius: float, rng_seed: int) -> Graph:
     """Place k nodes uniformly in the unit square, connect pairs within radius.
 
-    Placement is redrawn (up to ``max_retries`` times) until the graph is
-    connected; raises :class:`TopologyError` when the budget is exhausted.
+    Placement is redrawn (up to 100 times) until the graph is connected;
+    raises :class:`TopologyError` when the budget is exhausted.
     """
     if k < 2:
         raise TopologyError("geometric generator needs at least 2 nodes")
     if radius <= 0:
         raise TopologyError("radius must be positive")
     rng = np.random.default_rng(rng_seed)
-    for _ in range(max_retries):
+    for _ in range(_PLACEMENTS):
         pos = rng.random((k, 2))
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
@@ -238,7 +239,7 @@ def generate_random_geometric(
         if g.is_connected():
             return g
     raise TopologyError(
-        f"no connected geometric graph found in {max_retries} placements "
+        f"no connected geometric graph found in {_PLACEMENTS} placements "
         f"(k={k}, radius={radius})"
     )
 

@@ -18,7 +18,6 @@ from eigennet.distributed import (
     check_dpm_convergence_condition,
     default_dla_start,
     default_dpm_start,
-    make_convergence_trace,
     matrix_error_for_drift,
     predict_dpm_vector_error,
     predict_lambda1_error,
@@ -156,10 +155,10 @@ def test_criterion_3_error_formula_verification():
         ]
         errors.append(0.02 * rng.standard_normal(k))
         res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
-        pred = predict_dpm_vector_error(res.trace, r, v0, m)
+        pred = predict_dpm_vector_error(res, r)
         vec_resid = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
         assert vec_resid <= 1e-10
-        _, _, lam = predict_lambda1_error(res.trace, y, res.v_hist[m])
+        lam = predict_lambda1_error(res, y)
         lam_resid = np.max(np.abs(lam - res.lambda1)) / np.max(np.abs(res.lambda1))
         assert lam_resid <= 1e-10
 
@@ -210,9 +209,7 @@ def test_criterion_4_convergence_condition():
             oracle = EigenSolution(vals, vecs)
             rate = vals[0] / max(vals[1], 1.0)
             res = _drift_driven_run(y, vecs, m, lambda j: 0.05 * rate**j / (j + 1.0) ** 2)
-            verdict = check_dpm_convergence_condition(
-                make_convergence_trace(res, oracle), oracle, m
-            )
+            verdict = check_dpm_convergence_condition(res, oracle)
             assert verdict.condition_satisfied
             assert verdict.sin_theta_final <= 1e-3
             finals.append(verdict.sin_theta_final)
@@ -222,9 +219,7 @@ def test_criterion_4_convergence_condition():
             y, (vals, vecs) = samples_with_spectrum(flat, 100 + seed)
             oracle = EigenSolution(vals, vecs)
             res = _drift_driven_run(y, vecs, m, lambda j: 0.1)
-            verdict = check_dpm_convergence_condition(
-                make_convergence_trace(res, oracle), oracle, m
-            )
+            verdict = check_dpm_convergence_condition(res, oracle)
             assert not verdict.condition_satisfied
             tail = verdict.sin_theta[-(m // 4):]
             assert np.min(tail) > 1e-2, "constant drift should keep the angle up"

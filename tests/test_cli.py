@@ -217,10 +217,36 @@ def test_overflowing_sample_covariance_is_a_typed_error(experiment, trials, tmp_
     )
 
 
+@pytest.mark.parametrize(
+    "experiment", ["eig-converge", "multi-eig", "ac-compare", "audit-messages", "prop-check"]
+)
+def test_overflowing_source_power_is_a_typed_error(experiment, tmp_path):
+    # at 1e308 the noise is finite but the source power SNR x sigma2 is not;
+    # every run that draws signal samples stops there, before numpy warns
+    name = experiment.replace("-", "_")
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(
+        "\n".join([line for line in lines if not line.startswith("sigma2 ")] + ["sigma2 = 1e308"])
+        + "\n"
+    )
+    done = run_config_in_process(experiment, config, "1", tmp_path)
+    assert done.returncode == 2
+    assert "RuntimeWarning" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("runtime error: source power overflowed: ")
+
+
 def run_in_process(experiment, key, value, trials, tmp_path):
-    """A shipped config run with one key replaced, in a process of its own,
-    where numpy's floating-point warnings would reach stderr."""
+    """A shipped config run with one key replaced, in a process of its own."""
     config = config_with(experiment, key, value, tmp_path)
+    return run_config_in_process(experiment, config, trials, tmp_path)
+
+
+def run_config_in_process(experiment, config, trials, tmp_path):
+    """A run of ``config`` in a process of its own, where numpy's
+    floating-point warnings would reach stderr."""
     argv = [
         sys.executable, "-m", "eigennet.cli", experiment, "--config", str(config),
         "--out", str(tmp_path / "out"), "--trials", trials,

@@ -13,7 +13,6 @@ from eigennet.distributed import (
     check_dpm_convergence_condition,
     default_dla_start,
     default_dpm_start,
-    make_convergence_trace,
     matrix_error_for_drift,
     predict_dpm_vector_error,
     predict_lambda1_error,
@@ -189,12 +188,12 @@ class TestErrorPredictions:
         r = sample_covariance(y)
         v0 = default_dpm_start(5, 2)
         res = run_dpm(y, IDEAL, 3, v0, trace=True)
-        pred = predict_dpm_vector_error(res.trace, r, v0, 3)
+        pred = predict_dpm_vector_error(res, r)
         want = np.linalg.matrix_power(r, 3) @ v0
         assert np.max(np.abs(pred - want)) <= 1e-12 * np.max(np.abs(want))
-        e_num, e_den, lam = predict_lambda1_error(res.trace, y, res.v_hist[3])
-        assert np.max(np.abs(e_num)) < 1e-12
-        assert np.max(np.abs(e_den)) < 1e-12
+        lam = predict_lambda1_error(res, y)
+        assert np.max(np.abs(res.trace.numerator_error)) < 1e-12
+        assert np.max(np.abs(res.trace.denominator_error)) < 1e-12
         assert np.max(np.abs(lam - res.lambda1)) <= 1e-12 * np.max(np.abs(res.lambda1))
 
     def test_single_iteration_single_error(self):
@@ -216,7 +215,7 @@ class TestErrorPredictions:
         r = sample_covariance(y)
         v0 = default_dpm_start(k, seed)
         res = run_dpm(y, dpm_injection(k, n, m, 0.02, seed), m, v0, trace=True)
-        pred = predict_dpm_vector_error(res.trace, r, v0, m)
+        pred = predict_dpm_vector_error(res, r)
         rel = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
         assert rel <= 1e-10
 
@@ -237,7 +236,7 @@ class TestErrorPredictions:
             res = run_dpm(
                 y, ErrorInjectingEngine(errors), m, default_dpm_start(k, 4), trace=True
             )
-            _, _, lam = predict_lambda1_error(res.trace, y, res.v_hist[m])
+            lam = predict_lambda1_error(res, y)
             rel = np.max(np.abs(lam - res.lambda1)) / np.max(np.abs(res.lambda1))
             assert rel <= 1e-12
 
@@ -355,8 +354,8 @@ class TestBatchedRitzExtraction:
             for node in nodes:
                 cur = raw[j][node]
                 tol = tol_rel * max(float(np.max(np.abs(cur))), 1e-12)
-                prev = raw[j - 1][node] if j > min(k, n) else None
-                filtered[j].append(filter_spurious(cur, prev, k, n, tol, iteration=j))
+                prev = raw[j - 1][node] if j > min(k, n + 1) else None
+                filtered[j].append(filter_spurious(cur, prev, tol))
         return raw, filtered
 
     @pytest.mark.parametrize("case", ["ideal", "staggered"])
@@ -396,6 +395,38 @@ class TestBatchedRitzExtraction:
         assert sorted(res.ritz_stacks) == [2, 3]
         for j in (2, 3):
             assert np.allclose(res.eigenvalue_stacks[j][:, 0], lam1, rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def decoupled_lists(alpha, k, n, wanted):
+        """Filtered Ritz lists of one matrix with diagonal ``alpha`` and zero
+        off-diagonal: iteration j's values are alpha[:j], so alpha[j - 1] is
+        new at iteration j."""
+        m = len(alpha)
+        row = np.array([alpha], dtype=float)
+        _, filtered = distributed._extract_ritz(
+            row, np.zeros((1, m)), np.array([m]), wanted, k, n, 1e-3
+        )
+        return {j: values[0][~np.isnan(values[0])].tolist() for j, values in filtered.items()}
+
+    @pytest.mark.parametrize(
+        "k, n, bound",
+        [(6, 1, 2), (4, 3, 4), (4, 4, 4), (4, 9, 4)],
+        ids=["N=1", "N=K-1", "N=K", "N>K"],
+    )
+    def test_rank_criterion_starts_past_the_krylov_bound(self, k, n, bound):
+        # K_j(R, v1) has dimension at most min(K, N + 1): up to there every
+        # Ritz value is genuine, so a value new at that iteration is kept,
+        # and one new at the next iteration is dropped
+        assert bound == min(k, n + 1)
+        alpha = [9.0, 5.0, 2.0, 1.0, 0.7][: bound - 1] + [0.5, 0.3]
+        lists = self.decoupled_lists(alpha, k, n, (bound, bound + 1))
+        assert lists[bound] == alpha[:bound]
+        assert lists[bound + 1] == lists[bound]
+
+    def test_rank_criterion_inactive_at_limit(self):
+        # below the bound min(K, N + 1) = 4 a new value is kept
+        lists = self.decoupled_lists([9.0, 5.0, 0.7], 4, 4, (3,))
+        assert lists[3] == [9.0, 5.0, 0.7]
 
     def test_one_solver_call_per_size_and_no_per_node_filter(self, monkeypatch):
         k, n, m = 8, 3, 7
@@ -691,22 +722,21 @@ class TestConvergenceCondition:
         v0 = vectors[:, 0] + 0.3 * vectors[:, 1] + 0.1 * vectors[:, 2]
         m = 25
         res = run_dpm(y, IDEAL, m, v0, trace=True)
-        trace = make_convergence_trace(res, oracle)
-        verdict = check_dpm_convergence_condition(trace, oracle, m)
+        verdict = check_dpm_convergence_condition(res, oracle)
         assert verdict.condition_satisfied
         # classical decay bound with the start's eigen-expansion constant
         a = vectors.conj().T @ v0
         c = np.linalg.norm(a[1:]) / abs(a[0])
-        assert trace.sin_theta[m] <= c * (values[1] / values[0]) ** m * (1 + 1e-9)
+        assert verdict.sin_theta[m] == verdict.sin_theta_final
+        assert verdict.sin_theta[m] <= c * (values[1] / values[0]) ** m * (1 + 1e-9)
 
     def test_precondition_requires_large_top_eigenvalue(self):
         lam = np.array([0.9, 0.5, 0.1])
         y, (values, vectors) = samples_with_spectrum(lam, seed=6)
         oracle = EigenSolution(values, vectors)
         res = run_dpm(y, IDEAL, 3, vectors[:, 0], trace=True)
-        trace = make_convergence_trace(res, oracle)
-        with pytest.raises(ValueError):
-            check_dpm_convergence_condition(trace, oracle, 3)
+        with pytest.raises(ValueError, match="must exceed 1"):
+            check_dpm_convergence_condition(res, oracle)
 
     def test_drift_helper_hits_target(self):
         y = random_samples(5, 5, 14)
@@ -1012,11 +1042,11 @@ class TestTrialStack:
         r = np.stack([np.diag([1e60, 1.0, 1.0, 0.5]) + 0j, random_hermitian_psd(k, 3)])
         rng = np.random.default_rng(8)
         v0 = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-        stacked = power_method(r, v0, 5, overflow_limit=1e50)
+        stacked = power_method(r, v0, 5)
         assert stacked[0].log_scale > 0.0
         assert stacked[1].log_scale == 0.0
         for t in range(len(r)):
-            alone = power_method(r[t], v0[t], 5, overflow_limit=1e50)
+            alone = power_method(r[t], v0[t], 5)
             assert_same_arrays(stacked[t].vector, alone.vector)
             assert stacked[t].value == alone.value
             assert stacked[t].log_scale == alone.log_scale
@@ -1093,9 +1123,9 @@ class TestTraceOption:
         values, vectors = np.linalg.eigh(sample_covariance(y))
         oracle = EigenSolution(values[::-1], vectors[:, ::-1])
         calls = [
-            lambda: make_convergence_trace(dpm, oracle),
-            lambda: predict_dpm_vector_error(dpm.trace, sample_covariance(y), v0, m),
-            lambda: predict_lambda1_error(dpm.trace, y, dpm.v_hist[m]),
+            lambda: check_dpm_convergence_condition(dpm, oracle),
+            lambda: predict_dpm_vector_error(dpm, sample_covariance(y)),
+            lambda: predict_lambda1_error(dpm, y),
         ]
         for call in calls:
             with pytest.raises(EigennetError, match="trace=True"):
@@ -1239,23 +1269,23 @@ class TestStackedTraceReaders:
         y = np.stack([random_samples(self.K, self.N, 60 + t) for t in range(2)])
         return y, run_dpm(y, IDEAL, self.M, trace=True)
 
-    def test_convergence_trace(self):
+    def test_convergence_condition(self):
         y, res = self.stacked_run()
         values, vectors = np.linalg.eigh(sample_covariance(y[0]))
         oracle = EigenSolution(values[::-1], vectors[:, ::-1])
         with pytest.raises(ValueError, match=r"trial\(b\)"):
-            make_convergence_trace(res, oracle)
-        make_convergence_trace(res.trial(0), oracle)
+            check_dpm_convergence_condition(res, oracle)
+        check_dpm_convergence_condition(res.trial(0), oracle)
 
     def test_vector_prediction(self):
         y, res = self.stacked_run()
-        r, v0 = sample_covariance(y[0]), default_dpm_start(self.K)
+        r = sample_covariance(y[0])
         with pytest.raises(ValueError, match=r"trial\(b\)"):
-            predict_dpm_vector_error(res.trace, r, v0, self.M)
-        predict_dpm_vector_error(res.trial(0).trace, r, v0, self.M)
+            predict_dpm_vector_error(res, r)
+        predict_dpm_vector_error(res.trial(0), r)
 
     def test_lambda1_prediction(self):
         y, res = self.stacked_run()
         with pytest.raises(ValueError, match=r"trial\(b\)"):
-            predict_lambda1_error(res.trace, y[0], res.v_hist[0, self.M])
-        predict_lambda1_error(res.trial(0).trace, y[0], res.v_hist[0, self.M])
+            predict_lambda1_error(res, y[0])
+        predict_lambda1_error(res.trial(0), y[0])

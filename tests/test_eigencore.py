@@ -140,7 +140,7 @@ class TestPowerMethod:
 
     def test_overflow_guard_tracks_scale(self):
         r = np.diag([1e60, 1.0])
-        res = power_method(r, np.array([1.0, 1.0]), 5, overflow_limit=1e50)
+        res = power_method(r, np.array([1.0, 1.0]), 5)
         assert res.log_scale > 0
         assert res.value == pytest.approx(1e60, rel=1e-12)
         # reported vector times the recorded factor reproduces the raw iterate
@@ -177,11 +177,9 @@ class TestPowerMethod:
         r = np.stack([np.diag([1e60, 1.0, 1.0, 0.5]) + 0j, random_hermitian_psd(4, 3)])
         rng = np.random.default_rng(9)
         v0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        fresh = power_method(r, v0, 10, overflow_limit=1e50)
-        first = power_method(r, v0, 4, overflow_limit=1e50)
-        chained = power_method(
-            r, np.stack([p.vector for p in first]), 6, overflow_limit=1e50
-        )
+        fresh = power_method(r, v0, 10)
+        first = power_method(r, v0, 4)
+        chained = power_method(r, np.stack([p.vector for p in first]), 6)
         assert fresh[0].log_scale > first[0].log_scale > 0.0
         for a, b, c in zip(fresh, first, chained):
             assert np.array_equal(c.vector, a.vector)
@@ -351,41 +349,19 @@ class TestDenseHermitianEig:
 class TestFilterSpurious:
     def test_early_iterations_unchanged(self):
         cur = np.array([5.0, 3.0, 1.0])
-        out = filter_spurious(cur, None, 4, 4, 1e-6, iteration=3)
+        out = filter_spurious(cur, None, 1e-6)
         assert np.allclose(out, cur)
 
     def test_duplicate_collapse(self):
-        out = filter_spurious(np.array([5.0, 5.0 + 1e-9, 2.0]), None, 4, 4, 1e-6)
+        out = filter_spurious(np.array([5.0, 5.0 + 1e-9, 2.0]), None, 1e-6)
         assert np.allclose(out, [5.0 + 1e-9, 2.0])
 
     def test_rank_criterion_drops_new_value(self):
         prev = np.array([9.0, 5.0, 2.0, 1.0, 0.4])
         cur = np.array([9.0, 5.0, 2.0, 1.0, 0.7, 0.4])
-        out = filter_spurious(cur, prev, 4, 4, 1e-3, iteration=6)
+        out = filter_spurious(cur, prev, 1e-3)
         assert 0.7 not in out
         assert np.allclose(out, [9.0, 5.0, 2.0, 1.0, 0.4])
-
-    def test_rank_criterion_inactive_at_limit(self):
-        prev = np.array([9.0, 5.0])
-        cur = np.array([9.0, 5.0, 0.7])
-        out = filter_spurious(cur, prev, 4, 4, 1e-3, iteration=3)
-        assert 0.7 in out
-
-    @pytest.mark.parametrize(
-        "k, n, bound",
-        [(6, 1, 2), (4, 3, 4), (4, 4, 4), (4, 9, 4)],
-        ids=["N=1", "N=K-1", "N=K", "N>K"],
-    )
-    def test_rank_criterion_starts_past_the_krylov_bound(self, k, n, bound):
-        # K_j(R, v1) has dimension at most min(K, N + 1): up to there every
-        # Ritz value is genuine, so a value new at that iteration is kept
-        prev = np.array([9.0, 5.0])
-        cur = np.array([9.0, 5.0, 0.7])
-        assert bound == min(k, n + 1)
-        out = filter_spurious(cur, prev, k, n, 1e-3, iteration=bound)
-        assert out.tolist() == [9.0, 5.0, 0.7]
-        out = filter_spurious(cur, prev, k, n, 1e-3, iteration=bound + 1)
-        assert out.tolist() == [9.0, 5.0]
 
 
 class TestCullumWilloughby:

@@ -1,9 +1,11 @@
-"""Static checks on the package source: no unused imports, no dangling exports."""
+"""Static checks on the package source: no unused imports, no dangling
+exports, no keyword-only option that no program caller sets."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eigennet"
+PROGRAM = (PACKAGE.parent, PACKAGE.parents[1] / "perfbench")
 
 
 def imported_names(tree):
@@ -59,6 +61,42 @@ def test_modules_use_their_imports_and_define_their_exports():
             if name not in defined
         ]
     assert not problems, "\n".join(problems)
+
+
+def public_keyword_options(tree):
+    """(function, parameter) for each keyword-only parameter of the module's
+    public functions."""
+    return [
+        (node.name, arg.arg)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        for arg in node.args.kwonlyargs
+    ]
+
+
+def keywords_passed(paths):
+    """(callee name, keyword) for each keyword argument of a call in the files."""
+    passed = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                passed.update((name, kw.arg) for kw in node.keywords)
+    return passed
+
+
+def test_every_keyword_option_has_a_program_caller():
+    # an option that only tests set is a constant, and one whose value the
+    # callee can work out is no argument at all
+    passed = keywords_passed(p for root in PROGRAM for p in sorted(root.rglob("*.py")))
+    unset = [
+        f"{path.name}: {function}(*, {arg}) is never passed by a program caller"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, arg in public_keyword_options(ast.parse(path.read_text()))
+        if (function, arg) not in passed
+    ]
+    assert not unset, "\n".join(unset)
 
 
 def test_readme_tour_runs():

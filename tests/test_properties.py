@@ -286,19 +286,23 @@ class TestFilterBatch:
     @given(ritz_stacks())
     def test_batch_matches_scalar_oracle_row_by_row(self, case):
         cur, prev, k, n, tols, iteration = case
-        got = filter_spurious_batch(cur, prev, k, n, tols, iteration=iteration)
         j = iteration if iteration is not None else cur.shape[1]
+        # the caller owns the Krylov bound: it passes the previous stack only
+        # past min(K, N + 1)
+        passed = prev if j > min(k, n + 1) else None
+        got = filter_spurious_batch(cur, passed, tols)
         assert got.shape == cur.shape
         for r, row in enumerate(cur):
             tol = float(np.broadcast_to(tols, (cur.shape[0],))[r])
             prev_row = None if prev is None else prev[r][~np.isnan(prev[r])]
             want = scalar_filter_oracle(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
+            passed_row = None if passed is None else prev_row
             assert got.dtype == want.dtype
             # each row holds its kept values first, NaN after them
             padded = np.full(cur.shape[1], np.nan)
             padded[: len(want)] = want
             assert np.array_equal(got[r], padded, equal_nan=True)
-            one = filter_spurious(row[~np.isnan(row)], prev_row, k, n, tol, iteration=j)
+            one = filter_spurious(row[~np.isnan(row)], passed_row, tol)
             assert np.array_equal(one, want)
 
 
@@ -337,10 +341,10 @@ class TestDistributedProperties:
             errors.append(0.05 * rng.standard_normal(k))
             v0 = default_dpm_start(k, seed)
             res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
-            pred = predict_dpm_vector_error(res.trace, r, v0, m)
+            pred = predict_dpm_vector_error(res, r)
             rel = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
             assert rel <= 1e-12
-            _, _, lam = predict_lambda1_error(res.trace, y, res.v_hist[m])
+            lam = predict_lambda1_error(res, y)
             assert np.max(np.abs(lam - res.lambda1)) <= 1e-12 * np.max(np.abs(res.lambda1))
 
     def test_locality_under_replay(self):
@@ -439,8 +443,8 @@ class TestDetectionProperties:
     def test_filter_idempotent_without_rank_criterion(self, values, _k):
         vals = np.sort(np.asarray(values))[::-1]
         tol = 1e-9
-        once = filter_spurious(vals, None, 20, 20, tol)
-        twice = filter_spurious(once, None, 20, 20, tol)
+        once = filter_spurious(vals, None, tol)
+        twice = filter_spurious(once, None, tol)
         assert np.array_equal(once, twice)
 
 

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from eigennet.eigencore import sample_covariance
+from eigennet.errors import DegenerateRunError
 from eigennet.signals import (
     SignalConfig,
     gen_h0,
@@ -70,6 +73,18 @@ class TestSignalPlusNoise:
         ya, _ = gen_h1(cfg)
         yb, _ = gen_h1(cfg)
         assert np.array_equal(ya, yb)
+
+    def test_overflowing_source_power_is_a_typed_error(self):
+        # at 5 dB the source power 10^0.5 sigma2 leaves floating point above
+        # sigma2 ~ 5.7e307, while the noise variance itself is still finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = gen_h1(SignalConfig(k=4, n=4, sigma2=1e307, p=1, snr_db=(5.0,)))
+            assert np.all(np.isfinite(y))
+            # the power overflows in the product, or already in 10^(snr_db/10)
+            for sigma2, snr_db in ((1e308, 5.0), (1.0, 4000.0)):
+                with pytest.raises(DegenerateRunError, match="source power overflowed"):
+                    gen_h1(SignalConfig(k=4, n=4, sigma2=sigma2, p=1, snr_db=(snr_db,)))
 
 
 class TestTheoreticalSnr:

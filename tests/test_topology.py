@@ -66,7 +66,7 @@ class TestGeometric:
 
     def test_tiny_radius_exhausts_retries(self):
         with pytest.raises(TopologyError):
-            generate_random_geometric(5, 1e-9, 0, max_retries=5)
+            generate_random_geometric(5, 1e-9, 0)
 
     def test_deterministic(self):
         a = generate_random_geometric(12, 0.5, 7)
