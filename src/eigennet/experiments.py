@@ -165,21 +165,9 @@ def _signal_cfg(cfg: ExperimentConfig, seed: int, hypothesis: int) -> SignalConf
     )
 
 
-def _base_row(cfg: ExperimentConfig, **overrides) -> dict:
-    row = {
-        "experiment": cfg.experiment,
-        "engine": cfg.engine,
-        "algorithm": "",
-        "K": cfg.k,
-        "N": cfg.n,
-        "M": cfg.m_max,
-        "I": cfg.ac_iters[0],
-        "trials": cfg.trials,
-        "eig_index": 1,
-        "mse": 0.0,
-    }
-    row.update(overrides)
-    return row
+def _base_row(cfg: ExperimentConfig, **labels) -> dict:
+    """A convergence row: the run's own fields, then the row's ``labels``."""
+    return {"experiment": cfg.experiment, "K": cfg.k, "N": cfg.n, "trials": cfg.trials, **labels}
 
 
 def _blocks(hypothesis: int, seeds: list[int]) -> list[tuple[int, list[int]]]:
@@ -218,14 +206,16 @@ def _convergence_block(cfg: ExperimentConfig, weights, hypothesis, seeds, rows):
     """Stage 1 of a convergence experiment: each row's per-trial MSE over nodes.
 
     ``rows(cfg, weights, seeds, y)`` yields one triple per row: the row's
-    label fields, the 1-based index of the eigenvalue the row estimates, and
-    the block's (B, K) estimates of it, which are scored against that
+    engine, algorithm, I and M labels; the 1-based index of the eigenvalue
+    the row estimates, which is also its ``eig_index`` label; and the
+    block's (B, K) estimates of it, which are scored against that
     eigenvalue of each trial's sample covariance.
     """
     y = _draw(cfg, hypothesis, seeds)
     truth = covariance_eigenvalues(y)
     for label, index, est in rows(cfg, weights, seeds, y):
-        yield tuple(label.items()), np.mean((est - truth[:, index - 1, None]) ** 2, axis=1)
+        key = tuple({**label, "eig_index": index}.items())
+        yield key, np.mean((est - truth[:, index - 1, None]) ** 2, axis=1)
 
 
 def _convergence_report(cfg: ExperimentConfig, rows) -> ExperimentReport:
@@ -257,7 +247,7 @@ def _ac_compare_rows(cfg: ExperimentConfig, weights, seeds, y):
     runs = [("ideal", 0)] + [(token, i) for token in cfg.engines for i in cfg.ac_iters]
     for token, i_iters in runs:
         ac = _make_ac(token, i_iters, cfg, weights, seeds, 0xF0 + i_iters)
-        label = {"engine": token, "algorithm": "dpm", "I": i_iters}
+        label = {"engine": token, "algorithm": "dpm", "I": i_iters, "M": cfg.m_max}
         yield label, 1, run_dpm(y, ac, cfg.m_max, v0).lambda1
 
 
@@ -299,8 +289,7 @@ def _dla_rows(cfg: ExperimentConfig, y, ac, indices, **label):
     for index in indices:
         for j in checkpoints:
             if index <= j:
-                row = {**label, "M": j, "eig_index": index}
-                yield row, index, _dla_lambda(stacks[j], index)
+                yield {**label, "M": j}, index, _dla_lambda(stacks[j], index)
 
 
 def _dpm_rows(cfg: ExperimentConfig, y, ac, v0, **label):
@@ -317,10 +306,10 @@ def _eig_converge_rows(cfg: ExperimentConfig, weights, seeds, y):
     i_grid = sorted(cfg.ac_iters)
     for i_iters in i_grid:
         ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
-        yield from _dla_rows(cfg, y, ac, [1], algorithm="dla", I=i_iters)
+        yield from _dla_rows(cfg, y, ac, [1], engine=cfg.engine, algorithm="dla", I=i_iters)
     for i_iters in i_grid:
         ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xD0 + i_iters)
-        yield from _dpm_rows(cfg, y, ac, v0, algorithm="dpm", I=i_iters)
+        yield from _dpm_rows(cfg, y, ac, v0, engine=cfg.engine, algorithm="dpm", I=i_iters)
     ideal = AcConfig("ideal", 0, weights=weights)
     yield from _dla_rows(cfg, y, ideal, [1], engine="ideal", algorithm="la-ideal", I=0)
     yield from _dpm_rows(cfg, y, ideal, v0, engine="ideal", algorithm="pm-ideal", I=0)
@@ -339,7 +328,9 @@ def _multi_eig_rows(cfg: ExperimentConfig, weights, seeds, y):
     """One DLA run per averaging time, every configured index scored."""
     for i_iters in sorted(cfg.ac_iters):
         ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
-        yield from _dla_rows(cfg, y, ac, sorted(cfg.eig_indices), algorithm="dla", I=i_iters)
+        yield from _dla_rows(
+            cfg, y, ac, sorted(cfg.eig_indices), engine=cfg.engine, algorithm="dla", I=i_iters
+        )
 
 
 def run_multi_eig(cfg: ExperimentConfig) -> ExperimentReport:

@@ -1,8 +1,10 @@
 """Experiment configuration, orchestration and result emission.
 
-Configs are flat ``key = value`` text ('#' starts a comment). Unknown keys
-are rejected; missing required keys are reported together. Every experiment
-is driven by a master seed; trial t uses the documented per-trial seed
+Configs are flat ``key = value`` text ('#' starts a comment). An experiment
+accepts only the keys it reads, which one table states, and its report
+echoes only those; missing required keys are reported together. Every
+experiment is driven by a master seed; trial t uses the documented per-trial
+seed
 
     trial_seed(master, t) = splitmix64(splitmix64(master) XOR (t + 1))
 
@@ -18,6 +20,7 @@ import dataclasses
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,15 +38,6 @@ __all__ = [
     "emit_csv",
     "emit_report",
 ]
-
-EXPERIMENTS = (
-    "ac-compare",
-    "eig-converge",
-    "multi-eig",
-    "roc",
-    "audit-messages",
-    "prop-check",
-)
 
 _SCHEMAS = {
     "convergence": (
@@ -141,6 +135,75 @@ _KEY_TO_FIELD = {
 }
 
 
+def _m_within_k(cfg: ExperimentConfig) -> list[str]:
+    if any(mi > cfg.k for mi in cfg.m):
+        return ["M cannot exceed K for Lanczos-based experiments"]
+    return []
+
+
+def _multi_eig_checks(cfg: ExperimentConfig) -> list[str]:
+    problems = _m_within_k(cfg)
+    # multi-eig writes no row for an index above max(M), and scores a zero
+    # estimate as exact for an index above the covariance's rank min(K, N)
+    if cfg.m and cfg.eig_indices:
+        if max(cfg.eig_indices) > max(cfg.m):
+            problems.append("eig_indices cannot exceed max(M) for multi-eig")
+        if max(cfg.eig_indices) > min(cfg.k, cfg.n):
+            problems.append("eig_indices cannot exceed min(K, N) for multi-eig")
+    return problems
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment reads of its config, and the checks it adds."""
+
+    runner: str  # its function in ``experiments``
+    keys: tuple[str, ...]  # the keys it reads, besides the conditional ones
+    single: tuple[str, ...] = ()  # the list keys it reads as one value
+    check: Callable[[ExperimentConfig], list[str]] = lambda cfg: []  # its own problems
+
+
+# every experiment draws signal-present samples from a master seed; a run
+# over a network adds its topology, averaging time and engine
+_SIGNAL = ("experiment", "K", "N", "M", "P", "sigma2", "snr_db", "seed")
+_NETWORK = _SIGNAL + ("topology", "I")
+_MONTE_CARLO = _NETWORK + ("engine", "trials", "spurious_tol")
+
+_TABLE = {
+    "ac-compare": _Experiment("run_ac_compare", _NETWORK + ("engines", "trials"), ("M",)),
+    "eig-converge": _Experiment("run_eig_converge", _MONTE_CARLO, check=_m_within_k),
+    "multi-eig": _Experiment(
+        "run_multi_eig", _MONTE_CARLO + ("eig_indices",), check=_multi_eig_checks
+    ),
+    "roc": _Experiment(
+        "run_roc",
+        _MONTE_CARLO + ("detectors", "alphas", "report_node"),
+        ("I",),
+        _m_within_k,
+    ),
+    "audit-messages": _Experiment("run_audit_messages", _NETWORK + ("engine",), ("M", "I")),
+    "prop-check": _Experiment("run_prop_check", _SIGNAL, ("M",)),
+}
+
+EXPERIMENTS = tuple(_TABLE)
+
+
+def _keys_read(cfg: ExperimentConfig) -> set[str]:
+    """The config keys that ``cfg``'s experiment reads under ``cfg``'s settings.
+
+    A run over a generated network reads ``radius`` and ``topology_seed``,
+    one over a network file reads ``graph_file``, and one with a
+    ``+failures`` engine reads ``link_failure_prob``.
+    """
+    keys = set(_TABLE[cfg.experiment].keys)
+    if "topology" in keys:
+        keys |= {"graph_file"} if cfg.topology == "file" else {"radius", "topology_seed"}
+    tokens = (cfg.engine,) if "engine" in keys else cfg.engines if "engines" in keys else ()
+    if any(t.endswith("+failures") for t in tokens):
+        keys.add("link_failure_prob")
+    return keys
+
+
 def _listed(parse):
     """A parser of comma- or space-separated entries, each read by ``parse``."""
     return lambda value: tuple(parse(p) for p in value.replace(",", " ").split())
@@ -211,34 +274,37 @@ def validate_config(source: str | dict, experiment: str | None = None) -> Experi
         raise ConfigError(
             f"config names experiment {file_experiment!r} but {experiment!r} was requested"
         )
-    missing = []
     if experiment is None:
-        missing.append("experiment")
-    if values.get("topology", "generate") == "file" and not values.get("graph_file"):
-        missing.append("graph_file")
-    if missing:
+        missing = ["experiment"]
+        if values.get("topology") == "file" and not values.get("graph_file"):
+            missing.append("graph_file")
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    if experiment not in _TABLE:
+        raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}")
     cfg = ExperimentConfig(experiment=experiment, **values)  # type: ignore[arg-type]
+    # out is where the CLI writes: every experiment accepts it, no report echoes it
+    unread = sorted(set(raw) - _keys_read(cfg) - {"out"})
+    if unread:
+        raise ConfigError(f"keys that {experiment} does not read: {', '.join(unread)}")
+    if cfg.topology == "file" and not cfg.graph_file:
+        raise ConfigError("missing required keys: graph_file")
     _check_config(cfg)
     return cfg
 
 
 def _check_config(cfg: ExperimentConfig) -> None:
-    problems = []
-    if cfg.experiment not in EXPERIMENTS:
-        problems.append(f"experiment must be one of {', '.join(EXPERIMENTS)}")
+    spec = _TABLE[cfg.experiment]
+    problems = [
+        f"{key} takes one entry for {cfg.experiment}"
+        for key in spec.single
+        if len(getattr(cfg, _KEY_TO_FIELD[key].name)) > 1
+    ]
     if cfg.k < 2:
         problems.append("K must be at least 2")
     if cfg.n < 1:
         problems.append("N must be at least 1")
     if not cfg.m or any(mi < 1 for mi in cfg.m):
         problems.append("M entries must be positive")
-    if any(mi > cfg.k for mi in cfg.m) and cfg.experiment in (
-        "multi-eig",
-        "eig-converge",
-        "roc",
-    ):
-        problems.append("M cannot exceed K for Lanczos-based experiments")
     if not cfg.ac_iters or any(i < 0 for i in cfg.ac_iters):
         problems.append("I entries must be nonnegative")
     # every float check is written so that NaN, which fails all comparisons,
@@ -277,13 +343,6 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("alphas must lie in (0, 1)")
     if any(i < 1 for i in cfg.eig_indices):
         problems.append("eig_indices must be positive")
-    # multi-eig writes no row for an index above max(M), and scores a zero
-    # estimate as exact for an index above the covariance's rank min(K, N)
-    if cfg.experiment == "multi-eig" and cfg.m and cfg.eig_indices:
-        if max(cfg.eig_indices) > max(cfg.m):
-            problems.append("eig_indices cannot exceed max(M) for multi-eig")
-        if max(cfg.eig_indices) > min(cfg.k, cfg.n):
-            problems.append("eig_indices cannot exceed min(K, N) for multi-eig")
     if cfg.topology_seed < 0:
         problems.append("topology_seed must be nonnegative")
     if not (0 <= cfg.report_node < cfg.k):
@@ -300,6 +359,7 @@ def _check_config(cfg: ExperimentConfig) -> None:
     ):
         if len(set(entries)) < len(entries):
             problems.append(f"{key} entries must not repeat")
+    problems += spec.check(cfg)
     if problems:
         raise ConfigError("; ".join(problems))
 
@@ -308,16 +368,9 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one experiment and return its report."""
     from . import experiments
 
-    runners = {
-        "ac-compare": experiments.run_ac_compare,
-        "eig-converge": experiments.run_eig_converge,
-        "multi-eig": experiments.run_multi_eig,
-        "roc": experiments.run_roc,
-        "audit-messages": experiments.run_audit_messages,
-        "prop-check": experiments.run_prop_check,
-    }
+    runner = getattr(experiments, _TABLE[cfg.experiment].runner)
     start = time.perf_counter()
-    report = runners[cfg.experiment](cfg)
+    report = runner(cfg)
     report.duration_s = time.perf_counter() - start
     return report
 
@@ -348,10 +401,10 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path) -> Path | None:
 def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     """Write all result files: CSV rows, a JSON report, and the topology echo.
 
-    The JSON report echoes the validated config, the per-trial seeds and any
-    experiment-specific summary values; it deliberately omits wall-clock
-    duration and the output directory so reruns of one config and seed
-    produce byte-identical files wherever they are written.
+    The JSON report echoes the config keys the run read, the per-trial seeds
+    and any experiment-specific summary values; it deliberately omits
+    wall-clock duration and the output directory so reruns of one config and
+    seed produce byte-identical files wherever they are written.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,8 +412,12 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     csv_path = emit_csv(report, out_dir)
     if csv_path is not None:
         paths.append(csv_path)
-    config = dataclasses.asdict(report.config)
-    del config["out"]
+    read = _keys_read(report.config)
+    config = {
+        name: value
+        for name, value in dataclasses.asdict(report.config).items()
+        if _ALIASES.get(name, name) in read
+    }
     payload = {
         "experiment": report.config.experiment,
         "config": config,

@@ -12,13 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from eigennet.consensus import AcConfig, ErrorInjectingEngine
+from eigennet.consensus import AcConfig
 from eigennet.distributed import (
     audit_messages,
     check_dpm_convergence_condition,
     default_dla_start,
     default_dpm_start,
-    matrix_error_for_drift,
     predict_dpm_vector_error,
     predict_lambda1_error,
     run_dla,
@@ -33,7 +32,15 @@ from eigennet.eigencore import (
     tridiagonal_eigenvalues,
 )
 from eigennet.harness import validate_config
-from eigennet.experiments import run_ac_compare, run_eig_converge, run_multi_eig, run_roc
+from eigennet.experiments import (
+    _drift_driven_dpm,
+    _injected_dla,
+    _injected_dpm,
+    run_ac_compare,
+    run_eig_converge,
+    run_multi_eig,
+    run_roc,
+)
 from eigennet.signals import samples_with_spectrum
 from eigennet.topology import generate_random_geometric, metropolis_weights
 
@@ -148,13 +155,7 @@ def test_criterion_3_error_formula_verification():
         y = random_samples(k, n, 31)
         r = sample_covariance(y)
         v0 = default_dpm_start(k, 3)
-        rng = np.random.default_rng(5)
-        errors = [
-            0.02 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
-            for _ in range(m + 1)
-        ]
-        errors.append(0.02 * rng.standard_normal(k))
-        res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
+        res = _injected_dpm(y, m, v0, 0.02, 5)
         pred = predict_dpm_vector_error(res, r)
         vec_resid = np.max(np.abs(pred - res.v_hist[m])) / np.max(np.abs(res.v_hist[m]))
         assert vec_resid <= 1e-10
@@ -163,14 +164,7 @@ def test_criterion_3_error_formula_verification():
         assert lam_resid <= 1e-10
 
         def dla_residual(eps):
-            gen = np.random.default_rng(9)
-            errs = []
-            for _ in range(m):
-                errs.append(
-                    eps * (gen.standard_normal((k, n)) + 1j * gen.standard_normal((k, n)))
-                )
-                errs.append(eps * gen.standard_normal(k))
-            run = run_dla(y, ErrorInjectingEngine(errs), m, trace=True)
+            run = _injected_dla(y, m, default_dla_start(k), eps, 9)
             return np.max(np.abs(run.trace.w_error_measured - run.trace.w_error_predicted))
 
         ratio = dla_residual(1e-3) / dla_residual(5e-4)
@@ -183,22 +177,6 @@ def test_criterion_3_error_formula_verification():
     )
 
 
-def _drift_driven_run(y, vectors, m, drift_of_j):
-    k = y.shape[0]
-    direction = vectors[:, 1:].sum(axis=1)
-    direction /= np.max(np.abs(direction))
-
-    def errors(call_index, z0):
-        if z0.ndim == 1:
-            return np.zeros(k)
-        j = call_index + 1
-        if j > m:
-            return np.zeros_like(z0)
-        return matrix_error_for_drift(y, drift_of_j(j) * direction)
-
-    return run_dpm(y, ErrorInjectingEngine(errors), m, vectors[:, 0].copy(), trace=True)
-
-
 def test_criterion_4_convergence_condition():
     m = 60
     with Timer() as t:
@@ -208,7 +186,9 @@ def test_criterion_4_convergence_condition():
             y, (vals, vecs) = samples_with_spectrum(spectrum, seed)
             oracle = EigenSolution(vals, vecs)
             rate = vals[0] / max(vals[1], 1.0)
-            res = _drift_driven_run(y, vecs, m, lambda j: 0.05 * rate**j / (j + 1.0) ** 2)
+            res = _drift_driven_dpm(
+                y, (vals, vecs), m, lambda j: 0.05 * rate**j / (j + 1.0) ** 2, vecs[:, 0].copy()
+            )
             verdict = check_dpm_convergence_condition(res, oracle)
             assert verdict.condition_satisfied
             assert verdict.sin_theta_final <= 1e-3
@@ -218,7 +198,7 @@ def test_criterion_4_convergence_condition():
             flat = np.array([1.05, 1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7])
             y, (vals, vecs) = samples_with_spectrum(flat, 100 + seed)
             oracle = EigenSolution(vals, vecs)
-            res = _drift_driven_run(y, vecs, m, lambda j: 0.1)
+            res = _drift_driven_dpm(y, (vals, vecs), m, lambda j: 0.1, vecs[:, 0].copy())
             verdict = check_dpm_convergence_condition(res, oracle)
             assert not verdict.condition_satisfied
             tail = verdict.sin_theta[-(m // 4):]

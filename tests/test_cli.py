@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from eigennet.cli import main as cli_main
+from eigennet.topology import dump_edge_list, generate_random_geometric
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -18,14 +19,15 @@ CONFIGS = ROOT / "configs"
 )
 def test_rerun_is_byte_identical(experiment, tmp_path, capsys):
     # roc's threshold calibration needs 10/alpha = 200 noise-only trials, and
-    # its 400 trials span many trial blocks
-    trials = "200" if experiment == "roc" else "1"
+    # its 400 trials span many trial blocks; audit-messages and prop-check
+    # run no trials
+    trials = {"roc": ["--trials", "200"], "audit-messages": [], "prop-check": []}
     # the two runs write to different directories, which must not show
     config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
     outputs = []
     for out in (tmp_path / "first", tmp_path / "second" / "nested"):
-        argv = [experiment, "--config", str(config), "--out", str(out), "--trials", trials]
-        assert cli_main(argv) == 0
+        argv = [experiment, "--config", str(config), "--out", str(out)]
+        assert cli_main(argv + trials.get(experiment, ["--trials", "1"])) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert f"{experiment}_report.json" in outputs[0]
     if experiment != "prop-check":
@@ -230,7 +232,8 @@ def test_overflowing_source_power_is_a_typed_error(experiment, tmp_path):
         "\n".join([line for line in lines if not line.startswith("sigma2 ")] + ["sigma2 = 1e308"])
         + "\n"
     )
-    done = run_config_in_process(experiment, config, "1", tmp_path)
+    trials = None if experiment in ("audit-messages", "prop-check") else "1"
+    done = run_config_in_process(experiment, config, trials, tmp_path)
     assert done.returncode == 2
     assert "RuntimeWarning" not in done.stderr
     lines = done.stderr.splitlines()
@@ -246,11 +249,12 @@ def run_in_process(experiment, key, value, trials, tmp_path):
 
 def run_config_in_process(experiment, config, trials, tmp_path):
     """A run of ``config`` in a process of its own, where numpy's
-    floating-point warnings would reach stderr."""
+    floating-point warnings would reach stderr; ``trials`` None passes no
+    ``--trials``."""
     argv = [
         sys.executable, "-m", "eigennet.cli", experiment, "--config", str(config),
-        "--out", str(tmp_path / "out"), "--trials", trials,
-    ]
+        "--out", str(tmp_path / "out"),
+    ] + (["--trials", trials] if trials is not None else [])
     return subprocess.run(
         argv, capture_output=True, text=True, env=subprocess_env(), timeout=300
     )
@@ -296,9 +300,14 @@ def test_no_sources_is_a_config_error(tmp_path, capsys):
     ],
 )
 def test_non_finite_value_is_a_config_error(line, problem, tmp_path, capsys):
+    # roc reads alphas, and eig-converge reads link_failure_prob only under
+    # a +failures engine
+    key = line.split(" =")[0]
+    experiment = "roc" if key == "alphas" else "eig-converge"
+    engine = "engine = chebyshev+failures\n" if key == "link_failure_prob" else ""
     config = tmp_path / "non_finite.cfg"
-    config.write_text(f"K = 6\nN = 4\nM = 2\nI = 3\ntrials = 1\n{line}\n")
-    argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "out")]
+    config.write_text(f"K = 6\nN = 4\nM = 2\nI = 3\ntrials = 1\n{engine}{line}\n")
+    argv = [experiment, "--config", str(config), "--out", str(tmp_path / "out")]
     assert cli_main(argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -482,7 +491,59 @@ def test_multi_eig_index_without_an_estimate_is_a_config_error(
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"config error: eig_indices cannot {problem} for multi-eig"]
     assert not (tmp_path / "out").exists()
-    # the other experiments read no eig_indices, and its default (1 3 5 9)
-    # applies to them all, so the same config runs as eig-converge
+    # the other experiments read no eig_indices, so they reject the key
     argv = ["eig-converge", "--config", str(config), "--out", str(tmp_path / "other")]
-    assert cli_main(argv) == 0
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: keys that eig-converge does not read: eig_indices\n"
+    )
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("roc", "I", "30 5"),
+        ("audit-messages", "M", "5 9"),
+        ("audit-messages", "I", "30 7"),
+        ("ac-compare", "M", "5 20"),
+        ("prop-check", "M", "6 4"),
+    ],
+)
+def test_list_key_read_as_one_value_takes_one_entry(experiment, key, value, tmp_path, capsys):
+    # each run read only one entry: the first, or max(M) for ac-compare, so
+    # the others changed no output
+    config = config_with(experiment, key, value, tmp_path)
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} takes one entry for {experiment}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, extra, trials, unread",
+    [
+        ("eig-converge", "detectors = ST\n", [], "detectors"),
+        ("prop-check", "", ["--trials", "1"], "trials"),
+        # the shipped roc config sets the generated network's radius and seed
+        ("roc", "topology = file\ngraph_file = {graph}\n", [], "radius, topology_seed"),
+        # prop-check builds no network; it used to ask for the missing graph_file
+        ("prop-check", "topology = file\n", [], "topology"),
+    ],
+    ids=["detectors", "trials", "radius-under-file", "topology"],
+)
+def test_key_the_run_does_not_read_is_a_config_error(
+    experiment, extra, trials, unread, tmp_path, capsys
+):
+    # each used to exit 0, or to fail for another key
+    graph = tmp_path / "graph.txt"
+    graph.write_text(dump_edge_list(generate_random_geometric(40, 0.4, 3)))
+    name = experiment.replace("-", "_")
+    config = tmp_path / f"{name}.cfg"
+    config.write_text((CONFIGS / f"{name}.cfg").read_text() + extra.format(graph=graph))
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--config", str(config), "--out", str(out)] + trials) == 1
+    assert capsys.readouterr().err == (
+        f"config error: keys that {experiment} does not read: {unread}\n"
+    )
+    assert not out.exists()

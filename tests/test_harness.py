@@ -152,10 +152,11 @@ class TestEmission:
 
 
 class TestEndToEnd:
-    BASE = "K = 8\nN = 5\nradius = 0.9\ntopology_seed = 2\nseed = 13\n"
+    SIGNAL = "K = 8\nN = 5\nseed = 13\n"
+    BASE = SIGNAL + "radius = 0.9\ntopology_seed = 2\n"
 
-    def run_experiment(self, experiment, extra, tmp_path):
-        cfg = validate_config(self.BASE + extra, experiment)
+    def run_experiment(self, experiment, extra, tmp_path, base=BASE):
+        cfg = validate_config(base + extra, experiment)
         report = run(cfg)
         paths = emit_report(report, tmp_path)
         return report, paths
@@ -220,7 +221,7 @@ class TestEndToEnd:
         )
 
     def test_audit_messages(self, tmp_path):
-        report, _ = self.run_experiment("audit-messages", "M = 3\nI = 5\ntrials = 1\n", tmp_path)
+        report, _ = self.run_experiment("audit-messages", "M = 3\nI = 5\n", tmp_path)
         csv = (tmp_path / "audit-messages.csv").read_text().splitlines()
         assert csv[0] == "algorithm,node,degree,ac_n_calls,ac_1_calls,units,time_periods"
         assert len(csv) == 1 + 2 * 8
@@ -232,7 +233,8 @@ class TestEndToEnd:
                 assert r["units"] == i * (m * n + m) * r["degree"]
 
     def test_prop_check(self, tmp_path):
-        report, paths = self.run_experiment("prop-check", "M = 4\nI = 3\ntrials = 1\n", tmp_path)
+        # prop-check builds no network
+        report, paths = self.run_experiment("prop-check", "M = 4\n", tmp_path, self.SIGNAL)
         assert report.schema is None
         assert report.extra["dpm_vector_residual"] < 1e-10
         data = json.loads((tmp_path / "prop-check_report.json").read_text())
@@ -250,7 +252,7 @@ class TestEndToEnd:
         graph_file = tmp_path / "g.txt"
         graph_file.write_text(dump_edge_list(g))
         cfg = validate_config(
-            self.BASE
+            self.SIGNAL
             + f"M = 2\nI = 2\ntrials = 2\ntopology = file\ngraph_file = {graph_file}\n",
             "ac-compare",
         )
