@@ -4,38 +4,36 @@ A consensus run takes a K x m initial matrix whose row k is node k's local
 vector and drives every row toward the network-wide mean. A leading trial
 axis, (trials, K, m), stacks independent problems on the same network: each
 trial is averaged on its own, with one product per step for the whole
-stack. Three engines are provided: ``ideal`` (the exact mean), ``standard``
-(repeated multiplication by the mixing matrix), and ``chebyshev``
-(semi-iterative acceleration of the same mixing).
+stack. A lone (K,) or (K, m) input is the one-trial stack. Three engines are
+provided: ``ideal`` (the exact mean), ``standard`` (repeated multiplication
+by the mixing matrix), and ``chebyshev`` (semi-iterative acceleration of the
+same mixing).
 
 Both mixing engines run one recurrence, x_s = A_s x_{s-1} - c_s x_{s-2} with
 A_s = a_s W_s + d_s I. ``chebyshev`` takes its scalars from the spectral
 bounds of the weights it mixes with, cached on them as ``WeightMatrix.bounds``;
 ``standard``, and ``chebyshev`` on a degenerate spectrum, is the case
-a_s = 1, d_s = c_s = 0 of plain averaging. Each step's
-A_s is written straight from the Metropolis weights of that step's links by
-:func:`~eigennet.topology.metropolis_stack`, in step-major chunks of at most
-32 matrices: fixed weights are one all-alive mask that every step shares,
-whose weights are computed once. On fixed weights an I-step run of either
-mixing engine is one matrix polynomial p_I(W); it is built once per
-(weights, engine, I), by the recurrence on the identity, and then applied as
-a single product. Under link failures the
-recurrence runs step by step on the input with fresh surviving links each
-step. Before the first step a call draws the links of all its I steps, as
-one (I, E) uniform draw per failure generator, which consumes the generator
-exactly as I per-step draws of E values would, so the failure stream, and
-every output computed from it, is the same as with a redraw at each step. A
-config holds one generator, whose links every trial of a stacked call
-shares, or one per trial: then each trial's links come from its own
-generator, drawn in trial order, and each step mixes the whole stack with
-one product. The mixing weights are real and the iterates often complex; a
-run reads its input once as one real array of its interleaved real and
-imaginary parts, so that the operator product, or each step's product, is
-one real product, and the recurrence updates that array in preallocated
-buffers. A result holds the output and the per-node message counters only:
-the realized error, the deviation of the output from the exact mean, is a
-simulation observable that no algorithm under test reads, so only a caller
-that wants it computes it from the input and the output.
+a_s = 1, d_s = c_s = 0 of plain averaging. On fixed weights an I-step run of
+either mixing engine is one matrix polynomial p_I(W): it is built once per
+(weights, engine, I), by the recurrence on the identity with each step's
+A_s folded from ``WeightMatrix.entries`` into one K x K matrix, and then
+applied as a single product. Under link failures the recurrence runs step by
+step on the input with fresh surviving links each step, and each trial of
+the stack draws its links from its own generator: a config holds one
+failure generator per trial. Before the first step a call draws the links
+of all its I steps, as one (I, E) uniform draw per generator in trial order,
+which consumes each generator exactly as I per-step draws of E values would,
+so the failure stream, and every output computed from it, is the same as
+with a redraw at each step. :func:`~eigennet.topology.metropolis_stack`
+writes each step's A_s of every trial straight from the Metropolis weights
+of that trial's links. The mixing weights are real and the iterates often
+complex; a run reads its input once as one real array of its interleaved
+real and imaginary parts, so that the operator product, or each step's
+product, is one real product, and the recurrence updates that array in
+preallocated buffers. A result holds the output and the per-node message
+counters only: the realized error, the deviation of the output from the
+exact mean, is a simulation observable that no algorithm under test reads,
+so only a caller that wants it computes it from the input and the output.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
 (K,), (K, m) or (trials, K, m) input, averaging over the node axis.
@@ -48,7 +46,7 @@ stack.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,13 +83,12 @@ class AcConfig:
     """Configuration of a consensus run.
 
     A ``chebyshev`` run reads its spectral bounds from ``weights.bounds``.
-    ``failure_seed`` seeds the link-failure draws: one int, or one seed per
-    trial of the (B, K, m) stacks the config runs. Fresh generators are
+    ``failure_seed`` seeds the link-failure draws with one generator per
+    trial: a list of one seed per trial of the (B, K, m) stacks the config
+    runs, or one int for a lone run. Trial b's links come from generator b,
+    so each trial sees the links its lone run would. Fresh generators are
     created at construction, so rebuilding the same config reproduces the
-    same failure pattern across a sequence of runs. Under one generator every
-    trial of a stacked call shares the call's surviving links; under one per
-    trial, trial b's links come from generator b, so each trial sees the links
-    its lone run would.
+    same failure pattern across a sequence of runs.
     """
 
     engine: str
@@ -132,7 +129,7 @@ class AcConfig:
 def _failure_masks(
     rngs: Sequence[np.random.Generator], p: float, steps: int, edges: int
 ) -> np.ndarray:
-    """Each step's surviving links, as an (S, G, E) mask: column g from generator g.
+    """Each step's surviving links, as an (S, B, E) mask: column b from generator b.
 
     Each generator makes one (S, E) uniform draw, in generator order, which
     decides its steps' links edge by edge in edge order; that consumes it
@@ -140,34 +137,48 @@ def _failure_masks(
     draws) would.
     """
     alive = np.empty((steps, len(rngs), edges), dtype=bool)
-    for g, rng in enumerate(rngs):
-        np.greater_equal(rng.random((steps, edges)), p, out=alive[:, g])
+    for b, rng in enumerate(rngs):
+        np.greater_equal(rng.random((steps, edges)), p, out=alive[:, b])
     return alive
 
 
-def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
-    """Run the engine's recurrence on the real (K, c) or (B, K, c) iterate ``x``.
+def _folded(w: np.ndarray, a: np.ndarray, d: np.ndarray) -> Iterator[np.ndarray]:
+    """Each step's a_s W + d_s I, written into one K x K matrix that the next step overwrites."""
+    mixing = np.empty_like(w)
+    diagonal = mixing.reshape(-1)[:: len(w) + 1]
+    for a_s, d_s in zip(a, d):
+        np.multiply(w, a_s, out=mixing)
+        diagonal += d_s
+        yield mixing
 
-    Step s is x_s = A_s x_{s-1} - c_s x_{s-2} with A_s = a_s W_s + d_s I: one
-    product and, where c_s != 0, one scaled subtract. The scalars are the
-    (a, d, c) of :func:`_chebyshev_coefficients`, or (1, 0, 0), plain
-    averaging, for ``standard`` and for a degenerate Chebyshev spectrum,
-    where plain averaging already contracts as fast as any polynomial in W
-    of the same degree. Under link failures step s mixes with its own
-    weights but keeps the nominal scalars. :func:`metropolis_stack` builds
-    the A_s, in chunks, from masks of alive links: on fixed weights one
-    all-alive mask that every step shares, whose weights it computes once;
-    under link failures each step's links, drawn before the first step, one
-    mask per failure generator. Each product covers the whole
-    stack, with the step's one matrix or its per-trial matrices. c_1 = 0, so
-    x_{-1} is never read; the skipped subtracts of 0 x_{s-2} would change
-    nothing on finite iterates.
+
+def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
+    """Run the engine's recurrence on the real iterate ``x``.
+
+    ``x`` is a (B, K, c) stack, or the K x K identity of a fixed-weight
+    operator build. Step s is x_s = A_s x_{s-1} - c_s x_{s-2} with
+    A_s = a_s W_s + d_s I: one product and, where c_s != 0, one scaled
+    subtract. The scalars are the (a, d, c) of :func:`_chebyshev_coefficients`,
+    or (1, 0, 0), plain averaging, for ``standard`` and for a degenerate
+    Chebyshev spectrum, where plain averaging already contracts as fast as
+    any polynomial in W of the same degree. On fixed weights each A_s is folded from ``weights.entries``
+    (:func:`_folded`). Under link failures step s mixes with its own weights
+    but keeps the nominal scalars: the config's B generators draw every
+    step's links before the first step, and :func:`metropolis_stack` builds
+    each step's B matrices, one per trial, for one product over the stack.
+    c_1 = 0, so x_{-1} is never read; the skipped subtracts of 0 x_{s-2}
+    would change nothing on finite iterates.
 
     The scaled subtract treats the interleaved real and imaginary parts of
     ``x``, if any, part by part, as the complex arithmetic would. ``x`` is
     not written: the steps rotate three buffers of its shape, the first a
     copy of it, and the result is one of them.
     """
+    rngs = cfg._failure_rngs  # empty on fixed weights
+    if rngs and len(rngs) != len(x):
+        raise ConsensusError(
+            f"{len(x)} stacked trials need one failure generator each, not {len(rngs)}"
+        )
     steps = cfg.iterations
     if steps == 0:
         return x.copy()
@@ -175,32 +186,20 @@ def _iterate(x: np.ndarray, cfg: AcConfig) -> np.ndarray:
         a, d, c = _chebyshev_coefficients(cfg.weights.bounds, steps)
     else:
         a, d, c = np.ones(steps), np.zeros(steps), np.zeros(steps)
-    graph = cfg.weights.graph
-    edges = graph.edge_index.shape[1]
-    if cfg.link_failure_prob == 0.0:  # one all-alive mask that every step shares
-        alive = np.ones((1, 1, edges), dtype=bool)
+    if rngs:
+        graph = cfg.weights.graph
+        alive = _failure_masks(rngs, cfg.link_failure_prob, steps, graph.edge_index.shape[1])
+        mixings = (step for chunk in metropolis_stack(graph, alive, a, d) for step in chunk)
     else:
-        rngs = cfg._failure_rngs
-        trials = len(x) if x.ndim == 3 else 1
-        if len(rngs) not in (1, trials):
-            raise ConsensusError(
-                f"{trials} stacked trials need one failure generator or one per "
-                f"trial, not {len(rngs)}"
-            )
-        alive = _failure_masks(rngs, cfg.link_failure_prob, steps, edges)
+        mixings = _folded(cfg.weights.entries, a, d)
     x = x.copy()
     x_prev, x_next = np.empty_like(x), np.empty_like(x)
-    s = 0
-    for chunk in metropolis_stack(graph, alive, a, d):
-        if chunk.shape[1] == 1:  # one matrix per step, shared by every trial
-            chunk = chunk[:, 0]
-        for mixing, c_s in zip(chunk, c[s : s + len(chunk)]):
-            np.matmul(mixing, x, out=x_next)
-            if c_s != 0.0:
-                np.multiply(x_prev, c_s, out=x_prev)
-                np.subtract(x_next, x_prev, out=x_next)
-            x_prev, x, x_next = x, x_next, x_prev
-        s += len(chunk)
+    for mixing, c_s in zip(mixings, c):
+        np.matmul(mixing, x, out=x_next)
+        if c_s != 0.0:
+            np.multiply(x_prev, c_s, out=x_prev)
+            np.subtract(x_next, x_prev, out=x_next)
+        x_prev, x, x_next = x, x_next, x_prev
     return x
 
 
@@ -222,31 +221,30 @@ def _mixing_operator(cfg: AcConfig) -> np.ndarray:
 
 
 def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
-    """Run one consensus instance on a K x m (or length-K) initial matrix.
+    """Run one consensus instance on a (K,), (K, m) or (B, K, m) initial matrix.
 
-    A (trials, K, m) input runs every trial on the same weights; under link
-    failures each trial draws its links from its own generator when the
-    config holds one per trial, and all trials share one draw otherwise. The
-    output and per-node counters then carry the leading trial axis,
-    and each trial's slice equals the run of that slice alone (on a config
-    with that trial's generator).
+    A lone (K,) or (K, m) input runs as the one-trial stack (1, K, m) and
+    comes back in its own shape, with (K,) counters. A stack of B trials runs
+    every trial on the same weights, under link failures each with its own
+    generator (the config must hold B), and returns (B, K) counters; each
+    trial's slice equals the run of that slice alone on a config with that
+    trial's generator. At I = 0 the output is a copy of the input.
     """
     z0 = np.asarray(z0)
-    squeeze = z0.ndim == 1
-    x0 = z0[:, None] if squeeze else z0
-    if x0.ndim not in (2, 3):
+    if z0.ndim not in (1, 2, 3):
         raise ConsensusError("consensus input must be 1-, 2- or 3-dimensional")
-    k, m = x0.shape[-2:]
+    x0 = z0.reshape((-1,) + z0.shape[-2:] if z0.ndim > 1 else (1, -1, 1))
+    k, m = x0.shape[1:]
     if cfg.weights is not None and cfg.weights.node_count != k:
         raise ConsensusError(
             f"input has {k} rows but the weight matrix covers "
             f"{cfg.weights.node_count} nodes"
         )
     if cfg.engine == "ideal":
-        z = np.broadcast_to(x0.mean(axis=-2, keepdims=True), x0.shape).copy()
+        z = np.broadcast_to(x0.mean(axis=1, keepdims=True), x0.shape).copy()
     else:
         # the weights are real: a complex input is read as the real
-        # (..., K, 2m) array of its interleaved real and imaginary parts
+        # (B, K, 2m) array of its interleaved real and imaginary parts
         as_complex = x0.dtype.kind == "c"
         x = np.ascontiguousarray(x0, dtype=complex if as_complex else float).view(float)
         if cfg.link_failure_prob > 0.0 or cfg.iterations == 0:
@@ -255,9 +253,8 @@ def run_consensus(z0: np.ndarray, cfg: AcConfig) -> ConsensusResult:
             x = _mixing_operator(cfg) @ x
         z = x.view(complex) if as_complex else x
     deg = cfg.graph.degrees() if cfg.graph is not None else np.zeros(k, dtype=np.int64)
-    counters = np.empty(x0.shape[:-2] + (k,), dtype=np.int64)
-    counters[...] = cfg.iterations * m * deg
-    return ConsensusResult(z[:, 0] if squeeze else z, counters)
+    counters = np.full(z0.shape[:-2] + (k,), cfg.iterations * m * deg, dtype=np.int64)
+    return ConsensusResult(z.reshape(z0.shape), counters)
 
 
 def _chebyshev_coefficients(

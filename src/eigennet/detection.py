@@ -4,10 +4,13 @@ Four statistics over a descending eigenvalue list:
 
 * RT, largest root over known noise power: lambda_1 / sigma2
 * GT, largest eigenvalue ratio: lambda_1 / sum(lambda_i)
-* ST, sphericity: prod(lambda_i) / mean(lambda_i)^len
+* ST, sphericity, negated: -prod(lambda_i) / mean(lambda_i)^len
 * JT: sum(lambda_i^2) / sum(lambda_i)^2
 
-GT, ST and JT are scale invariant; RT scales linearly. Statistics computed
+Every statistic grows under a signal, so each one rejects in its upper tail:
+the sphericity ratio is at most 1 and falls as the spectrum spreads, which is
+why ST reports its negative. GT, ST and JT are scale invariant; RT scales
+linearly. Statistics computed
 from a partial (Ritz) list use that list's length throughout. Thresholds are
 calibrated empirically as nearest-rank-higher quantiles of the statistic
 under the noise-only hypothesis, using the same eigenvalue pipeline as the
@@ -102,7 +105,7 @@ def compute_statistic(
                 # normalize before squaring so tiny spectra do not underflow
                 values[sel] = np.sum((part / total[:, None]) ** 2, axis=1)
             else:
-                values[sel] = np.prod(part / (total / c)[:, None], axis=1)
+                values[sel] = -np.prod(part / (total / c)[:, None], axis=1)
     if single:
         return Statistic(kind, float(values[0]), bool(clamped[0]))
     return Statistic(kind, values, clamped)

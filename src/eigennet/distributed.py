@@ -23,12 +23,12 @@ returned without the trial axis. Every consensus round of a block is one
 whole stack in one ``run`` call: one stacked product on fixed weights, the
 per-column mean under ideal averaging, and under link failures one product
 per step, with each trial's surviving links drawn from that trial's own
-generator when the engine holds one per trial. Results carry the trial axis
-on every array, their :class:`MessageAudit` included, and ``trial(b)`` gives
-the result trial b would have had alone (on a fresh engine with trial b's
-generator), to the bit. Results, error traces and message audits share that
-one ``trial`` slicer. Past the
-iteration loop, at each Ritz checkpoint the Ritz values of every node of
+generator (a link-failure engine holds one per trial). Results carry the
+trial axis on every array, their :class:`MessageAudit` included, and
+``trial(b)`` gives the result trial b would have had alone (on a fresh
+engine with trial b's generator), to the bit. Results, error traces and
+message audits share that one ``trial`` slicer. Past the iteration loop,
+at each Ritz checkpoint the Ritz values of every node of
 every trial sit in one (rows, j) stack, NaN-padded for nodes whose matrix
 stopped growing. Equal adjacent rows (every node of a trial under exact
 consensus) are solved and filtered once; the distinct rows are solved by

@@ -301,14 +301,18 @@ def _dpm_rows(cfg: ExperimentConfig, y, ac, v0, **label):
 
 
 def _eig_converge_rows(cfg: ExperimentConfig, weights, seeds, y):
-    """DLA, then DPM, at each averaging time; then both under exact consensus."""
+    """DLA, then DPM, at each averaging time; then both under exact consensus.
+
+    The failure-stream tag of each row is I << 8 with its role in the low
+    byte (0xE0 for the DLA, 0xD0 for the DPM), so no two rows share a stream.
+    """
     v0 = _dpm_starts(cfg.k, seeds)
     i_grid = sorted(cfg.ac_iters)
     for i_iters in i_grid:
-        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, i_iters << 8 | 0xE0)
         yield from _dla_rows(cfg, y, ac, [1], engine=cfg.engine, algorithm="dla", I=i_iters)
     for i_iters in i_grid:
-        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xD0 + i_iters)
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, i_iters << 8 | 0xD0)
         yield from _dpm_rows(cfg, y, ac, v0, engine=cfg.engine, algorithm="dpm", I=i_iters)
     ideal = AcConfig("ideal", 0, weights=weights)
     yield from _dla_rows(cfg, y, ideal, [1], engine="ideal", algorithm="la-ideal", I=0)
@@ -325,9 +329,10 @@ def run_eig_converge(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _multi_eig_rows(cfg: ExperimentConfig, weights, seeds, y):
-    """One DLA run per averaging time, every configured index scored."""
+    """One DLA run per averaging time, every configured index scored, on the
+    failure streams of eig-converge's DLA rows."""
     for i_iters in sorted(cfg.ac_iters):
-        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xE0 + i_iters)
+        ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, i_iters << 8 | 0xE0)
         yield from _dla_rows(
             cfg, y, ac, sorted(cfg.eig_indices), engine=cfg.engine, algorithm="dla", I=i_iters
         )
@@ -476,7 +481,7 @@ def run_audit_messages(cfg: ExperimentConfig) -> ExperimentReport:
             result = run_dpm(y, ac, m, _dpm_starts(cfg.k, [s])[0])
         else:
             # the audit reads the counters alone: no Ritz values are extracted
-            result = run_dla(y, ac, min(m, cfg.k), default_dla_start(cfg.k), ritz_iters=())
+            result = run_dla(y, ac, m, default_dla_start(cfg.k), ritz_iters=())
         audit = audit_messages(result, ac, cfg.n)
         for k in range(cfg.k):
             rows.append(
@@ -551,7 +556,7 @@ def run_prop_check(cfg: ExperimentConfig) -> ExperimentReport:
     """
     s = trial_seed(cfg.seed, 0)
     y, _ = gen_h1(_signal_cfg(cfg, s, hypothesis=1))
-    m = min(cfg.m_max, cfg.k)
+    m = cfg.m_max
     v0 = _dpm_starts(cfg.k, [s])[0]
     v1 = default_dla_start(cfg.k)
 

@@ -181,8 +181,10 @@ _TABLE = {
         ("I",),
         _m_within_k,
     ),
-    "audit-messages": _Experiment("run_audit_messages", _NETWORK + ("engine",), ("M", "I")),
-    "prop-check": _Experiment("run_prop_check", _SIGNAL, ("M",)),
+    "audit-messages": _Experiment(
+        "run_audit_messages", _NETWORK + ("engine",), ("M", "I"), _m_within_k
+    ),
+    "prop-check": _Experiment("run_prop_check", _SIGNAL, ("M",), _m_within_k),
 }
 
 EXPERIMENTS = tuple(_TABLE)

@@ -144,9 +144,9 @@ class WeightMatrix:
     """The Metropolis weights of a connected ``graph``.
 
     The read-only K x K ``entries`` are built on first read by
-    :func:`metropolis_stack` (all links alive, scale 1, shift 0), from which
-    a consensus run on fixed weights also builds its steps, so the two never
-    disagree. Its Chebyshev ``bounds`` are computed on first read too.
+    :func:`metropolis_stack` (one step, all links alive, scale 1, shift 0);
+    a consensus run on fixed weights folds its steps from them, so the two
+    never disagree. Its Chebyshev ``bounds`` are computed on first read too.
     Equality and hashing are by identity, so weight matrices of different
     networks never compare equal. ``_operators`` caches fixed-weight
     consensus operators (see :mod:`eigennet.consensus`); it lives and dies
@@ -326,17 +326,17 @@ def _edge_weights(g: Graph, masks: np.ndarray, out: np.ndarray) -> np.ndarray:
 def metropolis_stack(
     g: Graph, alive: np.ndarray, scale: np.ndarray, shift: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Scaled and shifted Metropolis weights, one matrix per step and mask.
+    """Scaled and shifted Metropolis weights, one matrix per step and trial.
 
     ``scale`` and ``shift`` hold one value per step, S in all. ``alive`` is
-    an (S, G, E) boolean mask over the graph's ``edge_index`` columns, G
-    masks for each step, or (1, G, E): G masks that every step shares.
-    Matrix (s, g) is A = scale[s] W + shift[s] I, where W carries the
-    Metropolis weights of the subgraph of the edges alive in mask g of step
-    s, with degrees counted over those edges only; scale 1 and shift 0 give
-    W itself. The matrices come step by step, as consecutive (c, G, K, K)
-    chunks of at most 32 matrices (one step when G exceeds that), and every
-    chunk is a view of one buffer that the next chunk overwrites.
+    an (S, B, E) boolean mask over the graph's ``edge_index`` columns, one
+    mask per step and trial. Matrix (s, b) is A = scale[s] W + shift[s] I,
+    where W carries the Metropolis weights of the subgraph of the edges
+    alive in mask (s, b), with degrees counted over those edges only; scale
+    1 and shift 0 give W itself. The matrices come step by step, as
+    consecutive (c, B, K, K) chunks of at most 32 matrices (one step when B
+    exceeds that), and every chunk is a view of one buffer that the next
+    chunk overwrites.
 
     A is written straight from the edge weights w_ij. The buffer is
     zero-filled once per call; each chunk scatters scale[s] w_ij into the
@@ -345,28 +345,23 @@ def metropolis_stack(
     One product with the incidence matrix gives the degrees, exact integer
     sums. r is summed by :func:`_node_sums` instead, because a BLAS
     product's rounding depends on how many rows it multiplies at once: each
-    matrix's entries then do not depend on the masks beside it in its chunk,
-    and a shared mask, its weights computed once, gives per-step copies'.
+    matrix's entries then do not depend on the masks beside it in its chunk.
     """
     steps = len(scale)
-    groups, edges = alive.shape[1:]
+    trials, edges = alive.shape[1:]
     k = g.node_count
     upper, lower = g._edge_slots
-    per = max(1, min(steps, _STACK_CHUNK // groups))  # steps per chunk
-    a = np.zeros((per, groups, k, k))
-    flat = a.reshape(per * groups, k * k)
-    weights = np.zeros((edges + 1, per * groups))
-    if len(alive) == 1:
-        diagonals = _edge_weights(g, alive[0], weights)[:, None]
-        w = weights[:edges, None, :groups]
+    per = max(1, min(steps, _STACK_CHUNK // trials))  # steps per chunk
+    a = np.zeros((per, trials, k, k))
+    flat = a.reshape(per * trials, k * k)
+    weights = np.zeros((edges + 1, per * trials))
     for start in range(0, steps, per):
         n = min(per, steps - start)
-        rows = n * groups
-        if len(alive) > 1:
-            diagonals = _edge_weights(g, alive[start : start + n].reshape(rows, edges), weights)
-            diagonals = diagonals.reshape(k, n, groups)
-            w = weights[:edges, :rows].reshape(edges, n, groups)
-        # each step's scalars, over the step's G columns
+        rows = n * trials
+        diagonals = _edge_weights(g, alive[start : start + n].reshape(rows, edges), weights)
+        diagonals = diagonals.reshape(k, n, trials)
+        w = weights[:edges, :rows].reshape(edges, n, trials)
+        # each step's scalars, over the step's B columns
         step_scale = scale[start : start + n, None]
         step_shift = shift[start : start + n, None]
         out = flat[:rows]

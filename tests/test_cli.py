@@ -96,6 +96,24 @@ def test_matches_recorded_output(experiment, trials, tmp_path, capsys):
     assert (tmp_path / f"{experiment}.csv").read_bytes() == recorded.read_bytes()
 
 
+@pytest.mark.parametrize("experiment, trials", [("ac-compare", "3"), ("eig-converge", "8")])
+def test_recorded_output_does_not_depend_on_blas_threads(experiment, trials, tmp_path):
+    # a process of its own, whose BLAS starts with one thread: the recorded
+    # files came from the default thread count. ac-compare's
+    # chebyshev+failures rows run the step-by-step link-failure kernel,
+    # eig-converge's rows the fixed-weight operator
+    config = CONFIGS / f"{experiment.replace('-', '_')}.cfg"
+    argv = [
+        sys.executable, "-m", "eigennet.cli", experiment, "--config", str(config),
+        "--out", str(tmp_path), "--trials", trials,
+    ]
+    env = dict(subprocess_env(), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    recorded = ROOT / "tests" / "data" / f"{experiment}-trials{trials}.csv"
+    assert (tmp_path / f"{experiment}.csv").read_bytes() == recorded.read_bytes()
+
+
 def test_one_sample_per_node_keeps_the_exact_lambda1(tmp_path, capsys):
     # N = 1: Lanczos finds the whole spectrum by iteration N + 1 = 2, so the
     # rank test must not run there; run at j > N it dropped the exact
@@ -517,6 +535,23 @@ def test_list_key_read_as_one_value_takes_one_entry(experiment, key, value, tmp_
     out = tmp_path / "out"
     assert cli_main([experiment, "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {key} takes one entry for {experiment}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, m",
+    # K = 8 and K = 12 in the shipped configs
+    [("prop-check", "30"), ("audit-messages", "20")],
+)
+def test_m_above_k_is_a_config_error(experiment, m, tmp_path, capsys):
+    # both used to exit 0 and echo the M given, while prop-check ran K
+    # iterations and the audit's DLA K rounds of each width
+    config = config_with(experiment, "M", m, tmp_path)
+    out = tmp_path / "out"
+    assert cli_main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: M cannot exceed K for Lanczos-based experiments\n"
+    )
     assert not out.exists()
 
 

@@ -363,11 +363,23 @@ def max_rel_diff(got, ref):
 
 def recurrence(x0, cfg):
     """The engine's step-by-step recurrence on a (K, m) or (B, K, m) ``x0``,
-    through the real view that run_consensus gives it."""
+    through the (B, K, 2m) real stack that run_consensus gives it."""
     as_complex = x0.dtype.kind == "c"
-    x = np.ascontiguousarray(x0, dtype=complex if as_complex else float).view(float)
+    x = x0.reshape((-1,) + x0.shape[-2:])
+    x = np.ascontiguousarray(x, dtype=complex if as_complex else float).view(float)
     x = _iterate(x, cfg)
-    return x.view(complex) if as_complex else x
+    return (x.view(complex) if as_complex else x).reshape(x0.shape)
+
+
+def trial_seeds(x0, seed):
+    """One failure seed per trial of a (K, m) or (B, K, m) ``x0``: ``seed``,
+    ``seed`` + 1, ..."""
+    return [seed + b for b in range(len(x0) if x0.ndim == 3 else 1)]
+
+
+def trial_rngs(x0, seed):
+    """The generators of :func:`trial_seeds`: a config's and a reference's."""
+    return [np.random.default_rng(s) for s in trial_seeds(x0, seed)]
 
 
 class TestTrialStack:
@@ -390,18 +402,6 @@ class TestTrialStack:
             # a scalar round gives the same values as a one-column one
             if width == 1:
                 assert np.array_equal(res.z[t, :, 0], run_consensus(z0[t, :, 0], cfg).z)
-
-    def test_failures_share_links_across_the_stack(self):
-        w = metropolis_weights(random_connected_graph(6, 5))
-        make = lambda: AcConfig(  # noqa: E731
-            "standard", 4, weights=w, link_failure_prob=0.4, failure_seed=11
-        )
-        rng = np.random.default_rng(6)
-        z0 = rng.standard_normal((3, 6, 2))
-        stacked = run_consensus(z0, make())
-        # the same links act on every column of the side-by-side matrix
-        wide = run_consensus(np.concatenate(list(z0), axis=1), make())
-        assert np.allclose(np.concatenate(list(stacked.z), axis=1), wide.z, rtol=1e-13)
 
 
 class TestRunBlock:
@@ -426,16 +426,24 @@ class TestRunBlock:
         res = run_block(ErrorInjectingEngine([err]), z0)
         assert np.allclose(res.z - node_mean, err, atol=1e-15)
 
-    def test_failure_generator_count_must_match(self, path3_weights):
-        cfg = AcConfig(
-            "standard", 2, weights=path3_weights, link_failure_prob=0.3, failure_seed=[1, 2]
-        )
+    @pytest.mark.parametrize("iters", [0, 2])
+    def test_failure_generator_count_must_match(self, iters, path3_weights):
+        def make(seed):
+            return AcConfig(
+                "standard", iters, weights=path3_weights, link_failure_prob=0.3, failure_seed=seed
+            )
+
+        # one generator per trial: an int seed is the one-trial config
         for z0 in (np.zeros((3, 3, 1)), np.zeros((3, 3))):
-            with pytest.raises(ConsensusError, match="one per trial, not 2"):
-                run_block(cfg, z0)
+            for seed, count in ((1, 1), ([1, 2], 2)):
+                match = f"need one failure generator each, not {count}"
+                with pytest.raises(ConsensusError, match=match):
+                    run_block(make(seed), z0)
+            assert run_block(make([1, 2, 3]), z0).z.shape == z0.shape
         # a lone input is one trial
         with pytest.raises(ConsensusError, match="1 stacked trials"):
-            cfg.run(np.zeros((3, 2)))
+            make([1, 2]).run(np.zeros((3, 2)))
+        assert make(1).run(np.zeros((3, 2))).z.shape == (3, 2)
 
 
 class TestFailureRedraw:
@@ -467,9 +475,12 @@ class TestFailureRedraw:
         assert np.array_equal(metropolis_weights(g).entries, w)
 
 
-def loop_failure_run(z0, cfg, rng):
+def loop_failure_run(z0, cfg, rngs):
     """Reference link-failure run: the recurrence step by step, each step's
-    weights redrawn by the per-edge loop from ``rng``."""
+    weights redrawn by the per-edge loop, trial b's from ``rngs[b]``."""
+    if z0.ndim == 3:
+        return np.stack([loop_failure_run(z, cfg, [rng]) for z, rng in zip(z0, rngs, strict=True)])
+    (rng,) = rngs
     graph, p = cfg.weights.graph, cfg.link_failure_prob
     weights = [loop_failure_weights(graph, rng, p) for _ in range(cfg.iterations)]
     x = z0[..., None] if z0.ndim == 1 else z0.copy()
@@ -507,12 +518,12 @@ class TestFailureStackRecurrence:
         assert cp.is_degenerate == (network == "complete")
         for z0 in self.inputs(12):
             cfg = AcConfig(
-                engine, iters, weights=w, link_failure_prob=0.2, failure_seed=5
+                engine, iters, weights=w, link_failure_prob=0.2, failure_seed=trial_seeds(z0, 5)
             )
-            loop_rng = np.random.default_rng(5)
-            # the second call continues the config's failure stream
+            loop_rngs = trial_rngs(z0, 5)
+            # the second call continues the config's failure streams
             for _ in range(2):
-                ref = loop_failure_run(z0, cfg, loop_rng)
+                ref = loop_failure_run(z0, cfg, loop_rngs)
                 z = run_consensus(z0, cfg).z
                 assert z.shape == z0.shape and z.dtype == ref.dtype
                 assert np.array_equal(z, ref)
@@ -681,14 +692,21 @@ def unfolded_chebyshev(x0, weights, cheb):
 
 
 def reference_iterate(
-    x0, cfg, rng=None, chebyshev=reference_chebyshev, build=reference_metropolis_stack
+    x0, cfg, rngs=None, chebyshev=reference_chebyshev, build=reference_metropolis_stack
 ):
-    """The recurrence on a (K, m) or (trials, K, m) x0, on the weights that
-    ``build`` makes of (S, E) masks: under link failures one (I, E) draw from
-    ``rng`` gives the masks every trial shares, and fixed weights are the
-    one all-alive mask's."""
+    """The recurrence on a (K, m) or (trials, K, m) x0, trial by trial, on
+    the weights that ``build`` makes of (S, E) masks: under link failures
+    one (I, E) draw from ``rngs[b]`` gives trial b's masks, and fixed
+    weights are the one all-alive mask's."""
+    if x0.ndim == 3:
+        per_trial = [None] * len(x0) if rngs is None else [[rng] for rng in rngs]
+        return np.stack([
+            reference_iterate(x, cfg, r, chebyshev, build)
+            for x, r in zip(x0, per_trial, strict=True)
+        ])
     graph = cfg.weights.graph
-    if rng is not None:
+    if rngs is not None:
+        (rng,) = rngs
         alive = rng.random((cfg.iterations, len(graph.edges))) >= cfg.link_failure_prob
         weights = build(graph, alive)
     else:
@@ -731,23 +749,24 @@ class TestBufferedKernel:
         w = self.networks()[network]
         for iters in (1, 2, 30):
             for z0 in self.inputs(scale):
+                x0 = z0[:, None] if z0.ndim == 1 else z0
                 cfg = AcConfig(
                     engine, iters, weights=w,
                     link_failure_prob=0.2 if failures else 0.0,
-                    failure_seed=9 if failures else None,
+                    failure_seed=trial_seeds(x0, 9) if failures else None,
                 )
-                rng = np.random.default_rng(9) if failures else None
-                x0 = z0[:, None] if z0.ndim == 1 else z0
-                want = reference_iterate(x0, cfg, rng)
+                rngs = trial_rngs(x0, 9) if failures else None
+                want = reference_iterate(x0, cfg, rngs)
                 got = recurrence(x0, cfg)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert np.array_equal(got, want)
                 if failures:
-                    # the whole run, with a second call continuing the stream
+                    # the whole run, with a second call continuing the streams
                     z = run_consensus(z0, cfg).z
-                    want = reference_iterate(x0, cfg, rng)
+                    want = reference_iterate(x0, cfg, rngs)
                     assert np.array_equal(z, want[:, 0] if z0.ndim == 1 else want)
-                    assert cfg._failure_rngs[0].random() == rng.random()
+                    for own, ref in zip(cfg._failure_rngs, rngs, strict=True):
+                        assert own.random() == ref.random()
 
     @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
     def test_fixed_weight_operator_matches_reference(self, engine):
@@ -755,6 +774,28 @@ class TestBufferedKernel:
             cfg = AcConfig(engine, 30, weights=w)
             want = reference_iterate(np.eye(self.K), cfg)
             assert np.array_equal(_mixing_operator(cfg), want)
+
+    @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
+    def test_operator_is_the_dense_recurrence_on_the_entries(self, engine):
+        # each step's a_s W + d_s I formed densely from the cached entries,
+        # a fresh array per step, from x_0 = I
+        networks = {
+            "complete": complete_weights(self.K),
+            "geometric": metropolis_weights(generate_random_geometric(self.K, 0.5, 2)),
+        }
+        for w in networks.values():
+            eye = np.eye(self.K)
+            for iters in range(33):
+                cfg = AcConfig(engine, iters, weights=w)
+                if engine == "chebyshev" and not w.bounds.is_degenerate:
+                    steps = folded_coefficients(w.bounds, iters)[:iters]
+                else:
+                    steps = [(1.0, 0.0, 0.0)] * iters
+                x_prev, x = np.zeros_like(eye), eye
+                for a, d, c in steps:
+                    x_next = (a * w.entries + d * eye) @ x
+                    x_prev, x = x, (x_next - c * x_prev if c != 0.0 else x_next)
+                assert np.array_equal(_mixing_operator(cfg), x)
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 32])
     @pytest.mark.parametrize("engine", ["standard", "chebyshev"])
@@ -793,7 +834,7 @@ class TestBufferedKernel:
         z0 = rng.standard_normal((3, 12, 2))
         z = run_consensus(z0, cfg).z
         for t, seed in enumerate((5, 6, 7)):
-            want = reference_iterate(z0[t], cfg, np.random.default_rng(seed))
+            want = reference_iterate(z0[t], cfg, [np.random.default_rng(seed)])
             assert np.array_equal(z[t], want)
 
 
@@ -837,9 +878,9 @@ class TestParentKernel:
                         cfg = AcConfig(
                             engine, iters, weights=w,
                             link_failure_prob=0.2 if failures else 0.0,
-                            failure_seed=9 if failures else None,
+                            failure_seed=trial_seeds(z0, 9) if failures else None,
                         )
-                        draws = np.random.default_rng(9) if failures else None
+                        draws = trial_rngs(z0, 9) if failures else None
                         want = reference_iterate(z0, cfg, draws, build=dense_metropolis_stack)
                         assert max_rel_diff(recurrence(z0, cfg), want) <= bound
 
@@ -857,20 +898,20 @@ class TestParentKernel:
                 x_prev, x = x, reference_real_matmul(1.0 * w_s + 0.0 * eye, x) - 0.0 * x_prev
             return x
 
-        def make(engine):
+        def make(engine, x0):
             return AcConfig(
                 engine, 30, weights=w,
                 link_failure_prob=0.2 if failures else 0.0,
-                failure_seed=9 if failures else None,
+                failure_seed=trial_seeds(x0, 9) if failures else None,
             )
 
         for scale in (1.0, 1e150, 1e-150):
             for z0 in TestBufferedKernel.inputs(scale):
                 x0 = z0[:, None] if z0.ndim == 1 else z0
-                draws = np.random.default_rng(9) if failures else None
+                draws = trial_rngs(x0, 9) if failures else None
                 # the chebyshev config routes the reference to three_term
-                want = reference_iterate(x0, make("chebyshev"), draws, chebyshev=three_term)
-                assert np.array_equal(recurrence(x0, make("standard")), want)
+                want = reference_iterate(x0, make("chebyshev", x0), draws, chebyshev=three_term)
+                assert np.array_equal(recurrence(x0, make("standard", x0)), want)
 
 
 class TestFoldedCoefficients:
@@ -934,9 +975,9 @@ class TestFoldedCoefficients:
                 cfg = AcConfig(
                     "chebyshev", iters, weights=w,
                     link_failure_prob=0.2 if failures else 0.0,
-                    failure_seed=9 if failures else None,
+                    failure_seed=trial_seeds(x0, 9) if failures else None,
                 )
-                draws = np.random.default_rng(9) if failures else None
+                draws = trial_rngs(x0, 9) if failures else None
                 want = reference_iterate(x0, cfg, draws, chebyshev=unfolded_chebyshev)
                 assert max_rel_diff(recurrence(x0, cfg), want) <= bound
 
@@ -1004,7 +1045,7 @@ class TestBoundsFollowWeights:
             )
 
             def driven_by(bounds):
-                draws = np.random.default_rng(9) if failures else None
+                draws = [np.random.default_rng(9)] if failures else None
                 return reference_iterate(
                     z0, cfg, draws, chebyshev=lambda x, ws, _: reference_chebyshev(x, ws, bounds)
                 )
@@ -1020,11 +1061,11 @@ class TestMetropolisBuffer:
         return generate_random_geometric(40, 0.4, 3)
 
     @pytest.mark.parametrize("folded", [False, True])
-    @pytest.mark.parametrize("groups", [1, 3, 32, 33])
-    def test_chunks_match_one_pass_build(self, groups, folded):
+    @pytest.mark.parametrize("trials", [1, 3, 32, 33])
+    def test_chunks_match_one_pass_build(self, trials, folded):
         g = self.graph()
-        rng = np.random.default_rng(groups)
-        alive = rng.random((70, groups, len(g.edges))) >= 0.5
+        rng = np.random.default_rng(trials)
+        alive = rng.random((70, trials, len(g.edges))) >= 0.5
         if folded:  # Chebyshev-like scalars, negative shifts included
             scale, shift = 1.0 + rng.random(70), -rng.random(70)
         else:
@@ -1032,27 +1073,13 @@ class TestMetropolisBuffer:
         eye = np.eye(40)
         step = 0
         for chunk in metropolis_stack(g, alive, scale, shift):
-            assert chunk.shape[1:] == (groups, 40, 40)
-            assert chunk.size // (40 * 40) <= max(32, groups)
+            assert chunk.shape[1:] == (trials, 40, 40)
+            assert chunk.size // (40 * 40) <= max(32, trials)
             for a in chunk:
                 w = reference_metropolis_stack(g, alive[step])
                 assert np.array_equal(a, scale[step] * w + shift[step] * eye)
                 step += 1
         assert step == 70
-
-    @pytest.mark.parametrize("groups", [1, 3, 33])
-    def test_shared_masks_equal_per_step_copies(self, groups):
-        g = self.graph()
-        rng = np.random.default_rng(groups)
-        masks = rng.random((1, groups, len(g.edges))) >= 0.5
-        scale, shift = 1.0 + rng.random(70), -rng.random(70)
-        shared = metropolis_stack(g, masks, scale, shift)
-        copies = metropolis_stack(g, np.repeat(masks, 70, axis=0), scale, shift)
-        steps = 0
-        for a, b in zip(shared, copies, strict=True):
-            assert np.array_equal(a, b)
-            steps += len(a)
-        assert steps == 70
 
     def test_weight_matrix_is_built_from_its_graph(self):
         g = self.graph()
@@ -1065,12 +1092,12 @@ class TestMetropolisBuffer:
         with pytest.raises(TopologyError, match="not connected"):
             WeightMatrix(Graph(3, ((0, 1),)))
 
-    @pytest.mark.parametrize("groups", [1, 3])
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("steps", [1, 5, 40])
-    def test_weights_equal_every_all_alive_matrix(self, steps, groups):
+    def test_weights_equal_every_all_alive_matrix(self, steps, trials):
         g = self.graph()
         w = metropolis_weights(g)
-        alive = np.ones((steps, groups, len(g.edges)), dtype=bool)
+        alive = np.ones((steps, trials, len(g.edges)), dtype=bool)
         chunk = next(plain_stack(g, alive))
         assert all(np.array_equal(a, w.entries) for a in chunk.reshape(-1, 40, 40))
 

@@ -133,3 +133,26 @@ def test_roc_keeps_detector_order_then_pipeline_order():
     ]
     # each pair's rows are contiguous
     assert [pair for pair, _ in groupby(labels(report, "detector", "pipeline"))] == expected
+
+
+def test_eig_converge_rows_draw_distinct_failure_streams(monkeypatch):
+    # the DLA at I and the DPM at I + 16 used to share every trial's failure
+    # generator: DLA(10) and DPM(26) drew the same links
+    streams = {}
+    for name in ("run_dla", "run_dpm"):
+        run = getattr(experiments, name)
+
+        def recording(y, ac, *args, _run=run, _name=name, **kwargs):
+            if ac.link_failure_prob > 0.0:  # one failure seed per trial
+                streams[_name, ac.iterations] = tuple(ac.failure_seed)
+            return _run(y, ac, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, recording)
+    cfg = config(
+        "eig-converge", 3, engine="chebyshev+failures", link_failure_prob="0.03", I="10 26", M="2"
+    )
+    experiments.run_eig_converge(cfg)
+    assert sorted(streams) == [("run_dla", 10), ("run_dla", 26), ("run_dpm", 10), ("run_dpm", 26)]
+    seeds = [seed for trial_seeds in streams.values() for seed in trial_seeds]
+    assert len(set(seeds)) == len(seeds) == 4 * 3
+    assert streams["run_dla", 10] != streams["run_dpm", 26]

@@ -4,6 +4,8 @@ import pytest
 from eigennet.consensus import AcConfig
 from eigennet.detection import compute_statistic, threshold_from_h0, trace_consensus
 from eigennet.errors import DetectionError
+from eigennet.experiments import run_roc
+from eigennet.harness import validate_config
 
 from conftest import random_samples
 
@@ -18,13 +20,13 @@ class TestComputeStatistic:
         lam = np.array([2.0, 1.0, 1.0])
         assert compute_statistic("RT", lam, 1.0).value == pytest.approx(2.0)
         assert compute_statistic("GT", lam).value == pytest.approx(0.5)
-        assert compute_statistic("ST", lam).value == pytest.approx(27 / 32)
+        assert compute_statistic("ST", lam).value == pytest.approx(-27 / 32)
         assert compute_statistic("JT", lam).value == pytest.approx(6 / 16)
 
     def test_flat_spectrum(self):
         lam = np.full(5, 3.3)
         assert compute_statistic("GT", lam).value == pytest.approx(1 / 5)
-        assert compute_statistic("ST", lam).value == pytest.approx(1.0)
+        assert compute_statistic("ST", lam).value == pytest.approx(-1.0)
         assert compute_statistic("JT", lam).value == pytest.approx(1 / 5)
 
     def test_negative_values_clamped_and_flagged(self):
@@ -51,7 +53,7 @@ class TestComputeStatistic:
             lam = np.sort(rng.random(6))[::-1] + 1e-3
             k = len(lam)
             assert 1 / k <= compute_statistic("GT", lam).value <= 1.0
-            assert 0.0 < compute_statistic("ST", lam).value <= 1.0
+            assert -1.0 <= compute_statistic("ST", lam).value < 0.0
             assert 1 / k <= compute_statistic("JT", lam).value <= 1.0
 
     def test_exact_trace_mode(self):
@@ -152,3 +154,25 @@ class TestStatisticConsensus:
         out = cfg.run(vals).z
         # scalar sequence for b1=2 is 1, 2, 7, 26
         assert np.linalg.norm(out - vals.mean()) <= np.linalg.norm(vals - vals.mean()) / 26 + 1e-12
+
+
+def test_every_detector_rejects_in_its_upper_tail():
+    # A full-rank config (N > K) at 0 dB, every pipeline on the whole
+    # spectrum (M = K): under a signal each statistic grows, so each
+    # (detector, pipeline) pair detects at least as often as it false-alarms.
+    # The margin is three binomial standard errors of a proportion at pfa
+    # over the 200 trials. The sphericity ratio falls under a signal: before
+    # ST reported its negative, its pd fell 0.305 below pfa on every pipeline.
+    text = (
+        "K = 8\nN = 32\nM = 8\nI = 30\nsnr_db = 0\ntrials = 200\nseed = 5\n"
+        "radius = 0.6\ntopology_seed = 1\ndetectors = RT GT ST JT\nalphas = 0.05 0.2 0.5\n"
+    )
+    cfg = validate_config(text, "roc")
+    checked = set()
+    for row in run_roc(cfg).rows:
+        if np.isfinite(row["threshold"]):
+            margin = 3.0 * np.sqrt(row["pfa"] * (1.0 - row["pfa"]) / cfg.trials)
+            assert row["pd"] >= row["pfa"] - margin, row
+            checked.add((row["detector"], row["pipeline"]))
+    assert {detector for detector, _ in checked} == {"RT", "GT", "ST", "JT"}
+    assert len(checked) == 5 + 3 * 5  # RT on exact, pm, la, dpm, dla; the ratios add -tr

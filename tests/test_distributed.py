@@ -1003,24 +1003,13 @@ class TestTrialStack:
     def test_failure_generator_count_must_match(self):
         y = self.block()
         make = self.engine_factory("failures")
-        with pytest.raises(ConsensusError, match="one per trial, not 3"):
-            run_dpm(y, make(range(3)), self.M)
-        with pytest.raises(ConsensusError, match="one per trial, not 6"):
-            run_dla(y, make(range(6)), self.M)
-
-    def test_one_failure_config_serves_the_block(self):
-        # every trial of the block shares each call's surviving links, so
-        # trial b equals its lone run on a fresh equal config
-        y = self.block()
-        make = self.engine_factory("failures")
-        v0 = np.stack([default_dpm_start(self.K, seed=t) for t in range(len(y))])
-        dpm = run_dpm(y, make([0]), self.M, v0, checkpoints=(2, 4), trace=True)
-        dla = run_dla(y, make([0]), self.M, ritz_iters=self.EVERY_M, trace=True)
-        for t in range(len(y)):
-            alone = run_dpm(y[t], make([0]), self.M, v0[t], checkpoints=(2, 4), trace=True)
-            self.assert_same_dpm(dpm.trial(t), alone)
-            alone = run_dla(y[t], make([0]), self.M, ritz_iters=self.EVERY_M, trace=True)
-            self.assert_same_dla(dla.trial(t), alone)
+        # one generator per trial of the block: one for the block is too few
+        for seeds, count in ((range(3), 3), (range(6), 6), ([0], 1)):
+            match = f"need one failure generator each, not {count}"
+            with pytest.raises(ConsensusError, match=match):
+                run_dpm(y, make(seeds), self.M)
+            with pytest.raises(ConsensusError, match=match):
+                run_dla(y, make(seeds), self.M)
 
     def test_lanczos_breakdown_in_one_trial(self):
         k = 6
@@ -1144,16 +1133,15 @@ class TestUntracedRunsSkipErrors:
 
         monkeypatch.setattr(distributed, "_consensus_error", refuse)
 
-    @pytest.mark.parametrize("per_trial", [False, True])
     @pytest.mark.parametrize("kind", ["ideal", "chebyshev", "failures"])
-    def test_untraced_runs_never_read_the_error(self, kind, per_trial, unreadable_errors):
+    def test_untraced_runs_never_read_the_error(self, kind, unreadable_errors):
         make = self.helper.engine_factory(kind)
         y = self.helper.block()[:3]
         for run in TestTraceOption.RUNS.values():
-            ac = make(range(len(y)) if per_trial else [0])
+            ac = make(range(len(y)))
             assert run(y, ac, False).trace is None
             # the patch is in force: a traced run reads the errors
-            ac = make(range(len(y)) if per_trial else [0])
+            ac = make(range(len(y)))
             with pytest.raises(AssertionError, match="consensus error read"):
                 run(y, ac, True)
 

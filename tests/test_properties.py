@@ -429,7 +429,7 @@ class TestDetectionProperties:
         assert 1 / k - 1e-12 <= gt <= 1.0 + 1e-12
         assert 1 / k - 1e-12 <= jt <= 1.0 + 1e-12
         st_val = compute_statistic("ST", lam).value
-        assert 0.0 <= st_val <= 1.0 + 1e-12
+        assert -1.0 - 1e-12 <= st_val <= 0.0
 
     def test_unanimous_decisions_under_ideal_consensus(self):
         for seed in range(CASES):
