@@ -16,7 +16,7 @@ from .consensus import (
     run_block,
     run_consensus,
 )
-from .detection import Statistic, compute_statistic, threshold_from_h0, trace_consensus
+from .detection import compute_statistic, threshold_from_h0, trace_consensus
 from .distributed import (
     ConvergenceVerdict,
     DlaErrorTrace,

@@ -1,27 +1,48 @@
 """Eigenvalue-based detection statistics and thresholds.
 
-Four statistics over a descending eigenvalue list:
+One table, ``STATISTICS``, holds a row for each statistic kind. A row gives
+the statistic on a descending list, whether it reads the list or only
+lambda_1, and whether it takes the exact covariance trace in place of the
+list's sum:
 
-* RT, largest root over known noise power: lambda_1 / sigma2
-* GT, largest eigenvalue ratio: lambda_1 / sum(lambda_i)
-* ST, sphericity, negated: -prod(lambda_i) / mean(lambda_i)^len
-* JT: sum(lambda_i^2) / sum(lambda_i)^2
+====  ====================================  =========  ===========
+kind  statistic                             reads      takes trace
+====  ====================================  =========  ===========
+RT    lambda_1 / sigma2                     lambda_1   no
+GT    lambda_1 / sum(lambda_i)              the list   yes
+ST    -prod(lambda_i) / mean(lambda_i)^c    the list   no
+JT    sum(lambda_i^2) / sum(lambda_i)^2     the list   yes
+====  ====================================  =========  ===========
+
+RT, the largest root over the known noise power, reads lambda_1 and sigma2.
+GT is the largest eigenvalue ratio, ST the sphericity ratio (negated) and JT
+John's test. Statistics computed from a partial (Ritz) list use that list's
+length c throughout.
+
+What a statistic reads decides which eigenvalue pipeline can serve it: a
+pipeline that gives lambda_1 alone (the power method, the DPM) serves the
+kinds that do not read the list, and one that gives the exact trace beside
+a partial list serves only the kinds that take the trace
+(:meth:`_Kind.reads`). ST takes no trace: over the trace, the product of a
+partial list's largest values rises under a signal, so its negated ratio
+has no upper tail.
 
 Every statistic grows under a signal, so each one rejects in its upper tail:
 the sphericity ratio is at most 1 and falls as the spectrum spreads, which is
 why ST reports its negative. GT, ST and JT are scale invariant; RT scales
-linearly. Statistics computed
-from a partial (Ritz) list use that list's length throughout. Thresholds are
-calibrated empirically as nearest-rank-higher quantiles of the statistic
-under the noise-only hypothesis, using the same eigenvalue pipeline as the
-evaluated detector.
+linearly. When N < K the sample covariance has K - N zero eigenvalues, so ST
+on the full spectrum is -0 on every trial, under either hypothesis.
+
+Thresholds are calibrated empirically as nearest-rank-higher quantiles of
+the statistic under the noise-only hypothesis, using the same eigenvalue
+pipeline as the evaluated detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,23 +51,52 @@ from .eigencore import _checked_samples
 from .errors import DetectionError
 
 __all__ = [
-    "Statistic",
+    "STATISTICS",
     "STATISTIC_KINDS",
     "compute_statistic",
     "trace_consensus",
     "threshold_from_h0",
 ]
 
-STATISTIC_KINDS = ("RT", "GT", "ST", "JT")
-
 
 @dataclass(frozen=True)
-class Statistic:
-    """A statistic value; per-row arrays when computed on a stack of lists."""
+class _Kind:
+    """One row of ``STATISTICS``: a statistic and what it reads."""
 
-    kind: str
-    value: float | np.ndarray
-    clamped: bool | np.ndarray = False
+    # (rows, c) descending lists and their normalizer: sigma2 for a kind that
+    # reads lambda_1 alone, else each list's sum or exact trace
+    statistic: Callable[[np.ndarray, float | np.ndarray], np.ndarray]
+    reads_list: bool  # False: lambda_1 alone
+    takes_trace: bool  # the exact trace may stand in for the list's sum
+
+    def reads(self, lists: bool, trace: bool) -> bool:
+        """Whether a pipeline serves this kind: one that gives eigenvalue
+        lists (``lists``) or lambda_1 alone, with the exact trace
+        (``trace``) or without it."""
+        return (lists or not self.reads_list) and (self.takes_trace or not trace)
+
+
+def _largest(lam, norm):
+    return lam[:, 0] / norm
+
+
+def _sphericity(lam, norm):
+    return -np.prod(lam / (norm / lam.shape[1])[:, None], axis=1)
+
+
+def _john(lam, norm):
+    # normalize before squaring so tiny spectra do not underflow
+    return np.sum((lam / norm[:, None]) ** 2, axis=1)
+
+
+STATISTICS = {
+    "RT": _Kind(_largest, reads_list=False, takes_trace=False),
+    "GT": _Kind(_largest, reads_list=True, takes_trace=True),
+    "ST": _Kind(_sphericity, reads_list=True, takes_trace=False),
+    "JT": _Kind(_john, reads_list=True, takes_trace=True),
+}
+
+STATISTIC_KINDS = tuple(STATISTICS)
 
 
 def compute_statistic(
@@ -55,39 +105,43 @@ def compute_statistic(
     sigma2: float | None = None,
     *,
     trace: float | np.ndarray | None = None,
-) -> Statistic:
+) -> float | np.ndarray:
     """Evaluate one detection statistic on a descending eigenvalue list.
 
     Small negative values (numerical artifacts of a PSD spectrum) are
-    clamped to zero and flagged. An all-zero list leaves GT/ST/JT undefined.
+    clamped to zero. An all-zero list leaves GT/ST/JT undefined, and RT
+    needs a positive ``sigma2``.
 
     On a partial (Ritz) list the eigenvalue sum undercounts the true trace;
-    passing ``trace`` substitutes it for the sum in GT/ST/JT (the exact-trace
-    mode, with :func:`trace_consensus` supplying the decentralized value).
+    passing ``trace`` substitutes it for the sum (the exact-trace mode, with
+    :func:`trace_consensus` supplying the decentralized value). A kind that
+    takes no trace raises :class:`DetectionError` when given one.
 
     A 2-D ``eigenvalues`` is a stack of lists, one per row, NaN-padded to a
-    common width, and ``trace`` may give one value per row. The statistic's
-    ``value`` and ``clamped`` are then per-row arrays, and each row's entries
-    equal the call on that row's list alone, which is the one-row case.
+    common width, and ``trace`` may give one value per row. The result is
+    then a (rows,) array, and each row's value equals the float the call on
+    that row's list alone returns.
     """
-    if kind not in STATISTIC_KINDS:
+    spec = STATISTICS.get(kind)
+    if spec is None:
         raise DetectionError(f"unknown statistic kind {kind!r}")
+    if trace is not None and not spec.takes_trace:
+        raise DetectionError(f"{kind} takes no trace")
     rows = np.asarray(eigenvalues, dtype=float)
     single = rows.ndim == 1
     if single:
         rows = rows[None]
     if rows.ndim != 2:
         raise DetectionError("expected an eigenvalue list or a stack of lists")
-    clamped = np.any(rows < 0, axis=1)
     # descending, with the NaN padding moved to the end of each row
     lam = -np.sort(-np.maximum(rows, 0.0), axis=1)
     counts = np.sum(~np.isnan(lam), axis=1)
     if np.any(counts == 0):
         raise DetectionError("empty eigenvalue list")
-    if kind == "RT":
+    if not spec.reads_list:
         if sigma2 is None or sigma2 <= 0:
-            raise DetectionError("RT needs a positive noise variance")
-        values = lam[:, 0] / sigma2
+            raise DetectionError(f"{kind} needs a positive noise variance")
+        values = spec.statistic(lam[:, :1], sigma2)
     else:
         if trace is not None:
             trace = np.broadcast_to(np.asarray(trace, dtype=float), counts.shape)
@@ -99,16 +153,8 @@ def compute_statistic(
             total = part.sum(axis=1) if trace is None else trace[sel]
             if np.any(total == 0.0):
                 raise DetectionError(f"{kind} undefined on an all-zero eigenvalue list")
-            if kind == "GT":
-                values[sel] = part[:, 0] / total
-            elif kind == "JT":
-                # normalize before squaring so tiny spectra do not underflow
-                values[sel] = np.sum((part / total[:, None]) ** 2, axis=1)
-            else:
-                values[sel] = -np.prod(part / (total / c)[:, None], axis=1)
-    if single:
-        return Statistic(kind, float(values[0]), bool(clamped[0]))
-    return Statistic(kind, values, clamped)
+            values[sel] = spec.statistic(part, total)
+    return float(values[0]) if single else values
 
 
 def trace_consensus(y: np.ndarray, ac) -> np.ndarray:

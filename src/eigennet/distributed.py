@@ -466,7 +466,6 @@ def run_dla(
     v1: np.ndarray | None = None,
     *,
     ritz_iters=None,
-    spurious_tol_rel: float = 1e-3,
     trace: bool = False,
 ) -> DlaResult:
     """Decentralized Lanczos algorithm.
@@ -574,7 +573,6 @@ def run_dla(
         wanted,
         k,
         n,
-        spurious_tol_rel,
     )
     result = DlaResult(
         alpha_hist=alpha_hist,
@@ -667,7 +665,12 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
     return x.view(np.dtype((np.void, x.shape[1] * x.itemsize)))[:, 0]
 
 
-def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
+# the Ritz filter's duplicate and rank tolerance, relative to each list's
+# largest magnitude
+_SPURIOUS_TOL = 1e-3
+
+
+def _extract_ritz(alpha, beta, sizes, wanted, k, n):
     """Ritz values of a stack of tridiagonal matrices, raw and filtered.
 
     Row s of the (rows, M) ``alpha`` and ``beta`` holds one matrix's
@@ -729,9 +732,8 @@ def _extract_ritz(alpha, beta, sizes, wanted, k, n, tol_rel):
     for j in sorted(wanted):
         cur = raw[j]
         peak = np.max(np.abs(cur), axis=1, where=~np.isnan(cur), initial=0.0)
-        filtered[j] = filter_spurious_batch(
-            cur, raw[j - 1] if j > limit else None, tol_rel * np.maximum(peak, 1e-12)
-        )
+        tol = _SPURIOUS_TOL * np.maximum(peak, 1e-12)
+        filtered[j] = filter_spurious_batch(cur, raw[j - 1] if j > limit else None, tol)
     return (
         {j: np.take(values, inverse, axis=0) for j, values in raw.items()},
         {j: np.take(values, inverse, axis=0) for j, values in filtered.items()},

@@ -63,6 +63,7 @@ import numpy as np
 
 from .consensus import AcConfig, ErrorInjectingEngine
 from .detection import (
+    STATISTICS,
     _check_calibration_size,
     compute_statistic,
     threshold_from_h0,
@@ -279,12 +280,7 @@ def _dla_rows(cfg: ExperimentConfig, y, ac, indices, **label):
     """
     checkpoints = sorted(set(cfg.m))
     stacks = run_dla(
-        y,
-        ac,
-        cfg.m_max,
-        default_dla_start(cfg.k),
-        ritz_iters=checkpoints,
-        spurious_tol_rel=cfg.spurious_tol,
+        y, ac, cfg.m_max, default_dla_start(cfg.k), ritz_iters=checkpoints
     ).eigenvalue_stacks
     for index in indices:
         for j in checkpoints:
@@ -385,7 +381,7 @@ def _roc_block(cfg: ExperimentConfig, weights, hypothesis: int, seeds: list[int]
     yield "dla-alpha", dla.alpha_hist[:, :, node]
     yield "dla-beta", dla.beta_hist[:, :, node]
     yield "dla-sizes", dla.sizes[:, node]
-    if any(d != "RT" for d in cfg.detectors):
+    if any(STATISTICS[d].takes_trace for d in cfg.detectors):
         ac = _make_ac(cfg.engine, i_iters, cfg, weights, seeds, 0xF2)
         yield "dla-trace", trace_consensus(y, ac)[:, node]
 
@@ -418,31 +414,30 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
         np.concatenate((table[f"la-{x}"], table[f"dla-{x}"]))
         for x in ("alpha", "beta", "sizes")
     )
-    _, ritz = _extract_ritz(*coefficients, m_grid, cfg.k, cfg.n, cfg.spurious_tol)
+    _, ritz = _extract_ritz(*coefficients, m_grid, cfg.k, cfg.n)
     la = {m: ritz[m][:total] for m in m_grid}
     dla = {m: ritz[m][total:] for m in m_grid}
-    # (pipeline, eigenvalue lists, trace, the detectors that read it); the
-    # ratio detectors also read exact-trace variants, whose partial-spectrum
-    # sum is replaced by the covariance trace (a scalar consensus for the
-    # decentralized one)
-    every, ratios = set(cfg.detectors), set(cfg.detectors) - {"RT"}
-    scored = [("exact", table["exact"], None, every)]
+    # (pipeline, its eigenvalue stacks, whether they are lists or lambda_1
+    # alone, its trace); the exact-trace variants replace a partial list's sum
+    # by the covariance trace (a scalar consensus for the decentralized one),
+    # and run when stage 1 ran that consensus
+    scored = [("exact", table["exact"], True, None)]
     for m in m_grid:
         scored += [
-            (f"pm-m{m}", table[f"pm-m{m}"], None, {"RT"}),
-            (f"la-m{m}", la[m], None, every),
-            (f"dpm-m{m}", table[f"dpm-m{m}"], None, {"RT"}),
-            (f"dla-m{m}", dla[m], None, every),
+            (f"pm-m{m}", table[f"pm-m{m}"], False, None),
+            (f"la-m{m}", la[m], True, None),
+            (f"dpm-m{m}", table[f"dpm-m{m}"], False, None),
+            (f"dla-m{m}", dla[m], True, None),
         ]
-    if ratios:
+    if "dla-trace" in table:
         for name, lists, trace in (("la", la, "exact-trace"), ("dla", dla, "dla-trace")):
-            scored += [(f"{name}-m{m}-tr", lists[m], table[trace], ratios) for m in m_grid]
+            scored += [(f"{name}-m{m}-tr", lists[m], True, table[trace]) for m in m_grid]
     rows = []
     for detector in cfg.detectors:
-        for pipeline, lists, trace, readers in scored:
-            if detector not in readers:
+        for pipeline, lists, full, trace in scored:
+            if not STATISTICS[detector].reads(full, trace is not None):
                 continue
-            stat = compute_statistic(detector, lists, cfg.sigma2, trace=trace).value
+            stat = compute_statistic(detector, lists, cfg.sigma2, trace=trace)
             h0, h1 = stat[: cfg.trials], stat[cfg.trials :]
             grid = sorted(
                 {threshold_from_h0(h0, a) for a in cfg.alphas} | {-np.inf, np.inf}

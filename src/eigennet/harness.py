@@ -105,7 +105,6 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
     eig_indices: tuple[int, ...] = (1, 3, 5, 9)
     report_node: int = 0
-    spurious_tol: float = 1e-3
     out: str = "out"
 
     @property
@@ -167,7 +166,7 @@ class _Experiment:
 # over a network adds its topology, averaging time and engine
 _SIGNAL = ("experiment", "K", "N", "M", "P", "sigma2", "snr_db", "seed")
 _NETWORK = _SIGNAL + ("topology", "I")
-_MONTE_CARLO = _NETWORK + ("engine", "trials", "spurious_tol")
+_MONTE_CARLO = _NETWORK + ("engine", "trials")
 
 _TABLE = {
     "ac-compare": _Experiment("run_ac_compare", _NETWORK + ("engines", "trials"), ("M",)),
@@ -349,8 +348,6 @@ def _check_config(cfg: ExperimentConfig) -> None:
         problems.append("topology_seed must be nonnegative")
     if not (0 <= cfg.report_node < cfg.k):
         problems.append("report_node must be a valid node index")
-    if not (0 < cfg.spurious_tol < math.inf):
-        problems.append("spurious_tol must be positive and finite")
     # a repeated entry would add its rows or MSE terms twice; repeats in M and
     # alphas collapse harmlessly, and two sources may share one snr_db
     for key, entries in (

@@ -4,7 +4,8 @@ The configs list ``I``, ``M``, ``engines`` and ``eig_indices`` out of order,
 and 35 trials span two blocks of ``experiments.TRIAL_BLOCK``. ac-compare
 keeps the config order of ``engines`` and ``I``; eig-converge and multi-eig
 sort their labels. roc keeps the config order of ``detectors`` and runs
-every detector, so its ratio detectors read the exact-trace pipelines.
+each detector on the pipelines that give what it reads: RT reads lambda_1
+alone, and only GT and JT take the exact trace.
 """
 
 from itertools import groupby
@@ -97,12 +98,7 @@ def test_multi_eig_sorts_by_i_then_index_then_m():
     )
     ac = AcConfig(cfg.engine, i_iters, weights=weights)
     stack = run_dla(
-        y,
-        ac,
-        cfg.m_max,
-        default_dla_start(cfg.k),
-        ritz_iters=(m,),
-        spurious_tol_rel=cfg.spurious_tol,
+        y, ac, cfg.m_max, default_dla_start(cfg.k), ritz_iters=(m,)
     ).eigenvalue_stacks[m]
     truth = covariance_eigenvalues(y)[:, index - 1]
     # a node that kept fewer than ``index`` values estimates zero
@@ -120,16 +116,13 @@ def test_roc_keeps_detector_order_then_pipeline_order():
     report = experiments.run_roc(cfg)
     ms = ("m5", "m10")
     rt = ["exact"] + [f"{a}-{m}" for m in ms for a in ("pm", "la", "dpm", "dla")]
-    ratio = (
-        ["exact"]
-        + [f"{a}-{m}" for m in ms for a in ("la", "dla")]
-        + [f"la-{m}-tr" for m in ms]
-        + [f"dla-{m}-tr" for m in ms]
-    )
+    st = ["exact"] + [f"{a}-{m}" for m in ms for a in ("la", "dla")]
+    traced = st + [f"la-{m}-tr" for m in ms] + [f"dla-{m}-tr" for m in ms]
+    pipelines = {"JT": traced, "RT": rt, "ST": st, "GT": traced}
     expected = [
         (detector, pipeline)
         for detector in ("JT", "RT", "ST", "GT")
-        for pipeline in (rt if detector == "RT" else ratio)
+        for pipeline in pipelines[detector]
     ]
     # each pair's rows are contiguous
     assert [pair for pair, _ in groupby(labels(report, "detector", "pipeline"))] == expected

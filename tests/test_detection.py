@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from eigennet.consensus import AcConfig
-from eigennet.detection import compute_statistic, threshold_from_h0, trace_consensus
+from eigennet.detection import (
+    STATISTIC_KINDS,
+    STATISTICS,
+    compute_statistic,
+    threshold_from_h0,
+    trace_consensus,
+)
 from eigennet.errors import DetectionError
 from eigennet.experiments import run_roc
 from eigennet.harness import validate_config
@@ -18,21 +24,22 @@ def binomial_ci_halfwidth(p, n, z=2.576):
 class TestComputeStatistic:
     def test_hand_values(self):
         lam = np.array([2.0, 1.0, 1.0])
-        assert compute_statistic("RT", lam, 1.0).value == pytest.approx(2.0)
-        assert compute_statistic("GT", lam).value == pytest.approx(0.5)
-        assert compute_statistic("ST", lam).value == pytest.approx(-27 / 32)
-        assert compute_statistic("JT", lam).value == pytest.approx(6 / 16)
+        assert compute_statistic("RT", lam, 1.0) == pytest.approx(2.0)
+        assert compute_statistic("GT", lam) == pytest.approx(0.5)
+        assert compute_statistic("ST", lam) == pytest.approx(-27 / 32)
+        assert compute_statistic("JT", lam) == pytest.approx(6 / 16)
 
     def test_flat_spectrum(self):
         lam = np.full(5, 3.3)
-        assert compute_statistic("GT", lam).value == pytest.approx(1 / 5)
-        assert compute_statistic("ST", lam).value == pytest.approx(-1.0)
-        assert compute_statistic("JT", lam).value == pytest.approx(1 / 5)
+        assert compute_statistic("GT", lam) == pytest.approx(1 / 5)
+        assert compute_statistic("ST", lam) == pytest.approx(-1.0)
+        assert compute_statistic("JT", lam) == pytest.approx(1 / 5)
 
-    def test_negative_values_clamped_and_flagged(self):
-        st = compute_statistic("GT", np.array([2.0, -1e-12]))
-        assert st.clamped
-        assert st.value == pytest.approx(1.0)
+    def test_negative_values_clamped(self):
+        for kind in STATISTIC_KINDS:
+            clamped = compute_statistic(kind, np.array([2.0, -1e-12]), 1.0)
+            assert clamped == compute_statistic(kind, np.array([2.0, 0.0]), 1.0)
+        assert compute_statistic("GT", np.array([2.0, -1e-12])) == 1.0
 
     def test_all_zero_rejected_for_ratio_tests(self):
         for kind in ("GT", "ST", "JT"):
@@ -52,9 +59,9 @@ class TestComputeStatistic:
         for _ in range(50):
             lam = np.sort(rng.random(6))[::-1] + 1e-3
             k = len(lam)
-            assert 1 / k <= compute_statistic("GT", lam).value <= 1.0
-            assert -1.0 <= compute_statistic("ST", lam).value < 0.0
-            assert 1 / k <= compute_statistic("JT", lam).value <= 1.0
+            assert 1 / k <= compute_statistic("GT", lam) <= 1.0
+            assert -1.0 <= compute_statistic("ST", lam) < 0.0
+            assert 1 / k <= compute_statistic("JT", lam) <= 1.0
 
     def test_exact_trace_mode(self):
         # a partial list undercounts the trace, so GT with the true trace
@@ -62,12 +69,15 @@ class TestComputeStatistic:
         lam = np.array([5.0, 2.0])
         trace = 10.0
         gt = compute_statistic("GT", lam, trace=trace)
-        assert gt.value == pytest.approx(0.5)
-        assert gt.value < compute_statistic("GT", lam).value
+        assert gt == pytest.approx(0.5)
+        assert gt < compute_statistic("GT", lam)
         jt = compute_statistic("JT", lam, trace=trace)
-        assert jt.value == pytest.approx((25 + 4) / 100)
-        # RT ignores the trace entirely
-        assert compute_statistic("RT", lam, 1.0, trace=trace).value == pytest.approx(5.0)
+        assert jt == pytest.approx((25 + 4) / 100)
+        # RT reads lambda_1 alone, and ST's ratio over the trace has no upper
+        # tail, so neither takes one
+        for kind in ("RT", "ST"):
+            with pytest.raises(DetectionError, match=f"{kind} takes no trace"):
+                compute_statistic(kind, lam, 1.0, trace=trace)
 
     def test_stack_rows_equal_lone_lists(self):
         rng = np.random.default_rng(5)
@@ -77,17 +87,16 @@ class TestComputeStatistic:
         for row, lam in zip(stack, lists):
             row[: len(lam)] = lam  # unsorted, as the statistic sorts
         traces = rng.random(len(lists)) + 20.0
-        for kind in ("RT", "GT", "ST", "JT"):
-            for trace in (None, traces):
+        for kind, spec in STATISTICS.items():
+            for trace in (None, traces) if spec.takes_trace else (None,):
                 batch = compute_statistic(kind, stack, 1.5, trace=trace)
-                assert batch.value.shape == batch.clamped.shape == (len(lists),)
+                assert batch.shape == (len(lists),)
                 for i, lam in enumerate(lists):
                     alone = compute_statistic(
                         kind, lam, 1.5, trace=None if trace is None else trace[i]
                     )
-                    assert batch.value[i] == alone.value
-                    assert batch.clamped[i] == alone.clamped
-        assert compute_statistic("GT", stack).clamped.tolist() == [False] * 6 + [True]
+                    assert type(alone) is float
+                    assert batch[i] == alone
 
     def test_stack_with_an_empty_row_rejected(self):
         stack = np.array([[1.0, 0.5], [np.nan, np.nan]])
@@ -157,14 +166,16 @@ class TestStatisticConsensus:
 
 
 def test_every_detector_rejects_in_its_upper_tail():
-    # A full-rank config (N > K) at 0 dB, every pipeline on the whole
-    # spectrum (M = K): under a signal each statistic grows, so each
-    # (detector, pipeline) pair detects at least as often as it false-alarms.
-    # The margin is three binomial standard errors of a proportion at pfa
-    # over the 200 trials. The sphericity ratio falls under a signal: before
-    # ST reported its negative, its pd fell 0.305 below pfa on every pipeline.
+    # A full-rank config (N > K) at 0 dB, every pipeline on a partial (M = 4)
+    # and on the whole (M = K) spectrum: under a signal each statistic grows,
+    # so each (detector, pipeline) pair detects at least as often as it
+    # false-alarms. The margin is three binomial standard errors of a
+    # proportion at pfa over the 200 trials. The sphericity ratio falls under
+    # a signal: before ST reported its negative, its pd fell 0.305 below pfa
+    # on every pipeline, and while it still read the exact trace, ST on
+    # la-m4-tr and dla-m4-tr gave pd 0.33 at pfa 0.5.
     text = (
-        "K = 8\nN = 32\nM = 8\nI = 30\nsnr_db = 0\ntrials = 200\nseed = 5\n"
+        "K = 8\nN = 32\nM = 4 8\nI = 30\nsnr_db = 0\ntrials = 200\nseed = 5\n"
         "radius = 0.6\ntopology_seed = 1\ndetectors = RT GT ST JT\nalphas = 0.05 0.2 0.5\n"
     )
     cfg = validate_config(text, "roc")
@@ -174,5 +185,8 @@ def test_every_detector_rejects_in_its_upper_tail():
             margin = 3.0 * np.sqrt(row["pfa"] * (1.0 - row["pfa"]) / cfg.trials)
             assert row["pd"] >= row["pfa"] - margin, row
             checked.add((row["detector"], row["pipeline"]))
-    assert {detector for detector, _ in checked} == {"RT", "GT", "ST", "JT"}
-    assert len(checked) == 5 + 3 * 5  # RT on exact, pm, la, dpm, dla; the ratios add -tr
+    per_detector = {d: sum(1 for c, _ in checked if c == d) for d in STATISTIC_KINDS}
+    # RT on exact, pm, la, dpm and dla; GT and JT on exact, la, dla and the
+    # -tr pipelines; ST on exact, la and dla; la, dla and their -tr variants,
+    # pm and dpm at each of the two M
+    assert per_detector == {"RT": 9, "GT": 9, "ST": 5, "JT": 9}

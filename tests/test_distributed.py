@@ -366,7 +366,7 @@ class TestBatchedRitzExtraction:
         if case == "ideal":
             y = y[:, :2]  # rank 2 < M: every node breaks down early
             n = 2
-        res = run_dla(y, ac, m, ritz_iters=range(1, m + 1), spurious_tol_rel=1e-3)
+        res = run_dla(y, ac, m, ritz_iters=range(1, m + 1))
         if case == "ideal":
             assert np.all(res.sizes < m)
         else:
@@ -404,7 +404,7 @@ class TestBatchedRitzExtraction:
         m = len(alpha)
         row = np.array([alpha], dtype=float)
         _, filtered = distributed._extract_ritz(
-            row, np.zeros((1, m)), np.array([m]), wanted, k, n, 1e-3
+            row, np.zeros((1, m)), np.array([m]), wanted, k, n
         )
         return {j: values[0][~np.isnan(values[0])].tolist() for j, values in filtered.items()}
 
@@ -531,7 +531,7 @@ class TestBatchedRitzExtraction:
         alpha, beta, sizes = (np.array(column) for column in zip(*rows))
         assert not np.array_equal(alpha[-1], alpha[-2])
         raw, filtered = distributed._extract_ritz(
-            alpha, beta, sizes, range(1, m + 1), k, n, 1e-3
+            alpha, beta, sizes, range(1, m + 1), k, n
         )
         ref_raw, ref_filtered = self.per_node_reference(alpha, beta, sizes, k, n, 1e-3)
         assert raw.keys() == ref_raw.keys()
@@ -597,7 +597,7 @@ class TestBatchedRitzExtraction:
         _, got = extractions[0]
         start = 2 * cfg.trials
         for args in dla_calls:
-            ref = run(*args, ritz_iters=cfg.m, spurious_tol_rel=cfg.spurious_tol)
+            ref = run(*args, ritz_iters=cfg.m)
             assert sorted(got) == sorted(ref.eigenvalue_stacks)
             rows = slice(start, start + len(args[0]))
             for m, stack in ref.eigenvalue_stacks.items():

@@ -1,8 +1,11 @@
 """Static checks on the package source: no unused imports, no dangling
-exports, no keyword-only option that no program caller sets."""
+exports, no keyword-only option that no program caller sets, no detector
+kind named outside the detection table."""
 
 import ast
 from pathlib import Path
+
+from eigennet.detection import STATISTIC_KINDS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eigennet"
 PROGRAM = (PACKAGE.parent, PACKAGE.parents[1] / "perfbench")
@@ -106,3 +109,18 @@ def test_readme_tour_runs():
     namespace = {}
     exec(blocks[0].split("```", 1)[0], namespace)
     assert {"dpm", "dla", "exact"} <= namespace.keys()
+
+
+def test_detector_kinds_have_one_owner():
+    # what each statistic reads, and so which pipelines serve it, is stated
+    # in the detection table alone; an experiment that names a kind pairs
+    # detectors with pipelines on its own
+    path = PACKAGE / "experiments.py"
+    named = sorted(
+        {
+            node.value
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and node.value in STATISTIC_KINDS
+        }
+    )
+    assert not named, f"experiments.py names detector kinds: {', '.join(named)}"

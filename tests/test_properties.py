@@ -410,11 +410,11 @@ class TestDetectionProperties:
     def test_scale_invariance(self, lam, c):
         lam = np.asarray(lam)
         for kind in ("GT", "ST", "JT"):
-            base = compute_statistic(kind, lam).value
-            scaled = compute_statistic(kind, c * lam).value
+            base = compute_statistic(kind, lam)
+            scaled = compute_statistic(kind, c * lam)
             assert scaled == pytest.approx(base, rel=1e-9, abs=1e-12)
-        rt0 = compute_statistic("RT", lam, 1.0).value
-        rt1 = compute_statistic("RT", c * lam, 1.0).value
+        rt0 = compute_statistic("RT", lam, 1.0)
+        rt1 = compute_statistic("RT", c * lam, 1.0)
         assert rt1 == pytest.approx(c * rt0, rel=1e-12)
 
     @HYP
@@ -424,11 +424,11 @@ class TestDetectionProperties:
         if lam.sum() == 0.0:
             lam[0] = 1.0  # filtered Ritz lists keep at least one positive value
         k = len(lam)
-        gt = compute_statistic("GT", lam).value
-        jt = compute_statistic("JT", lam).value
+        gt = compute_statistic("GT", lam)
+        jt = compute_statistic("JT", lam)
         assert 1 / k - 1e-12 <= gt <= 1.0 + 1e-12
         assert 1 / k - 1e-12 <= jt <= 1.0 + 1e-12
-        st_val = compute_statistic("ST", lam).value
+        st_val = compute_statistic("ST", lam)
         assert -1.0 - 1e-12 <= st_val <= 0.0
 
     def test_unanimous_decisions_under_ideal_consensus(self):

@@ -48,8 +48,8 @@ def test_roc(block, monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_roc_with_every_detector(block, monkeypatch):
-    # ST and JT also read the exact-trace pipelines and the DLA's trace
-    # consensus; alpha 0.2 calibrates on 50 noise-only trials
+    # JT also reads the exact-trace pipelines and the DLA's trace consensus,
+    # and ST reads none of them; alpha 0.2 calibrates on 50 noise-only trials
     keys = {"detectors": ("JT", "RT", "ST", "GT"), "alphas": (0.2, 0.5)}
     expected = default_rows("roc", 50, **keys)
     monkeypatch.setattr(experiments, "TRIAL_BLOCK", block)
