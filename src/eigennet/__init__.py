@@ -13,7 +13,6 @@ from .consensus import (
     AcConfig,
     ConsensusResult,
     ErrorInjectingEngine,
-    run_block,
     run_consensus,
 )
 from .detection import compute_statistic, threshold_from_h0, trace_consensus

@@ -36,12 +36,12 @@ exact mean, is a simulation observable that no algorithm under test reads,
 so only a caller that wants it computes it from the input and the output.
 
 Every engine speaks one protocol: ``engine.run(z0) -> ConsensusResult`` on a
-(K,), (K, m) or (trials, K, m) input, averaging over the node axis.
-:class:`AcConfig` runs :func:`run_consensus`, and the synthetic
+(trials, K, m) stack, averaging over the node axis 1, with (trials, K)
+counters. The algorithms hand every engine such a stack, a scalar round as
+(trials, K, 1). :class:`AcConfig` runs :func:`run_consensus`, which also
+lifts a lone (K,) or (K, m) input to the one-trial stack, and the synthetic
 :class:`ErrorInjectingEngine` returns exact means plus caller-chosen error
-terms, for verifying the closed-form error expressions. :func:`run_block`
-runs one consensus round of a block of trials on one engine for the whole
-stack.
+terms, for verifying the closed-form error expressions.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "AcConfig",
     "ConsensusResult",
     "run_consensus",
-    "run_block",
     "ErrorInjectingEngine",
 ]
 
@@ -292,43 +291,20 @@ def _chebyshev_coefficients(
     return a, d, c
 
 
-def run_block(ac, z0: np.ndarray) -> ConsensusResult:
-    """One consensus round for every trial of a block.
-
-    ``z0`` is (B, K, m), or (B, K) for a scalar round, and ``ac`` one engine
-    whose ``run`` takes the whole stack in one call (a scalar round as a
-    (B, K, 1) stack). A one-trial block passes the lone (K, m) or (K,)
-    input, as a lone run does. The result's output has the shape of ``z0``
-    and its counters are (B, K).
-    """
-    if len(z0) == 1:
-        res = ac.run(z0[0])
-        return ConsensusResult(res.z[None], res.scalars_exchanged_per_node[None])
-    if z0.ndim == 2:
-        res = ac.run(z0[:, :, None])
-        return ConsensusResult(res.z[:, :, 0], res.scalars_exchanged_per_node)
-    return ac.run(z0)
-
-
-def _node_axis(z0: np.ndarray) -> int:
-    """The node axis of a (K,), (K, m) or (trials, K, m) consensus input."""
-    return 0 if z0.ndim == 1 else -2
-
-
 def _synthetic_result(z0: np.ndarray, z: np.ndarray) -> ConsensusResult:
-    """A synthetic engine's output ``z`` and zero (..., K) counters."""
-    k = z0.shape[_node_axis(z0)]
-    return ConsensusResult(z, np.zeros(z0.shape[:-2] + (k,), dtype=np.int64))
+    """A synthetic engine's output ``z`` for the (B, K, m) ``z0``, with zero (B, K) counters."""
+    return ConsensusResult(z, np.zeros(z0.shape[:2], dtype=np.int64))
 
 
 class ErrorInjectingEngine:
     """Synthetic consensus returning the exact mean plus prescribed errors.
 
-    ``errors`` is either a sequence consumed one entry per call or a callable
-    ``(call_index, z0) -> error``. Entries must match the input shape; for
-    real-valued inputs the injected error must be real, so that scalar
-    averaging of nonnegative quantities stays real as it does under the
-    physical engines.
+    It takes (B, K, m) stacks, as the algorithms hand them, and averages
+    over the node axis 1. ``errors`` is either a sequence consumed one entry
+    per call or a callable ``(call_index, z0) -> error``. Each entry must
+    have the shape of the stack; for real-valued inputs the injected error
+    must be real, so that scalar averaging of nonnegative quantities stays
+    real as it does under the physical engines.
     """
 
     def __init__(
@@ -340,6 +316,8 @@ class ErrorInjectingEngine:
 
     def run(self, z0: np.ndarray) -> ConsensusResult:
         z0 = np.asarray(z0)
+        if z0.ndim != 3:
+            raise ConsensusError("a synthetic engine takes (trials, K, m) stacks")
         if callable(self._errors):
             err = np.asarray(self._errors(self.calls, z0))
         else:
@@ -353,4 +331,4 @@ class ErrorInjectingEngine:
             )
         if z0.dtype.kind != "c" and err.dtype.kind == "c":
             raise ConsensusError("real-valued consensus cannot carry complex error")
-        return _synthetic_result(z0, z0.mean(axis=_node_axis(z0), keepdims=True) + err)
+        return _synthetic_result(z0, z0.mean(axis=1, keepdims=True) + err)

@@ -46,7 +46,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .consensus import run_block
 from .eigencore import _checked_samples
 from .errors import DetectionError
 
@@ -161,16 +160,17 @@ def trace_consensus(y: np.ndarray, ac) -> np.ndarray:
     """Per-node covariance-trace estimates via one scalar consensus round.
 
     Node k contributes its sample energy; K/N times the consensus output
-    equals trace((1/N) Y Y^H) exactly under ideal averaging. A (B, K, N)
-    stack, with one engine for the stack as in
-    :func:`~eigennet.consensus.run_block`, gives (B, K) estimates.
+    equals trace((1/N) Y Y^H) exactly under ideal averaging. The engine
+    gets the round as a (B, K, 1) stack, as the DPM and DLA hand it their
+    scalar rounds; a lone (K, N) trial is the one-trial stack. A (B, K, N)
+    stack gives (B, K) estimates.
     """
     y = _checked_samples(y)
     single = y.ndim == 2
     stack = y[None] if single else y
     k, n = stack.shape[1:]
-    energies = np.sum(np.abs(stack) ** 2, axis=2)
-    estimates = (k / n) * np.real(run_block(ac, energies).z)
+    energies = np.sum(np.abs(stack) ** 2, axis=2, keepdims=True)
+    estimates = (k / n) * np.real(ac.run(energies).z[:, :, 0])
     return estimates[0] if single else estimates
 
 

@@ -19,12 +19,12 @@ never reads entry j) while keeping runs vectorized. Both algorithms also
 take a leading trial axis: a (B, K, N) sample stack runs B independent
 sensing periods in one loop, and a plain (K, N) call is the B = 1 case,
 returned without the trial axis. Every consensus round of a block is one
-:func:`~eigennet.consensus.run_block` call, in which one engine runs the
-whole stack in one ``run`` call: one stacked product on fixed weights, the
-per-column mean under ideal averaging, and under link failures one product
-per step, with each trial's surviving links drawn from that trial's own
-generator (a link-failure engine holds one per trial). Results carry the
-trial axis on every array, their :class:`MessageAudit` included, and
+``engine.run`` call on a (B, K, m) stack, a scalar round as (B, K, 1), even
+for a one-trial block: one stacked product on fixed weights, the per-column
+mean under ideal averaging, and under link failures one product per step,
+with each trial's surviving links drawn from that trial's own generator (a
+link-failure engine holds one per trial). Results carry the trial axis on
+every array, their :class:`MessageAudit` included, and
 ``trial(b)`` gives the result trial b would have had alone (on a fresh
 engine with trial b's generator), to the bit. Results, error traces and
 message audits share that one ``trial`` slicer. Past the iteration loop,
@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .consensus import AcConfig, run_block
+from .consensus import AcConfig
 from .eigencore import (
     EigenSolution,
     TridiagonalMatrix,
@@ -286,16 +286,22 @@ class _BlockConsensus:
     def run(self, z0: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """One consensus round of the block on (B, K, m) or (B, K) ``z0``.
 
+        The engine gets a (B, K, m) stack: a width-N round as it is, a
+        scalar (B, K) round as (B, K, 1). The kind of round is the shape
+        handed here, so a width-N round at N = 1 still counts as width-N.
         Returns the output and, for a traced run, the error, each in the
         shape of ``z0``; an untraced run gets None for the error.
         """
-        res = run_block(self.ac, z0)
-        if z0.ndim == 2:  # a width-N round at N = 1 is still (B, K, 1)
+        if z0.ndim == 2:
             self.ac_1 += 1
+            res = self.ac.run(z0[:, :, None])
+            z = res.z[:, :, 0]
         else:
             self.ac_n += 1
+            res = self.ac.run(z0)
+            z = res.z
         self.units += res.scalars_exchanged_per_node
-        return res.z, (_consensus_error(z0, res.z) if self.trace else None)
+        return z, (_consensus_error(z0, z) if self.trace else None)
 
     def counts(self) -> MessageAudit:
         return MessageAudit(self.ac_n, self.ac_1, self.units)
@@ -351,10 +357,11 @@ def run_dpm(
     calls); the final iteration always gets one.
 
     ``y`` is one (K, N) trial or a (B, K, N) stack of trials; ``ac`` is one
-    consensus engine that runs the whole stack, as
-    :func:`~eigennet.consensus.run_block` takes it, and ``v0`` one (K,)
-    start shared by every trial or a (B, K) stack. A stack returns a
-    stacked result whose ``trial(b)`` equals the run of trial b alone.
+    consensus engine whose ``run`` takes each round of the whole stack as
+    one (B, K, m) array, a scalar round as (B, K, 1), a lone trial as the
+    one-trial stack; and ``v0`` is one (K,) start shared by every trial or a
+    (B, K) stack. A stack returns a stacked result whose ``trial(b)``
+    equals the run of trial b alone.
 
     ``trace=True`` keeps the error trace (:class:`DpmErrorTrace`);
     otherwise ``.trace`` is None. Every other field is the same to the bit

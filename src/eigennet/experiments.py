@@ -62,13 +62,7 @@ from __future__ import annotations
 import numpy as np
 
 from .consensus import AcConfig, ErrorInjectingEngine
-from .detection import (
-    STATISTICS,
-    _check_calibration_size,
-    compute_statistic,
-    threshold_from_h0,
-    trace_consensus,
-)
+from .detection import STATISTICS, compute_statistic, threshold_from_h0, trace_consensus
 from .distributed import (
     _extract_ritz,
     audit_messages,
@@ -243,13 +237,15 @@ def _convergence_report(cfg: ExperimentConfig, rows) -> ExperimentReport:
 
 
 def _ac_compare_rows(cfg: ExperimentConfig, weights, seeds, y):
-    """The exact-consensus DPM, then each engine at each averaging time."""
+    """The exact-consensus DPM, then each engine at each averaging time.
+
+    M is one entry, so each DPM run has the one checkpoint max(M).
+    """
     v0 = _dpm_starts(cfg.k, seeds)
     runs = [("ideal", 0)] + [(token, i) for token in cfg.engines for i in cfg.ac_iters]
     for token, i_iters in runs:
         ac = _make_ac(token, i_iters, cfg, weights, seeds, 0xF0 + i_iters)
-        label = {"engine": token, "algorithm": "dpm", "I": i_iters, "M": cfg.m_max}
-        yield label, 1, run_dpm(y, ac, cfg.m_max, v0).lambda1
+        yield from _dpm_rows(cfg, y, ac, v0, engine=token, algorithm="dpm", I=i_iters)
 
 
 def run_ac_compare(cfg: ExperimentConfig) -> ExperimentReport:
@@ -395,13 +391,10 @@ def run_roc(cfg: ExperimentConfig) -> ExperimentReport:
     hypothesis; noise-only and signal trials use disjoint seed indices.
     Statistics of decentralized pipelines are read at ``report_node``, and
     the DLA's Ritz values are extracted at that node only. Every pipeline
-    calibrates its thresholds on ``trials`` noise-only values, so a run with
-    too few of them raises :class:`~eigennet.errors.DetectionError` before
-    it draws a sample.
+    calibrates its thresholds on ``trials`` noise-only values; the config
+    check rejects too few of them for the smallest alpha.
     """
     weights, topo = _topology(cfg)
-    for a in cfg.alphas:
-        _check_calibration_size(cfg.trials, a)
     m_grid = sorted(set(cfg.m))
     total = 2 * cfg.trials
     seeds = [trial_seed(cfg.seed, t) for t in range(total)]
@@ -504,10 +497,10 @@ def _injected_dpm(y, m, v0, scale, seed):
     k, n = y.shape
     rng = np.random.default_rng(seed)
     errors = [
-        scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        scale * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
         for _ in range(m + 1)
     ]
-    errors.append(scale * rng.standard_normal(k))
+    errors.append(scale * rng.standard_normal((1, k, 1)))
     return run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
 
 
@@ -517,26 +510,26 @@ def _injected_dla(y, m, v1, scale, seed):
     errors = []
     for _ in range(m):
         errors.append(
-            scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+            scale * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
         )
-        errors.append(scale * rng.standard_normal(k))
+        errors.append(scale * rng.standard_normal((1, k, 1)))
     return run_dla(y, ErrorInjectingEngine(errors), m, v1, trace=True)
 
 
-def _drift_driven_dpm(y, eig, m, drift_of_j, v0):
-    """DPM run whose per-iteration drift follows a prescribed magnitude law."""
-    values, vectors = eig
-    k = y.shape[0]
+def _drift_driven_dpm(y, vectors, m, drift_of_j, v0):
+    """DPM run whose per-iteration drift follows a prescribed magnitude law.
+
+    ``vectors`` holds the eigenvectors of the sample covariance of ``y`` as
+    columns; the drift points along the sum of all but the first. Rounds
+    m and later, the eigenvalue stage, run without error.
+    """
     direction = vectors[:, 1:].sum(axis=1)
     direction /= np.max(np.abs(direction))
 
     def errors(call_index, z0):
-        if z0.ndim == 1:
-            return np.zeros(k)
-        j = call_index + 1
-        if j > m:
+        if call_index >= m:
             return np.zeros_like(z0)
-        return matrix_error_for_drift(y, drift_of_j(j) * direction)
+        return matrix_error_for_drift(y, drift_of_j(call_index + 1) * direction)[None]
 
     return run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
 
@@ -582,7 +575,7 @@ def run_prop_check(cfg: ExperimentConfig) -> ExperimentReport:
     oracle = EigenSolution(vals8, vecs8)
     rate = vals8[0] / max(vals8[1], 1.0)
     res_decay = _drift_driven_dpm(
-        y8, (vals8, vecs8), m_conv,
+        y8, vecs8, m_conv,
         lambda j: 0.05 * rate**j / (j + 1.0) ** 2,
         vecs8[:, 0].copy(),
     )
@@ -592,9 +585,7 @@ def run_prop_check(cfg: ExperimentConfig) -> ExperimentReport:
     flat = np.array([1.05, 1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7])
     y_flat, (vals_f, vecs_f) = samples_with_spectrum(flat, _sub_seed(s, 4))
     oracle_f = EigenSolution(vals_f, vecs_f)
-    res_const = _drift_driven_dpm(
-        y_flat, (vals_f, vecs_f), m_conv, lambda j: 0.1, vecs_f[:, 0].copy()
-    )
+    res_const = _drift_driven_dpm(y_flat, vecs_f, m_conv, lambda j: 0.1, vecs_f[:, 0].copy())
     verdict_const = check_dpm_convergence_condition(res_const, oracle_f)
 
     extra = {

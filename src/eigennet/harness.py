@@ -24,8 +24,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detection import STATISTIC_KINDS
-from .errors import ConfigError
+from .detection import STATISTIC_KINDS, _check_calibration_size
+from .errors import ConfigError, DetectionError
 
 __all__ = [
     "ExperimentConfig",
@@ -152,6 +152,18 @@ def _multi_eig_checks(cfg: ExperimentConfig) -> list[str]:
     return problems
 
 
+def _roc_checks(cfg: ExperimentConfig) -> list[str]:
+    problems = _m_within_k(cfg)
+    # every pipeline calibrates each alpha's threshold on the noise-only
+    # trials; the smallest alpha needs the most of them
+    if cfg.trials >= 1 and cfg.alphas and all(0.0 < a < 1.0 for a in cfg.alphas):
+        try:
+            _check_calibration_size(cfg.trials, min(cfg.alphas))
+        except DetectionError as exc:
+            problems.append(str(exc))
+    return problems
+
+
 @dataclass(frozen=True)
 class _Experiment:
     """What one experiment reads of its config, and the checks it adds."""
@@ -178,7 +190,7 @@ _TABLE = {
         "run_roc",
         _MONTE_CARLO + ("detectors", "alphas", "report_node"),
         ("I",),
-        _m_within_k,
+        _roc_checks,
     ),
     "audit-messages": _Experiment(
         "run_audit_messages", _NETWORK + ("engine",), ("M", "I"), _m_within_k

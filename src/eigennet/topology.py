@@ -110,17 +110,13 @@ class Graph:
         k = self.node_count
         return u * k + v, v * k + u
 
-    def adjacency_lists(self) -> list[list[int]]:
+    def is_connected(self) -> bool:
+        if self.node_count == 1:
+            return True
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
-
-    def is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
-        adj = self.adjacency_lists()
         seen = [False] * self.node_count
         seen[0] = True
         queue = deque([0])

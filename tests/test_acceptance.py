@@ -187,7 +187,7 @@ def test_criterion_4_convergence_condition():
             oracle = EigenSolution(vals, vecs)
             rate = vals[0] / max(vals[1], 1.0)
             res = _drift_driven_dpm(
-                y, (vals, vecs), m, lambda j: 0.05 * rate**j / (j + 1.0) ** 2, vecs[:, 0].copy()
+                y, vecs, m, lambda j: 0.05 * rate**j / (j + 1.0) ** 2, vecs[:, 0].copy()
             )
             verdict = check_dpm_convergence_condition(res, oracle)
             assert verdict.condition_satisfied
@@ -198,7 +198,7 @@ def test_criterion_4_convergence_condition():
             flat = np.array([1.05, 1.0, 0.95, 0.9, 0.85, 0.8, 0.75, 0.7])
             y, (vals, vecs) = samples_with_spectrum(flat, 100 + seed)
             oracle = EigenSolution(vals, vecs)
-            res = _drift_driven_dpm(y, (vals, vecs), m, lambda j: 0.1, vecs[:, 0].copy())
+            res = _drift_driven_dpm(y, vecs, m, lambda j: 0.1, vecs[:, 0].copy())
             verdict = check_dpm_convergence_condition(res, oracle)
             assert not verdict.condition_satisfied
             tail = verdict.sin_theta[-(m // 4):]

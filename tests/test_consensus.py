@@ -14,7 +14,6 @@ from eigennet.consensus import (
     _failure_masks,
     _iterate,
     _mixing_operator,
-    run_block,
     run_consensus,
 )
 from eigennet.errors import ConsensusError, TopologyError
@@ -175,30 +174,38 @@ class TestValidation:
 
 
 class TestSyntheticEngines:
+    """The synthetic engines take (trials, K, m) stacks, as the algorithms
+    hand them."""
+
     def test_injection_adds_prescribed_error(self):
-        z0 = np.array([[1.0 + 0j, 2.0], [3.0, 4.0]])
-        err = np.array([[0.1 + 0j, 0.0], [0.0, -0.1]])
+        z0 = np.array([[[1.0 + 0j, 2.0], [3.0, 4.0]]])
+        err = np.array([[[0.1 + 0j, 0.0], [0.0, -0.1]]])
         res = ErrorInjectingEngine([err]).run(z0)
-        assert np.allclose(res.z, z0.mean(axis=0) + err, atol=1e-15)
+        assert np.allclose(res.z, z0.mean(axis=1, keepdims=True) + err, atol=1e-15)
         assert np.allclose(consensus_deviation(z0, res.z), err, atol=1e-15)
 
     def test_injection_rejects_complex_error_on_real_input(self):
         with pytest.raises(ConsensusError):
-            ErrorInjectingEngine([np.array([0.1j, 0.0])]).run(np.array([1.0, 2.0]))
+            ErrorInjectingEngine([np.array([[[0.1j], [0.0]]])]).run(np.array([[[1.0], [2.0]]]))
 
     def test_injection_shape_check(self):
         with pytest.raises(ConsensusError):
-            ErrorInjectingEngine([np.zeros((2, 2))]).run(np.zeros((2, 3)))
+            ErrorInjectingEngine([np.zeros((1, 2, 2))]).run(np.zeros((1, 2, 3)))
+
+    def test_injection_takes_stacks_only(self):
+        for z0 in (np.zeros(2), np.zeros((2, 3))):
+            with pytest.raises(ConsensusError, match="takes \\(trials, K, m\\) stacks"):
+                ErrorInjectingEngine([np.zeros_like(z0)]).run(z0)
 
     def test_injection_exhaustion(self):
-        eng = ErrorInjectingEngine([np.zeros(2)])
-        eng.run(np.zeros(2))
+        eng = ErrorInjectingEngine([np.zeros((1, 2, 1))])
+        eng.run(np.zeros((1, 2, 1)))
         with pytest.raises(ConsensusError):
-            eng.run(np.zeros(2))
+            eng.run(np.zeros((1, 2, 1)))
 
     def test_replay_returns_recorded_output(self):
-        out = np.array([[1.0, 2.0], [3.0, 4.0]])
-        res = ReplayEngine([out]).run(np.zeros((2, 2)))
+        out = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        res = ReplayEngine([out]).run(np.zeros((1, 2, 2)))
         assert np.array_equal(res.z, out)
 
 
@@ -244,13 +251,14 @@ class TestBroadcastFormulation:
     def test_synthetic_engines_match_broadcast_to(self):
         rng = np.random.default_rng(3)
         for z0 in broadcast_inputs():
-            err = rng.standard_normal(z0.shape)
-            mean_row = z0.mean(axis=0)
-            z_old = mean_row[None, ...] + err if z0.ndim > 1 else mean_row + err
-            res = ErrorInjectingEngine([err]).run(z0)
+            # each input as the one-trial stack the synthetic engines take
+            x0 = z0.reshape(1, len(z0), -1)
+            err = rng.standard_normal(x0.shape)
+            z_old = x0[0].mean(axis=0)[None, None, :] + err
+            res = ErrorInjectingEngine([err]).run(x0)
             assert np.array_equal(res.z, z_old)
-            out = rng.standard_normal(z0.shape)
-            assert np.array_equal(ReplayEngine([out]).run(z0).z, out)
+            out = rng.standard_normal(x0.shape)
+            assert np.array_equal(ReplayEngine([out]).run(x0).z, out)
 
 
 class TestRealProduct:
@@ -404,14 +412,17 @@ class TestTrialStack:
                 assert np.array_equal(res.z[t, :, 0], run_consensus(z0[t, :, 0], cfg).z)
 
 
-class TestRunBlock:
-    """One engine on a stack through ``run_block``."""
+class TestStackRun:
+    """One engine's ``run`` on a (trials, K, m) stack, a scalar round as
+    (trials, K, 1), as the algorithms hand it every round."""
 
     K = 7
 
-    def test_synthetic_engines_average_over_nodes(self):
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_synthetic_engines_average_over_nodes(self, trials, width):
         rng = np.random.default_rng(8)
-        z0 = rng.standard_normal((3, self.K, 2))
+        z0 = rng.standard_normal((trials, self.K, width))
         node_mean = z0.mean(axis=1, keepdims=True)
         err = 0.01 * rng.standard_normal(z0.shape)
         out = rng.standard_normal(z0.shape)
@@ -419,11 +430,11 @@ class TestRunBlock:
             (ErrorInjectingEngine([err]), node_mean + err),
             (ReplayEngine([out]), out),
         ):
-            res = run_block(engine, z0)
+            res = engine.run(z0)
             assert np.array_equal(res.z, want)
-            assert res.scalars_exchanged_per_node.shape == (3, self.K)
+            assert res.scalars_exchanged_per_node.shape == (trials, self.K)
             assert not np.any(res.scalars_exchanged_per_node)
-        res = run_block(ErrorInjectingEngine([err]), z0)
+        res = ErrorInjectingEngine([err]).run(z0)
         assert np.allclose(res.z - node_mean, err, atol=1e-15)
 
     @pytest.mark.parametrize("iters", [0, 2])
@@ -434,12 +445,12 @@ class TestRunBlock:
             )
 
         # one generator per trial: an int seed is the one-trial config
-        for z0 in (np.zeros((3, 3, 1)), np.zeros((3, 3))):
+        for z0 in (np.zeros((3, 3, 1)), np.zeros((3, 3, 2))):
             for seed, count in ((1, 1), ([1, 2], 2)):
                 match = f"need one failure generator each, not {count}"
                 with pytest.raises(ConsensusError, match=match):
-                    run_block(make(seed), z0)
-            assert run_block(make([1, 2, 3]), z0).z.shape == z0.shape
+                    make(seed).run(z0)
+            assert make([1, 2, 3]).run(z0).z.shape == z0.shape
         # a lone input is one trial
         with pytest.raises(ConsensusError, match="1 stacked trials"):
             make([1, 2]).run(np.zeros((3, 2)))
@@ -810,13 +821,14 @@ class TestBufferedKernel:
             )
 
         rng = np.random.default_rng(trials)
-        for shape in ((trials, 40, 10), (trials, 40)):
+        # a width-N round, then a scalar one as the (B, K, 1) stack
+        for shape in ((trials, 40, 10), (trials, 40, 1)):
             z0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             block = make(seeds)
             lone = [make(s) for s in seeds]
             # two rounds: the second continues every trial's stream
             for _ in range(2):
-                res = run_block(block, z0)
+                res = block.run(z0)
                 assert res.z.shape == z0.shape
                 for t in range(trials):
                     alone = lone[t].run(z0[t])

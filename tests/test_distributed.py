@@ -45,23 +45,27 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def dpm_injection(k, n, m, scale, seed, *, scalar_scale=None):
+    """Seeded error terms for a one-trial DPM run, as the engine gets its
+    rounds: (1, K, N) width-N and (1, K, 1) scalar stacks."""
     rng = np.random.default_rng(seed)
     errors = [
-        scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+        scale * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
         for _ in range(m + 1)
     ]
-    errors.append((scalar_scale if scalar_scale is not None else scale) * rng.standard_normal(k))
+    scalar = scalar_scale if scalar_scale is not None else scale
+    errors.append(scalar * rng.standard_normal((1, k, 1)))
     return ErrorInjectingEngine(errors)
 
 
 def dla_injection(k, n, m, mat_scale, scalar_scale, seed):
+    """Seeded error terms for a one-trial DLA run, stacked as in dpm_injection."""
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(m):
         errors.append(
-            mat_scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+            mat_scale * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
         )
-        errors.append(scalar_scale * rng.standard_normal(k))
+        errors.append(scalar_scale * rng.standard_normal((1, k, 1)))
     return ErrorInjectingEngine(errors)
 
 
@@ -142,8 +146,8 @@ class TestRunValidation:
         y = random_samples(3, 4, 1)
 
         def make(idx, z0):
-            if z0.ndim == 1:
-                return -z0.mean() * np.ones(3)  # forces the scalar output to zero
+            if idx == 3:  # the scalar round of a 2-iteration run, after 3 width-N ones
+                return -z0.mean() * np.ones((1, 3, 1))  # forces its output to zero
             return np.zeros_like(z0)
 
         with pytest.raises(DegenerateRunError):
@@ -201,8 +205,8 @@ class TestErrorPredictions:
         r = sample_covariance(y)
         v0 = default_dpm_start(4, 3)
         rng = np.random.default_rng(0)
-        e1 = 0.05 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))
-        eng = ErrorInjectingEngine([e1, np.zeros((4, 5)), np.zeros(4)])
+        e1 = 0.05 * (rng.standard_normal((1, 4, 5)) + 1j * rng.standard_normal((1, 4, 5)))
+        eng = ErrorInjectingEngine([e1, np.zeros((1, 4, 5)), np.zeros((1, 4, 1))])
         res = run_dpm(y, eng, 1, v0, trace=True)
         drift = (4 / 5) * np.einsum("kn,kn->k", res.trace.iteration_errors[0].conj(), y)
         want = r @ v0 + drift
@@ -224,15 +228,15 @@ class TestErrorPredictions:
         y = random_samples(k, n, 4)
         for which in ("matrix", "scalar"):
             rng = np.random.default_rng(11)
-            errors = [np.zeros((k, n), dtype=complex) for _ in range(m)]
+            errors = [np.zeros((1, k, n), dtype=complex) for _ in range(m)]
             if which == "matrix":
                 errors.append(
-                    0.1 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+                    0.1 * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
                 )
-                errors.append(np.zeros(k))
+                errors.append(np.zeros((1, k, 1)))
             else:
-                errors.append(np.zeros((k, n), dtype=complex))
-                errors.append(0.1 * rng.standard_normal(k))
+                errors.append(np.zeros((1, k, n), dtype=complex))
+                errors.append(0.1 * rng.standard_normal((1, k, 1)))
             res = run_dpm(
                 y, ErrorInjectingEngine(errors), m, default_dpm_start(k, 4), trace=True
             )
@@ -325,9 +329,8 @@ class TestBatchedRitzExtraction:
 
         def errors(idx, z0):
             err = np.zeros_like(z0)
-            if z0.ndim == 1:
-                nodes = stop.get(idx // 2 + 1, [])
-                err[nodes] = -z0.mean() - 1.0
+            if idx % 2 == 1:  # the scalar round of iteration idx // 2 + 1
+                err[0, stop.get(idx // 2 + 1, []), 0] = -z0.mean() - 1.0
             return err
 
         return ErrorInjectingEngine(errors)
@@ -652,8 +655,8 @@ class TestDlaRobustness:
         y = random_samples(k, n, 10)
 
         def errors(idx, z0):
-            if z0.ndim == 1:
-                return -(z0.mean() + 1.0) * np.ones(k)  # drives the output negative
+            if idx % 2 == 1:  # a scalar round
+                return -(z0.mean() + 1.0) * np.ones((1, k, 1))  # drives the output negative
             return np.zeros_like(z0)
 
         res = run_dla(y, ErrorInjectingEngine(errors), m)
@@ -801,6 +804,57 @@ class TestAudit:
                 audit_messages(res, ac, 4)
 
 
+class TestOneShape:
+    """Every round reaches the engine as one (B, K, m) stack, a scalar round
+    as (B, K, 1), a lone (K, N) trial as the one-trial stack; the audit still
+    tells the two kinds of round apart at N = 1."""
+
+    K, M = 6, 3
+
+    @staticmethod
+    def recording(ac, shapes):
+        """``ac``, noting the shape of every input it gets."""
+
+        class Recording:
+            def run(self, z0):
+                shapes.append(z0.shape)
+                return ac.run(z0)
+
+        return Recording()
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("trials", [None, 1, 3])  # None: one lone (K, N) trial
+    def test_engines_get_stacks(self, trials, n):
+        k, m = self.K, self.M
+        ac = AcConfig("standard", 2, weights=metropolis_weights(random_connected_graph(k, 3)))
+        b = trials or 1
+        y = np.stack([random_samples(k, n, 70 + t) for t in range(b)])
+        if trials is None:
+            y = y[0]
+        width_n, scalar = (b, k, n), (b, k, 1)
+
+        shapes = []
+        res = run_dpm(y, self.recording(ac, shapes), m, checkpoints=(1, m))
+        # iteration 1, its eigenvalue stage, iterations 2 and 3, the final stage
+        assert shapes == [width_n, width_n, scalar, width_n, width_n, width_n, scalar]
+        # one extra stage adds one round of each kind to the table's M + 1 and 1
+        assert (res.audit.ac_n_calls, res.audit.ac_1_calls) == (m + 2, 2)
+
+        for run in (run_dpm, run_dla):
+            shapes = []
+            res = run(y, self.recording(ac, shapes), m)
+            if run is run_dpm:
+                assert shapes == [width_n] * (m + 1) + [scalar]
+            else:
+                assert shapes == [width_n, scalar] * m
+            for t in range(b):
+                audit_messages(res if trials is None else res.trial(t), ac, n)
+
+        shapes = []
+        estimates = trace_consensus(y, self.recording(ac, shapes))
+        assert shapes == [scalar]
+        assert estimates.shape == y.shape[:-1]
+
 class TestDeterminismAndState:
     def test_repeat_runs_bit_identical(self):
         g = random_connected_graph(6, 1)
@@ -900,8 +954,8 @@ class TestTrialStack:
     def noisy_engine(seeds):
         """Exact means plus seeded random errors, complex for complex inputs.
 
-        One generator per trial: a lone input draws from the one generator,
-        a stack draws each trial's errors from its own.
+        One generator per trial: each trial of the stack draws its errors
+        from its own.
         """
         rngs = [np.random.default_rng(s) for s in seeds]
 
@@ -912,23 +966,19 @@ class TestTrialStack:
             return err
 
         def errors(idx, z0):
-            if len(rngs) == 1:
-                return draw(rngs[0], z0.shape, np.iscomplexobj(z0))
             return np.stack([draw(r, z0.shape[1:], np.iscomplexobj(z0)) for r in rngs])
 
         return ErrorInjectingEngine(errors)
 
     @staticmethod
     def breaking_engine(stops):
-        """Zero scalar-consensus outputs: in trial b, nodes stops[b][j] break
-        down at iteration j. A lone trial's scalar round is (K,), a stack's
-        (B, K, 1)."""
+        """Zero scalar-consensus outputs of a DLA run: in trial b, nodes
+        stops[b][j] break down at iteration j. The scalar round of iteration
+        j is call 2 j - 1, a (B, K, 1) stack."""
 
         def errors(idx, z0):
             err = np.zeros_like(z0)
-            if z0.ndim == 1:
-                err[stops[0].get(idx // 2 + 1, [])] = -z0.mean() - 1.0
-            elif z0.shape[-1] == 1:
+            if idx % 2 == 1:
                 for b, stop in enumerate(stops):
                     err[b, stop.get(idx // 2 + 1, []), 0] = -z0[b, :, 0].mean() - 1.0
             return err
@@ -1157,16 +1207,23 @@ class TestAuditOnRead:
         y = self.helper.block()[:3]
         ac = self.helper.engine_factory("failures")(range(3))
         counted = {"n": 0, "1": 0, "units": np.zeros((3, self.helper.K), dtype=np.int64)}
+        # the scalar rounds, by call index: at M = 6 the DPM's eigenvalue
+        # stages after iterations 2, 4 and 6 end in calls 3, 7 and 11, and
+        # every second DLA call is one
+        assert TestTraceOption.M == 6
+        scalar = {"dpm": (3, 7, 11).__contains__, "dla": lambda idx: idx % 2 == 1}[algorithm]
 
         class Counting:
             """The block's engine, counting its rounds and units as they run."""
 
             iterations, graph = ac.iterations, ac.graph
+            calls = 0
 
             def run(self, z0):
                 res = ac.run(z0)
-                counted["1" if z0.shape[-1] == 1 else "n"] += 1
+                counted["1" if scalar(self.calls) else "n"] += 1
                 counted["units"] += res.scalars_exchanged_per_node
+                self.calls += 1
                 return res
 
         res = TestTraceOption.RUNS[algorithm](y, Counting(), False)
@@ -1206,8 +1263,10 @@ class TestTracedErrors:
     def recorded(self, run, kind, stacked):
         """A traced run of ``run`` and each round's deviation, in round order.
 
-        The engine of the run is wrapped to record its (z0, z) pairs; a
-        stacked scalar round reaches the engine as a (B, K, 1) stack.
+        The engine of the run is wrapped to record its (z0, z) pairs. Every
+        round reaches the engine as a (B, K, m) stack, a scalar round as
+        (B, K, 1), and a lone run's as the one-trial stack; the scalar
+        rounds are known by call index.
         """
         make = self.helper.engine_factory(kind)
         y = self.helper.block()
@@ -1221,10 +1280,13 @@ class TestTracedErrors:
                 return res
 
         res = run(y if stacked else y[0], Recording(), self.M, trace=True)
+        scalar = {run_dpm: lambda idx: idx == self.M + 1, run_dla: lambda idx: idx % 2 == 1}[run]
         deviations = []
-        for z0, z in rounds:
+        for idx, (z0, z) in enumerate(rounds):
             e = consensus_deviation(z0, z)
-            deviations.append(e[:, :, 0] if stacked and z0.shape[-1] == 1 else e)
+            if scalar(idx):
+                e = e[:, :, 0]
+            deviations.append(e if stacked else e[0])
         return res.trace, deviations
 
     @pytest.mark.parametrize("stacked", [False, True])

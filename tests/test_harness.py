@@ -284,10 +284,10 @@ class TestCli:
         assert cli_main(["roc", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     def test_runtime_error_exit_two(self, tmp_path, capsys):
-        # too few trials to calibrate the requested false-alarm rates
+        # samples too large for floating point show only when drawn
         cfg = self.write_config(
             tmp_path,
-            "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 5\nradius = 0.9\nalphas = 0.05\nsnr_db = 5\n",
+            "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 200\nradius = 0.9\nsigma2 = 1e300\n",
         )
         assert cli_main(["roc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "runtime error" in capsys.readouterr().err
@@ -297,12 +297,11 @@ class TestCli:
         monkeypatch.setattr(experiments, "gen_h0", drawn.append)
         monkeypatch.setattr(experiments, "gen_h1", drawn.append)
         # 25 trials calibrate alpha = 0.5 but not 0.05
-        cfg = validate_config(
-            "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 25\nradius = 0.9\nalphas = 0.5 0.05\n",
-            "roc",
-        )
-        with pytest.raises(DetectionError) as early:
-            run(cfg)
+        with pytest.raises(ConfigError) as early:
+            validate_config(
+                "K = 6\nN = 4\nM = 2\nI = 2\ntrials = 25\nradius = 0.9\nalphas = 0.5 0.05\n",
+                "roc",
+            )
         assert drawn == []
         with pytest.raises(DetectionError) as late:
             threshold_from_h0(np.zeros(25), 0.05)

@@ -334,11 +334,12 @@ class TestDistributedProperties:
             y = random_samples(k, n, seed)
             r = sample_covariance(y)
             rng = np.random.default_rng(seed + 10_000)
+            # the one-trial stacks the engine gets: (1, K, N), then (1, K, 1)
             errors = [
-                0.05 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+                0.05 * (rng.standard_normal((1, k, n)) + 1j * rng.standard_normal((1, k, n)))
                 for _ in range(m + 1)
             ]
-            errors.append(0.05 * rng.standard_normal(k))
+            errors.append(0.05 * rng.standard_normal((1, k, 1)))
             v0 = default_dpm_start(k, seed)
             res = run_dpm(y, ErrorInjectingEngine(errors), m, v0, trace=True)
             pred = predict_dpm_vector_error(res, r)
@@ -461,7 +462,7 @@ class TestHarnessProperties:
     def test_config_roundtrip_defaults(self):
         for seed in range(CASES):
             text = f"seed = {seed}\ntrials = {1 + seed % 9}\n"
-            cfg = validate_config(text, "roc")
+            cfg = validate_config(text, "eig-converge")
             assert cfg.seed == seed
             assert cfg.k == 40 and cfg.n == 10 and cfg.sigma2 == 1.0
 
